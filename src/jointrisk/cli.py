@@ -479,6 +479,13 @@ def main(argv=None) -> int:
     except JointRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    dist = report["copula"].get("gof_distance")
+    if config.match_policy == "warn" and dist is not None and dist > config.match_threshold:
+        print(
+            f"warning: declared copula fits the data poorly: gof distance {dist:.6g} "
+            f"exceeds {config.match_threshold:.6g}",
+            file=sys.stderr,
+        )
     text = render_report(report)
     if config.out_path:
         with open(config.out_path, "w", encoding="utf-8") as fh:

@@ -1,18 +1,19 @@
 """d-dimensional copulas: parametric families, survival copulas, bounds, data fits.
 
-Every copula here exposes ``dim`` and a vectorized ``cdf`` accepting a single
-point ``(d,)`` or a batch ``(n, d)`` of points in the unit cube.  Values are
-grounded (zero whenever a coordinate is zero) and have uniform margins up to
-floating-point rounding.
+Every copula here exposes ``dim``, a vectorized ``cdf`` accepting a single
+point ``(d,)`` or a batch ``(n, d)`` of points in the unit cube, and
+``cdf_grid`` evaluating the copula on the Cartesian product of d per-axis
+level vectors.  Values are grounded (zero whenever a coordinate is zero) and
+have uniform margins up to floating-point rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DataError, DimensionError, DomainError, FitError, ParameterError
 from .portfolio import ScenarioSet
@@ -42,6 +43,31 @@ def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
     if np.any(a < -_U_TOL) or np.any(a > 1.0 + _U_TOL):
         raise DomainError("copula arguments must lie in [0, 1]")
     return np.clip(a, 0.0, 1.0), single
+
+
+def _as_axes(axes, dim: int) -> list[np.ndarray]:
+    if len(axes) != dim:
+        raise DimensionError(f"expected {dim} level vectors, got {len(axes)}")
+    out = []
+    for a in axes:
+        v = np.asarray(a, dtype=float)
+        if v.ndim != 1:
+            raise DimensionError(f"level vectors must be 1-D, got shape {v.shape}")
+        if np.any(v < -_U_TOL) or np.any(v > 1.0 + _U_TOL):
+            raise DomainError("copula arguments must lie in [0, 1]")
+        out.append(np.clip(v, 0.0, 1.0))
+    return out
+
+
+def _broadcast(op, vectors: list[np.ndarray]) -> np.ndarray:
+    """Fold per-axis vectors into a d-dim tensor with ``op``, first axis first.
+
+    The left-to-right fold is the order in which numpy reduces a row of
+    ``d < 8`` coordinates, so each cell matches the pointwise value bit for bit.
+    """
+    d = len(vectors)
+    shaped = [v.reshape((1,) * j + (-1,) + (1,) * (d - j - 1)) for j, v in enumerate(vectors)]
+    return functools.reduce(op, shaped[1:], shaped[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +108,25 @@ class Copula:
         pts, single = _as_points(u, self.dim)
         out = _family_cdf(self, pts)
         return float(out[0]) if single else out
+
+    def cdf_grid(self, axes):
+        """C over the Cartesian product of ``axes`` (d level vectors).
+
+        Returns an array of shape ``(len(axes[0]), ..., len(axes[d-1]))``;
+        parametric families match :meth:`cdf` at every cell bit for bit.
+        """
+        return self._grid(_as_axes(axes, self.dim))
+
+    def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
+        if self.family == EMPIRICAL:
+            return _empirical_grid(self.ranks, self.rank_weights, axes)
+        out = _family_grid_raw(self, axes)
+        if self.family in ARCHIMEDEAN_FAMILIES:
+            # the C(1, ..., 1) = 1 fix of the pointwise path
+            at_one = [a == 1.0 for a in axes]
+            if all(h.any() for h in at_one):
+                out[np.ix_(*at_one)] = 1.0
+        return out
 
 
 def _family_cdf(c: Copula, u: np.ndarray) -> np.ndarray:
@@ -129,6 +174,56 @@ def _family_cdf_raw(c: Copula, u: np.ndarray) -> np.ndarray:
     raise ParameterError(f"unknown copula family {fam!r}")
 
 
+def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
+    # A zero level makes the generator term infinite and the cell value 0,
+    # which is the pointwise path's grounding without a mask.
+    fam = c.family
+    if fam == INDEPENDENCE or (fam == FRANK and abs(c.theta) < _FRANK_INDEPENDENCE_EPS):
+        return _broadcast(np.multiply, axes)
+    if fam == COMONOTONE:
+        return _broadcast(np.minimum, axes)
+    if fam == COUNTERMONOTONE_2D:
+        return np.maximum(_broadcast(np.add, axes) - 1.0, 0.0)
+    if fam == CLAYTON:
+        with np.errstate(over="ignore", divide="ignore"):
+            s = _broadcast(np.add, [a ** (-c.theta) for a in axes]) - (c.dim - 1)
+            out = s ** (-1.0 / c.theta)
+        return np.clip(out, 0.0, 1.0)
+    if fam == GUMBEL:
+        with np.errstate(over="ignore", divide="ignore"):
+            s = _broadcast(np.add, [(-np.log(a)) ** c.theta for a in axes])
+            out = np.exp(-(s ** (1.0 / c.theta)))
+        return np.clip(out, 0.0, 1.0)
+    if fam == FRANK:
+        th = c.theta
+        num = _broadcast(np.multiply, [np.expm1(-th * a) for a in axes])
+        den = np.expm1(-th) ** (c.dim - 1)
+        return np.clip(-np.log1p(num / den) / th, 0.0, 1.0)
+    raise ParameterError(f"unknown copula family {fam!r}")
+
+
+def _empirical_grid(ranks: np.ndarray, w: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+    """Weighted rank histogram over the sorted levels, summed up along every axis.
+
+    A scenario counts at level ``u`` of axis j when ``ranks[:, j] <= u``, so
+    its bin is the first sorted level at or above its rank (side="left");
+    bin ``n_j`` means it never counts.  Cost is O(m d + prod n_j).
+    """
+    shape = tuple(len(a) for a in axes)
+    if 0 in shape:
+        return np.zeros(shape)
+    order = [np.argsort(a, kind="stable") for a in axes]
+    bins = [np.searchsorted(a[o], ranks[:, j], side="left") for j, (a, o) in enumerate(zip(axes, order))]
+    keep = np.all(np.column_stack(bins) < np.array(shape), axis=1)
+    flat = np.ravel_multi_index([b[keep] for b in bins], shape)
+    hist = np.bincount(flat, weights=w[keep], minlength=int(np.prod(shape))).reshape(shape)
+    for j in range(len(shape)):
+        np.cumsum(hist, axis=j, out=hist)
+    # back from sorted levels to the callers' level order
+    inverse = [np.argsort(o) for o in order]
+    return hist[np.ix_(*inverse)]
+
+
 def _empirical_cdf(ranks: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.empty(len(u))
     # bound the (chunk, m, d) comparison tensor to ~4M entries
@@ -158,6 +253,21 @@ class SurvivalCopula:
         pts, single = _as_points(u, self.dim)
         out = _survival_cdf(self.base, pts)
         return float(out[0]) if single else out
+
+    def cdf_grid(self, axes):
+        """The survival copula over the Cartesian product of ``axes``; see :meth:`Copula.cdf_grid`."""
+        return self._grid(_as_axes(axes, self.dim))
+
+    def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
+        # the 2^d inclusion-exclusion terms of _survival_cdf, each on the
+        # sub-grid of its selected axes (unselected ones are pinned at 1)
+        one = np.ones(1)
+        flipped = [1.0 - a for a in axes]
+        total = np.zeros(tuple(len(a) for a in axes))
+        for mask in itertools.product((False, True), repeat=self.dim):
+            sign = -1.0 if sum(mask) % 2 else 1.0
+            total += sign * self.base._grid([f if sel else one for f, sel in zip(flipped, mask)])
+        return np.clip(total, 0.0, 1.0, out=total)
 
 
 CopulaLike = Copula | SurvivalCopula
@@ -259,10 +369,11 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
         grid_n = default_grid_n(c.dim)
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n}")
-    grid = unit_grid(c.dim, grid_n)
-    upper = frechet_upper(grid)
-    d_ul = float(np.max(upper - frechet_lower(grid)))
-    d_uc = float(max(np.max(upper - np.asarray(c.cdf(grid))), 0.0))
+    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * c.dim
+    upper = _broadcast(np.minimum, axes)
+    lower = np.maximum(_broadcast(np.add, axes) - (c.dim - 1), 0.0)
+    d_ul = float(np.max(upper - lower))
+    d_uc = float(max(np.max(upper - c.cdf_grid(axes)), 0.0))
     return d_ul, d_uc
 
 
@@ -309,6 +420,8 @@ def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
 
 def _frank_tau(theta: float) -> float:
     # tau(theta) = 1 - 4/theta * (1 - D1(theta)) with D1 the first Debye function
+    from scipy import integrate  # deferred: scipy is most of the package's import time
+
     if theta < 0:
         return -_frank_tau(-theta)
     d1 = integrate.quad(lambda t: t / np.expm1(t), 0.0, theta, limit=200)[0] / theta
@@ -357,6 +470,8 @@ def fit_archimedean(s: ScenarioSet, family: str) -> Copula:
         raise FitError("Frank with tau < 0 is only a copula for dimension 2")
     if abs(tau) >= _frank_tau(_FRANK_THETA_MAX):
         raise FitError(f"sample tau = {tau:.6g} outside the invertible Frank range")
+    from scipy import optimize
+
     mag = optimize.brentq(
         lambda th: _frank_tau(th) - abs(tau), 1e-6, _FRANK_THETA_MAX, xtol=1e-12
     )
@@ -373,8 +488,8 @@ def gof_distance(e: CopulaLike, c: CopulaLike, grid_n: int | None = None) -> flo
         raise DimensionError(f"dimension mismatch: {e.dim} vs {c.dim}")
     if grid_n is None:
         grid_n = default_grid_n(e.dim)
-    grid = unit_grid(e.dim, grid_n)
-    diff = np.asarray(e.cdf(grid)) - np.asarray(c.cdf(grid))
+    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * e.dim
+    diff = e.cdf_grid(axes) - c.cdf_grid(axes)
     return float(np.mean(diff**2))
 
 

@@ -143,6 +143,20 @@ def survival_from_steps(values: np.ndarray, tail: np.ndarray, t) -> np.ndarray:
     return np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
 
 
+def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integration cells of marginal ``i`` covering ``[0, max)``.
+
+    Returns ``(left, survival, widths)``: each cell's left edge, the survival
+    value on the cell (taken at the left edge) and its width.  The edges are
+    0 and the distinct positive losses; all three are empty when the marginal
+    has no positive loss.
+    """
+    values, tail = marginal_steps(s, i)
+    edges = np.concatenate(([0.0], values[values > 0.0]))
+    left = edges[:-1]
+    return left, survival_from_steps(values, tail, left), np.diff(edges)
+
+
 def marginal_survival(s: ScenarioSet, i: int, t) -> float | np.ndarray:
     """P(X_i > t), exact weighted tail probability; vectorized over ``t``."""
     values, tail = marginal_steps(s, i)

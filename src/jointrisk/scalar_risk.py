@@ -10,6 +10,7 @@ quadrature approximation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,10 +22,10 @@ from .distortion import ConfidenceBand, alpha_c, cvar_ramp, var_step
 from .errors import DataError, DimensionError, DomainError, TruncationError
 from .portfolio import (
     ScenarioSet,
+    marginal_cells,
     marginal_steps,
     pi_comonotone_split,
     scenario_set,
-    survival_from_steps,
 )
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
@@ -60,43 +61,14 @@ def _check_inputs(s: ScenarioSet, spec: JointRiskSpec) -> None:
         )
 
 
-def _marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left edges' survival values and cell widths for exact integration on [0, max)."""
-    values, tail = marginal_steps(s, i)
-    vmax = float(values[-1])
-    if vmax <= 0.0:
-        return np.empty(0), np.empty(0)
-    edges = np.concatenate(([0.0], values[values > 0.0]))
-    widths = np.diff(edges)
-    sv = survival_from_steps(values, tail, edges[:-1])
-    return sv, widths
-
-
 def _grid_sum(cstar: CopulaLike, levels: Sequence[np.ndarray], cell_w: Sequence[np.ndarray]) -> float:
     """Sum of cstar(level tuple) times the product of per-axis weights over the tensor grid."""
-    sizes = [len(v) for v in levels]
-    if 0 in sizes:
+    if any(len(v) == 0 for v in levels):
         return 0.0
-    d = len(levels)
-    if d == 1:
-        vals = np.asarray(cstar.cdf(levels[0][:, None]))
-        return float(vals @ cell_w[0])
-    tail_mesh = np.meshgrid(*levels[1:], indexing="ij")
-    tail_pts = np.stack([m.ravel() for m in tail_mesh], axis=1)
-    w_mesh = np.meshgrid(*cell_w[1:], indexing="ij")
-    tail_w = np.prod(np.stack([m.ravel() for m in w_mesh], axis=0), axis=0)
-    rest = tail_pts.shape[0]
-
-    total = 0.0
-    block = max(1, 2_000_000 // max(rest, 1))
-    for a in range(0, sizes[0], block):
-        head = levels[0][a:a + block]
-        pts = np.empty((len(head) * rest, d))
-        pts[:, 0] = np.repeat(head, rest)
-        pts[:, 1:] = np.tile(tail_pts, (len(head), 1))
-        vals = np.asarray(cstar.cdf(pts)).reshape(len(head), rest)
-        total += float(cell_w[0][a:a + block] @ (vals @ tail_w))
-    return total
+    vals = cstar.cdf_grid(levels).reshape(len(levels[0]), -1)
+    # weights of the trailing axes in the grid's row-major order
+    tail_w = functools.reduce(np.multiply.outer, cell_w[1:], np.ones(1)).ravel()
+    return float(cell_w[0] @ (vals @ tail_w))
 
 
 def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -109,7 +81,7 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     _check_inputs(s, spec)
     levels, widths = [], []
     for i in range(s.dim):
-        sv, w = _marginal_cells(s, i)
+        _, sv, w = marginal_cells(s, i)
         if len(w) == 0:
             return 0.0
         levels.append(np.asarray(spec.distortions[i](sv), dtype=float))

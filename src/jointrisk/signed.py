@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .portfolio import ScenarioSet, marginal_steps, survival_from_steps
-from .scalar_risk import JointRiskSpec, _grid_sum, _marginal_cells
+from .portfolio import ScenarioSet, marginal_cells, marginal_steps, survival_from_steps
+from .scalar_risk import JointRiskSpec, _grid_sum
 
 
 def _negative_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,16 +52,10 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
     g1, g2 = spec.distortions
     cstar = spec.cstar
 
-    sv_pos, w_pos = zip(*(_marginal_cells(s, i) for i in range(2)))
+    _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
     sv_neg, w_neg = zip(*(_negative_cells(s, i) for i in range(2)))
     gp = [np.asarray(g(sv), dtype=float) for g, sv in zip((g1, g2), sv_pos)]
     gn = [np.asarray(g(sv), dtype=float) for g, sv in zip((g1, g2), sv_neg)]
-
-    def coupled(levels1: np.ndarray, levels2: np.ndarray) -> np.ndarray:
-        pts = np.empty((len(levels1) * len(levels2), 2))
-        pts[:, 0] = np.repeat(levels1, len(levels2))
-        pts[:, 1] = np.tile(levels2, len(levels1))
-        return np.asarray(cstar.cdf(pts)).reshape(len(levels1), len(levels2))
 
     total = 0.0
     # positive quadrant: same cells and accumulation as the nonnegative evaluator
@@ -69,14 +63,14 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
         total += _grid_sum(cstar, [gp[0], gp[1]], [w_pos[0], w_pos[1]])
     # x1 >= 0, x2 < 0: subtract the first marginal term
     if len(w_pos[0]) and len(w_neg[1]):
-        integrand = coupled(gp[0], gn[1]) - gp[0][:, None]
+        integrand = cstar.cdf_grid([gp[0], gn[1]]) - gp[0][:, None]
         total += float(w_pos[0] @ integrand @ w_neg[1])
     # x1 < 0, x2 >= 0: subtract the second marginal term
     if len(w_neg[0]) and len(w_pos[1]):
-        integrand = coupled(gn[0], gp[1]) - gp[1][None, :]
+        integrand = cstar.cdf_grid([gn[0], gp[1]]) - gp[1][None, :]
         total += float(w_neg[0] @ integrand @ w_pos[1])
     # both negative: subtract both marginal terms and add back the unit mass
     if len(w_neg[0]) and len(w_neg[1]):
-        integrand = coupled(gn[0], gn[1]) - gn[0][:, None] - gn[1][None, :] + 1.0
+        integrand = cstar.cdf_grid([gn[0], gn[1]]) - gn[0][:, None] - gn[1][None, :] + 1.0
         total += float(w_neg[0] @ integrand @ w_neg[1])
     return total

@@ -17,7 +17,7 @@ import numpy as np
 from .copula import CopulaLike, survival_copula
 from .distortion import ConfidenceBand, Distortion, blend_diagnostics, cvar_ramp, var_step
 from .errors import DataError, DegenerateTailError, DimensionError, DomainError
-from .portfolio import ScenarioSet, marginal_steps, survival_from_steps, var
+from .portfolio import ScenarioSet, marginal_cells, var
 from .scalar_risk import DistortionLike, JointRiskSpec
 
 WHOLE_SPACE = "whole_space"
@@ -65,12 +65,9 @@ def _require_nonnegative(s: ScenarioSet) -> None:
 
 def _step_integral(s: ScenarioSet, i: int, transform) -> float:
     """Exact integral over [0, max) of transform(S_i(t)) for a step survival S_i."""
-    values, tail = marginal_steps(s, i)
-    if float(values[-1]) <= 0.0:
+    _, sv, widths = marginal_cells(s, i)
+    if len(widths) == 0:
         return 0.0
-    edges = np.concatenate(([0.0], values[values > 0.0]))
-    widths = np.diff(edges)
-    sv = survival_from_steps(values, tail, edges[:-1])
     return float(np.asarray(transform(sv), dtype=float) @ widths)
 
 
@@ -115,7 +112,6 @@ def mixture_var_cvar(
     gs: tuple[Distortion, ...] = tuple(
         var_step(level) if k == "var" else cvar_ramp(level) for k in kind_list
     )
-    spec = JointRiskSpec(survival_copula(c), gs)
     comps = tuple(_step_integral(s, i, gs[i]) for i in range(s.dim))
     return VectorRiskResult(comps, "mixture_var_cvar", {**diag, "kinds": kind_list})
 
@@ -186,13 +182,11 @@ def mtdrm(
     tail_w = np.where(in_tail, s.weights, 0.0)
 
     def component(i: int) -> float:
-        values, _ = marginal_steps(s, i)
-        if float(values[-1]) <= 0.0:
+        left, _, widths = marginal_cells(s, i)
+        if len(widths) == 0:
             return 0.0
-        edges = np.concatenate(([0.0], values[values > 0.0]))
-        widths = np.diff(edges)
         col = s.losses[:, i]
-        joint = (col[None, :] > edges[:-1, None]) @ tail_w
+        joint = (col[None, :] > left[:, None]) @ tail_w
         g = distortions[i]
         return float(np.asarray(g(joint), dtype=float) @ widths) / p_tail
 

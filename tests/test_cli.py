@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jointrisk import DataError, cvar, var
+from jointrisk import DataError, cli, cvar, var
 from jointrisk.cli import (
     RunConfig,
     ingest_csv,
@@ -179,6 +179,16 @@ class TestMainExitCodes:
             ["scalar", "--input", comonotone_csv, "--copula", "countermonotone"]
         )
         assert code == 0
+
+    def test_match_warn_prints_one_stderr_line_above_threshold(self, comonotone_csv, capsys, monkeypatch):
+        # countermonotone against comonotone data sits at gof distance ~0.043,
+        # below the default threshold, so the test lowers it
+        monkeypatch.setattr(cli, "DEFAULT_MATCH_THRESHOLD", 0.01)
+        assert main(["scalar", "--input", comonotone_csv, "--copula", "countermonotone"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") and "gof distance" in err and err.count("\n") == 1
+        assert main(["scalar", "--input", comonotone_csv, "--copula", "comonotone"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_single_column_var_distortion_uses_band_top(self, tmp_path, capsys):
         path = write(tmp_path, "one.csv", "a\n" + "\n".join(str(k) for k in range(1, 11)) + "\n")

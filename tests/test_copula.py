@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,26 +11,33 @@ from jointrisk import (
     DimensionError,
     DomainError,
     FitError,
+    JointRiskSpec,
     ParameterError,
     box_increment,
     clayton,
     comonotone,
     copula_eval,
     countermonotone_2d,
+    cvar_ramp,
     empirical_copula,
     fit_archimedean,
     frank,
     frechet_bounds,
     frechet_distances,
+    gamma_survival_form,
     gof_distance,
     gumbel,
+    identity,
     independence,
     kendall_tau,
+    power,
     scenario_set,
     survival_copula,
     survival_copula_eval,
+    var_step,
 )
-from jointrisk.copula import frechet_lower, frechet_upper, unit_grid
+from jointrisk.copula import SurvivalCopula, frechet_lower, frechet_upper, unit_grid
+from jointrisk.portfolio import marginal_cells
 
 
 def family_zoo(dim=2):
@@ -335,3 +344,107 @@ def test_increment_property_sampled(u, v):
     a, b = np.minimum(u, v), np.maximum(u, v)
     for cop in family_zoo(2):
         assert box_increment(cop, a, b) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# cdf_grid: the tensor-grid kernel against pointwise cdf
+
+
+def _tied_empirical(dim):
+    # rounded losses give rank ties; unequal weights give uneven rank steps
+    rng = np.random.default_rng(40 + dim)
+    losses = np.round(rng.uniform(0, 4, size=(25, dim)), 0)
+    return empirical_copula(scenario_set(losses, rng.integers(1, 4, size=25).astype(float)))
+
+
+GRID_DIMS = (2, 3, 4)
+PARAMETRIC_ZOO = {
+    d: family_zoo(d) + [clayton(0.4, d), gumbel(1.0, d), frank(1e-12, d)] + ([frank(-3.0)] if d == 2 else [])
+    for d in GRID_DIMS
+}
+EMPIRICAL_ZOO = {d: _tied_empirical(d) for d in GRID_DIMS}
+
+
+def _pointwise_grid(cop, axes):
+    pts = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, cop.dim)
+    return np.asarray(cop.cdf(pts)).reshape(tuple(len(a) for a in axes))
+
+
+@st.composite
+def level_axes(draw, dim, pool=None):
+    """d level vectors in [0, 1], each holding 0 and 1 and, with ``pool``, some of its values."""
+    axes = []
+    for j in range(dim):
+        levels = draw(st.lists(st.floats(0, 1, allow_nan=False), max_size=4)) + [0.0, 1.0]
+        if pool is not None:
+            levels += draw(st.lists(st.sampled_from(sorted(set(pool[:, j]))), min_size=1, max_size=3))
+        axes.append(np.array(draw(st.permutations(levels))))
+    return axes
+
+
+@st.composite
+def parametric_grid_case(draw):
+    d = draw(st.sampled_from(GRID_DIMS))
+    cop = draw(st.sampled_from(PARAMETRIC_ZOO[d]))
+    if draw(st.booleans()):
+        cop = survival_copula(cop)
+    return cop, draw(level_axes(d))
+
+
+@st.composite
+def empirical_grid_case(draw):
+    d = draw(st.sampled_from(GRID_DIMS))
+    e = EMPIRICAL_ZOO[d]
+    cop = survival_copula(e) if draw(st.booleans()) else e
+    # the survival copula evaluates its base at 1 - u: draw those ties too
+    pool = 1.0 - e.ranks if isinstance(cop, SurvivalCopula) else e.ranks
+    return cop, draw(level_axes(d, pool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=parametric_grid_case())
+def test_cdf_grid_parametric_is_pointwise_bit_for_bit(case):
+    cop, axes = case
+    assert np.array_equal(cop.cdf_grid(axes), _pointwise_grid(cop, axes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=empirical_grid_case())
+def test_cdf_grid_empirical_matches_pointwise(case):
+    cop, axes = case
+    np.testing.assert_allclose(cop.cdf_grid(axes), _pointwise_grid(cop, axes), rtol=0, atol=1e-14)
+
+
+class TestCdfGrid:
+    def test_shape_follows_axes_including_empty(self):
+        c = clayton(2.0, 3)
+        assert c.cdf_grid([[0.5], [0.1, 0.2], [0.3, 0.4, 0.9]]).shape == (1, 2, 3)
+        assert EMPIRICAL_ZOO[2].cdf_grid([[], [0.5]]).shape == (0, 1)
+
+    def test_rejects_bad_axes(self):
+        with pytest.raises(DimensionError):
+            independence(2).cdf_grid([[0.5]])
+        with pytest.raises(DimensionError):
+            independence(2).cdf_grid([[[0.5]], [0.5]])
+        with pytest.raises(DomainError):
+            survival_copula(gumbel(2.0)).cdf_grid([[0.5], [1.5]])
+
+    @pytest.mark.parametrize("cop", [clayton(2.0), gumbel(1.5), frank(-3.0), comonotone(2), countermonotone_2d()])
+    @pytest.mark.parametrize("gs", [(identity(), identity()), (var_step(0.9), cvar_ramp(0.9)), (power(2.0), power(0.5))])
+    def test_d2_survival_form_is_the_pointwise_sum_bit_for_bit(self, cop, gs):
+        # the d=2 survival form contracts the grid exactly as a pointwise batch
+        # reshaped to (n1, n2) would: rows by the second axis' widths, then the
+        # first's.  Stored formulation gaps of d=2 parametric runs depend on it.
+        rng = np.random.default_rng(9)
+        s = scenario_set(np.round(rng.gamma(2.0, 1.5, size=(150, 2)), 1))
+        spec = JointRiskSpec(survival_copula(cop), gs)
+        levels, widths = [], []
+        for i in range(2):
+            _, sv, w = marginal_cells(s, i)
+            levels.append(np.asarray(gs[i](sv), dtype=float))
+            widths.append(w)
+        pts = np.empty((len(levels[0]) * len(levels[1]), 2))
+        pts[:, 0] = np.repeat(levels[0], len(levels[1]))
+        pts[:, 1] = np.tile(levels[1], len(levels[0]))
+        vals = np.asarray(spec.cstar.cdf(pts)).reshape(len(levels[0]), len(levels[1]))
+        assert gamma_survival_form(s, spec) == float(widths[0] @ (vals @ widths[1]))

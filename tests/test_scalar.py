@@ -144,6 +144,36 @@ class TestFormulationAgreement:
         assert a == pytest.approx(b, rel=1e-9)
 
 
+def _dependent_losses(seed, m, dim):
+    # positively dependent losses in [0, 8), rounded so that marginals carry a few ties
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal((m, 1))
+    z = 0.6 * common + 0.8 * rng.standard_normal((m, dim))
+    return np.round(np.minimum(np.exp(0.5 * z), 7.99), 4)
+
+
+class TestExactnessAtScale:
+    """Survival and ls forms agree to 1e-9 at sizes well past the m <= 250 tiers."""
+
+    @pytest.mark.parametrize(
+        "m, dim, choice",
+        [(2000, 2, "empirical"), (2000, 2, "clayton"), (150, 3, "empirical"), (150, 3, "gumbel")],
+    )
+    def test_formulations_agree(self, m, dim, choice):
+        from jointrisk import empirical_copula
+
+        s = scenario_set(_dependent_losses(m + dim, m, dim))
+        cop = empirical_copula(s) if choice == "empirical" else {"clayton": clayton, "gumbel": gumbel}[choice](2.0, dim)
+        spec = JointRiskSpec(survival_copula(cop), tuple(power(2.0) if i % 2 else cvar_ramp(0.9) for i in range(dim)))
+        a, b = gamma_survival_form(s, spec), gamma_ls_form(s, spec)
+        assert a > 0.0
+        assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+        if dim == 2:
+            lo, hi = dyadic_bounds(s, spec, 8)
+            assert lo - 1e-12 <= gamma_dyadic(s, spec, 8) <= hi + 1e-12
+            assert hi <= a + 1e-12
+
+
 class TestDyadic:
     def test_unit_portfolio_close(self):
         ones = scenario_set([[1.0, 1.0]])
