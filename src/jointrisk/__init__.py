@@ -6,7 +6,6 @@ from .copula import (
     box_increment,
     clayton,
     comonotone,
-    copula_eval,
     countermonotone_2d,
     default_grid_n,
     empirical_copula,
@@ -19,7 +18,6 @@ from .copula import (
     independence,
     kendall_tau,
     survival_copula,
-    survival_copula_eval,
 )
 from .distortion import (
     ConfidenceBand,

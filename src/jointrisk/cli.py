@@ -300,6 +300,11 @@ def run(config: RunConfig) -> dict:
     if raw_weights is not None and abs(float(raw_weights.sum()) - 1.0) > 1e-12:
         notes.append(f"weights renormalized from sum {float(raw_weights.sum()):g}")
     cop, info = _resolve_copula(config, s)
+    if info.get("fitted") and s.dim > 2:
+        notes.append(
+            f"{info['family']} theta fitted to the average of the {s.dim * (s.dim - 1) // 2} "
+            "pairwise Kendall taus (exchangeable approximation for d > 2)"
+        )
     diag = _copula_diagnostics(config, s, cop, info)
     _check_match(config, diag)
 

@@ -93,6 +93,14 @@ class TestRun:
         report = run(RunConfig("scalar", path, copula_choice="independence"))
         assert any("renormalized" in n for n in report["scenarios"]["notes"])
 
+    def test_fit_notes_average_tau_only_for_d_above_two(self, tmp_path, plain_csv):
+        # pairwise taus 1/3, 2/3 and 0: average 1/3
+        d3 = write(tmp_path, "d3.csv", "a,b,c\n1,2,1\n2,1,3\n3,4,2\n4,3,4\n")
+        notes = run(RunConfig("copula-fit", d3, copula_choice="fit:clayton"))["scenarios"]["notes"]
+        assert len(notes) == 1 and "average of the 3 pairwise Kendall taus" in notes[0]
+        report = run(RunConfig("copula-fit", plain_csv, copula_choice="fit:clayton"))
+        assert report["scenarios"]["notes"] == []
+
     def test_mixture_reports_blend_diagnostics(self, comonotone_csv):
         cfg = RunConfig(
             "mixture",

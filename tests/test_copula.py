@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jointrisk
 from jointrisk import (
     DataError,
     DimensionError,
@@ -16,7 +21,6 @@ from jointrisk import (
     box_increment,
     clayton,
     comonotone,
-    copula_eval,
     countermonotone_2d,
     cvar_ramp,
     empirical_copula,
@@ -33,10 +37,9 @@ from jointrisk import (
     power,
     scenario_set,
     survival_copula,
-    survival_copula_eval,
     var_step,
 )
-from jointrisk.copula import SurvivalCopula, frechet_lower, frechet_upper, unit_grid
+from jointrisk.copula import SurvivalCopula, _frank_tau, frechet_lower, frechet_upper, unit_grid
 from jointrisk.portfolio import marginal_cells
 
 
@@ -49,32 +52,32 @@ def family_zoo(dim=2):
 
 class TestEval:
     def test_independence_product(self):
-        assert copula_eval(independence(2), [0.5, 0.5]) == 0.25
+        assert independence(2).cdf([0.5, 0.5]) == 0.25
 
     @pytest.mark.parametrize("cop", family_zoo(2) + family_zoo(3))
     def test_uniform_margins(self, cop):
         for i in range(cop.dim):
             u = np.ones(cop.dim)
             u[i] = 0.7
-            assert copula_eval(cop, u) == pytest.approx(0.7, abs=1e-12)
+            assert cop.cdf(u) == pytest.approx(0.7, abs=1e-12)
 
     def test_clayton_high_precision_value(self):
         # oracle: 50-digit evaluation of (0.5^-2 + 0.5^-2 - 1)^(-1/2)
         with mpmath.workdps(50):
             expected = float((mpmath.mpf("0.5") ** -2 * 2 - 1) ** mpmath.mpf("-0.5"))
-        assert copula_eval(clayton(2.0), [0.5, 0.5]) == pytest.approx(expected, abs=1e-14)
+        assert clayton(2.0).cdf([0.5, 0.5]) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(7 ** -0.5, abs=1e-15)
 
     @pytest.mark.parametrize("cop", family_zoo(2))
     def test_grounded(self, cop):
-        assert copula_eval(cop, [0.0, 0.6]) == 0.0
-        assert copula_eval(cop, [0.6, 0.0]) == 0.0
+        assert cop.cdf([0.0, 0.6]) == 0.0
+        assert cop.cdf([0.6, 0.0]) == 0.0
 
     def test_domain_and_dimension_errors(self):
         with pytest.raises(DomainError):
-            copula_eval(independence(2), [1.2, 0.5])
+            independence(2).cdf([1.2, 0.5])
         with pytest.raises(DimensionError):
-            copula_eval(independence(2), [0.5, 0.5, 0.5])
+            independence(2).cdf([0.5, 0.5, 0.5])
 
     def test_parameter_domains(self):
         with pytest.raises(ParameterError):
@@ -92,18 +95,18 @@ class TestEval:
 
     def test_frank_near_zero_is_independence(self):
         c = frank(1e-12)
-        assert copula_eval(c, [0.3, 0.8]) == 0.3 * 0.8
+        assert c.cdf([0.3, 0.8]) == 0.3 * 0.8
 
 
 class TestSurvival:
     def test_independence_self_dual(self):
         c = independence(2)
         assert survival_copula(c) is c
-        assert survival_copula_eval(c, [0.3, 0.4]) == pytest.approx(0.12, abs=1e-15)
+        assert SurvivalCopula(c).cdf([0.3, 0.4]) == pytest.approx(0.12, abs=1e-15)
 
     def test_comonotone_by_hand(self):
         # 1 - 0.7 - 0.6 + min(0.7, 0.6) = 0.3 = min(0.3, 0.4)
-        v = survival_copula_eval(comonotone(2), [0.3, 0.4])
+        v = survival_copula(comonotone(2)).cdf([0.3, 0.4])
         assert v == pytest.approx(0.3, abs=1e-14)
 
     @pytest.mark.parametrize("cop", family_zoo(2) + family_zoo(3))
@@ -276,8 +279,6 @@ class TestFit:
 
     def test_frank_round_trip(self):
         # build a sample whose tau matches frank(theta=5), then invert
-        from jointrisk.copula import _frank_tau
-
         target_tau = _frank_tau(5.0)
         # tau of a permutation sample is rational; search a close one
         rng = np.random.default_rng(0)
@@ -299,6 +300,91 @@ class TestFit:
         s = scenario_set(np.column_stack([x, x, x[::-1]]))
         with pytest.raises(FitError):
             fit_archimedean(s, "clayton")  # average tau = -1/3 < 0
+
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 2.0, 5.0, 20.0, 60.0, 150.0, 300.0, -5.0])
+    def test_frank_tau_matches_debye_integral(self, theta):
+        # oracle: 40-digit quadrature of D1(theta) = 1/theta int_0^theta t/(e^t - 1) dt
+        with mpmath.workdps(40):
+            th = mpmath.mpf(abs(theta))
+            d1 = mpmath.quad(lambda t: t / mpmath.expm1(t), [0, min(th, 10), th]) / th
+            expected = float(np.sign(theta) * (1 - 4 / th * (1 - d1)))
+        assert _frank_tau(theta) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [1, 4, 13])
+    def test_frank_fit_inverts_sample_tau(self, shift):
+        x = np.arange(1.0, 41.0)
+        for y in (np.roll(x, shift), -np.roll(x, shift)):
+            s = scenario_set(np.column_stack([x, y]))
+            tau = kendall_tau(x, y, s.weights)
+            assert _frank_tau(fit_archimedean(s, "frank").theta) == pytest.approx(tau, abs=1e-12)
+
+    def test_frank_fit_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from jointrisk import fit_archimedean, scenario_set\n"
+            "x = np.arange(1.0, 41.0)\n"
+            "fit_archimedean(scenario_set(np.column_stack([x, np.roll(x, 4)])), 'frank')\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(jointrisk.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
+def kendall_tau_pairwise(x, y, w):
+    """O(m^2) reference: every ordered pair weighs w_i w_j, ties count zero."""
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    ww = w[:, None] * w[None, :]
+    return float(np.sum(dx * dy * ww)) / float(ww.sum() - np.sum(w**2))
+
+
+@st.composite
+def tied_weighted_columns(draw):
+    # a pool of one value gives a constant column; small pools give ties in
+    # x, in y and in both
+    m = draw(st.integers(2, 60))
+    columns = []
+    for _ in range(2):
+        pool = draw(st.sampled_from([1, 2, 3, 5, 8, 1000]))
+        columns.append(np.array(draw(st.lists(st.integers(0, pool - 1), min_size=m, max_size=m)), float))
+    w = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=m, max_size=m)))
+    return columns[0], columns[1], w / w.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=tied_weighted_columns())
+def test_kendall_tau_matches_pairwise_reference(data):
+    x, y, w = data
+    assert abs(kendall_tau(x, y, w) - kendall_tau_pairwise(x, y, w)) <= 1e-13
+
+
+class TestKendallTau:
+    def test_one_scenario_is_a_data_error(self):
+        with pytest.raises(DataError):
+            kendall_tau(np.array([1.0]), np.array([2.0]), np.array([1.0]))
+
+    def test_large_tied_weighted_sample_in_linear_memory(self):
+        # the m x m pairwise formula needs about 9.6 GB here
+        rng = np.random.default_rng(7)
+        m = 20_000
+        x = np.round(rng.normal(size=m), 2)
+        y = np.round(x + rng.normal(size=m), 2)
+        s = scenario_set(np.column_stack([x - x.min(), y - y.min()]), rng.uniform(0.5, 2.0, m))
+        tracemalloc.start()
+        try:
+            tau = kendall_tau(s.losses[:, 0], s.losses[:, 1], s.weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        # correlation 1/sqrt(2): tau = 2/pi * arcsin(1/sqrt(2)) = 1/2 before rounding
+        assert tau == pytest.approx(0.5, abs=0.03)
+        assert fit_archimedean(s, "clayton").theta == pytest.approx(2 * tau / (1 - tau), rel=1e-12)
 
 
 class TestGof:
@@ -334,7 +420,7 @@ def unit_points(draw, dim):
 @given(u=unit_points(dim=3))
 def test_bounds_property_sampled(u):
     for cop in family_zoo(3):
-        v = copula_eval(cop, u)
+        v = cop.cdf(u)
         assert frechet_lower(u) - 1e-12 <= v <= frechet_upper(u) + 1e-12
 
 
