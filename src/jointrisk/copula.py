@@ -33,6 +33,12 @@ _FRANK_INDEPENDENCE_EPS = 1e-10  # removable singularity at theta = 0
 _U_TOL = 1e-12
 
 
+def _check_levels(v: np.ndarray) -> None:
+    # one min/max pass; written so that a NaN fails the test
+    if v.size and not (v.min() >= -_U_TOL and v.max() <= 1.0 + _U_TOL):
+        raise DomainError("copula arguments must lie in [0, 1]")
+
+
 def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
     a = np.asarray(u, dtype=float)
     single = a.ndim == 1
@@ -40,9 +46,8 @@ def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] != dim:
         raise DimensionError(f"expected points of dimension {dim}, got shape {np.shape(u)}")
-    if np.any(a < -_U_TOL) or np.any(a > 1.0 + _U_TOL):
-        raise DomainError("copula arguments must lie in [0, 1]")
-    return np.clip(a, 0.0, 1.0), single
+    _check_levels(a)
+    return a.clip(0.0, 1.0), single
 
 
 def _as_axes(axes, dim: int) -> list[np.ndarray]:
@@ -53,9 +58,8 @@ def _as_axes(axes, dim: int) -> list[np.ndarray]:
         v = np.asarray(a, dtype=float)
         if v.ndim != 1:
             raise DimensionError(f"level vectors must be 1-D, got shape {v.shape}")
-        if np.any(v < -_U_TOL) or np.any(v > 1.0 + _U_TOL):
-            raise DomainError("copula arguments must lie in [0, 1]")
-        out.append(np.clip(v, 0.0, 1.0))
+        _check_levels(v)
+        out.append(v.clip(0.0, 1.0))
     return out
 
 
@@ -259,14 +263,16 @@ class SurvivalCopula:
         return self._grid(_as_axes(axes, self.dim))
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        # the 2^d inclusion-exclusion terms of _survival_cdf, each on the
-        # sub-grid of its selected axes (unselected ones are pinned at 1)
-        one = np.ones(1)
-        flipped = [1.0 - a for a in axes]
+        # the 2^d inclusion-exclusion terms of _survival_cdf from one base
+        # evaluation on the flipped axes with 1 appended: each term is the
+        # sub-grid holding the flipped levels on its selected axes and the
+        # appended 1 on the others
+        base = self.base._grid([np.append(1.0 - a, 1.0) for a in axes])
+        flipped, pinned = slice(0, -1), slice(-1, None)
         total = np.zeros(tuple(len(a) for a in axes))
         for mask in itertools.product((False, True), repeat=self.dim):
             sign = -1.0 if sum(mask) % 2 else 1.0
-            total += sign * self.base._grid([f if sel else one for f, sel in zip(flipped, mask)])
+            total += sign * base[tuple(flipped if sel else pinned for sel in mask)]
         return np.clip(total, 0.0, 1.0, out=total)
 
 

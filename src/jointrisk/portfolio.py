@@ -122,7 +122,9 @@ def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
     col = s.losses[:, i]
     order = np.argsort(col, kind="stable")
     sv, sw = col[order], s.weights[order]
-    values, start = np.unique(sv, return_index=True)
+    # sv is sorted: a group starts wherever the value changes
+    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    values = sv[start]
     group_w = np.add.reduceat(sw, start)
     below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
     tail = 1.0 - (below + group_w)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .copula import CopulaLike, survival_copula
 from .distortion import ConfidenceBand, alpha_c, cvar_ramp, var_step
-from .errors import DataError, DimensionError, DomainError, TruncationError
+from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import (
     ScenarioSet,
     marginal_cells,
@@ -327,6 +327,8 @@ def axiom_suite(
     relative at ``rel_tol`` (absolute floor 1e-12).  Deterministic given
     ``seed``; the seed is recorded in the report.
     """
+    if trials < 1:
+        raise ParameterError(f"axiom_suite needs trials >= 1, got {trials}")
     if not copulas:
         raise DataError("axiom_suite needs at least one copula")
     dim = copulas[0].dim

@@ -139,9 +139,9 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
 
     def component(i: int) -> float:
         def transform(sv: np.ndarray) -> np.ndarray:
-            pts = np.full((len(sv), s.dim), alpha)
-            pts[:, i] = np.minimum(sv, alpha)
-            return np.asarray(chat.cdf(pts)) / p
+            axes = [np.array([alpha])] * s.dim
+            axes[i] = np.minimum(sv, alpha)
+            return chat.cdf_grid(axes).ravel() / p
 
         return _step_integral(s, i, transform)
 

@@ -39,7 +39,7 @@ from jointrisk import (
     survival_copula,
     var_step,
 )
-from jointrisk.copula import SurvivalCopula, _frank_tau, frechet_lower, frechet_upper, unit_grid
+from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, frechet_lower, frechet_upper, unit_grid
 from jointrisk.portfolio import marginal_cells
 
 
@@ -468,12 +468,19 @@ def level_axes(draw, dim, pool=None):
     return axes
 
 
+def _survival_wraps(cop, wraps):
+    """``cop``, its survival copula, or the survival copula of that (nested, not folded)."""
+    if wraps == 1:
+        return survival_copula(cop)
+    if wraps == 2:
+        return SurvivalCopula(SurvivalCopula(cop))
+    return cop
+
+
 @st.composite
 def parametric_grid_case(draw):
     d = draw(st.sampled_from(GRID_DIMS))
-    cop = draw(st.sampled_from(PARAMETRIC_ZOO[d]))
-    if draw(st.booleans()):
-        cop = survival_copula(cop)
+    cop = _survival_wraps(draw(st.sampled_from(PARAMETRIC_ZOO[d])), draw(st.sampled_from((0, 1, 2))))
     return cop, draw(level_axes(d))
 
 
@@ -481,10 +488,10 @@ def parametric_grid_case(draw):
 def empirical_grid_case(draw):
     d = draw(st.sampled_from(GRID_DIMS))
     e = EMPIRICAL_ZOO[d]
-    cop = survival_copula(e) if draw(st.booleans()) else e
-    # the survival copula evaluates its base at 1 - u: draw those ties too
-    pool = 1.0 - e.ranks if isinstance(cop, SurvivalCopula) else e.ranks
-    return cop, draw(level_axes(d, pool))
+    wraps = draw(st.sampled_from((0, 1, 2)))
+    # one survival wrap evaluates its base at 1 - u: draw those ties too
+    pool = 1.0 - e.ranks if wraps == 1 else e.ranks
+    return _survival_wraps(e, wraps), draw(level_axes(d, pool))
 
 
 @settings(max_examples=150, deadline=None)
@@ -514,6 +521,37 @@ class TestCdfGrid:
             independence(2).cdf_grid([[[0.5]], [0.5]])
         with pytest.raises(DomainError):
             survival_copula(gumbel(2.0)).cdf_grid([[0.5], [1.5]])
+
+    @pytest.mark.parametrize("cop", [independence(2), clayton(2.0), EMPIRICAL_ZOO[2], SurvivalCopula(gumbel(1.5))])
+    def test_nan_is_a_domain_error(self, cop):
+        # the pointwise path used to return a value and the grid path NaN
+        nan = float("nan")
+        for c in (cop, SurvivalCopula(cop)):
+            with pytest.raises(DomainError):
+                c.cdf([nan, 0.5])
+            with pytest.raises(DomainError):
+                c.cdf([[0.2, 0.3], [0.5, nan]])
+            with pytest.raises(DomainError):
+                c.cdf_grid([[nan], [0.5]])
+            with pytest.raises(DomainError):
+                c.cdf_grid([[0.1, 0.9], [0.5, nan]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("wraps", [1, 2])
+    def test_survival_grid_makes_one_base_evaluation(self, monkeypatch, d, wraps):
+        calls = []
+        base_grid = Copula._grid
+
+        def spy(self, axes):
+            calls.append(tuple(len(a) for a in axes))
+            return base_grid(self, axes)
+
+        monkeypatch.setattr(Copula, "_grid", spy)
+        cop = _survival_wraps(clayton(2.0, d), wraps)
+        axes = [np.linspace(0.1, 0.9, 2 + j) for j in range(d)]
+        assert cop.cdf_grid(axes).shape == tuple(len(a) for a in axes)
+        # the flipped axes with 1 appended, once more per survival wrap
+        assert calls == [tuple(len(a) + wraps for a in axes)]
 
     @pytest.mark.parametrize("cop", [clayton(2.0), gumbel(1.5), frank(-3.0), comonotone(2), countermonotone_2d()])
     @pytest.mark.parametrize("gs", [(identity(), identity()), (var_step(0.9), cvar_ramp(0.9)), (power(2.0), power(0.5))])

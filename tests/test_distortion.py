@@ -43,6 +43,14 @@ class TestEval:
         with pytest.raises(DomainError):
             distortion_eval(identity(), 1.5)
 
+    @pytest.mark.parametrize("g", ALL_KINDS)
+    def test_nan_is_a_domain_error(self, g):
+        for u in (float("nan"), [0.5, float("nan")]):
+            with pytest.raises(DomainError):
+                g(u)
+            with pytest.raises(DomainError):
+                right_cont_inverse(g, u)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             var_step(0.0)

@@ -64,6 +64,26 @@ class TestMarginalSurvival:
         integral = float(sv @ np.diff(edges))
         assert integral == pytest.approx(float(s.weights @ s.losses[:, 0]), rel=1e-12)
 
+    def test_steps_match_the_unique_reference(self):
+        # ties, unequal weights, a constant column and a signed column with -0.0
+        rng = np.random.default_rng(12)
+        m = 60
+        losses = np.column_stack([
+            np.round(rng.gamma(2.0, 1.5, size=m), 0),
+            np.full(m, 3.0),
+            rng.choice([-1.0, -0.0, 0.0, 2.5], size=m),
+        ])
+        s = scenario_set(losses, rng.integers(1, 5, size=m).astype(float))
+        for i in range(s.dim):
+            order = np.argsort(s.losses[:, i], kind="stable")
+            ref_values, start = np.unique(s.losses[order, i], return_index=True)
+            group_w = np.add.reduceat(s.weights[order], start)
+            ref_tail = np.maximum(1.0 - (np.concatenate(([0.0], np.cumsum(group_w)[:-1])) + group_w), 0.0)
+            ref_tail[-1] = 0.0
+            values, tail = marginal_steps(s, i)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(tail, ref_tail)
+
     def test_index_error(self):
         with pytest.raises(DimensionError):
             marginal_survival(two_point(), 3, 1.0)

@@ -6,6 +6,7 @@ from jointrisk import (
     DataError,
     DimensionError,
     JointRiskSpec,
+    ParameterError,
     TruncationError,
     axiom_suite,
     clayton,
@@ -268,6 +269,13 @@ class TestAxiomSuite:
                 tail = float(s.weights[s.losses[:, 0] > lo].sum())
                 direct += g(tail) * (hi - lo)
             assert gamma_survival_form(s, spec) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_a_parameter_error(self, trials):
+        # a suite that checks nothing must not report all_passed
+        factory = varcvar_spec_factory(BAND, "var", grid_n=40)
+        with pytest.raises(ParameterError):
+            axiom_suite(factory, [clayton(2.0)], trials=trials)
 
     def test_deterministic_given_seed(self):
         factory = varcvar_spec_factory(BAND, "var", grid_n=40)
