@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="var|cvar|identity|power:<k>; repeat per component")
         p.add_argument("--grid-n", type=int, default=None, help="unit-grid resolution for copula maxima")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100, help="axiom-suite trials (axioms only)")
         p.add_argument("--match", default="warn", help="warn (default) or assert:<threshold>")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
     return parser
@@ -455,8 +454,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ParameterError(f"--q: must lie in (0, 1), got {args.q}")
     if args.grid_n is not None and args.grid_n < 2:
         raise ParameterError(f"--grid-n: must be >= 2, got {args.grid_n}")
-    if args.trials < 1:
-        raise ParameterError(f"--trials: must be >= 1, got {args.trials}")
     return RunConfig(
         measure=args.measure,
         input_path=args.input,
@@ -469,7 +466,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         match_policy=policy,
         match_threshold=threshold,
         out_path=args.out,
-        trials=args.trials,
     )
 
 

@@ -131,7 +131,7 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     alpha = 1.0 - q
     chat = survival_copula(c)
-    p = float(chat.cdf(np.full(s.dim, alpha)))
+    p = float(chat.cdf_grid([[alpha]] * s.dim)[(0,) * s.dim])
     if p <= 0.0:
         raise DegenerateTailError(
             f"joint tail has zero copula mass at level q={q} (survival copula value 0)"

@@ -6,8 +6,6 @@ import pytest
 from jointrisk import DataError, cli, cvar, var
 from jointrisk.cli import (
     RunConfig,
-    build_parser,
-    config_from_args,
     ingest_csv,
     main,
     render_report,
@@ -137,26 +135,6 @@ class TestRun:
         assert blobs[0] == blobs[1]
         parsed = json.loads(blobs[0])
         assert parsed["results"]["axioms"]["all_passed"] is True
-
-
-class TestTrialsFlag:
-    AXIOMS = ["axioms", "--copula", "clayton:2.0", "--band", "0.9,0.99", "--grid-n", "20"]
-
-    def test_default_keeps_the_config_echo(self, plain_csv):
-        args = build_parser().parse_args(["scalar", "--input", plain_csv])
-        assert config_from_args(args).echo()["trials"] == 100
-
-    def test_flag_reaches_the_axiom_suite(self, plain_csv, tmp_path):
-        out = str(tmp_path / "axioms.json")
-        assert main(self.AXIOMS + ["--input", plain_csv, "--trials", "3", "--out", out]) == 0
-        report = json.loads(open(out).read())
-        assert report["config"]["trials"] == 3
-        assert report["results"]["axioms"]["trials"] == 3
-
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_below_one_is_a_validation_error(self, plain_csv, capsys, trials):
-        assert main(self.AXIOMS + ["--input", plain_csv, "--trials", trials]) == 2
-        assert "--trials" in capsys.readouterr().err
 
 
 class TestMainExitCodes:

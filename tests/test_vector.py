@@ -12,6 +12,7 @@ from jointrisk import (
     countermonotone_2d,
     cvar,
     cvar_ramp,
+    empirical_copula,
     frank,
     gamma_survival_form,
     gumbel,
@@ -146,6 +147,17 @@ class TestMtce:
         s = scenario_set([[1.0, 1.0], [3.0, 3.0]])
         with pytest.raises(DegenerateTailError):
             mtce(s, countermonotone_2d(), 0.6)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_constant_component_is_exact_under_empirical_copula(self, seed):
+        # A constant column has survival 1 >= alpha below its value, so every
+        # capped cell is the normaliser itself and must divide to exactly 1.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        losses = np.round(rng.gamma(2.0, 1.5, (40, d)), 1)
+        losses[:, 0] = 2.5
+        s = scenario_set(losses, rng.uniform(1.0, 3.0, 40))
+        assert mtce(s, empirical_copula(s), 0.3).components[0] == 2.5
 
 
 class TestMtdrm:
