@@ -61,6 +61,7 @@ from .scalar_risk import (
     gamma_dyadic,
     gamma_ls_form,
     gamma_survival_form,
+    gamma_survival_forms,
     random_portfolio,
     varcvar_spec_factory,
 )

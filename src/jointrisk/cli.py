@@ -271,13 +271,14 @@ def _copula_diagnostics(
         diag["gof_distance"] = gof_distance(emp, cop, config.grid_n)
     else:
         diag["gof_distance"] = None
-    if s.dim >= 2:
-        d_ul, d_uc = frechet_distances(cop, config.grid_n)
-        diag.update(d_ul=d_ul, d_uc=d_uc)
     if config.band is not None:
-        # one-column data carries no dependence spread; the blend then sits
+        # the blend carries d_ul and d_uc from the same Frechet grid; on
+        # one-column data there is no dependence spread, and the blend sits
         # at the high endpoint
         diag.update(blend_diagnostics(cop, config.band, config.grid_n))
+    elif s.dim >= 2:
+        d_ul, d_uc = frechet_distances(cop, config.grid_n)
+        diag.update(d_ul=d_ul, d_uc=d_uc)
     return diag
 
 

@@ -3,8 +3,9 @@
 Every copula here exposes ``dim``, a vectorized ``cdf`` accepting a single
 point ``(d,)`` or a batch ``(n, d)`` of points in the unit cube, and
 ``cdf_grid`` evaluating the copula on the Cartesian product of d per-axis
-level vectors.  Values are grounded (zero whenever a coordinate is zero) and
-have uniform margins up to floating-point rounding.
+level vectors (``cdf_grids`` for a batch of such grids).  Values are
+grounded (zero whenever a coordinate is zero) and have uniform margins up to
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -50,27 +51,38 @@ def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
     return a.clip(0.0, 1.0), single
 
 
-def _as_axes(axes, dim: int) -> list[np.ndarray]:
+def _as_axes(axes, dim: int, batched: bool = False) -> list[np.ndarray]:
+    """Validated level arrays with a leading batch axis.
+
+    ``axes`` holds d level vectors, or d arrays of shape (P, n_j) when
+    ``batched``; either way the result holds d arrays of shape (P, n_j),
+    with P = 1 for vectors.
+    """
     if len(axes) != dim:
         raise DimensionError(f"expected {dim} level vectors, got {len(axes)}")
     out = []
     for a in axes:
         v = np.asarray(a, dtype=float)
-        if v.ndim != 1:
-            raise DimensionError(f"level vectors must be 1-D, got shape {v.shape}")
+        if v.ndim != 1 + batched:
+            what = "batched level arrays must be 2-D" if batched else "level vectors must be 1-D"
+            raise DimensionError(f"{what}, got shape {v.shape}")
         _check_levels(v)
-        out.append(v.clip(0.0, 1.0))
+        v = v.clip(0.0, 1.0)
+        out.append(v if batched else v[None])
+    if batched and len({v.shape[0] for v in out}) > 1:
+        raise DimensionError(f"batched level arrays differ in batch size: {[v.shape[0] for v in out]}")
     return out
 
 
 def _broadcast(op, vectors: list[np.ndarray]) -> np.ndarray:
-    """Fold per-axis vectors into a d-dim tensor with ``op``, first axis first.
+    """Fold per-axis level arrays (P, n_j) into a (P, n_0, ..., n_{d-1}) tensor with ``op``.
 
-    The left-to-right fold is the order in which numpy reduces a row of
-    ``d < 8`` coordinates, so each cell matches the pointwise value bit for bit.
+    Axes are folded first to last.  That left-to-right fold is the order in
+    which numpy reduces a row of ``d < 8`` coordinates, so each cell matches
+    the pointwise value bit for bit.
     """
     d = len(vectors)
-    shaped = [v.reshape((1,) * j + (-1,) + (1,) * (d - j - 1)) for j, v in enumerate(vectors)]
+    shaped = [v.reshape(v.shape[:1] + (1,) * j + v.shape[1:] + (1,) * (d - j - 1)) for j, v in enumerate(vectors)]
     return functools.reduce(op, shaped[1:], shaped[0])
 
 
@@ -119,17 +131,27 @@ class Copula:
         Returns an array of shape ``(len(axes[0]), ..., len(axes[d-1]))``;
         parametric families match :meth:`cdf` at every cell bit for bit.
         """
-        return self._grid(_as_axes(axes, self.dim))
+        return self._grid(_as_axes(axes, self.dim))[0]
+
+    def cdf_grids(self, axes):
+        """:meth:`cdf_grid` for a batch: d level arrays of shape (P, n_j).
+
+        Returns shape ``(P, n_0, ..., n_{d-1})``; row p equals ``cdf_grid``
+        of the p-th row of every axis.  Every entry, padding included, must
+        be a level in [0, 1].
+        """
+        return self._grid(_as_axes(axes, self.dim, batched=True))
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
         if self.family == EMPIRICAL:
             return _empirical_grid(self.ranks, self.rank_weights, axes)
         out = _family_grid_raw(self, axes)
         if self.family in ARCHIMEDEAN_FAMILIES:
-            # the C(1, ..., 1) = 1 fix of the pointwise path
-            at_one = [a == 1.0 for a in axes]
-            if all(h.any() for h in at_one):
-                out[np.ix_(*at_one)] = 1.0
+            # the C(1, ..., 1) = 1 fix of the pointwise path, over each row's
+            # own hits (a full-size boolean mask costs more on large grids)
+            for row, hits in zip(out, zip(*(a == 1.0 for a in axes))):
+                if all(h.any() for h in hits):
+                    row[np.ix_(*hits)] = 1.0
         return out
 
 
@@ -207,6 +229,17 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
 
 
 def _empirical_grid(ranks: np.ndarray, w: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+    """:func:`_empirical_hist` of every batch row of ``axes`` (P, n_j)."""
+    batch = axes[0].shape[0]
+    if batch == 1:
+        return _empirical_hist(ranks, w, [a[0] for a in axes])[None]
+    out = np.empty((batch,) + tuple(a.shape[1] for a in axes))
+    for p in range(batch):
+        out[p] = _empirical_hist(ranks, w, [a[p] for a in axes])
+    return out
+
+
+def _empirical_hist(ranks: np.ndarray, w: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
     """Weighted rank histogram over the sorted levels, summed up along every axis.
 
     A scenario counts at level ``u`` of axis j when ``ranks[:, j] <= u``, so
@@ -260,19 +293,23 @@ class SurvivalCopula:
 
     def cdf_grid(self, axes):
         """The survival copula over the Cartesian product of ``axes``; see :meth:`Copula.cdf_grid`."""
-        return self._grid(_as_axes(axes, self.dim))
+        return self._grid(_as_axes(axes, self.dim))[0]
+
+    def cdf_grids(self, axes):
+        """The survival copula over a batch of grids; see :meth:`Copula.cdf_grids`."""
+        return self._grid(_as_axes(axes, self.dim, batched=True))
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
         # the 2^d inclusion-exclusion terms of _survival_cdf from one base
         # evaluation on the flipped axes with 1 appended: each term is the
         # sub-grid holding the flipped levels on its selected axes and the
         # appended 1 on the others
-        base = self.base._grid([np.append(1.0 - a, 1.0) for a in axes])
-        flipped, pinned = slice(0, -1), slice(-1, None)
-        total = np.zeros(tuple(len(a) for a in axes))
-        for mask in itertools.product((False, True), repeat=self.dim):
-            sign = -1.0 if sum(mask) % 2 else 1.0
-            total += sign * base[tuple(flipped if sel else pinned for sel in mask)]
+        base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
+        pinned, flipped = slice(-1, None), slice(0, -1)
+        total = np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in axes))
+        for mask in itertools.product((pinned, flipped), repeat=self.dim):
+            sign = -1.0 if mask.count(flipped) % 2 else 1.0
+            total += sign * base[(slice(None), *mask)]
         return np.clip(total, 0.0, 1.0, out=total)
 
 
@@ -363,11 +400,14 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
         grid_n = default_grid_n(c.dim)
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n}")
-    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * c.dim
-    upper = _broadcast(np.minimum, axes)
-    lower = np.maximum(_broadcast(np.add, axes) - (c.dim - 1), 0.0)
-    d_ul = float(np.max(upper - lower))
-    d_uc = float(max(np.max(upper - c.cdf_grid(axes)), 0.0))
+    axis = np.linspace(0.0, 1.0, grid_n + 1)
+    # M - W peaks on the diagonal: off it, min(u) stays while every rounded
+    # partial sum of the coordinates can only grow.  The sum is folded in
+    # the grid's order, so this is the full grid's maximum bit for bit.
+    diagonal_sum = functools.reduce(np.add, [axis] * c.dim)
+    d_ul = float(np.max(axis - np.maximum(diagonal_sum - (c.dim - 1), 0.0)))
+    upper = _broadcast(np.minimum, [axis[None]] * c.dim)[0]
+    d_uc = float(max(np.max(upper - c.cdf_grid([axis] * c.dim)), 0.0))
     return d_ul, d_uc
 
 

@@ -119,27 +119,60 @@ def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
     and above the maximum (right-continuous step function).
     """
     _check_index(s, i)
-    col = s.losses[:, i]
-    order = np.argsort(col, kind="stable")
-    sv, sw = col[order], s.weights[order]
-    # sv is sorted: a group starts wherever the value changes
-    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    values = sv[start]
-    group_w = np.add.reduceat(sw, start)
-    below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
-    tail = 1.0 - (below + group_w)
-    tail = np.maximum(tail, 0.0)
-    tail[-1] = 0.0
+    values, tail, _, _ = _step_groups([s.losses[:, i]], [s.weights])
     return values, tail
+
+
+def _step_groups(
+    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`marginal_steps` of K weighted columns, concatenated column by column.
+
+    Returns ``(values, tail, counts, first)``: the distinct values of every
+    column and their tails, column 0 first, the number of distinct values
+    of each column and the index of its first one.  Each column's group
+    weights and prefix sums add the same floats in the same order as a sort
+    of that column alone.
+    """
+    x, w = np.concatenate(columns), np.concatenate(weights)
+    rows = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
+    # stable in x within each column: the order of a stable sort of the column
+    order = np.lexsort((x, rows))
+    sx = x[order]
+    new = np.empty(len(sx), dtype=bool)
+    new[0] = True
+    np.not_equal(sx[1:], sx[:-1], out=new[1:])
+    new[1:] |= rows[1:] != rows[:-1]
+    starts = new.nonzero()[0]
+    counts = np.bincount(rows[starts], minlength=len(columns))
+    ends = counts.cumsum()
+    # one column per row, zeros after its last group: a row's prefix sums
+    # are the cumulative sums of that column's group weights
+    placed, in_row = _padded(counts)
+    placed[in_row] = np.add.reduceat(w[order], starts)
+    tail = np.maximum(1.0 - placed.cumsum(axis=1)[in_row], 0.0)
+    tail[ends - 1] = 0.0
+    return sx[starts], tail, counts, ends - counts
+
+
+def _padded(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A zero (K, max count) table and the mask of each row's first ``counts[k]`` entries.
+
+    Assigning a concatenation of K runs of lengths ``counts`` through the
+    mask puts run k at the start of row k.
+    """
+    n = int(counts.max())
+    return np.zeros((len(counts), n)), np.arange(n) < counts[:, None]
 
 
 def survival_from_steps(values: np.ndarray, tail: np.ndarray, t) -> np.ndarray:
     """Evaluate the step survival function given its :func:`marginal_steps` form.
 
-    Every consumer of survival values goes through this lookup so that one
-    mathematical quantity always maps to one float: re-deriving S(t) through a
-    different summation order can land on the other side of a jump of a
-    discontinuous (empirical) copula evaluated at it.
+    Every consumer of survival values reads them off ``tail``, through this
+    lookup or the cells of :func:`marginal_cells`, so that one mathematical
+    quantity always maps to one float: re-deriving S(t) through a different
+    summation order can land on the other side of a jump of a discontinuous
+    (empirical) copula evaluated at it.
     """
     idx = np.searchsorted(values, np.asarray(t, dtype=float), side="right") - 1
     return np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
@@ -153,10 +186,48 @@ def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.n
     0 and the distinct positive losses; all three are empty when the marginal
     has no positive loss.
     """
-    values, tail = marginal_steps(s, i)
-    edges = np.concatenate(([0.0], values[values > 0.0]))
-    left = edges[:-1]
-    return left, survival_from_steps(values, tail, left), np.diff(edges)
+    _check_index(s, i)
+    left, survival, widths, _ = _cells([s.losses[:, i]], [s.weights])
+    return left, survival, widths
+
+
+def _cells(
+    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`marginal_cells` of K weighted columns, concatenated column by column.
+
+    Returns ``(left, survival, widths, counts)`` with ``counts[k]`` cells
+    of column k.
+    """
+    values, tail, _, first = _step_groups(columns, weights)
+    # each positive value is the right edge of one cell; the cell's left
+    # edge is the value below it, or 0 when that is not positive or absent,
+    # and its survival is the tail of the value below it, or 1
+    below = np.concatenate(([0.0], values[:-1]))
+    below[first] = 0.0
+    tail_below = np.concatenate(([1.0], tail[:-1]))
+    tail_below[first] = 1.0
+    cell = values > 0.0
+    left = np.where(below > 0.0, below, 0.0)[cell]
+    return left, tail_below[cell], values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
+
+
+def cell_table(
+    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`marginal_cells` of K weighted columns as one padded (K, n) table.
+
+    Returns ``(left, survival, widths, counts)``: row k holds column k's
+    cells in its first ``counts[k]`` entries, and 0 in every entry after
+    them.  The K >= 1 columns may differ in length (each at least 1);
+    ``weights[k]`` matches column k.
+    """
+    *entries, counts = _cells(columns, weights)
+    left, in_row = _padded(counts)
+    survival, widths = np.zeros_like(left), np.zeros_like(left)
+    for table, e in zip((left, survival, widths), entries):
+        table[in_row] = e
+    return left, survival, widths, counts
 
 
 def marginal_survival(s: ScenarioSet, i: int, t) -> float | np.ndarray:

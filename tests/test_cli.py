@@ -116,6 +116,27 @@ class TestRun:
         # VaR at level 0.99 of ten equally weighted scenarios is the maximum
         assert report["results"]["mixture"]["components"] == [10.0, 20.0]
 
+    def test_band_report_evaluates_the_frechet_grid_once(self, monkeypatch, plain_csv):
+        from jointrisk import copula, distortion
+
+        calls = []
+
+        def counted(c, grid_n=None):
+            calls.append(grid_n)
+            return copula.frechet_distances(c, grid_n)
+
+        monkeypatch.setattr(cli, "frechet_distances", counted)
+        monkeypatch.setattr(distortion, "frechet_distances", counted)
+        plain = run(RunConfig("copula-distance", plain_csv, copula_choice="clayton:2.0", grid_n=30))["copula"]
+        assert calls == [30]
+        calls.clear()
+        banded = run(
+            RunConfig("copula-distance", plain_csv, copula_choice="clayton:2.0", grid_n=30, band=ConfidenceBand(0.9, 0.99))
+        )["copula"]
+        assert calls == [30]
+        assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
+        assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
+
     def test_axioms_deterministic_bytes(self, plain_csv):
         cfg = RunConfig(
             "axioms",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -204,6 +205,16 @@ class TestFrechet:
     def test_dimension_one_rejected(self):
         with pytest.raises(DimensionError):
             frechet_distances(independence(1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("grid_n", [2, 3, 7, 20, 33])
+    def test_d_ul_equals_the_full_grid_maximum(self, d, grid_n):
+        # d_ul is taken on the diagonal; the full grid folds the coordinates
+        # in the same order, so the maxima agree as floats
+        axes = np.meshgrid(*([np.linspace(0.0, 1.0, grid_n + 1)] * d), indexing="ij")
+        lower = np.maximum(functools.reduce(np.add, axes) - (d - 1), 0.0)
+        full = float(np.max(functools.reduce(np.minimum, axes) - lower))
+        assert frechet_distances(independence(d), grid_n)[0] == full
 
 
 class TestEmpirical:
@@ -508,6 +519,37 @@ def test_cdf_grid_empirical_matches_pointwise(case):
     np.testing.assert_allclose(cop.cdf_grid(axes), _pointwise_grid(cop, axes), rtol=0, atol=1e-14)
 
 
+@st.composite
+def batched_grid_case(draw):
+    """A copula and d level arrays (P, n_j) whose rows mix 0, 1, free levels and rank ties."""
+    d = draw(st.sampled_from(GRID_DIMS))
+    wraps = draw(st.sampled_from((0, 1, 2)))
+    empirical = draw(st.booleans())
+    cop = EMPIRICAL_ZOO[d] if empirical else draw(st.sampled_from(PARAMETRIC_ZOO[d]))
+    pool = [0.0, 1.0] + (sorted(set(cop.ranks.ravel()) | set(1.0 - cop.ranks.ravel())) if empirical else [])
+    level = st.one_of(st.floats(0, 1, allow_nan=False), st.sampled_from(pool))
+    batch = draw(st.integers(1, 4))
+    axes = []
+    for _ in range(d):
+        n = draw(st.integers(1, 4))
+        axes.append(np.array(draw(st.lists(level, min_size=batch * n, max_size=batch * n))).reshape(batch, n))
+    return _survival_wraps(cop, wraps), axes, empirical
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=batched_grid_case())
+def test_cdf_grids_rows_are_cdf_grids(case):
+    cop, axes, empirical = case
+    grids = cop.cdf_grids(axes)
+    assert grids.shape == (len(axes[0]),) + tuple(a.shape[1] for a in axes)
+    for p, grid in enumerate(grids):
+        alone = cop.cdf_grid([a[p] for a in axes])
+        if empirical:
+            np.testing.assert_allclose(grid, alone, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(grid, alone)
+
+
 class TestCdfGrid:
     def test_shape_follows_axes_including_empty(self):
         c = clayton(2.0, 3)
@@ -521,6 +563,22 @@ class TestCdfGrid:
             independence(2).cdf_grid([[[0.5]], [0.5]])
         with pytest.raises(DomainError):
             survival_copula(gumbel(2.0)).cdf_grid([[0.5], [1.5]])
+
+    @pytest.mark.parametrize("cop", [clayton(2.0), EMPIRICAL_ZOO[2], survival_copula(gumbel(2.0))])
+    def test_cdf_grids_validates_every_entry(self, cop):
+        assert cop.cdf_grids([np.zeros((3, 2)), np.ones((3, 0))]).shape == (3, 2, 0)
+        assert cop.cdf_grids([np.zeros((0, 2)), np.ones((0, 1))]).shape == (0, 2, 1)
+        with pytest.raises(DimensionError):
+            cop.cdf_grids([[0.5], [0.5]])
+        with pytest.raises(DimensionError):
+            cop.cdf_grids([np.zeros((2, 1)), np.zeros((3, 1))])
+        with pytest.raises(DimensionError):
+            cop.cdf_grids([np.zeros((2, 1))])
+        # padding is checked like any other level
+        with pytest.raises(DomainError):
+            cop.cdf_grids([[[0.5, 0.2], [0.5, 1.5]], [[0.5], [0.5]]])
+        with pytest.raises(DomainError):
+            cop.cdf_grids([[[0.5, 0.2], [0.5, float("nan")]], [[0.5], [0.5]]])
 
     @pytest.mark.parametrize("cop", [independence(2), clayton(2.0), EMPIRICAL_ZOO[2], SurvivalCopula(gumbel(1.5))])
     def test_nan_is_a_domain_error(self, cop):
@@ -543,7 +601,7 @@ class TestCdfGrid:
         base_grid = Copula._grid
 
         def spy(self, axes):
-            calls.append(tuple(len(a) for a in axes))
+            calls.append(tuple(a.shape[-1] for a in axes))
             return base_grid(self, axes)
 
         monkeypatch.setattr(Copula, "_grid", spy)
@@ -551,6 +609,10 @@ class TestCdfGrid:
         axes = [np.linspace(0.1, 0.9, 2 + j) for j in range(d)]
         assert cop.cdf_grid(axes).shape == tuple(len(a) for a in axes)
         # the flipped axes with 1 appended, once more per survival wrap
+        assert calls == [tuple(len(a) + wraps for a in axes)]
+        # a batch of three grids is still one base evaluation
+        calls.clear()
+        assert cop.cdf_grids([np.stack([a, a / 2, a / 3]) for a in axes]).shape == (3,) + tuple(len(a) for a in axes)
         assert calls == [tuple(len(a) + wraps for a in axes)]
 
     @pytest.mark.parametrize("cop", [clayton(2.0), gumbel(1.5), frank(-3.0), comonotone(2), countermonotone_2d()])

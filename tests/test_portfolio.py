@@ -14,7 +14,7 @@ from jointrisk import (
     scenario_set,
     var,
 )
-from jointrisk.portfolio import marginal_steps
+from jointrisk.portfolio import cell_table, marginal_cells, marginal_steps
 
 
 def two_point():
@@ -83,6 +83,41 @@ class TestMarginalSurvival:
             values, tail = marginal_steps(s, i)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(tail, ref_tail)
+
+    def test_cell_table_columns_match_the_unique_reference(self):
+        # columns of different lengths: ties, unequal weights, a constant
+        # column, signed columns with -0.0, one with no positive loss (no
+        # cell) and a single scenario
+        rng = np.random.default_rng(13)
+        columns = [
+            np.round(rng.gamma(2.0, 1.5, size=60), 0),
+            np.full(7, 3.0),
+            rng.choice([-1.0, -0.0, 0.0, 2.5, 4.0], size=40),
+            np.array([-2.0, -0.0, 0.0, -2.0]),
+            np.array([5.5]),
+            rng.choice([-3.0, -1.0, 0.5, 0.75], size=25),
+        ]
+        weights = [rng.integers(1, 5, size=len(c)).astype(float) for c in columns]
+        weights = [w / w.sum() for w in weights]
+        left, survival, widths, counts = cell_table(columns, weights)
+        assert left.shape == survival.shape == widths.shape == (len(columns), max(counts))
+        for k, (col, w) in enumerate(zip(columns, weights)):
+            order = np.argsort(col, kind="stable")
+            values, start = np.unique(col[order], return_index=True)
+            group_w = np.add.reduceat(w[order], start)
+            tail = np.maximum(1.0 - (np.concatenate(([0.0], np.cumsum(group_w)[:-1])) + group_w), 0.0)
+            tail[-1] = 0.0
+            edges = np.concatenate(([0.0], values[values > 0.0]))
+            idx = np.searchsorted(values, edges[:-1], side="right") - 1
+            ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
+            n = counts[k]
+            assert n == len(edges) - 1
+            for table, expected in zip((left, survival, widths), ref):
+                assert np.array_equal(table[k, :n], expected)
+                assert not np.any(table[k, n:])
+            s = scenario_set(col[:, None], w)
+            for got, expected in zip(marginal_cells(s, 0), ref):
+                assert np.array_equal(got, expected)
 
     def test_index_error(self):
         with pytest.raises(DimensionError):

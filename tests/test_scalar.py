@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointrisk import (
     ConfidenceBand,
@@ -14,10 +18,12 @@ from jointrisk import (
     countermonotone_2d,
     cvar_ramp,
     dyadic_bounds,
+    empirical_copula,
     frank,
     gamma_dyadic,
     gamma_ls_form,
     gamma_survival_form,
+    gamma_survival_forms,
     gumbel,
     identity,
     independence,
@@ -28,6 +34,7 @@ from jointrisk import (
     var_step,
     varcvar_spec_factory,
 )
+from jointrisk.portfolio import marginal_cells
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -173,6 +180,77 @@ class TestExactnessAtScale:
             lo, hi = dyadic_bounds(s, spec, 8)
             assert lo - 1e-12 <= gamma_dyadic(s, spec, 8) <= hi + 1e-12
             assert hi <= a + 1e-12
+
+
+@st.composite
+def portfolio_batch(draw):
+    """1-6 portfolios of one dimension, a coupling copula and distortions.
+
+    Losses come from small pools, so columns tie; the pools hold 0.0 and
+    -0.0, and some portfolios get an all-zero column (gamma 0).
+    """
+    d = draw(st.sampled_from((1, 2, 3)))
+    pool = draw(st.sampled_from(([0.0, -0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.0, 0.125, 7.0])))
+    portfolios = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(1, 8))
+        losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d))).reshape(m, d)
+        if draw(st.integers(0, 4)) == 0:
+            losses[:, draw(st.integers(0, d - 1))] = 0.0
+        weights = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), float)
+        portfolios.append(scenario_set(losses, weights))
+    choice = draw(st.sampled_from(("independence", "comonotone", "clayton", "gumbel", "frank", "empirical")))
+    if choice == "empirical":
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        cop = empirical_copula(scenario_set(np.round(rng.uniform(0, 3, size=(12, d)))))
+    elif choice in ("independence", "comonotone"):
+        cop = {"independence": independence, "comonotone": comonotone}[choice](d)
+    else:
+        theta = draw(st.sampled_from((1.0, 2.5) if choice == "gumbel" else (0.5, 3.0)))
+        cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](theta, d)
+    if draw(st.booleans()):
+        cop = survival_copula(cop)
+    kinds = (identity(), var_step(0.7), cvar_ramp(0.6), power(2.0), power(0.5))
+    return portfolios, JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
+
+
+def _survival_form_per_axis(s, spec):
+    """The survival form unbatched: marginal_cells and a distortion call per axis, one cdf_grid."""
+    levels, widths = [], []
+    for i in range(s.dim):
+        _, sv, w = marginal_cells(s, i)
+        if len(w) == 0:
+            return 0.0
+        levels.append(np.asarray(spec.distortions[i](sv), dtype=float))
+        widths.append(w)
+    vals = spec.cstar.cdf_grid(levels).reshape(len(widths[0]), -1)
+    tail_w = functools.reduce(np.multiply.outer, widths[1:], np.ones(1)).ravel()
+    return float(widths[0] @ (vals @ tail_w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=portfolio_batch())
+def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
+    portfolios, spec = case
+    batched = gamma_survival_forms(portfolios, spec)
+    assert batched == [gamma_survival_form(s, spec) for s in portfolios]
+    assert batched == [_survival_form_per_axis(s, spec) for s in portfolios]
+    for s, value in zip(portfolios, batched):
+        if not np.all(s.losses.max(axis=0) > 0.0):
+            assert value == 0.0
+
+
+class TestBatchedSurvivalForm:
+    def test_empty_batch(self):
+        assert gamma_survival_forms([], JointRiskSpec(independence(2), (identity(), identity()))) == []
+
+    def test_every_portfolio_is_validated(self):
+        spec = JointRiskSpec(independence(2), (identity(), identity()))
+        good = scenario_set([[1.0, 2.0]])
+        with pytest.raises(DataError):
+            gamma_survival_forms([good, scenario_set([[1.0, -2.0]])], spec)
+        with pytest.raises(DimensionError):
+            gamma_survival_forms([good, scenario_set([[1.0, 2.0, 3.0]])], spec)
 
 
 class TestDyadic:

@@ -148,6 +148,17 @@ class TestMtce:
         with pytest.raises(DegenerateTailError):
             mtce(s, countermonotone_2d(), 0.6)
 
+    def test_inclusion_exclusion_residue_is_a_degenerate_tail(self):
+        # no scenario has every rank above q = 0.95, but the 16-term survival
+        # sum of the empirical copula leaves p = 1.1e-16, which used to be
+        # divided through and returned (13.2, 0, 0, 0)
+        rng = np.random.default_rng(0)
+        s = scenario_set(np.round(rng.gamma(2, 1.5, (200, 4)), 1), rng.uniform(1, 3, 200))
+        e = empirical_copula(s)
+        assert not np.any(np.all(e.ranks > 0.95, axis=1))
+        with pytest.raises(DegenerateTailError):
+            mtce(s, e, 0.95)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_constant_component_is_exact_under_empirical_copula(self, seed):
         # A constant column has survival 1 >= alpha below its value, so every
