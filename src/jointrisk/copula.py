@@ -146,9 +146,12 @@ class Copula:
         if self.family == EMPIRICAL:
             return _empirical_grid(self.ranks, self.rank_weights, axes)
         out = _family_grid_raw(self, axes)
-        if self.family in ARCHIMEDEAN_FAMILIES:
+        if self.family == FRANK:
             # the C(1, ..., 1) = 1 fix of the pointwise path, over each row's
-            # own hits (a full-size boolean mask costs more on large grids)
+            # own hits (a full-size boolean mask costs more on large grids).
+            # Clayton and Gumbel need none: 1^t = 1 and log 1 = 0 make their
+            # cells at (1, ..., 1) exactly 1, where Frank's ratio of expm1
+            # powers can miss it by an ulp
             for row, hits in zip(out, zip(*(a == 1.0 for a in axes))):
                 if all(h.any() for h in hits):
                     row[np.ix_(*hits)] = 1.0

@@ -22,8 +22,8 @@ from .distortion import ConfidenceBand, alpha_c, cvar_ramp, var_step
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import (
     ScenarioSet,
+    _step_groups,
     cell_table,
-    marginal_steps,
     pi_comonotone_split,
     scenario_set,
 )
@@ -136,14 +136,16 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     """
     _check_inputs(s, spec)
     d = s.dim
+    # the steps of every marginal from one pass over the columns
+    values, tails, _, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
+    bounds = [*first.tolist(), len(values)]
     g_at, g_below, coords = [], [], []
-    for i in range(d):
-        values, tail = marginal_steps(s, i)
+    for i, g in enumerate(spec.distortions):
+        tail = tails[bounds[i] : bounds[i + 1]]
         below = np.concatenate(([1.0], tail[:-1]))
-        g = spec.distortions[i]
         g_at.append(np.asarray(g(tail), dtype=float))
         g_below.append(np.asarray(g(below), dtype=float))
-        coords.append(values)
+        coords.append(values[bounds[i] : bounds[i + 1]])
     total = 0.0
     for mask in itertools.product((False, True), repeat=d):
         levels = [g_at[i] if mask[i] else g_below[i] for i in range(d)]
