@@ -266,11 +266,13 @@ def _copula_diagnostics(
     config: RunConfig, s: ScenarioSet, cop: CopulaLike, info: dict
 ) -> dict:
     diag = dict(info)
-    if s.m >= 2:
-        emp = empirical_copula(s)
-        diag["gof_distance"] = gof_distance(emp, cop, config.grid_n)
-    else:
+    if s.m < 2:
         diag["gof_distance"] = None
+    elif info["family"] == "empirical":
+        # the declared copula is the data's own empirical copula
+        diag["gof_distance"] = 0.0
+    else:
+        diag["gof_distance"] = gof_distance(empirical_copula(s), cop, config.grid_n)
     if config.band is not None:
         # the blend carries d_ul and d_uc from the same Frechet grid; on
         # one-column data there is no dependence spread, and the blend sits
@@ -315,7 +317,7 @@ def run(config: RunConfig) -> dict:
 
     if measure == "scalar":
         gs = _build_distortions(config, s.dim, level)
-        spec = JointRiskSpec(_coupling(cop), gs)
+        spec = JointRiskSpec(survival_copula(cop), gs)
         if not s.nonnegative:
             raise DataError(
                 "scalar: data has negative losses; use the signed2d command (d = 2 only)"
@@ -327,7 +329,7 @@ def run(config: RunConfig) -> dict:
                    "distortions": [g.label() for g in gs]}
     elif measure == "vector":
         gs = _build_distortions(config, s.dim, level)
-        res = h_vector(s, JointRiskSpec(_coupling(cop), gs))
+        res = h_vector(s, JointRiskSpec(survival_copula(cop), gs))
         results = res.as_dict()
         results["distortions"] = [g.label() for g in gs]
     elif measure == "mixture":
@@ -357,7 +359,7 @@ def run(config: RunConfig) -> dict:
         results["distortions"] = [g.label() for g in gs]
     elif measure == "signed2d":
         gs = _build_distortions(config, s.dim, level)
-        results = {"gamma_signed": gamma_signed_2d(s, JointRiskSpec(_coupling(cop), gs)),
+        results = {"gamma_signed": gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), gs)),
                    "distortions": [g.label() for g in gs]}
     elif measure == "axioms":
         if config.band is None:
@@ -398,11 +400,6 @@ def run(config: RunConfig) -> dict:
             "generated_at": datetime.now(timezone.utc).isoformat(),
         },
     }
-
-
-def _coupling(cop: CopulaLike) -> CopulaLike:
-    """The coupling copula of the scalar measure: the survival copula of the dependence."""
-    return survival_copula(cop)
 
 
 def _jsonable(value):

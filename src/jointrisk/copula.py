@@ -383,13 +383,6 @@ def default_grid_n(dim: int) -> int:
     return 20
 
 
-def unit_grid(dim: int, grid_n: int) -> np.ndarray:
-    """The closed uniform grid {k/grid_n : k = 0..grid_n}^dim, shape ((n+1)^d, d)."""
-    axis = np.linspace(0.0, 1.0, grid_n + 1)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, float]:
     """Grid maxima of (M - W) and (M - C) over the closed unit grid.
 

@@ -7,6 +7,7 @@ tail averages) are exact finite sums over the scenario atoms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,9 +34,11 @@ class ScenarioSet:
     def dim(self) -> int:
         return self.losses.shape[1]
 
-    @property
+    @functools.cached_property
     def nonnegative(self) -> bool:
-        return bool(np.all(self.losses >= 0.0))
+        # the set is immutable, so one scan holds for its lifetime; a min
+        # reduction builds no boolean temporary (a NaN still reads False)
+        return bool(self.losses.min(initial=0.0) >= 0.0)
 
     def column(self, i: int) -> np.ndarray:
         _check_index(self, i)

@@ -67,17 +67,12 @@ def _check_inputs(s: ScenarioSet, spec: JointRiskSpec) -> None:
 
 def _contract(vals: np.ndarray, cell_w: Sequence[np.ndarray]) -> float:
     """Sum of a grid of copula values times the product of per-axis weights."""
-    vals = vals.reshape(len(cell_w[0]), -1)
+    # a contiguous copy of a sub-grid: a strided one can take numpy's own
+    # matmul loop instead of BLAS, which rounds differently
+    vals = np.ascontiguousarray(vals).reshape(len(cell_w[0]), -1)
     # weights of the trailing axes in the grid's row-major order
     tail_w = functools.reduce(np.multiply.outer, cell_w[1:], np.ones(1)).ravel()
     return float(cell_w[0] @ (vals @ tail_w))
-
-
-def _grid_sum(cstar: CopulaLike, levels: Sequence[np.ndarray], cell_w: Sequence[np.ndarray]) -> float:
-    """Sum of cstar(level tuple) times the product of per-axis weights over the tensor grid."""
-    if any(len(v) == 0 for v in levels):
-        return 0.0
-    return _contract(cstar.cdf_grid(levels), cell_w)
 
 
 def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -133,24 +128,28 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     2^d-term increment of the distorted joint survival function over each
     atom's enclosing cell.  Agrees with :func:`gamma_survival_form` up to
     floating-point accumulation.
+
+    The coupling copula is evaluated once, on ``g([1, tail_0, ..., tail_{n-1}])``
+    per axis: the levels at each step are that vector's last n entries and
+    the levels just below it its first n, so every term of the increment is
+    a sub-grid of the one tensor.
     """
     _check_inputs(s, spec)
     d = s.dim
     # the steps of every marginal from one pass over the columns
     values, tails, _, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
     bounds = [*first.tolist(), len(values)]
-    g_at, g_below, coords = [], [], []
+    levels, coords = [], []
     for i, g in enumerate(spec.distortions):
         tail = tails[bounds[i] : bounds[i + 1]]
-        below = np.concatenate(([1.0], tail[:-1]))
-        g_at.append(np.asarray(g(tail), dtype=float))
-        g_below.append(np.asarray(g(below), dtype=float))
+        levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
         coords.append(values[bounds[i] : bounds[i + 1]])
+    grid = spec.cstar.cdf_grid(levels)
+    at, below = slice(1, None), slice(0, -1)
     total = 0.0
     for mask in itertools.product((False, True), repeat=d):
-        levels = [g_at[i] if mask[i] else g_below[i] for i in range(d)]
         sign = -1.0 if sum(mask) % 2 else 1.0
-        total += sign * _grid_sum(spec.cstar, levels, coords)
+        total += sign * _contract(grid[tuple(at if m else below for m in mask)], coords)
     return total
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .portfolio import ScenarioSet, marginal_cells, marginal_steps, survival_from_steps
-from .scalar_risk import JointRiskSpec, _grid_sum
+from .scalar_risk import JointRiskSpec, _contract
 
 
 def _negative_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,28 +49,33 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
         )
     if spec.dim != 2:
         raise DimensionError(f"spec dimension {spec.dim} != 2")
-    g1, g2 = spec.distortions
-    cstar = spec.cstar
-
     _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
     sv_neg, w_neg = zip(*(_negative_cells(s, i) for i in range(2)))
-    gp = [np.asarray(g(sv), dtype=float) for g, sv in zip((g1, g2), sv_pos)]
-    gn = [np.asarray(g(sv), dtype=float) for g, sv in zip((g1, g2), sv_neg)]
+    # one grid over each axis' negative-side levels followed by its
+    # positive-side ones: the four quadrants are its blocks
+    levels = [
+        np.asarray(g(np.concatenate((neg, pos))), dtype=float)
+        for g, neg, pos in zip(spec.distortions, sv_neg, sv_pos)
+    ]
+    grid = spec.cstar.cdf_grid(levels)
+    k1, k2 = (len(w) for w in w_neg)
+    gn = [levels[0][:k1], levels[1][:k2]]
+    gp = [levels[0][k1:], levels[1][k2:]]
 
     total = 0.0
     # positive quadrant: same cells and accumulation as the nonnegative evaluator
     if len(w_pos[0]) and len(w_pos[1]):
-        total += _grid_sum(cstar, [gp[0], gp[1]], [w_pos[0], w_pos[1]])
+        total += _contract(grid[k1:, k2:], [w_pos[0], w_pos[1]])
     # x1 >= 0, x2 < 0: subtract the first marginal term
-    if len(w_pos[0]) and len(w_neg[1]):
-        integrand = cstar.cdf_grid([gp[0], gn[1]]) - gp[0][:, None]
+    if len(w_pos[0]) and k2:
+        integrand = grid[k1:, :k2] - gp[0][:, None]
         total += float(w_pos[0] @ integrand @ w_neg[1])
     # x1 < 0, x2 >= 0: subtract the second marginal term
-    if len(w_neg[0]) and len(w_pos[1]):
-        integrand = cstar.cdf_grid([gn[0], gp[1]]) - gp[1][None, :]
+    if k1 and len(w_pos[1]):
+        integrand = grid[:k1, k2:] - gp[1][None, :]
         total += float(w_neg[0] @ integrand @ w_pos[1])
     # both negative: subtract both marginal terms and add back the unit mass
-    if len(w_neg[0]) and len(w_neg[1]):
-        integrand = cstar.cdf_grid([gn[0], gn[1]]) - gn[0][:, None] - gn[1][None, :] + 1.0
+    if k1 and k2:
+        integrand = grid[:k1, :k2] - gn[0][:, None] - gn[1][None, :] + 1.0
         total += float(w_neg[0] @ integrand @ w_neg[1])
     return total

@@ -137,6 +137,15 @@ class TestRun:
         assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
         assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
 
+    def test_empirical_report_skips_the_self_comparison_grid(self, monkeypatch, plain_csv):
+        def refused(*args, **kwargs):
+            raise AssertionError("gof_distance evaluated for the empirical copula")
+
+        monkeypatch.setattr(cli, "gof_distance", refused)
+        report = run(RunConfig("scalar", plain_csv))
+        assert report["copula"]["family"] == "empirical"
+        assert report["copula"]["gof_distance"] == 0.0
+
     def test_axioms_deterministic_bytes(self, plain_csv):
         cfg = RunConfig(
             "axioms",

@@ -40,8 +40,15 @@ from jointrisk import (
     survival_copula,
     var_step,
 )
-from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, frechet_lower, frechet_upper, unit_grid
+from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, frechet_lower, frechet_upper
 from jointrisk.portfolio import marginal_cells
+
+
+def unit_grid(dim: int, grid_n: int) -> np.ndarray:
+    """The closed uniform grid {k/grid_n : k = 0..grid_n}^dim, shape ((n+1)^d, d)."""
+    axis = np.linspace(0.0, 1.0, grid_n + 1)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def family_zoo(dim=2):

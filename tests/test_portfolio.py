@@ -43,6 +43,13 @@ class TestConstruction:
         assert scenario_set([[0.0, 2.0]]).nonnegative
         assert not scenario_set([[-0.1, 2.0]]).nonnegative
 
+    def test_nonnegative_flag_follows_replacement_losses(self):
+        s = scenario_set([[0.0, 2.0], [1.0, 3.0]])
+        assert s.nonnegative
+        assert not s.with_losses(s.losses - 1.0).nonnegative
+        assert s.with_losses(s.losses).nonnegative
+        assert s.nonnegative
+
 
 class TestMarginalSurvival:
     def test_between_atoms(self):

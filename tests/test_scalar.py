@@ -1,8 +1,9 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointrisk import (
@@ -34,7 +35,8 @@ from jointrisk import (
     var_step,
     varcvar_spec_factory,
 )
-from jointrisk.portfolio import marginal_cells
+from jointrisk.copula import Copula, SurvivalCopula
+from jointrisk.portfolio import marginal_cells, marginal_steps
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -223,13 +225,23 @@ def _survival_form_per_axis(s, spec):
             return 0.0
         levels.append(np.asarray(spec.distortions[i](sv), dtype=float))
         widths.append(w)
-    vals = spec.cstar.cdf_grid(levels).reshape(len(widths[0]), -1)
+    return _grid_contract(spec.cstar.cdf_grid(levels), widths)
+
+
+def _grid_contract(grid, widths):
+    """Sum of a grid of copula values times the product of per-axis widths."""
+    vals = grid.reshape(len(widths[0]), -1)
     tail_w = functools.reduce(np.multiply.outer, widths[1:], np.ones(1)).ravel()
     return float(widths[0] @ (vals @ tail_w))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=portfolio_batch())
+# a one-step last axis padded to two: a strided sub-grid of the batch
+@example(case=(
+    [scenario_set([[3.5, 1.5, 1.5], [0.5, 0.5, 1.5]]), scenario_set([[1.5, 1.5, 1.5], [2.5, 2.5, 3.5]])],
+    JointRiskSpec(survival_copula(clayton(0.5, 3)), (power(0.5), identity(), identity())),
+))
 def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
     portfolios, spec = case
     batched = gamma_survival_forms(portfolios, spec)
@@ -238,6 +250,89 @@ def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
     for s, value in zip(portfolios, batched):
         if not np.all(s.losses.max(axis=0) > 0.0):
             assert value == 0.0
+
+
+def _ls_form_per_mask(s, spec):
+    """The ls form with one cdf_grid call per inclusion-exclusion mask.
+
+    Each axis is distorted at its tails (the levels at each step) and at the
+    tails shifted down by one step with 1 in front (the levels below it).
+    """
+    g_at, g_below, coords = [], [], []
+    for i, g in enumerate(spec.distortions):
+        values, tail = marginal_steps(s, i)
+        g_at.append(np.asarray(g(tail), dtype=float))
+        g_below.append(np.asarray(g(np.concatenate(([1.0], tail[:-1]))), dtype=float))
+        coords.append(values)
+    total = 0.0
+    for mask in itertools.product((False, True), repeat=s.dim):
+        levels = [g_at[i] if mask[i] else g_below[i] for i in range(s.dim)]
+        sign = -1.0 if sum(mask) % 2 else 1.0
+        total += sign * _grid_contract(spec.cstar.cdf_grid(levels), coords)
+    return total
+
+
+@st.composite
+def ls_case(draw):
+    """A nonnegative portfolio of dimension 1-4 and a spec over any coupling.
+
+    Losses come from small pools, so columns tie; some weights differ and
+    some columns are all zero.  The coupling is any family, the empirical
+    copula of tied data included, bare, survival-wrapped or wrapped twice.
+    """
+    d = draw(st.integers(1, 4))
+    pool = draw(st.sampled_from(([0.0, -0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.0, 0.125, 7.0])))
+    m = draw(st.integers(1, 9 - d))
+    losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d))).reshape(m, d)
+    if draw(st.integers(0, 4)) == 0:
+        losses[:, draw(st.integers(0, d - 1))] = 0.0
+    weights = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), float)
+    families = ["independence", "comonotone", "clayton", "gumbel", "frank", "empirical"]
+    choice = draw(st.sampled_from(families + ["countermonotone"] if d == 2 else families))
+    if choice == "empirical":
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        cop = empirical_copula(scenario_set(np.round(rng.uniform(0, 3, size=(12, d)))))
+    elif choice == "countermonotone":
+        cop = countermonotone_2d()
+    elif choice in ("independence", "comonotone"):
+        cop = {"independence": independence, "comonotone": comonotone}[choice](d)
+    else:
+        theta = draw(st.sampled_from((1.0, 2.5) if choice == "gumbel" else (0.5, 3.0)))
+        cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](theta, d)
+    for _ in range(draw(st.integers(0, 2))):
+        cop = survival_copula(cop)
+    kinds = (identity(), var_step(0.7), cvar_ramp(0.6), power(2.0), power(0.5))
+    spec = JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
+    return scenario_set(losses, weights), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ls_case())
+# a one-step last axis: every mask's sub-grid is strided
+@example(case=(
+    scenario_set([[0.5, 0.5, 1.5], [1.0, 1.0, 1.5]]),
+    JointRiskSpec(survival_copula(clayton(0.5, 3)), (power(0.5), identity(), identity())),
+))
+def test_ls_form_equals_the_per_mask_loop_bit_for_bit(case):
+    s, spec = case
+    assert gamma_ls_form(s, spec) == _ls_form_per_mask(s, spec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("choice", ["clayton", "empirical"])
+def test_ls_form_evaluates_the_coupling_once(monkeypatch, d, choice):
+    calls = []
+    for cls in (Copula, SurvivalCopula):
+        def counted(self, axes, _grid=cls.cdf_grid):
+            calls.append(len(axes))
+            return _grid(self, axes)
+
+        monkeypatch.setattr(cls, "cdf_grid", counted)
+    s = scenario_set(_dependent_losses(3, 30, d))
+    cop = clayton(2.0, d) if choice == "clayton" else empirical_copula(s)
+    spec = JointRiskSpec(survival_copula(cop), tuple(cvar_ramp(0.8) for _ in range(d)))
+    gamma_ls_form(s, spec)
+    assert calls == [d]
 
 
 class TestBatchedSurvivalForm:

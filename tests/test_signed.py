@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointrisk import (
     DimensionError,
     JointRiskSpec,
     clayton,
+    comonotone,
+    countermonotone_2d,
+    empirical_copula,
     frank,
     gamma_signed_2d,
     gamma_survival_form,
@@ -16,7 +21,11 @@ from jointrisk import (
     survival_copula,
     cvar_ramp,
     power,
+    var_step,
 )
+from jointrisk.copula import EMPIRICAL, Copula, SurvivalCopula
+from jointrisk.portfolio import marginal_cells
+from jointrisk.signed import _negative_cells
 
 IDENTITY_SPECS = [
     JointRiskSpec(independence(2), (identity(), identity())),
@@ -120,3 +129,91 @@ class TestValidation:
         spec = JointRiskSpec(independence(3), (identity(),) * 3)
         with pytest.raises(DimensionError):
             gamma_signed_2d(s, spec)
+
+
+def _signed_per_quadrant(s, spec):
+    """The signed form with one cdf_grid call per non-empty quadrant."""
+    _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
+    sv_neg, w_neg = zip(*(_negative_cells(s, i) for i in range(2)))
+    gp = [np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, sv_pos)]
+    gn = [np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, sv_neg)]
+    c = spec.cstar
+    total = 0.0
+    if len(w_pos[0]) and len(w_pos[1]):
+        total += float(w_pos[0] @ (c.cdf_grid(gp) @ w_pos[1]))
+    if len(w_pos[0]) and len(w_neg[1]):
+        total += float(w_pos[0] @ (c.cdf_grid([gp[0], gn[1]]) - gp[0][:, None]) @ w_neg[1])
+    if len(w_neg[0]) and len(w_pos[1]):
+        total += float(w_neg[0] @ (c.cdf_grid([gn[0], gp[1]]) - gp[1][None, :]) @ w_pos[1])
+    if len(w_neg[0]) and len(w_neg[1]):
+        total += float(w_neg[0] @ (c.cdf_grid(gn) - gn[0][:, None] - gn[1][None, :] + 1.0) @ w_neg[1])
+    return total
+
+
+def _base_family(cop):
+    while isinstance(cop, SurvivalCopula):
+        cop = cop.base
+    return cop.family
+
+
+@st.composite
+def signed_case(draw):
+    """A two-column portfolio of either sign and a spec over any coupling.
+
+    Losses come from small pools, so columns tie and some sit at zero; some
+    weights differ and some columns are all zero.  The coupling is any
+    family, the empirical copula of tied data included, bare or
+    survival-wrapped.
+    """
+    pool = draw(st.sampled_from(([-2.0, -0.5, 0.0, 1.0, 2.5], [-1.5, -0.25, 0.75, 3.0], [0.0, 0.5, 1.0, 4.25])))
+    m = draw(st.integers(1, 10))
+    losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+    if draw(st.integers(0, 4)) == 0:
+        losses[:, draw(st.integers(0, 1))] = 0.0
+    weights = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), float)
+    choice = draw(st.sampled_from(("independence", "comonotone", "countermonotone", "clayton", "gumbel", "frank", EMPIRICAL)))
+    if choice == EMPIRICAL:
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        cop = empirical_copula(scenario_set(np.round(rng.uniform(0, 3, size=(12, 2)))))
+    elif choice in ("independence", "comonotone", "countermonotone"):
+        cop = {"independence": independence(2), "comonotone": comonotone(2), "countermonotone": countermonotone_2d()}[choice]
+    else:
+        theta = draw(st.sampled_from((1.0, 2.5) if choice == "gumbel" else (0.5, 3.0)))
+        cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](theta, 2)
+    for _ in range(draw(st.integers(0, 2))):
+        cop = survival_copula(cop)
+    kinds = (identity(), var_step(0.7), cvar_ramp(0.6), power(2.0), power(0.5))
+    spec = JointRiskSpec(cop, (draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))))
+    return scenario_set(losses, weights), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_case())
+def test_signed_form_equals_the_per_quadrant_calls(case):
+    s, spec = case
+    got, want = gamma_signed_2d(s, spec), _signed_per_quadrant(s, spec)
+    if s.nonnegative or _base_family(spec.cstar) != EMPIRICAL:
+        assert got == want
+    else:
+        # an empirical grid over both quadrants' levels splits histogram
+        # bins, which moves the rounding of its sums; every integrand lies
+        # in [-1, 1], so the area of the loss box sets the rounding scale
+        area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
+        assert abs(got - want) <= 1e-14 * max(abs(got), abs(want), area)
+
+
+@pytest.mark.parametrize("choice", ["clayton", "empirical"])
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_signed_form_evaluates_the_coupling_once(monkeypatch, choice, shift):
+    calls = []
+    for cls in (Copula, SurvivalCopula):
+        def counted(self, axes, _grid=cls.cdf_grid):
+            calls.append(len(axes))
+            return _grid(self, axes)
+
+        monkeypatch.setattr(cls, "cdf_grid", counted)
+    s = signed_portfolio(np.random.default_rng(5))
+    s = s.with_losses(s.losses + shift)
+    cop = clayton(2.0) if choice == "clayton" else empirical_copula(s)
+    gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), (cvar_ramp(0.8), power(2.0))))
+    assert calls == [2]
