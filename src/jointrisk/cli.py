@@ -36,15 +36,7 @@ from .copula import (
     independence,
     survival_copula,
 )
-from .distortion import (
-    ConfidenceBand,
-    Distortion,
-    blend_diagnostics,
-    cvar_ramp,
-    identity,
-    power,
-    var_step,
-)
+from .distortion import ConfidenceBand, blend_diagnostics, build_distortions
 from .errors import (
     DataError,
     DegenerateTailError,
@@ -53,13 +45,7 @@ from .errors import (
     ParameterError,
 )
 from .portfolio import ScenarioSet, cvar, scenario_set, var
-from .scalar_risk import (
-    JointRiskSpec,
-    axiom_suite,
-    gamma_ls_form,
-    gamma_survival_form,
-    varcvar_spec_factory,
-)
+from .scalar_risk import JointRiskSpec, axiom_suite, gamma_ls_form, gamma_survival_form
 from .signed import gamma_signed_2d
 from .vector_risk import TailRegionSpec, h_vector, mixture_var_cvar, mtce, mtdrm
 
@@ -92,7 +78,6 @@ class RunConfig:
     match_policy: str = "warn"
     match_threshold: float = DEFAULT_MATCH_THRESHOLD
     out_path: str | None = None
-    trials: int = 100
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -221,31 +206,6 @@ def _parse_distortion_kind(raw: str) -> str:
     )
 
 
-def _build_distortions(config: RunConfig, dim: int, level: float | None) -> tuple[Distortion, ...]:
-    kinds = list(config.distortion_kinds) or ["identity"]
-    if len(kinds) == 1:
-        kinds = kinds * dim
-    if len(kinds) != dim:
-        raise ParameterError(
-            f"--distortion: got {len(kinds)} kinds for {dim} components (give 1 or {dim})"
-        )
-    out = []
-    for kind in kinds:
-        if kind in ("var", "cvar"):
-            if level is None:
-                raise ParameterError(f"--distortion: {kind} requires --band to set the level")
-            out.append(var_step(level) if kind == "var" else cvar_ramp(level))
-        elif kind == "identity":
-            out.append(identity())
-        else:
-            try:
-                k = float(kind.split(":", 1)[1])
-            except ValueError:
-                raise ParameterError(f"--distortion: bad power exponent in {kind!r}") from None
-            out.append(power(k))
-    return tuple(out)
-
-
 def _scenario_summary(s: ScenarioSet, band: ConfidenceBand | None) -> dict:
     means = (s.weights @ s.losses).tolist()
     summary = {
@@ -264,7 +224,8 @@ def _scenario_summary(s: ScenarioSet, band: ConfidenceBand | None) -> dict:
 
 def _copula_diagnostics(
     config: RunConfig, s: ScenarioSet, cop: CopulaLike, info: dict
-) -> dict:
+) -> tuple[dict, dict | None]:
+    """The report's copula block, and the blend it holds when a band is set."""
     diag = dict(info)
     if s.m < 2:
         diag["gof_distance"] = None
@@ -273,15 +234,17 @@ def _copula_diagnostics(
         diag["gof_distance"] = 0.0
     else:
         diag["gof_distance"] = gof_distance(empirical_copula(s), cop, config.grid_n)
+    blend = None
     if config.band is not None:
         # the blend carries d_ul and d_uc from the same Frechet grid; on
         # one-column data there is no dependence spread, and the blend sits
         # at the high endpoint
-        diag.update(blend_diagnostics(cop, config.band, config.grid_n))
+        blend = blend_diagnostics(cop, config.band, config.grid_n)
+        diag.update(blend)
     elif s.dim >= 2:
         d_ul, d_uc = frechet_distances(cop, config.grid_n)
         diag.update(d_ul=d_ul, d_uc=d_uc)
-    return diag
+    return diag, blend
 
 
 def _check_match(config: RunConfig, diag: dict) -> None:
@@ -308,15 +271,17 @@ def run(config: RunConfig) -> dict:
             f"{info['family']} theta fitted to the average of the {s.dim * (s.dim - 1) // 2} "
             "pairwise Kendall taus (exchangeable approximation for d > 2)"
         )
-    diag = _copula_diagnostics(config, s, cop, info)
+    diag, blend = _copula_diagnostics(config, s, cop, info)
     _check_match(config, diag)
 
-    level = diag.get("alpha_c")
+    # every measure takes the report's one blend; none makes its own
+    level = None if blend is None else blend["alpha_c"]
+    kinds = config.distortion_kinds
     measure = config.measure
     results: dict
 
     if measure == "scalar":
-        gs = _build_distortions(config, s.dim, level)
+        gs = build_distortions(kinds or "identity", level, s.dim)
         spec = JointRiskSpec(survival_copula(cop), gs)
         if not s.nonnegative:
             raise DataError(
@@ -328,27 +293,21 @@ def run(config: RunConfig) -> dict:
         results = {"gamma": value, "gamma_ls": value_ls, "formulation_gap": gap,
                    "distortions": [g.label() for g in gs]}
     elif measure == "vector":
-        gs = _build_distortions(config, s.dim, level)
+        gs = build_distortions(kinds or "identity", level, s.dim)
         res = h_vector(s, JointRiskSpec(survival_copula(cop), gs))
         results = res.as_dict()
         results["distortions"] = [g.label() for g in gs]
     elif measure == "mixture":
-        if config.band is None:
+        if blend is None:
             raise ParameterError("mixture: --band is required")
-        kinds = list(config.distortion_kinds) or ["var"]
-        if len(kinds) == 1:
-            kinds = kinds * s.dim
-        for k in kinds:
-            if k not in ("var", "cvar"):
-                raise ParameterError(f"mixture: --distortion must be var or cvar, got {k!r}")
-        res = mixture_var_cvar(s, cop, config.band, kinds, config.grid_n)
+        res = mixture_var_cvar(s, cop, config.band, kinds or "var", config.grid_n, blend)
         results = res.as_dict()
     elif measure == "mtce":
         if config.q is None:
             raise ParameterError("mtce: --q is required")
         results = mtce(s, cop, config.q).as_dict()
     elif measure == "mtdrm":
-        gs = _build_distortions(config, s.dim, level)
+        gs = build_distortions(kinds or "identity", level, s.dim)
         region = (
             TailRegionSpec("joint_exceedance", config.q)
             if config.q is not None
@@ -358,20 +317,14 @@ def run(config: RunConfig) -> dict:
         results = res.as_dict()
         results["distortions"] = [g.label() for g in gs]
     elif measure == "signed2d":
-        gs = _build_distortions(config, s.dim, level)
+        gs = build_distortions(kinds or "identity", level, s.dim)
         results = {"gamma_signed": gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), gs)),
                    "distortions": [g.label() for g in gs]}
     elif measure == "axioms":
-        if config.band is None:
+        if blend is None:
             raise ParameterError("axioms: --band is required")
-        kinds = list(config.distortion_kinds) or ["var"]
-        for k in kinds:
-            if k not in ("var", "cvar"):
-                raise ParameterError(f"axioms: --distortion must be var or cvar, got {k!r}")
-        factory = varcvar_spec_factory(
-            config.band, kinds[0] if len(kinds) == 1 else kinds, config.grid_n
-        )
-        report = axiom_suite(factory, [cop], trials=config.trials, seed=config.seed)
+        gs = build_distortions(kinds or "var", level, s.dim, tail_only=True)
+        report = axiom_suite(lambda c: JointRiskSpec(survival_copula(c), gs), [cop], seed=config.seed)
         results = report.as_dict()
     elif measure == "copula-fit":
         results = {"family": info.get("family"), "params": info.get("params"),

@@ -6,6 +6,12 @@ point ``(d,)`` or a batch ``(n, d)`` of points in the unit cube, and
 level vectors (``cdf_grids`` for a batch of such grids).  Values are
 grounded (zero whenever a coordinate is zero) and have uniform margins up to
 floating-point rounding.
+
+Each parametric family has one formula, written over grids: a pointwise
+``cdf`` evaluates n points as a batch of n one-cell grids.  Empirical
+copulas keep a pointwise rank count, because their grid is a histogram
+built row by row, and survival copulas keep a pointwise inclusion-exclusion
+that calls the base ``cdf``.
 """
 
 from __future__ import annotations
@@ -122,7 +128,11 @@ class Copula:
     def cdf(self, u):
         """Evaluate the copula at ``u`` ((d,) or (n, d)); returns float or (n,)."""
         pts, single = _as_points(u, self.dim)
-        out = _family_cdf(self, pts)
+        if self.family == EMPIRICAL:
+            out = _empirical_cdf(self.ranks, self.rank_weights, pts)
+        else:
+            # a batch of one-cell grids, (n, 1, ..., 1)
+            out = self._grid([pts[:, [j]] for j in range(self.dim)]).reshape(len(pts))
         return float(out[0]) if single else out
 
     def cdf_grid(self, axes):
@@ -147,65 +157,16 @@ class Copula:
             return _empirical_grid(self.ranks, self.rank_weights, axes)
         out = _family_grid_raw(self, axes)
         if self.family == FRANK:
-            # the C(1, ..., 1) = 1 fix of the pointwise path, over each row's
-            # own hits (a full-size boolean mask costs more on large grids).
-            # Clayton and Gumbel need none: 1^t = 1 and log 1 = 0 make their
-            # cells at (1, ..., 1) exactly 1, where Frank's ratio of expm1
-            # powers can miss it by an ulp
-            for row, hits in zip(out, zip(*(a == 1.0 for a in axes))):
-                if all(h.any() for h in hits):
-                    row[np.ix_(*hits)] = 1.0
+            # C(1, ..., 1) = 1 exactly: Frank's ratio of expm1 powers can miss
+            # it by an ulp.  Clayton and Gumbel need no fix, as 1^t = 1 and
+            # log 1 = 0 make their cells at (1, ..., 1) exactly 1
+            out[_broadcast(np.logical_and, [a == 1.0 for a in axes])] = 1.0
         return out
-
-
-def _family_cdf(c: Copula, u: np.ndarray) -> np.ndarray:
-    out = _family_cdf_raw(c, u)
-    # boundary identity C(1, ..., 1) = 1 must hold exactly, not to rounding
-    if c.family in (CLAYTON, GUMBEL, FRANK):
-        out[np.all(u == 1.0, axis=1)] = 1.0
-    return out
-
-
-def _family_cdf_raw(c: Copula, u: np.ndarray) -> np.ndarray:
-    fam = c.family
-    if fam == INDEPENDENCE:
-        return np.prod(u, axis=1)
-    if fam == COMONOTONE:
-        return np.min(u, axis=1)
-    if fam == COUNTERMONOTONE_2D:
-        return np.maximum(u.sum(axis=1) - 1.0, 0.0)
-    if fam == CLAYTON:
-        out = np.zeros(len(u))
-        pos = np.all(u > 0.0, axis=1)
-        if np.any(pos):
-            # u ** -theta can overflow for subnormal u; the 0 limit is correct
-            with np.errstate(over="ignore"):
-                s = np.sum(u[pos] ** (-c.theta), axis=1) - (c.dim - 1)
-                out[pos] = s ** (-1.0 / c.theta)
-        return np.clip(out, 0.0, 1.0)
-    if fam == GUMBEL:
-        out = np.zeros(len(u))
-        pos = np.all(u > 0.0, axis=1)
-        if np.any(pos):
-            with np.errstate(over="ignore"):
-                s = np.sum((-np.log(u[pos])) ** c.theta, axis=1)
-                out[pos] = np.exp(-(s ** (1.0 / c.theta)))
-        return np.clip(out, 0.0, 1.0)
-    if fam == FRANK:
-        if abs(c.theta) < _FRANK_INDEPENDENCE_EPS:
-            return np.prod(u, axis=1)
-        th = c.theta
-        num = np.prod(np.expm1(-th * u), axis=1)
-        den = np.expm1(-th) ** (c.dim - 1)
-        return np.clip(-np.log1p(num / den) / th, 0.0, 1.0)
-    if fam == EMPIRICAL:
-        return _empirical_cdf(c.ranks, c.rank_weights, u)
-    raise ParameterError(f"unknown copula family {fam!r}")
 
 
 def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     # A zero level makes the generator term infinite and the cell value 0,
-    # which is the pointwise path's grounding without a mask.
+    # which grounds the copula without a mask.
     fam = c.family
     if fam == INDEPENDENCE or (fam == FRANK and abs(c.theta) < _FRANK_INDEPENDENCE_EPS):
         return _broadcast(np.multiply, axes)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +76,39 @@ def cvar_ramp(alpha: float) -> Distortion:
 
 def power(k: float) -> Distortion:
     return Distortion(POWER, k=k)
+
+
+def build_distortions(
+    kinds: str | Sequence[str], level: float | None, dim: int, tail_only: bool = False
+) -> tuple[Distortion, ...]:
+    """One distortion per component from kind names.
+
+    ``kinds`` is one name for every component or one name per component:
+    ``var`` or ``cvar`` at confidence ``level``, or, unless ``tail_only``,
+    ``identity`` or ``power:<k>``.  Anything else raises ParameterError.
+    """
+    names = [kinds] if isinstance(kinds, str) else list(kinds)
+    if len(names) == 1:
+        names *= dim
+    if len(names) != dim:
+        raise ParameterError(f"got {len(names)} distortion kinds for {dim} components (give 1 or {dim})")
+    out = []
+    for kind in names:
+        if kind in (VAR_STEP, CVAR_RAMP):
+            if level is None:
+                raise ParameterError(f"{kind} distortion needs a confidence level: give a band")
+            out.append(Distortion(kind, alpha=level))
+        elif tail_only:
+            raise ParameterError(f"tail distortion kind must be var or cvar, got {kind!r}")
+        elif kind == IDENTITY:
+            out.append(identity())
+        else:
+            name, _, k = kind.partition(":")
+            try:
+                out.append(power(float(k)) if name == POWER else Distortion(kind))
+            except ValueError:
+                raise ParameterError(f"bad power exponent in {kind!r}") from None
+    return tuple(out)
 
 
 def _check_unit(u) -> np.ndarray:

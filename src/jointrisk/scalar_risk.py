@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .copula import CopulaLike, survival_copula
-from .distortion import ConfidenceBand, alpha_c, cvar_ramp, var_step
+from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import (
     ScenarioSet,
@@ -198,16 +198,13 @@ def varcvar_spec_factory(
     """Specs coupling the survival copula with tail distortions at the blended level.
 
     ``kinds`` is ``"var"`` or ``"cvar"`` applied to every component, or one
-    kind per component.  The blended confidence level is recomputed per copula
-    from its distance to the upper Frechet-Hoeffding bound.
+    kind per component; any other kind raises ParameterError.  The blended
+    confidence level is recomputed per copula from its distance to the upper
+    Frechet-Hoeffding bound.
     """
 
     def factory(c: CopulaLike) -> JointRiskSpec:
-        level = alpha_c(c, band, grid_n)
-        kind_list = [kinds] * c.dim if isinstance(kinds, str) else list(kinds)
-        if len(kind_list) != c.dim:
-            raise DimensionError(f"expected {c.dim} distortion kinds, got {len(kind_list)}")
-        gs = tuple(var_step(level) if k == "var" else cvar_ramp(level) for k in kind_list)
+        gs = build_distortions(kinds, alpha_c(c, band, grid_n), c.dim, tail_only=True)
         return JointRiskSpec(survival_copula(c), gs)
 
     return factory

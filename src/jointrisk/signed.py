@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .portfolio import ScenarioSet, marginal_cells, marginal_steps, survival_from_steps
+from .portfolio import ScenarioSet, marginal_cells, marginal_steps
 from .scalar_risk import JointRiskSpec, _contract
 
 
@@ -27,13 +27,12 @@ def _negative_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
     they are omitted rather than evaluated.
     """
     values, tail = marginal_steps(s, i)
-    neg = values[values < 0.0]
-    if len(neg) == 0:
+    k = int(np.count_nonzero(values < 0.0))
+    if k == 0:
         return np.empty(0), np.empty(0)
-    edges = np.concatenate((neg, [0.0]))
-    widths = np.diff(edges)
-    sv = survival_from_steps(values, tail, edges[:-1])
-    return sv, widths
+    # the left edges are the first k sorted distinct values, whose
+    # survival levels are the first k tails
+    return tail[:k], np.diff(np.concatenate((values[:k], [0.0])))
 
 
 def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:

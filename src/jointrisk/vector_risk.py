@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import CopulaLike, survival_copula
-from .distortion import ConfidenceBand, Distortion, blend_diagnostics, cvar_ramp, var_step
+from .distortion import ConfidenceBand, blend_diagnostics, build_distortions
 from .errors import DataError, DegenerateTailError, DimensionError, DomainError
 from .portfolio import ScenarioSet, marginal_cells, var
 from .scalar_risk import DistortionLike, JointRiskSpec
@@ -91,29 +91,24 @@ def mixture_var_cvar(
     band: ConfidenceBand,
     kinds: str | Sequence[str] = "var",
     grid_n: int | None = None,
+    blend: dict[str, float] | None = None,
 ) -> VectorRiskResult:
     """Quantile / expected-shortfall mixture at the dependence-adjusted level.
 
     The confidence level is blended between the band endpoints according to
     the copula's distance from the comonotone bound, then each component is
     the step or ramp distortion integral of its marginal survival function.
+    A caller that already holds ``blend_diagnostics(c, band, grid_n)`` passes
+    it as ``blend`` and saves a second Frechet grid.
     """
     _require_nonnegative(s)
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
-    diag = blend_diagnostics(c, band, grid_n)
-    level = diag["alpha_c"]
-    kind_list = [kinds] * s.dim if isinstance(kinds, str) else list(kinds)
-    if len(kind_list) != s.dim:
-        raise DimensionError(f"expected {s.dim} component kinds, got {len(kind_list)}")
-    for k in kind_list:
-        if k not in ("var", "cvar"):
-            raise DomainError(f"mixture component kind must be 'var' or 'cvar', got {k!r}")
-    gs: tuple[Distortion, ...] = tuple(
-        var_step(level) if k == "var" else cvar_ramp(level) for k in kind_list
-    )
+    if blend is None:
+        blend = blend_diagnostics(c, band, grid_n)
+    gs = build_distortions(kinds, blend["alpha_c"], s.dim, tail_only=True)
     comps = tuple(_step_integral(s, i, gs[i]) for i in range(s.dim))
-    return VectorRiskResult(comps, "mixture_var_cvar", {**diag, "kinds": kind_list})
+    return VectorRiskResult(comps, "mixture_var_cvar", {**blend, "kinds": [g.kind for g in gs]})
 
 
 def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:

@@ -127,15 +127,16 @@ class TestRun:
 
         monkeypatch.setattr(cli, "frechet_distances", counted)
         monkeypatch.setattr(distortion, "frechet_distances", counted)
-        plain = run(RunConfig("copula-distance", plain_csv, copula_choice="clayton:2.0", grid_n=30))["copula"]
+        config = dict(copula_choice="clayton:2.0", grid_n=30, q=0.5, distortion_kinds=("cvar",))
+        plain = run(RunConfig("copula-distance", plain_csv, **config))["copula"]
         assert calls == [30]
-        calls.clear()
-        banded = run(
-            RunConfig("copula-distance", plain_csv, copula_choice="clayton:2.0", grid_n=30, band=ConfidenceBand(0.9, 0.99))
-        )["copula"]
-        assert calls == [30]
-        assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
-        assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
+        # the mixture components and the axiom specs take the report's blend too
+        for measure in cli.MEASURES:
+            calls.clear()
+            banded = run(RunConfig(measure, plain_csv, band=ConfidenceBand(0.9, 0.99), **config))["copula"]
+            assert calls == [30], measure
+            assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
+            assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
 
     def test_empirical_report_skips_the_self_comparison_grid(self, monkeypatch, plain_csv):
         def refused(*args, **kwargs):
@@ -155,7 +156,6 @@ class TestRun:
             distortion_kinds=("cvar",),
             seed=11,
             grid_n=40,
-            trials=15,
         )
         blobs = []
         for _ in range(2):
@@ -183,6 +183,21 @@ class TestMainExitCodes:
         assert main(["scalar", "--input", "/nonexistent.csv"]) == 2
         err = capsys.readouterr().err
         assert "--copula" in err
+
+    @pytest.mark.parametrize(
+        "measure, kind", [("mixture", "identity"), ("axioms", "power:2"), ("mixture", "power:x"), ("axioms", "identity")]
+    )
+    def test_tail_measures_reject_other_distortions(self, plain_csv, capsys, measure, kind):
+        argv = [measure, "--input", plain_csv, "--band", "0.9,0.99", "--distortion", kind]
+        assert main(argv) == 2
+        assert "var or cvar" in capsys.readouterr().err
+
+    def test_distortion_count_and_level_are_validation_errors(self, plain_csv, capsys):
+        assert main(["scalar", "--input", plain_csv, "--distortion", "var", "--distortion", "cvar",
+                     "--distortion", "var"]) == 2
+        assert "3 distortion kinds for 2 components" in capsys.readouterr().err
+        assert main(["vector", "--input", plain_csv, "--distortion", "cvar"]) == 2
+        assert "band" in capsys.readouterr().err
 
     def test_negative_losses_with_mtce_is_validation_error(self, tmp_path, capsys):
         path = write(tmp_path, "neg.csv", "a,b\n-1,2\n3,4\n")

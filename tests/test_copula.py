@@ -8,7 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jointrisk
@@ -469,9 +469,49 @@ PARAMETRIC_ZOO = {
 EMPIRICAL_ZOO = {d: _tied_empirical(d) for d in GRID_DIMS}
 
 
+def _grid_points(axes):
+    return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
+
+
 def _pointwise_grid(cop, axes):
-    pts = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, cop.dim)
-    return np.asarray(cop.cdf(pts)).reshape(tuple(len(a) for a in axes))
+    return np.asarray(cop.cdf(_grid_points(axes))).reshape(tuple(len(a) for a in axes))
+
+
+def _reference_cdf(cop, u):
+    """Pointwise family formulas, written apart from the grid kernel.
+
+    Rows are reduced with ``np.sum`` and ``np.prod``, the grounded cells and
+    C(1, ..., 1) = 1 are set by row masks, and a survival copula is the
+    2^d-term inclusion-exclusion of reference values of its base.
+    """
+    u = np.asarray(u, dtype=float).reshape(-1, cop.dim).clip(0.0, 1.0)
+    if isinstance(cop, SurvivalCopula):
+        total = np.zeros(len(u))
+        for mask in itertools.product((False, True), repeat=cop.dim):
+            sel = np.array(mask)
+            sign = -1.0 if sel.sum() % 2 else 1.0
+            total += sign * _reference_cdf(cop.base, np.where(sel[None, :], 1.0 - u, 1.0))
+        return np.clip(total, 0.0, 1.0)
+    fam, th = cop.family, cop.theta
+    if fam == "independence" or (fam == "frank" and abs(th) < 1e-10):
+        return np.prod(u, axis=1)
+    if fam == "comonotone":
+        return np.min(u, axis=1)
+    if fam == "countermonotone":
+        return np.maximum(u.sum(axis=1) - 1.0, 0.0)
+    out = np.zeros(len(u))
+    pos = np.all(u > 0.0, axis=1)
+    with np.errstate(over="ignore"):
+        if fam == "clayton":
+            out[pos] = (np.sum(u[pos] ** (-th), axis=1) - (cop.dim - 1)) ** (-1.0 / th)
+        elif fam == "gumbel":
+            out[pos] = np.exp(-(np.sum((-np.log(u[pos])) ** th, axis=1) ** (1.0 / th)))
+        else:
+            num = np.prod(np.expm1(-th * u), axis=1)
+            out = -np.log1p(num / np.expm1(-th) ** (cop.dim - 1)) / th
+    out = np.clip(out, 0.0, 1.0)
+    out[np.all(u == 1.0, axis=1)] = 1.0
+    return out
 
 
 @st.composite
@@ -512,11 +552,38 @@ def empirical_grid_case(draw):
     return _survival_wraps(e, wraps), draw(level_axes(d, pool))
 
 
+# Frank's raw formula misses C(1, 1, 1) = 1 by an ulp at theta = 5; the
+# fix must leave the cells mixing 1s and 0s alone
+_FRANK_CORNERS = (frank(5.0, 3), [np.array([1.0, 0.0])] * 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=parametric_grid_case())
+@example(case=_FRANK_CORNERS)
 def test_cdf_grid_parametric_is_pointwise_bit_for_bit(case):
     cop, axes = case
-    assert np.array_equal(cop.cdf_grid(axes), _pointwise_grid(cop, axes))
+    shape = tuple(len(a) for a in axes)
+    assert np.array_equal(cop.cdf_grid(axes), _reference_cdf(cop, _grid_points(axes)).reshape(shape))
+
+
+@st.composite
+def parametric_points_case(draw):
+    """A parametric copula (d = 1-5, 0-2 survival wraps) and points rich in 0s and 1s."""
+    d = draw(st.integers(1, 5))
+    zoo = PARAMETRIC_ZOO.get(d) or family_zoo(d) + [clayton(0.4, d), gumbel(1.0, d), frank(1e-12, d)]
+    cop = _survival_wraps(draw(st.sampled_from(zoo)), draw(st.sampled_from((0, 1, 2))))
+    level = st.one_of(st.floats(0, 1, allow_nan=False), st.sampled_from([0.0, 1.0]))
+    n = draw(st.integers(1, 6))
+    return cop, np.array(draw(st.lists(level, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=parametric_points_case())
+@example(case=(_FRANK_CORNERS[0], _grid_points(_FRANK_CORNERS[1])))
+def test_cdf_parametric_matches_the_reference_formulas(case):
+    cop, pts = case
+    assert np.array_equal(cop.cdf(pts), _reference_cdf(cop, pts))
+    assert cop.cdf(pts[0]) == _reference_cdf(cop, pts[0])[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -600,6 +667,20 @@ class TestCdfGrid:
                 c.cdf_grid([[nan], [0.5]])
             with pytest.raises(DomainError):
                 c.cdf_grid([[0.1, 0.9], [0.5, nan]])
+
+    @pytest.mark.parametrize("cop", [clayton(2.0, 3), frank(5.0, 2), independence(4), comonotone(1)])
+    def test_pointwise_cdf_is_one_grid_evaluation(self, monkeypatch, cop):
+        calls = []
+        base_grid = Copula._grid
+
+        def spy(self, axes):
+            calls.append(tuple(a.shape for a in axes))
+            return base_grid(self, axes)
+
+        monkeypatch.setattr(Copula, "_grid", spy)
+        assert cop.cdf(np.full((7, cop.dim), 0.5)).shape == (7,)
+        # n points are one batch of n one-cell grids
+        assert calls == [((7, 1),) * cop.dim]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("wraps", [1, 2])

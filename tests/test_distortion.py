@@ -22,6 +22,7 @@ from jointrisk import (
     right_cont_inverse,
     var_step,
 )
+from jointrisk.distortion import build_distortions
 
 ALL_KINDS = [identity(), var_step(0.95), cvar_ramp(0.95), power(2.0), power(0.5)]
 
@@ -143,3 +144,29 @@ class TestAlphaC:
             d = blend_diagnostics(cop, self.BAND, 80)
             assert 0.0 <= d["theta_c"] <= 1.0
             assert self.BAND.alpha1 <= d["alpha_c"] <= self.BAND.alpha2
+
+
+class TestBuildDistortions:
+    def test_one_kind_for_every_component(self):
+        assert build_distortions("cvar", 0.9, 3) == (cvar_ramp(0.9),) * 3
+        assert build_distortions(["var"], 0.9, 2) == (var_step(0.9),) * 2
+
+    def test_one_kind_per_component(self):
+        got = build_distortions(["var", "identity", "power:2"], 0.95, 3)
+        assert got == (var_step(0.95), identity(), power(2.0))
+
+    @pytest.mark.parametrize(
+        "kinds, level, tail_only",
+        [
+            (["var", "cvar", "var"], 0.9, False),  # neither 1 nor d kinds
+            ("var", None, False),  # no level
+            ("power:x", 0.9, False),
+            ("power:-1", 0.9, False),
+            ("bogus", 0.9, False),
+            ("identity", 0.9, True),
+            (["var", "power:2"], 0.9, True),
+        ],
+    )
+    def test_bad_kinds_are_parameter_errors(self, kinds, level, tail_only):
+        with pytest.raises(ParameterError):
+            build_distortions(kinds, level, 2, tail_only)

@@ -443,6 +443,12 @@ class TestAxiomSuite:
                 direct += g(tail) * (hi - lo)
             assert gamma_survival_form(s, spec) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("kinds", ["identity", ["var", "bogus"], "power:2", ["var", "var", "cvar"]])
+    def test_factory_rejects_non_tail_kinds(self, kinds):
+        # these used to build cvar ramps for every kind that was not "var"
+        with pytest.raises(ParameterError):
+            varcvar_spec_factory(BAND, kinds, grid_n=20)(clayton(2.0))
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_is_a_parameter_error(self, trials):
         # a suite that checks nothing must not report all_passed

@@ -6,7 +6,9 @@ from jointrisk import (
     DegenerateTailError,
     DimensionError,
     JointRiskSpec,
+    ParameterError,
     TailRegionSpec,
+    blend_diagnostics,
     clayton,
     comonotone,
     countermonotone_2d,
@@ -103,6 +105,25 @@ class TestMixture:
             res = mixture_var_cvar(s, cop, ConfidenceBand(0.8, 0.8), ["var", "cvar"], grid_n=40)
             assert res.components[0] == pytest.approx(var(s, 0, 0.8), rel=1e-12)
             assert res.components[1] == pytest.approx(cvar(s, 1, 0.8), rel=1e-9)
+
+    def test_a_given_blend_replaces_the_frechet_grid(self, monkeypatch):
+        from jointrisk import vector_risk
+
+        s = decile_pair()
+        blend = blend_diagnostics(clayton(2.0), BAND, 30)
+        alone = mixture_var_cvar(s, clayton(2.0), BAND, "cvar", 30)
+
+        def refused(*args):
+            raise AssertionError("blend_diagnostics evaluated again")
+
+        monkeypatch.setattr(vector_risk, "blend_diagnostics", refused)
+        handed = mixture_var_cvar(s, clayton(2.0), BAND, "cvar", 30, blend)
+        assert handed.as_dict() == alone.as_dict()
+
+    @pytest.mark.parametrize("kinds", ["identity", ["var", "power:2"], ["var"] * 3])
+    def test_other_kinds_are_parameter_errors(self, kinds):
+        with pytest.raises(ParameterError):
+            mixture_var_cvar(decile_pair(), independence(2), BAND, kinds, grid_n=20)
 
     def test_mixed_kinds_per_component(self):
         s = decile_pair()
