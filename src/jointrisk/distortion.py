@@ -173,8 +173,9 @@ def blend_diagnostics(
 ) -> dict[str, float]:
     """Bound distances, blend ratio and the resulting confidence level.
 
-    The ratio and both grid maxima come from one pass over the same grid, so
-    numerator and denominator share the discretization.
+    Both distances are maxima over the same closed grid (see
+    :func:`~jointrisk.copula.frechet_distances`), so numerator and
+    denominator share the discretization.
     """
     if c.dim == 1:
         d_ul, d_uc, theta = float("nan"), float("nan"), 0.0

@@ -10,14 +10,13 @@ quadrature approximation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .copula import CopulaLike, survival_copula
+from .copula import CopulaLike, _broadcast, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import (
@@ -55,24 +54,37 @@ class JointRiskSpec:
         return self.cstar.dim
 
 
-def _check_inputs(s: ScenarioSet, spec: JointRiskSpec) -> None:
-    if s.dim != spec.dim:
-        raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
-    if not s.nonnegative:
+def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> None:
+    """Every dimension first, then one nonnegativity scan over all the losses (P >= 1)."""
+    for s in portfolios:
+        if s.dim != spec.dim:
+            raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
+    # written so that a NaN fails the test
+    if not np.concatenate([s.losses for s in portfolios]).min() >= 0.0:
         raise DataError(
             "negative losses are outside the nonnegative evaluator; "
             "use the signed two-dimensional form"
         )
 
 
-def _contract(vals: np.ndarray, cell_w: Sequence[np.ndarray]) -> float:
-    """Sum of a grid of copula values times the product of per-axis weights."""
+def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """Per batch row, the sum of a grid of copula values times the product of per-axis weights.
+
+    ``vals`` has shape (G, n_0, ..., n_{d-1}) and ``weights[i]`` (G, n_i);
+    returns shape (G,).  numpy calls BLAS once per batch row, with the same
+    operand shapes as a grid of its own, so row g equals the contraction of
+    grid g alone bit for bit.
+    """
+    batch, n0 = weights[0].shape
     # a contiguous copy of a sub-grid: a strided one can take numpy's own
     # matmul loop instead of BLAS, which rounds differently
-    vals = np.ascontiguousarray(vals).reshape(len(cell_w[0]), -1)
+    vals = np.ascontiguousarray(vals).reshape(batch, n0, -1)
     # weights of the trailing axes in the grid's row-major order
-    tail_w = functools.reduce(np.multiply.outer, cell_w[1:], np.ones(1)).ravel()
-    return float(cell_w[0] @ (vals @ tail_w))
+    if len(weights) > 1:
+        tail_w = _broadcast(np.multiply, weights[1:]).reshape(batch, -1)
+    else:
+        tail_w = np.ones((batch, 1))
+    return (weights[0][:, None, :] @ (vals @ tail_w[..., None])).reshape(batch)
 
 
 def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -94,11 +106,10 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
     contracted on its own cells only, so it equals the value computed alone
     bit for bit.  Portfolios with no positive loss in some marginal get 0.
     """
-    for s in portfolios:
-        _check_inputs(s, spec)
-    out = [0.0] * len(portfolios)
     if not portfolios:
-        return out
+        return []
+    _check_inputs(portfolios, spec)
+    out = [0.0] * len(portfolios)
     # one cell table over every column: rows i * P to (i + 1) * P hold
     # column i of the P portfolios
     n_port = len(portfolios)
@@ -114,10 +125,17 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
         for i, (g, n) in enumerate(zip(spec.distortions, counts.max(axis=1)))
     ]
     grids = spec.cstar.cdf_grids(levels)
-    for p, n in enumerate(counts.T.tolist()):
+    # portfolios with the same cell counts are contracted as one batch
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for p, n in enumerate(map(tuple, counts.T.tolist())):
         if all(n):
-            cells = grids[(p, *(slice(0, k) for k in n))]
-            out[p] = _contract(cells, [widths[i * n_port + p, :k] for i, k in enumerate(n)])
+            groups.setdefault(n, []).append(p)
+    for n, rows in groups.items():
+        rows = np.array(rows)
+        cells = grids[(rows, *(slice(0, k) for k in n))]
+        weights = [widths[i * n_port + rows, :k] for i, k in enumerate(n)]
+        for p, value in zip(rows.tolist(), _contract(cells, weights).tolist()):
+            out[p] = value
     return out
 
 
@@ -134,7 +152,7 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     the levels just below it its first n, so every term of the increment is
     a sub-grid of the one tensor.
     """
-    _check_inputs(s, spec)
+    _check_inputs([s], spec)
     d = s.dim
     # the steps of every marginal from one pass over the columns
     values, tails, _, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
@@ -143,13 +161,14 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     for i, g in enumerate(spec.distortions):
         tail = tails[bounds[i] : bounds[i + 1]]
         levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
-        coords.append(values[bounds[i] : bounds[i + 1]])
+        coords.append(values[None, bounds[i] : bounds[i + 1]])
     grid = spec.cstar.cdf_grid(levels)
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
     for mask in itertools.product((False, True), repeat=d):
         sign = -1.0 if sum(mask) % 2 else 1.0
-        total += sign * _contract(grid[tuple(at if m else below for m in mask)], coords)
+        term = grid[tuple(at if m else below for m in mask)]
+        total += sign * float(_contract(term[None], coords)[0])
     return total
 
 
@@ -169,7 +188,7 @@ def gamma_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> float:
     value increases with ``n`` and is sandwiched between the exact measures of
     the clamped portfolios returned by :func:`dyadic_bounds`.
     """
-    _check_inputs(s, spec)
+    _check_inputs([s], spec)
     if n < 1:
         raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
     max_loss = float(s.losses.max(initial=0.0))
@@ -182,7 +201,7 @@ def gamma_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> float:
 
 def dyadic_bounds(s: ScenarioSet, spec: JointRiskSpec, n: int) -> tuple[float, float]:
     """Exact lower/upper envelopes sandwiching :func:`gamma_dyadic` at level ``n``."""
-    _check_inputs(s, spec)
+    _check_inputs([s], spec)
     eps = 2.0**-n
     lower = np.minimum(s.losses, float(n)) - np.minimum(s.losses, eps)
     upper = np.minimum(s.losses, n - eps)

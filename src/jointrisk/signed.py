@@ -64,7 +64,7 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
     total = 0.0
     # positive quadrant: same cells and accumulation as the nonnegative evaluator
     if len(w_pos[0]) and len(w_pos[1]):
-        total += _contract(grid[k1:, k2:], [w_pos[0], w_pos[1]])
+        total += float(_contract(grid[None, k1:, k2:], [w_pos[0][None], w_pos[1][None]])[0])
     # x1 >= 0, x2 < 0: subtract the first marginal term
     if len(w_pos[0]) and k2:
         integrand = grid[k1:, :k2] - gp[0][:, None]

@@ -40,7 +40,7 @@ from jointrisk import (
     survival_copula,
     var_step,
 )
-from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, frechet_lower, frechet_upper
+from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, default_grid_n, frechet_lower, frechet_upper
 from jointrisk.portfolio import marginal_cells
 
 
@@ -56,6 +56,13 @@ def family_zoo(dim=2):
     if dim == 2:
         zoo.append(countermonotone_2d())
     return zoo
+
+
+def _tied_empirical(dim):
+    # rounded losses give rank ties; unequal weights give uneven rank steps
+    rng = np.random.default_rng(40 + dim)
+    losses = np.round(rng.uniform(0, 4, size=(25, dim)), 0)
+    return empirical_copula(scenario_set(losses, rng.integers(1, 4, size=25).astype(float)))
 
 
 class TestEval:
@@ -104,6 +111,17 @@ class TestEval:
     def test_frank_near_zero_is_independence(self):
         c = frank(1e-12)
         assert c.cdf([0.3, 0.8]) == 0.3 * 0.8
+
+    # num / den rounds to -1 from theta ~ 38 on: log1p gives -inf (with a
+    # RuntimeWarning) and the clip turns it into 1
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning), reason="Frank loses its value at large theta")
+    @pytest.mark.parametrize("theta, u", [(100.0, [0.5, 0.5]), (300.0, [1.0, 0.2])])
+    def test_frank_large_theta_high_precision_value(self, theta, u):
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            ratio = mpmath.expm1(-t * u[0]) * mpmath.expm1(-t * u[1]) / mpmath.expm1(-t)
+            expected = float(-mpmath.log1p(ratio) / t)
+        assert frank(theta).cdf(u) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSurvival:
@@ -222,6 +240,77 @@ class TestFrechet:
         lower = np.maximum(functools.reduce(np.add, axes) - (d - 1), 0.0)
         full = float(np.max(functools.reduce(np.minimum, axes) - lower))
         assert frechet_distances(independence(d), grid_n)[0] == full
+
+    @pytest.mark.parametrize("cop", [clayton(2.0), frank(-3.0), _tied_empirical(2), survival_copula(clayton(2.0))])
+    def test_d_uc_takes_the_full_grid_only_off_the_parametric_families(self, monkeypatch, cop):
+        calls = []
+        for cls in (Copula, SurvivalCopula):
+            def counted(self, axes, _grid=cls.cdf_grid):
+                calls.append(len(axes))
+                return _grid(self, axes)
+
+            monkeypatch.setattr(cls, "cdf_grid", counted)
+        frechet_distances(cop, 10)
+        # a parametric copula is read off the diagonal with one pointwise batch
+        assert calls == ([] if isinstance(cop, Copula) and cop.family != "empirical" else [2])
+
+    def test_d_uc_of_a_parametric_copula_peaks_under_one_megabyte(self):
+        # the full default grid of d = 6 would hold 21^6 cells (690 MB in floats)
+        cop = clayton(2.0, 6)
+        tracemalloc.start()
+        try:
+            d_ul, d_uc = frechet_distances(cop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert 0.0 < d_uc < d_ul
+
+
+def _full_grid_d_uc(cop, grid_n):
+    """max(M - C) over every point of the closed (grid_n + 1)^d grid."""
+    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * cop.dim
+    upper = functools.reduce(np.minimum, np.meshgrid(*axes, indexing="ij"))
+    return float(max(np.max(upper - cop.cdf_grid(axes)), 0.0))
+
+
+@st.composite
+def frechet_case(draw):
+    """A parametric copula of dimension 2-5 (|theta| up to 300) and a grid resolution."""
+    d = draw(st.integers(2, 5))
+    families = ["independence", "comonotone", "clayton", "gumbel", "frank"] + (["countermonotone"] if d == 2 else [])
+    family = draw(st.sampled_from(families))
+    if family == "clayton":
+        cop = clayton(draw(st.floats(1e-3, 300.0)), d)
+    elif family == "gumbel":
+        cop = gumbel(draw(st.floats(1.0, 300.0)), d)
+    elif family == "frank":
+        # negative theta is a copula only at d = 2; near 0 is independence.
+        # From theta ~ 38 on Frank's values are wrong and warn (see
+        # test_frank_large_theta_high_precision_value), so positive theta
+        # stops at 36 until that is fixed
+        theta = draw(st.one_of(st.floats(1e-12, 36.0), st.floats(-300.0, -1e-12) if d == 2 else st.nothing()))
+        cop = frank(theta, d)
+    else:
+        cop = {"independence": independence, "comonotone": comonotone, "countermonotone": lambda _: countermonotone_2d()}[family](d)
+    # the default resolution at d = 5 is a 4M-cell reference grid: the
+    # explicit example below covers it once
+    odd = st.integers(2, 40 if d <= 3 else 9).map(lambda k: 2 * k + 1)
+    grid_n = draw(st.one_of(st.sampled_from((2, 3)), odd, st.just(None) if d <= 4 else st.nothing()))
+    return cop, grid_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=frechet_case())
+@example(case=(clayton(7.5, 5), None))
+@example(case=(frank(-40.0), None))
+@example(case=(frank(36.0, 4), 3))
+def test_d_uc_equals_the_full_grid_maximum(case):
+    # a parametric d_uc is read off the diagonal; C is nondecreasing in every
+    # coordinate, so the full grid's maximum is there too, as a float
+    cop, grid_n = case
+    expected = _full_grid_d_uc(cop, default_grid_n(cop.dim) if grid_n is None else grid_n)
+    assert frechet_distances(cop, grid_n)[1] == expected
 
 
 class TestEmpirical:
@@ -452,13 +541,6 @@ def test_increment_property_sampled(u, v):
 
 # ---------------------------------------------------------------------------
 # cdf_grid: the tensor-grid kernel against pointwise cdf
-
-
-def _tied_empirical(dim):
-    # rounded losses give rank ties; unequal weights give uneven rank steps
-    rng = np.random.default_rng(40 + dim)
-    losses = np.round(rng.uniform(0, 4, size=(25, dim)), 0)
-    return empirical_copula(scenario_set(losses, rng.integers(1, 4, size=25).astype(float)))
 
 
 GRID_DIMS = (2, 3, 4)

@@ -35,8 +35,10 @@ from jointrisk import (
     var_step,
     varcvar_spec_factory,
 )
+from jointrisk import scalar_risk
 from jointrisk.copula import Copula, SurvivalCopula
 from jointrisk.portfolio import marginal_cells, marginal_steps
+from jointrisk.scalar_risk import _contract
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -229,7 +231,11 @@ def _survival_form_per_axis(s, spec):
 
 
 def _grid_contract(grid, widths):
-    """Sum of a grid of copula values times the product of per-axis widths."""
+    """Sum of a grid of copula values times the product of per-axis widths.
+
+    The contraction of one grid as written before it was batched: the
+    reference for every batch row of ``_contract``.
+    """
     vals = grid.reshape(len(widths[0]), -1)
     tail_w = functools.reduce(np.multiply.outer, widths[1:], np.ones(1)).ravel()
     return float(widths[0] @ (vals @ tail_w))
@@ -346,6 +352,66 @@ class TestBatchedSurvivalForm:
             gamma_survival_forms([good, scenario_set([[1.0, -2.0]])], spec)
         with pytest.raises(DimensionError):
             gamma_survival_forms([good, scenario_set([[1.0, 2.0, 3.0]])], spec)
+
+    def test_negative_loss_in_the_last_portfolio_is_a_data_error(self):
+        spec = identity_spec(clayton(2.0))
+        batch = [indep_two_by_two() for _ in range(4)]
+        batch.append(batch[0].with_losses([[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, -0.5]]))
+        with pytest.raises(DataError, match="negative losses"):
+            gamma_survival_forms(batch, spec)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_nan_loss_is_a_data_error(self, position):
+        # with_losses does not check finiteness, so the batch scan must catch it
+        spec = identity_spec(independence(2))
+        batch = [indep_two_by_two() for _ in range(3)]
+        losses = batch[position].losses.copy()
+        losses[1, 1] = np.nan
+        batch[position] = batch[position].with_losses(losses)
+        with pytest.raises(DataError):
+            gamma_survival_forms(batch, spec)
+
+    def test_dimension_mismatch_is_raised_before_any_cell_table(self, monkeypatch):
+        built = []
+
+        def counted(*args, _cell_table=scalar_risk.cell_table):
+            built.append(len(args[0]))
+            return _cell_table(*args)
+
+        monkeypatch.setattr(scalar_risk, "cell_table", counted)
+        spec = identity_spec(independence(2))
+        # a negative set ahead of the mismatched one: dimensions are checked first
+        batch = [scenario_set([[1.0, -2.0]]), indep_two_by_two(), scenario_set([[1.0, 2.0, 3.0]])]
+        with pytest.raises(DimensionError):
+            gamma_survival_forms(batch, spec)
+        assert built == []
+        gamma_survival_forms(batch[1:2], spec)
+        assert built == [2]
+
+
+@st.composite
+def contract_case(draw):
+    """A batch of G grids of one shape, d = 1-4, with weights; axes of one cell are common."""
+    d = draw(st.integers(1, 4))
+    top = {1: 2000, 2: 300, 3: 30, 4: 12}[d]
+    shape = tuple(draw(st.one_of(st.just(1), st.integers(1, top))) for _ in range(d))
+    batch = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = rng.uniform(size=(batch,) + shape)
+    weights = [rng.exponential(size=(batch, n)) for n in shape]
+    return grids, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=contract_case())
+@example(case=(np.full((3, 1), 0.3), [np.full((3, 1), 0.7)]))
+@example(case=(np.linspace(0, 1, 24).reshape(2, 1, 3, 1, 4), [np.full((2, n), 1.1) for n in (1, 3, 1, 4)]))
+def test_batched_contract_rows_equal_the_per_grid_formula(case):
+    grids, weights = case
+    rows = _contract(grids, weights)
+    assert rows.shape == (len(grids),)
+    # each grid copied out alone, as the unbatched kernel saw it
+    assert rows.tolist() == [_grid_contract(g.copy(), [w[p] for w in weights]) for p, g in enumerate(grids)]
 
 
 class TestDyadic:
