@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -44,7 +45,7 @@ from .errors import (
     MatchError,
     ParameterError,
 )
-from .portfolio import ScenarioSet, cvar, scenario_set, var
+from .portfolio import ScenarioSet, _cum_levels, _cvar_at, _var_at, scenario_set
 from .scalar_risk import JointRiskSpec, axiom_suite, gamma_ls_form, gamma_survival_form
 from .signed import gamma_signed_2d
 from .vector_risk import TailRegionSpec, h_vector, mixture_var_cvar, mtce, mtdrm
@@ -92,7 +93,7 @@ def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"--input: cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise DataError(f"--input: {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -103,27 +104,42 @@ def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     if len(rows) < 2:
         raise DataError(f"--input: {path} has a header but no data rows")
 
-    data, weights = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"--input: {path}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
-        parsed = []
+    table = _parse_table(path, rows[1:], len(header), has_weights)
+    if not has_weights:
+        return names, table, None
+    return names, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
+
+
+def _parse_table(path: str, body: list[list[str]], ncols: int, has_weights: bool) -> np.ndarray:
+    """The data rows as one (rows, ncols) float array, each cell through ``float()``.
+
+    On success no Python code runs per cell.  On failure the rows are checked
+    one at a time, in file order, and the first bad row raises: its cell
+    count, then its cells from left to right, then its weight (a NaN weight
+    passes here and is rejected by ``scenario_set``).
+    """
+    if set(map(len, body)) == {ncols}:
+        try:
+            cells = map(float, itertools.chain.from_iterable(body))
+            table = np.fromiter(cells, float, count=len(body) * ncols).reshape(len(body), ncols)
+        except ValueError:
+            pass
+        else:
+            if not (has_weights and np.any(table[:, -1] <= 0.0)):
+                return table
+    for r, row in enumerate(body, start=2):
+        if len(row) != ncols:
+            raise DataError(f"--input: {path}: row {r} has {len(row)} cells, expected {ncols}")
         for c, cell in enumerate(row, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"--input: {path}: row {r}, column {c}: cannot parse {cell.strip()!r} as a number"
                 ) from None
-        if has_weights:
-            if parsed[-1] <= 0.0:
-                raise DataError(f"--input: {path}: row {r}: weight must be positive")
-            weights.append(parsed[-1])
-            parsed = parsed[:-1]
-        data.append(parsed)
-    return names, np.array(data), np.array(weights) if has_weights else None
+        if has_weights and value <= 0.0:
+            raise DataError(f"--input: {path}: row {r}: weight must be positive")
+    raise AssertionError("a table that failed to parse has a bad row")
 
 
 def ingest_csv(path: str) -> ScenarioSet:
@@ -216,9 +232,11 @@ def _scenario_summary(s: ScenarioSet, band: ConfidenceBand | None) -> dict:
         "means": means,
     }
     if band is not None:
+        # every marginal's steps from one pass; the band levels lie in (0, 1)
+        levels = _cum_levels([s.losses[:, i] for i in range(s.dim)], [s.weights] * s.dim)
         for label, lvl in (("alpha1", band.alpha1), ("alpha2", band.alpha2)):
-            summary[f"var_{label}"] = [var(s, i, lvl) for i in range(s.dim)]
-            summary[f"cvar_{label}"] = [cvar(s, i, lvl) for i in range(s.dim)]
+            summary[f"var_{label}"] = [_var_at(values, cum, lvl) for values, cum in levels]
+            summary[f"cvar_{label}"] = [_cvar_at(values, cum, lvl) for values, cum in levels]
     return summary
 
 

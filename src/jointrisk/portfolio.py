@@ -137,11 +137,13 @@ def _step_groups(
     weights and prefix sums add the same floats in the same order as a sort
     of that column alone.
     """
-    x, w = np.concatenate(columns), np.concatenate(weights)
+    x = np.concatenate(columns)
     rows = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
     # stable in x within each column: the order of a stable sort of the column
     order = np.lexsort((x, rows))
     sx = x[order]
+    # the unsorted values and weights are not held through the prefix sums
+    del x
     new = np.empty(len(sx), dtype=bool)
     new[0] = True
     np.not_equal(sx[1:], sx[:-1], out=new[1:])
@@ -152,7 +154,7 @@ def _step_groups(
     # one column per row, zeros after its last group: a row's prefix sums
     # are the cumulative sums of that column's group weights
     placed, in_row = _padded(counts)
-    placed[in_row] = np.add.reduceat(w[order], starts)
+    placed[in_row] = np.add.reduceat(np.concatenate(weights)[order], starts)
     tail = np.maximum(1.0 - placed.cumsum(axis=1)[in_row], 0.0)
     tail[ends - 1] = 0.0
     return sx[starts], tail, counts, ends - counts
@@ -189,9 +191,24 @@ def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.n
     0 and the distinct positive losses; all three are empty when the marginal
     has no positive loss.
     """
-    _check_index(s, i)
-    left, survival, widths, _ = _cells([s.losses[:, i]], [s.weights])
-    return left, survival, widths
+    return _column_cells([s.column(i)], [s.weights])[0]
+
+
+def _column_cells(
+    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`marginal_cells` of K weighted columns from one pass, one tuple per column.
+
+    Each column's cells are the same floats as a call on that column alone.
+    """
+    *entries, counts = _cells(columns, weights)
+    return _per_column(entries, counts)
+
+
+def _per_column(arrays: Sequence[np.ndarray], counts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Arrays concatenated column by column, split into one tuple of views per column."""
+    cuts = counts.cumsum()[:-1]
+    return list(zip(*(np.split(a, cuts) for a in arrays)))
 
 
 def _cells(
@@ -249,12 +266,18 @@ def joint_survival(s: ScenarioSet, t) -> float:
     return float(s.weights[hit].sum())
 
 
-def _cum_levels(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and cumulative probabilities P(X_i <= v), last pinned to 1."""
-    values, tail = marginal_steps(s, i)
-    cum = 1.0 - tail
-    cum[-1] = 1.0
-    return values, cum
+def _cum_levels(
+    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Distinct values and cumulative probabilities P(X <= v) of each column.
+
+    One step pass covers the K columns; each column's pair is the same floats
+    as a pass over that column alone.  A column's last tail is exactly 0, so
+    its last probability is exactly 1.  :func:`_var_at` and :func:`_cvar_at`
+    read :func:`var` and :func:`cvar` off a pair.
+    """
+    values, tail, counts, _ = _step_groups(columns, weights)
+    return _per_column((values, 1.0 - tail), counts)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -265,7 +288,11 @@ def _check_alpha(alpha: float) -> None:
 def var(s: ScenarioSet, i: int, alpha: float) -> float:
     """Left-continuous generalized quantile inf{x : P(X_i <= x) >= alpha}."""
     _check_alpha(alpha)
-    values, cum = _cum_levels(s, i)
+    return _var_at(*_cum_levels([s.column(i)], [s.weights])[0], alpha)
+
+
+def _var_at(values: np.ndarray, cum: np.ndarray, alpha: float) -> float:
+    """:func:`var` of one column's :func:`_cum_levels` pair; alpha is not checked."""
     j = int(np.searchsorted(cum, alpha - _WEIGHT_TOL, side="left"))
     return float(values[min(j, len(values) - 1)])
 
@@ -277,7 +304,11 @@ def cvar(s: ScenarioSet, i: int, alpha: float) -> float:
     the maximum loss (the limit of the defining integral).
     """
     _check_alpha(alpha)
-    values, cum = _cum_levels(s, i)
+    return _cvar_at(*_cum_levels([s.column(i)], [s.weights])[0], alpha)
+
+
+def _cvar_at(values: np.ndarray, cum: np.ndarray, alpha: float) -> float:
+    """:func:`cvar` of one column's :func:`_cum_levels` pair; alpha is not checked."""
     left = np.concatenate(([0.0], cum[:-1]))
     seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(left, alpha), 0.0)
     return float(seg @ values / (1.0 - alpha))

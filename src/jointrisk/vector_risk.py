@@ -17,7 +17,7 @@ import numpy as np
 from .copula import CopulaLike, survival_copula
 from .distortion import ConfidenceBand, blend_diagnostics, build_distortions
 from .errors import DataError, DegenerateTailError, DimensionError, DomainError
-from .portfolio import ScenarioSet, marginal_cells, var
+from .portfolio import ScenarioSet, _column_cells, _cum_levels, _var_at
 from .scalar_risk import DistortionLike, JointRiskSpec
 
 WHOLE_SPACE = "whole_space"
@@ -63,12 +63,20 @@ def _require_nonnegative(s: ScenarioSet) -> None:
         raise DataError("vector measures require nonnegative losses")
 
 
-def _step_integral(s: ScenarioSet, i: int, transform) -> float:
-    """Exact integral over [0, max) of transform(S_i(t)) for a step survival S_i."""
-    _, sv, widths = marginal_cells(s, i)
+def _columns(s: ScenarioSet) -> list[np.ndarray]:
+    return [s.losses[:, i] for i in range(s.dim)]
+
+
+def _marginal_cells(s: ScenarioSet) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``marginal_cells`` of every marginal, from one pass over the columns."""
+    return _column_cells(_columns(s), [s.weights] * s.dim)
+
+
+def _step_integral(transform, survival: np.ndarray, widths: np.ndarray) -> float:
+    """Exact integral over [0, max) of transform(S(t)) for a step survival S given by its cells."""
     if len(widths) == 0:
         return 0.0
-    return float(np.asarray(transform(sv), dtype=float) @ widths)
+    return float(np.asarray(transform(survival), dtype=float) @ widths)
 
 
 def h_vector(s: ScenarioSet, spec: JointRiskSpec) -> VectorRiskResult:
@@ -81,7 +89,10 @@ def h_vector(s: ScenarioSet, spec: JointRiskSpec) -> VectorRiskResult:
     if s.dim != spec.dim:
         raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
     _require_nonnegative(s)
-    comps = tuple(_step_integral(s, i, spec.distortions[i]) for i in range(s.dim))
+    comps = tuple(
+        _step_integral(g, sv, widths)
+        for g, (_, sv, widths) in zip(spec.distortions, _marginal_cells(s))
+    )
     return VectorRiskResult(comps, "h_vector")
 
 
@@ -107,7 +118,7 @@ def mixture_var_cvar(
     if blend is None:
         blend = blend_diagnostics(c, band, grid_n)
     gs = build_distortions(kinds, blend["alpha_c"], s.dim, tail_only=True)
-    comps = tuple(_step_integral(s, i, gs[i]) for i in range(s.dim))
+    comps = tuple(_step_integral(g, sv, widths) for g, (_, sv, widths) in zip(gs, _marginal_cells(s)))
     return VectorRiskResult(comps, "mixture_var_cvar", {**blend, "kinds": [g.kind for g in gs]})
 
 
@@ -136,15 +147,15 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
             f"(survival copula value {p:.3g} is within rounding of 0)"
         )
 
-    def component(i: int) -> float:
+    def component(i: int, sv: np.ndarray, widths: np.ndarray) -> float:
         def transform(sv: np.ndarray) -> np.ndarray:
             axes = [np.array([alpha])] * s.dim
             axes[i] = np.minimum(sv, alpha)
             return chat.cdf_grid(axes).ravel() / p
 
-        return _step_integral(s, i, transform)
+        return _step_integral(transform, sv, widths)
 
-    comps = tuple(component(i) for i in range(s.dim))
+    comps = tuple(component(i, sv, widths) for i, (_, sv, widths) in enumerate(_marginal_cells(s)))
     return VectorRiskResult(comps, "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
 
 
@@ -160,6 +171,11 @@ def mtdrm(
     measure; joint exceedance restricts to scenarios strictly above every
     marginal's q-quantile (quantile ties fall outside the tail).  All
     integrals are exact step sums on the conditioned survival functions.
+
+    The tail-weighted survival of marginal i at each cell's left edge,
+    sum_k w_k 1[x_ki > left] over the tail scenarios k, is read off a reverse
+    cumulative sum of the tail weights in loss order: O(m log m) time and
+    O(m) memory.
     """
     _require_nonnegative(s)
     if c.dim != s.dim:
@@ -170,7 +186,9 @@ def mtdrm(
     if region.kind == WHOLE_SPACE:
         in_tail = np.ones(s.m, dtype=bool)
     else:
-        quantiles = np.array([var(s, i, region.q) for i in range(s.dim)])
+        quantiles = np.array(
+            [_var_at(v, cum, region.q) for v, cum in _cum_levels(_columns(s), [s.weights] * s.dim)]
+        )
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
     p_tail = float(s.weights[in_tail].sum())
     if p_tail <= 0.0:
@@ -178,18 +196,19 @@ def mtdrm(
             f"tail region is empty on the data (joint exceedance at q={region.q})"
         )
 
-    tail_w = np.where(in_tail, s.weights, 0.0)
+    tail_losses, tail_w = s.losses[in_tail], s.weights[in_tail]
 
-    def component(i: int) -> float:
-        left, _, widths = marginal_cells(s, i)
-        if len(widths) == 0:
-            return 0.0
-        col = s.losses[:, i]
-        joint = (col[None, :] > left[:, None]) @ tail_w
-        g = distortions[i]
-        return float(np.asarray(g(joint), dtype=float) @ widths) / p_tail
+    def joint(i: int, left: np.ndarray) -> np.ndarray:
+        col = tail_losses[:, i]
+        order = np.argsort(col, kind="stable")
+        # above[k]: tail weight of the k-th smallest tail loss and every one after it
+        above = np.append(np.cumsum(tail_w[order][::-1])[::-1], 0.0)
+        return above[np.searchsorted(col[order], left, side="right")]
 
-    comps = tuple(component(i) for i in range(s.dim))
+    comps = tuple(
+        _step_integral(g, joint(i, left), widths) / p_tail
+        for i, (g, (left, _, widths)) in enumerate(zip(distortions, _marginal_cells(s)))
+    )
     diag = {"region": region.kind, "tail_probability": p_tail}
     if region.q is not None:
         diag["q"] = region.q

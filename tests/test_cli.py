@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jointrisk import DataError, cli, cvar, var
+from jointrisk import DataError, cli, cvar, scenario_set, var
 from jointrisk.cli import (
     RunConfig,
     ingest_csv,
@@ -12,6 +15,7 @@ from jointrisk.cli import (
     run,
 )
 from jointrisk.distortion import ConfidenceBand
+from jointrisk.portfolio import marginal_steps
 
 
 def write(tmp_path, name, text):
@@ -62,6 +66,158 @@ class TestIngest:
         path = write(tmp_path, "empty.csv", "")
         with pytest.raises(DataError, match="empty"):
             ingest_csv(path)
+
+
+def _reference_read_rows(path):
+    """The CSV reader that parses and checks one cell at a time, in file order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    if not rows:
+        raise DataError(f"--input: {path} is empty")
+    header = [h.strip() for h in rows[0]]
+    has_weights = bool(header) and header[-1].lower() == "weight"
+    names = header[:-1] if has_weights else header
+    if not names:
+        raise DataError(f"--input: {path} has no asset columns")
+    if len(rows) < 2:
+        raise DataError(f"--input: {path} has a header but no data rows")
+    data, weights = [], []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"--input: {path}: row {r} has {len(row)} cells, expected {len(header)}")
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"--input: {path}: row {r}, column {c}: cannot parse {cell.strip()!r} as a number"
+                ) from None
+        if has_weights:
+            if parsed[-1] <= 0.0:
+                raise DataError(f"--input: {path}: row {r}: weight must be positive")
+            weights.append(parsed[-1])
+            parsed = parsed[:-1]
+        data.append(parsed)
+    return names, np.array(data), np.array(weights) if has_weights else None
+
+
+NUMBER_CELLS = ["1", "2.5", "1e3", "1_000", "-0.0", "0", "inf", "-inf", "nan", " 3 ", "\t4", '"5"',
+                '" 6.5 "', "\u0661\u0662", "+7", ".5"]
+BAD_CELLS = ["x", "", '"1,2"', "1__0", "--1", "0x10", "1e", '" "']
+# a NaN or infinite weight passes the reader; scenario_set rejects it
+WEIGHT_CELLS = ["1", "2.5", "1e-3", "nan", "inf"]
+BAD_WEIGHTS = ["0", "-0.0", "-1"]
+BLANK_LINES = ["", "  ", "\t", ",,", " , ", "\u00a0", '""']
+
+
+@st.composite
+def csv_text(draw):
+    """Scenario CSV text: mostly well-formed, with bad cells, short and long rows and blank lines."""
+    names = draw(st.sampled_from([["a"], ["a", "b"], [" a", "b ", "c"]]))
+    weight = draw(st.sampled_from([None, "weight", " Weight ", "WEIGHT"]))
+    header = names + ([weight] if weight else [])
+    number = st.one_of(st.sampled_from(NUMBER_CELLS), st.floats().map(repr))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        n = len(names) + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        cells = [draw(number) for _ in range(n)]
+        if weight:
+            bad = draw(st.integers(0, 11)) == 0
+            cells.append(draw(st.sampled_from(BAD_WEIGHTS if bad else WEIGHT_CELLS)))
+        if cells and draw(st.integers(0, 14)) == 0:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_text())
+@example("a,b\n1\n2,3,4\n")  # a short and a long row hold as many cells as two full ones
+def test_read_rows_matches_the_per_cell_reader(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        want = _reference_read_rows(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            cli._read_rows(path)
+        assert str(got.value) == str(exc)
+        return
+    names, data, weights = cli._read_rows(path)
+    assert names == want[0]
+    for got_array, want_array in ((data, want[1]), (weights, want[2])):
+        if want_array is None:
+            assert got_array is None
+            continue
+        assert got_array.dtype == want_array.dtype and got_array.shape == want_array.shape
+        assert np.array_equal(got_array, want_array, equal_nan=True)
+        assert np.array_equal(np.signbit(got_array), np.signbit(want_array))
+
+
+def test_read_rows_reports_the_first_bad_row_in_file_order(tmp_path):
+    # row 3 has a bad cell and row 2 a bad weight: row 2 is named, and within
+    # a row the cell count comes before the cells and the cells before the weight
+    path = write(tmp_path, "bad.csv", "a,weight\n1,0\nx,1\n")
+    with pytest.raises(DataError, match=r"row 2: weight must be positive"):
+        cli._read_rows(path)
+    path = write(tmp_path, "bad2.csv", "a,b,weight\n1,x,0\n1,2\n")
+    with pytest.raises(DataError, match=r"row 2, column 2: cannot parse 'x'"):
+        cli._read_rows(path)
+    path = write(tmp_path, "bad3.csv", "a,b\n\n \n1,x,3\n")
+    with pytest.raises(DataError, match=r"row 2 has 3 cells, expected 2"):
+        cli._read_rows(path)
+
+
+def _reference_var(s, i, alpha):
+    values, tail = marginal_steps(s, i)
+    cum = 1.0 - tail
+    cum[-1] = 1.0
+    j = int(np.searchsorted(cum, alpha - 1e-12, side="left"))
+    return float(values[min(j, len(values) - 1)])
+
+
+def _reference_cvar(s, i, alpha):
+    values, tail = marginal_steps(s, i)
+    cum = 1.0 - tail
+    cum[-1] = 1.0
+    left = np.concatenate(([0.0], cum[:-1]))
+    seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(left, alpha), 0.0)
+    return float(seg @ values / (1.0 - alpha))
+
+
+@st.composite
+def summary_case(draw):
+    """A portfolio with ties and a band whose levels sit at or next to atom boundaries."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    loss = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 4.0]), st.floats(0.0, 50.0))
+    losses = np.array(draw(st.lists(loss, min_size=m * d, max_size=m * d))).reshape(m, d)
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 7), min_size=m, max_size=m)))
+    s = scenario_set(losses, weights)
+    bounds = np.concatenate([1.0 - marginal_steps(s, i)[1] for i in range(d)])
+    near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0), bounds - 1e-12])
+    levels = sorted({float(v) for v in near if 0.0 < v < 1.0} | {0.5})
+    a1, a2 = sorted(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=2)))
+    return s, ConfidenceBand(a1, a2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary_case())
+def test_summary_equals_var_and_cvar_per_column(case):
+    s, band = case
+    summary = cli._scenario_summary(s, band)
+    for label, lvl in (("alpha1", band.alpha1), ("alpha2", band.alpha2)):
+        assert summary[f"var_{label}"] == [var(s, i, lvl) for i in range(s.dim)]
+        assert summary[f"var_{label}"] == [_reference_var(s, i, lvl) for i in range(s.dim)]
+        assert summary[f"cvar_{label}"] == [cvar(s, i, lvl) for i in range(s.dim)]
+        assert summary[f"cvar_{label}"] == [_reference_cvar(s, i, lvl) for i in range(s.dim)]
 
 
 class TestRun:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointrisk import (
     ConfidenceBand,
@@ -25,12 +29,15 @@ from jointrisk import (
     mtce,
     mtdrm,
     pi_comonotone_split,
+    power,
     random_portfolio,
     scenario_set,
     survival_copula,
     var,
     var_step,
 )
+from jointrisk.distortion import build_distortions
+from jointrisk.portfolio import marginal_cells
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -223,6 +230,109 @@ class TestMtdrm:
                     TailRegionSpec("joint_exceedance", 0.5))
         # VaR_.5 = 2, strict exceedance keeps {3, 4}
         assert res.components == pytest.approx((3.5, 3.5))
+
+
+def _reference_integral(s, i, transform):
+    """The step integral of one marginal, from a cell pass over that column alone."""
+    _, sv, widths = marginal_cells(s, i)
+    if len(widths) == 0:
+        return 0.0
+    return float(np.asarray(transform(sv), dtype=float) @ widths)
+
+
+def _reference_mtdrm(s, distortions, region):
+    """mtdrm with the conditioned survival as an (n, m) indicator matrix times the tail weights."""
+    if region.kind == "whole_space":
+        in_tail = np.ones(s.m, dtype=bool)
+    else:
+        quantiles = np.array([var(s, i, region.q) for i in range(s.dim)])
+        in_tail = np.all(s.losses > quantiles[None, :], axis=1)
+    p_tail = float(s.weights[in_tail].sum())
+    if p_tail <= 0.0:
+        return None
+    tail_w = np.where(in_tail, s.weights, 0.0)
+    comps = []
+    for i, g in enumerate(distortions):
+        left, _, widths = marginal_cells(s, i)
+        if len(widths) == 0:
+            comps.append(0.0)
+            continue
+        joint = (s.losses[None, :, i] > left[:, None]) @ tail_w
+        comps.append(float(np.asarray(g(joint), dtype=float) @ widths) / p_tail)
+    return comps
+
+
+# levels that no sum of at most 200 scenario weights k / W can land on
+DISTORTIONS = (identity(), var_step(0.6180339887), cvar_ramp(0.8137), power(2.0), power(0.5))
+
+
+@st.composite
+def vector_case(draw):
+    """A portfolio with ties and zero losses, d = 1-4 and m = 1-40, optionally with unequal weights."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    loss = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25]), st.floats(0.0, 100.0))
+    losses = np.array(draw(st.lists(loss, min_size=m * d, max_size=m * d))).reshape(m, d)
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+    return scenario_set(losses, weights)
+
+
+class TestOneCellPass:
+    @settings(max_examples=300, deadline=None)
+    @given(vector_case(), st.data())
+    def test_mtdrm_matches_the_indicator_matrix_form(self, s, data):
+        gs = tuple(data.draw(st.sampled_from(DISTORTIONS)) for _ in range(s.dim))
+        q = data.draw(st.one_of(st.none(), st.sampled_from([0.2, 0.5, 0.7181])))
+        region = TailRegionSpec() if q is None else TailRegionSpec("joint_exceedance", q)
+        want = _reference_mtdrm(s, gs, region)
+        if want is None:
+            with pytest.raises(DegenerateTailError):
+                mtdrm(s, independence(s.dim), gs, region)
+            return
+        got = mtdrm(s, independence(s.dim), gs, region).components
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_case(), st.data())
+    def test_vector_measures_equal_a_cell_pass_per_column(self, s, data):
+        # the cells of every marginal come from one pass; each component is
+        # the same float as a pass over its column alone
+        d = s.dim
+        gs = tuple(data.draw(st.sampled_from(DISTORTIONS)) for _ in range(d))
+        got = h_vector(s, JointRiskSpec(survival_copula(independence(d)), gs)).components
+        assert got == tuple(_reference_integral(s, i, gs[i]) for i in range(d))
+
+        kinds = data.draw(st.sampled_from(["var", "cvar"]))
+        res = mixture_var_cvar(s, clayton(2.0, d), BAND, kinds, grid_n=10)
+        tail_gs = build_distortions(kinds, res.diagnostics["alpha_c"], d, tail_only=True)
+        assert res.components == tuple(_reference_integral(s, i, tail_gs[i]) for i in range(d))
+
+        cop = data.draw(st.sampled_from([independence(d), comonotone(d)]))
+        res = mtce(s, cop, 0.4)
+        chat, p = survival_copula(cop), res.diagnostics["tail_copula_mass"]
+
+        def transform(i):
+            def capped(sv):
+                axes = [np.array([0.6])] * d
+                axes[i] = np.minimum(sv, 0.6)
+                return chat.cdf_grid(axes).ravel() / p
+
+            return capped
+
+        assert res.components == tuple(_reference_integral(s, i, transform(i)) for i in range(d))
+
+    def test_joint_exceedance_at_100k_scenarios_peaks_under_16_megabytes(self):
+        # an indicator matrix of cells by scenarios would hold 10^10 entries
+        m = 100_000
+        rng = np.random.default_rng(0)
+        s = scenario_set(np.column_stack([rng.permutation(m) + 1.0, 0.5 * rng.permutation(m) + 1.0]))
+        tracemalloc.start()
+        try:
+            res = mtdrm(s, independence(2), (power(2.0), power(2.0)), TailRegionSpec("joint_exceedance", 0.8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert 0.0 < res.diagnostics["tail_probability"] < 0.2
 
 
 class TestVectorTheorems:
