@@ -59,6 +59,7 @@ from .scalar_risk import (
     axiom_suite,
     dyadic_bounds,
     gamma_dyadic,
+    gamma_forms,
     gamma_ls_form,
     gamma_survival_form,
     gamma_survival_forms,

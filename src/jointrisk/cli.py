@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
 )
 from .portfolio import ScenarioSet, _cum_levels, _cvar_at, _var_at, scenario_set
-from .scalar_risk import JointRiskSpec, axiom_suite, gamma_ls_form, gamma_survival_form
+from .scalar_risk import JointRiskSpec, axiom_suite, gamma_forms
 from .signed import gamma_signed_2d
 from .vector_risk import TailRegionSpec, h_vector, mixture_var_cvar, mtce, mtdrm
 
@@ -93,6 +93,8 @@ def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"--input: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"--input: {path} is not UTF-8 text: {exc}") from exc
     rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise DataError(f"--input: {path} is empty")
@@ -305,8 +307,8 @@ def run(config: RunConfig) -> dict:
             raise DataError(
                 "scalar: data has negative losses; use the signed2d command (d = 2 only)"
             )
-        value = gamma_survival_form(s, spec)
-        value_ls = gamma_ls_form(s, spec)
+        # both forms from one coupling grid
+        value, value_ls = gamma_forms(s, spec)
         gap = abs(value - value_ls) / max(abs(value), abs(value_ls), 1e-12)
         results = {"gamma": value, "gamma_ls": value_ls, "formulation_gap": gap,
                    "distortions": [g.label() for g in gs]}

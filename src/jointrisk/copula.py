@@ -352,9 +352,10 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     dimension >= 2 (there is no dependence spread in dimension 1).
 
     Both maxima are read off the grid's diagonal in O(grid_n) when that is
-    exact: always for ``d_ul``, and for ``d_uc`` when ``c`` is a parametric
-    :class:`Copula`.  ``d_uc`` of an empirical or survival copula takes the
-    full (grid_n + 1)^d grid.
+    exact: always for ``d_ul``, and for ``d_uc`` when ``c`` is a
+    :class:`Copula`, parametric or empirical.  ``d_uc`` of a
+    :class:`SurvivalCopula` takes the full (grid_n + 1)^d grid, because its
+    inclusion-exclusion sum is not monotone in floats.
     """
     if c.dim < 2:
         raise DimensionError("Frechet distances require dimension >= 2")
@@ -368,11 +369,13 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     # the grid's order, so this is the full grid's maximum bit for bit.
     diagonal_sum = functools.reduce(np.add, [axis] * c.dim)
     d_ul = float(np.max(axis - np.maximum(diagonal_sum - (c.dim - 1), 0.0)))
-    if isinstance(c, Copula) and c.family != EMPIRICAL:
+    if isinstance(c, Copula):
         # M - C peaks on the diagonal too: C is nondecreasing in every
         # coordinate, cell by cell in floats, so the diagonal point at min(u)
         # keeps M and has a C no larger.  A parametric cdf equals its grid
-        # cells bit for bit, so this is the full grid's maximum.
+        # cells bit for bit, so this is the full grid's maximum; an empirical
+        # cdf counts the same scenarios as its grid cell, summed in another
+        # order, so it is that maximum up to rounding.
         gap = axis - c.cdf(np.repeat(axis[:, None], c.dim, axis=1))
     else:
         upper = _broadcast(np.minimum, [axis[None]] * c.dim)[0]

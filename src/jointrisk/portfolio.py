@@ -220,6 +220,17 @@ def _cells(
     of column k.
     """
     values, tail, _, first = _step_groups(columns, weights)
+    return _cells_of_steps(values, tail, first)
+
+
+def _cells_of_steps(
+    values: np.ndarray, tail: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_cells` of the columns whose :func:`_step_groups` are given.
+
+    Column k's cells are its steps with a positive value: its last
+    ``counts[k]`` steps, where ``counts`` is the fourth array returned.
+    """
     # each positive value is the right edge of one cell; the cell's left
     # edge is the value below it, or 0 when that is not positive or absent,
     # and its survival is the tail of the value below it, or 1

@@ -21,6 +21,7 @@ from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import (
     ScenarioSet,
+    _cells_of_steps,
     _step_groups,
     cell_table,
     pi_comonotone_split,
@@ -145,17 +146,32 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     The induced measure on the loss grid is recovered through the alternating
     2^d-term increment of the distorted joint survival function over each
     atom's enclosing cell.  Agrees with :func:`gamma_survival_form` up to
-    floating-point accumulation.
+    floating-point accumulation.  This is the second value of
+    :func:`gamma_forms`, which evaluates the coupling copula once.
+    """
+    return gamma_forms(s, spec)[1]
+
+
+def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
+    """``(gamma_survival_form(s, spec), gamma_ls_form(s, spec))`` from one copula grid.
 
     The coupling copula is evaluated once, on ``g([1, tail_0, ..., tail_{n-1}])``
-    per axis: the levels at each step are that vector's last n entries and
-    the levels just below it its first n, so every term of the increment is
-    a sub-grid of the one tensor.
+    per axis.  For the ls form, the levels at each step are that vector's
+    last n entries and the levels just below it its first n, so every term
+    of the increment is a sub-grid of the one tensor.  The survival form's
+    c cells are the last c of the n steps, each at the level below it, so
+    its levels are the entries n - c to n (the start is 1 exactly when the
+    column's smallest value is 0), contracted with the cell widths as
+    :func:`gamma_survival_forms` contracts them: both forms read the same
+    copula values, and the survival form equals :func:`gamma_survival_form`
+    bit for bit.  The survival form is 0 when some marginal has no positive
+    loss.
     """
     _check_inputs([s], spec)
     d = s.dim
-    # the steps of every marginal from one pass over the columns
-    values, tails, _, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
+    # the steps and cells of every marginal from one pass over the columns
+    values, tails, counts, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
+    _, _, widths, cells = _cells_of_steps(values, tails, first)
     bounds = [*first.tolist(), len(values)]
     levels, coords = [], []
     for i, g in enumerate(spec.distortions):
@@ -169,7 +185,12 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    return total
+    survival = 0.0
+    if cells.all():
+        sub = grid[tuple(slice(n - c, n) for n, c in zip(counts.tolist(), cells.tolist()))]
+        cell_widths = [w[None] for w in np.split(widths, cells.cumsum()[:-1])]
+        survival = float(_contract(sub[None], cell_widths)[0])
+    return survival, total
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:

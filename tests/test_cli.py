@@ -14,6 +14,7 @@ from jointrisk.cli import (
     render_report,
     run,
 )
+from jointrisk.copula import SurvivalCopula
 from jointrisk.distortion import ConfidenceBand
 from jointrisk.portfolio import marginal_steps
 
@@ -294,6 +295,18 @@ class TestRun:
             assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
             assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
 
+    def test_scalar_report_evaluates_the_coupling_grid_once(self, monkeypatch, plain_csv):
+        # the survival form reads its cells off the ls form's grid
+        calls = []
+        for name in ("cdf_grid", "cdf_grids"):
+            def counted(self, axes, _grid=getattr(SurvivalCopula, name), _name=name):
+                calls.append(_name)
+                return _grid(self, axes)
+
+            monkeypatch.setattr(SurvivalCopula, name, counted)
+        assert main(["scalar", "--input", plain_csv, "--copula", "clayton:2.0"]) == 0
+        assert calls == ["cdf_grid"]
+
     def test_empirical_report_skips_the_self_comparison_grid(self, monkeypatch, plain_csv):
         def refused(*args, **kwargs):
             raise AssertionError("gof_distance evaluated for the empirical copula")
@@ -339,6 +352,13 @@ class TestMainExitCodes:
         assert main(["scalar", "--input", "/nonexistent.csv"]) == 2
         err = capsys.readouterr().err
         assert "--copula" in err
+
+    def test_input_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,\xe9\n")
+        assert main(["vector", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(path) in err
 
     @pytest.mark.parametrize(
         "measure, kind", [("mixture", "identity"), ("axioms", "power:2"), ("mixture", "power:x"), ("axioms", "identity")]

@@ -251,12 +251,26 @@ class TestFrechet:
 
             monkeypatch.setattr(cls, "cdf_grid", counted)
         frechet_distances(cop, 10)
-        # a parametric copula is read off the diagonal with one pointwise batch
-        assert calls == ([] if isinstance(cop, Copula) and cop.family != "empirical" else [2])
+        # a Copula, parametric or empirical, is read off the diagonal with one
+        # pointwise batch; only a survival copula takes the full grid
+        assert calls == ([2] if isinstance(cop, SurvivalCopula) else [])
 
     def test_d_uc_of_a_parametric_copula_peaks_under_one_megabyte(self):
         # the full default grid of d = 6 would hold 21^6 cells (690 MB in floats)
         cop = clayton(2.0, 6)
+        tracemalloc.start()
+        try:
+            d_ul, d_uc = frechet_distances(cop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert 0.0 < d_uc < d_ul
+
+    def test_d_uc_of_an_empirical_copula_peaks_under_one_megabyte(self):
+        # 200 scenarios in d = 6; the full default grid would hold 21^6 cells
+        rng = np.random.default_rng(6)
+        cop = empirical_copula(scenario_set(rng.gamma(2.0, 1.5, size=(200, 6))))
         tracemalloc.start()
         try:
             d_ul, d_uc = frechet_distances(cop)
@@ -311,6 +325,33 @@ def test_d_uc_equals_the_full_grid_maximum(case):
     cop, grid_n = case
     expected = _full_grid_d_uc(cop, default_grid_n(cop.dim) if grid_n is None else grid_n)
     assert frechet_distances(cop, grid_n)[1] == expected
+
+
+@st.composite
+def empirical_frechet_case(draw):
+    """An empirical copula of dimension 2-5 with tied ranks and unequal weights, and a grid resolution."""
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few distinct losses per column give ties
+    losses = rng.integers(0, draw(st.integers(1, 6)), size=(m, d)).astype(float)
+    weights = rng.integers(1, 5, size=m).astype(float) if draw(st.booleans()) else None
+    cop = empirical_copula(scenario_set(losses, weights))
+    odd = st.integers(2, 40 if d <= 3 else 9).map(lambda k: 2 * k + 1)
+    grid_n = draw(st.one_of(st.sampled_from((2, 3)), odd, st.just(None) if d <= 4 else st.nothing()))
+    return cop, grid_n
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=empirical_frechet_case())
+@example(case=(_tied_empirical(5), None))
+@example(case=(_tied_empirical(2), None))
+def test_empirical_d_uc_is_the_full_grid_maximum_up_to_rounding(case):
+    # the diagonal cdf counts the scenarios of each diagonal cell; it sums
+    # their weights in another order than the grid's cumulative sums
+    cop, grid_n = case
+    expected = _full_grid_d_uc(cop, default_grid_n(cop.dim) if grid_n is None else grid_n)
+    assert frechet_distances(cop, grid_n)[1] == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 class TestEmpirical:

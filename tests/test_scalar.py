@@ -22,6 +22,7 @@ from jointrisk import (
     empirical_copula,
     frank,
     gamma_dyadic,
+    gamma_forms,
     gamma_ls_form,
     gamma_survival_form,
     gamma_survival_forms,
@@ -339,6 +340,42 @@ def test_ls_form_evaluates_the_coupling_once(monkeypatch, d, choice):
     spec = JointRiskSpec(survival_copula(cop), tuple(cvar_ramp(0.8) for _ in range(d)))
     gamma_ls_form(s, spec)
     assert calls == [d]
+
+
+@st.composite
+def forms_case(draw):
+    """An :func:`ls_case` whose columns may be made to start at 0.
+
+    Each column gets a zero loss in a drawn row with probability 1/2, so its
+    smallest distinct value is 0 and its cells start one step after its
+    steps; the all-zero columns of ``ls_case`` have no cell at all.
+    """
+    s, spec = draw(ls_case())
+    losses = s.losses.copy()
+    for i in range(s.dim):
+        if draw(st.booleans()):
+            losses[draw(st.integers(0, s.m - 1)), i] = 0.0
+    return s.with_losses(losses), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=forms_case())
+# zero-start columns: the survival form's levels start one entry into the
+# ls form's level vectors
+@example(case=(
+    scenario_set([[0.0, 1.0], [2.0, 0.0], [3.0, 3.0], [2.0, 1.0]], [1.0, 2.0, 1.0, 3.0]),
+    JointRiskSpec(survival_copula(clayton(2.0)), (cvar_ramp(0.6), identity())),
+))
+@example(case=(
+    scenario_set([[0.0, 1.0, 0.5], [2.0, 0.0, 0.5], [2.0, 3.0, 0.0]]),
+    JointRiskSpec(
+        survival_copula(empirical_copula(scenario_set([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [3.0, 3.0, 2.0]]))),
+        (var_step(0.7), power(2.0), identity()),
+    ),
+))
+def test_both_forms_from_one_grid_equal_the_separate_forms_bit_for_bit(case):
+    s, spec = case
+    assert gamma_forms(s, spec) == (gamma_survival_form(s, spec), _ls_form_per_mask(s, spec))
 
 
 class TestBatchedSurvivalForm:
