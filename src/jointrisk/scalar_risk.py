@@ -30,6 +30,10 @@ from .portfolio import (
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
+# padded grid cells that one chunk of gamma_survival_forms evaluates at once,
+# so that a call's memory does not grow with its number of portfolios
+_CELL_BUDGET = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class JointRiskSpec:
@@ -99,18 +103,21 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
 
 def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> list[float]:
-    """:func:`gamma_survival_form` of every portfolio, from one batched grid.
+    """:func:`gamma_survival_form` of every portfolio, in size-sorted chunks of batched grids.
 
-    One cell table covers every column of every portfolio, each distortion
-    is called once on its axis' rows (a 2-D array), and the coupling copula
-    is evaluated once on the padded batch of grids.  Each value is
-    contracted on its own cells only, so it equals the value computed alone
-    bit for bit.  Portfolios with no positive loss in some marginal get 0.
+    One cell table covers every column of every portfolio.  Portfolios with
+    no positive loss in some marginal get 0; the others are ordered by their
+    per-axis cell counts and evaluated in consecutive chunks whose padded
+    grids hold at most ``_CELL_BUDGET`` cells together (one grid, if that
+    alone is larger), so memory stays bounded however many portfolios come
+    in.  A chunk calls each distortion once on
+    its axis' rows (a 2-D array) and evaluates the coupling copula once on
+    its padded batch of grids.  Each value is contracted on its own cells
+    only, so it equals the value computed alone bit for bit.
     """
     if not portfolios:
         return []
     _check_inputs(portfolios, spec)
-    out = [0.0] * len(portfolios)
     # one cell table over every column: rows i * P to (i + 1) * P hold
     # column i of the P portfolios
     n_port = len(portfolios)
@@ -119,25 +126,29 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
         [s.weights for _ in range(spec.dim) for s in portfolios],
     )
     counts = counts.reshape(spec.dim, n_port)
-    # padding levels are 0; rows of portfolios without cells are evaluated
-    # with the others and left out of the contraction
-    levels = [
-        np.asarray(g(survival[i * n_port : (i + 1) * n_port, :n]), dtype=float)
-        for i, (g, n) in enumerate(zip(spec.distortions, counts.max(axis=1)))
-    ]
-    grids = spec.cstar.cdf_grids(levels)
-    # portfolios with the same cell counts are contracted as one batch
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for p, n in enumerate(map(tuple, counts.T.tolist())):
-        if all(n):
-            groups.setdefault(n, []).append(p)
-    for n, rows in groups.items():
-        rows = np.array(rows)
-        cells = grids[(rows, *(slice(0, k) for k in n))]
-        weights = [widths[i * n_port + rows, :k] for i, k in enumerate(n)]
-        for p, value in zip(rows.tolist(), _contract(cells, weights).tolist()):
-            out[p] = value
-    return out
+    out = np.zeros(n_port)
+    live = np.flatnonzero(counts.all(axis=0))
+    # sorted by cell counts, axis 0 first, so that portfolios of one shape
+    # are neighbours and a chunk pads little past its own cells
+    order = live[np.lexsort(counts[::-1, live])]
+    step = max(1, _CELL_BUDGET // int(np.prod(counts[:, live].max(axis=1, initial=1))))
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        sizes = counts[:, rows]
+        levels = [
+            np.asarray(g(survival[i * n_port + rows, :n]), dtype=float)
+            for i, (g, n) in enumerate(zip(spec.distortions, sizes.max(axis=1)))
+        ]
+        grids = spec.cstar.cdf_grids(levels)
+        # the rows are sorted, so each cell shape is one run, contracted as one batch
+        starts = np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1
+        bounds = [0, *starts.tolist(), len(rows)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            n = sizes[:, a].tolist()
+            cells = grids[(slice(a, b), *(slice(0, k) for k in n))]
+            weights = [widths[i * n_port + rows[a:b], :k] for i, k in enumerate(n)]
+            out[rows[a:b]] = _contract(cells, weights)
+    return out.tolist()
 
 
 def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -338,10 +349,8 @@ def _rel_gap(a: float, b: float) -> float:
 
 def _mixed_portfolios(y: ScenarioSet, z: ScenarioSet):
     """All 2^d recombinations picking each column from y or z (y-pick count first)."""
-    d = y.dim
-    for mask in itertools.product((False, True), repeat=d):
-        cols = [y.losses[:, i] if mask[i] else z.losses[:, i] for i in range(d)]
-        yield sum(mask), y.with_losses(np.column_stack(cols))
+    for mask in itertools.product((False, True), repeat=y.dim):
+        yield sum(mask), y.with_losses(np.where(mask, y.losses, z.losses))
 
 
 def _rank_preserving_increase(rng: np.random.Generator, s: ScenarioSet) -> ScenarioSet:
@@ -422,11 +431,11 @@ def axiom_suite(
 
     scale_pool = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
 
-    for t in range(trials):
-        ci = t % len(copulas)
-        spec = specs[ci]
-        # every portfolio of the trial is drawn first, in the suite's fixed
-        # rng order, then all are evaluated in one batch
+    # every portfolio of every trial is drawn first, in the suite's fixed rng
+    # order (no draw depends on a measure), then each spec evaluates its
+    # trials' portfolios in one call and the trials are scored in order
+    drawn, batches = [], []
+    for _ in range(trials):
         s = random_portfolio(rng, dim)
         c_vec = rng.choice(scale_pool, size=dim)
         bigger = _rank_preserving_increase(rng, s)
@@ -448,7 +457,17 @@ def axiom_suite(
         clamped = [s.with_losses(np.minimum(s.losses, frac * col_max[None, :])) for frac in (0.25, 0.5, 0.75, 1.0)]
         batch = [s, s.with_losses(s.losses * c_vec[None, :]), bigger, squeezed]
         batch += [p for _, p in increments] + splits + clamped + [relabeled]
-        gammas = iter(gamma_survival_forms(batch, spec))
+        drawn.append((s, c_vec, clamps, increments, splits, clamped))
+        batches.append(batch)
+
+    # one value stream per spec, consumed trial by trial in trial order
+    streams = {
+        ci: iter(gamma_survival_forms([p for t in range(ci, trials, len(copulas)) for p in batches[t]], spec))
+        for ci, spec in specs.items()
+    }
+    for t, (s, c_vec, clamps, increments, splits, clamped) in enumerate(drawn):
+        ci = t % len(copulas)
+        gammas = streams[ci]
         base = next(gammas)
         info = {"trial": t, "copula_index": ci, "m": s.m}
 

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,14 +251,30 @@ def _grid_contract(grid, widths):
     [scenario_set([[3.5, 1.5, 1.5], [0.5, 0.5, 1.5]]), scenario_set([[1.5, 1.5, 1.5], [2.5, 2.5, 3.5]])],
     JointRiskSpec(survival_copula(clayton(0.5, 3)), (power(0.5), identity(), identity())),
 ))
+# cell counts (3, 3), none on axis 1, (1, 1), (2, 2), (1, 1): the size sort
+# reorders them, so values must be put back in input order
+@example(case=(
+    [
+        scenario_set([[1.0, 2.5], [2.5, 1.0], [4.25, 3.0]]),
+        scenario_set([[1.5, 0.0], [3.0, 0.0]]),
+        scenario_set([[2.0, 1.0]]),
+        scenario_set([[1.0, 0.5], [2.0, 1.5]], [1.0, 3.0]),
+        scenario_set([[0.5, 3.0]]),
+    ],
+    JointRiskSpec(survival_copula(clayton(3.0)), (power(0.5), cvar_ramp(0.6))),
+))
 def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
     portfolios, spec = case
-    batched = gamma_survival_forms(portfolios, spec)
-    assert batched == [gamma_survival_form(s, spec) for s in portfolios]
-    assert batched == [_survival_form_per_axis(s, spec) for s in portfolios]
-    for s, value in zip(portfolios, batched):
+    singles = [_survival_form_per_axis(s, spec) for s in portfolios]
+    for s, value in zip(portfolios, singles):
         if not np.all(s.losses.max(axis=0) > 0.0):
             assert value == 0.0
+    # the default budget, one portfolio per chunk, and a few per chunk
+    for budget in (scalar_risk._CELL_BUDGET, 1, 40):
+        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+            batched = gamma_survival_forms(portfolios, spec)
+            assert batched == [gamma_survival_form(s, spec) for s in portfolios]
+        assert batched == singles
 
 
 def _ls_form_per_mask(s, spec):
@@ -508,6 +526,18 @@ class TestHomogeneityAndConvergence:
         assert prev == pytest.approx(full, rel=1e-12)
 
 
+def _broken(u):
+    """A distortion that is not monotone: it drops from 0.5 to 0.1 at u = 0.5."""
+    u = np.asarray(u, dtype=float)
+    out = np.where(u < 0.5, u, 0.1)
+    out = np.where(u == 1.0, 1.0, out)
+    return out
+
+
+def _broken_factory(cop):
+    return JointRiskSpec(survival_copula(cop), (_broken, _broken))
+
+
 class TestAxiomSuite:
     def test_example_family_passes(self):
         factory = varcvar_spec_factory(BAND, "cvar", grid_n=60)
@@ -516,20 +546,57 @@ class TestAxiomSuite:
         assert report.seed == 2024
 
     def test_broken_distortion_fails_monotonicity(self):
-        def broken(u):
-            u = np.asarray(u, dtype=float)
-            out = np.where(u < 0.5, u, 0.1)
-            out = np.where(u == 1.0, 1.0, out)
-            return out
-
-        def factory(cop):
-            return JointRiskSpec(survival_copula(cop), (broken, broken))
-
-        report = axiom_suite(factory, [independence(2)], trials=40, seed=1)
+        report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1)
         a2 = report.check("A2")
         assert not a2.passed
         assert a2.witness is not None
         assert a2.worst_violation > 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_report_does_not_depend_on_the_cell_budget(self, d):
+        factory = varcvar_spec_factory(BAND, "cvar", grid_n=40)
+        copulas = [clayton(2.0, d), gumbel(1.5, d)]
+        report = axiom_suite(factory, copulas, trials=12, seed=3).as_dict()
+        with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+            assert axiom_suite(factory, copulas, trials=12, seed=3).as_dict() == report
+
+    def test_broken_distortion_witness_does_not_depend_on_the_cell_budget(self):
+        report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict()
+        assert report["checks"][1]["witness"] is not None
+        with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+            assert axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict() == report
+
+    def test_one_copula_grid_call_per_spec(self):
+        calls = []
+
+        def spy(cls):
+            original = cls.cdf_grids
+
+            def counting(self, axes):
+                calls.append(len(axes[0]))
+                return original(self, axes)
+
+            return mock.patch.object(cls, "cdf_grids", counting)
+
+        factory = varcvar_spec_factory(BAND, "var", grid_n=40)
+        with spy(Copula), spy(SurvivalCopula):
+            axiom_suite(factory, [clayton(2.0)], trials=10, seed=4)
+        # the portfolios of all ten trials (17 each at d = 2, less those
+        # without cells) in one grid batch
+        assert len(calls) == 1 and 150 < calls[0] <= 170
+
+    def test_large_batch_memory_is_bounded_by_the_cell_budget(self):
+        rng = np.random.default_rng(11)
+        portfolios = [random_portfolio(rng, 3) for _ in range(2000)]
+        spec = JointRiskSpec(survival_copula(gumbel(1.5, 3)), (cvar_ramp(0.9),) * 3)
+        tracemalloc.start()
+        try:
+            gamma_survival_forms(portfolios, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one unchunked batch of these 2000 grids (8^3 padded cells each) peaks at ~37 MB
+        assert peak < 6 * 2**20
 
     def test_univariate_reduction_matches_direct_choquet_sum(self):
         # d = 1 with the identity copula: measure equals the distorted tail integral
