@@ -45,7 +45,7 @@ from .errors import (
     MatchError,
     ParameterError,
 )
-from .portfolio import ScenarioSet, _cum_levels, _cvar_at, _var_at, scenario_set
+from .portfolio import ScenarioSet, _cvar_at, _var_at, scenario_set
 from .scalar_risk import JointRiskSpec, axiom_suite, gamma_forms
 from .signed import gamma_signed_2d
 from .vector_risk import TailRegionSpec, h_vector, mixture_var_cvar, mtce, mtdrm
@@ -234,11 +234,11 @@ def _scenario_summary(s: ScenarioSet, band: ConfidenceBand | None) -> dict:
         "means": means,
     }
     if band is not None:
-        # every marginal's steps from one pass; the band levels lie in (0, 1)
-        levels = _cum_levels([s.losses[:, i] for i in range(s.dim)], [s.weights] * s.dim)
+        # the band levels lie in (0, 1)
+        columns = s.steps.columns()
         for label, lvl in (("alpha1", band.alpha1), ("alpha2", band.alpha2)):
-            summary[f"var_{label}"] = [_var_at(values, cum, lvl) for values, cum in levels]
-            summary[f"cvar_{label}"] = [_cvar_at(values, cum, lvl) for values, cum in levels]
+            summary[f"var_{label}"] = [_var_at(values, tail, lvl) for values, tail in columns]
+            summary[f"cvar_{label}"] = [_cvar_at(values, tail, lvl) for values, tail in columns]
     return summary
 
 

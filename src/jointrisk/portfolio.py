@@ -40,9 +40,10 @@ class ScenarioSet:
         # reduction builds no boolean temporary (a NaN still reads False)
         return bool(self.losses.min(initial=0.0) >= 0.0)
 
-    def column(self, i: int) -> np.ndarray:
-        _check_index(self, i)
-        return self.losses[:, i]
+    @functools.cached_property
+    def steps(self) -> "Steps":
+        """The :class:`Steps` of every column, from one sort held for the set's lifetime."""
+        return steps([self.losses[:, i] for i in range(self.dim)], [self.weights] * self.dim)
 
     def with_losses(self, losses: np.ndarray) -> "ScenarioSet":
         """Same names/weights, new loss matrix of identical shape."""
@@ -113,29 +114,69 @@ def _check_index(s: ScenarioSet, i: int) -> None:
         raise DimensionError(f"marginal index {i} out of range for dimension {s.dim}")
 
 
-def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and tail probabilities of marginal ``i``.
+@dataclass(frozen=True, eq=False)
+class Steps:
+    """The step survival functions of K weighted columns, concatenated column by column.
 
-    Returns ``(values, tail)`` where ``values`` are the sorted distinct losses
-    and ``tail[j] = P(X_i > values[j])``.  The survival function is 1 below
-    ``values[0]``, equals ``tail[j]`` on ``[values[j], values[j+1])`` and 0 at
-    and above the maximum (right-continuous step function).
+    ``values`` holds the sorted distinct values of every column, column 0
+    first, ``tail[j]`` the probability that its column exceeds ``values[j]``
+    (exactly 0 at each column's maximum), and ``counts[k]`` the number of
+    distinct values of column k.  The arrays are read-only, so the views
+    may share them.  Every consumer of survival values reads them off
+    ``tail``, through a view, so that one mathematical quantity always maps
+    to one float: re-deriving S(t) through a different summation order can
+    land on the other side of a jump of a discontinuous (empirical) copula
+    evaluated at it.
     """
-    _check_index(s, i)
-    values, tail, _, _ = _step_groups([s.losses[:, i]], [s.weights])
-    return values, tail
+
+    values: np.ndarray
+    tail: np.ndarray
+    counts: np.ndarray
+
+    def columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(values, tail)`` of each column: its :func:`marginal_steps`."""
+        return _split((self.values, self.tail), self.counts)
+
+    def cells(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`."""
+        *flat, counts = self._flat_cells()
+        return _split(flat, counts)
+
+    def cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of every column as zero-padded (K, n) tables.
+
+        Returns ``(survival, widths, counts)``: row k holds column k's cell
+        survival values and widths in its first ``counts[k]`` entries, and 0
+        in every entry after them.
+        """
+        _, survival, widths, counts = self._flat_cells()
+        survival_table, in_row = _padded(counts)
+        widths_table = np.zeros_like(survival_table)
+        survival_table[in_row] = survival
+        widths_table[in_row] = widths
+        return survival_table, widths_table, counts
+
+    def _flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(left, survival, widths, counts)``: every column's cells, concatenated, ``counts[k]`` of column k."""
+        # each positive value is the right edge of one cell; the cell's left
+        # edge is the value below it, or 0 when that is not positive or absent,
+        # and its survival is the tail of the value below it, or 1
+        first = self.counts.cumsum() - self.counts
+        below = np.concatenate(([0.0], self.values[:-1]))
+        below[first] = 0.0
+        tail_below = np.concatenate(([1.0], self.tail[:-1]))
+        tail_below[first] = 1.0
+        cell = self.values > 0.0
+        left = np.where(below > 0.0, below, 0.0)[cell]
+        return left, tail_below[cell], self.values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
 
 
-def _step_groups(
-    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`marginal_steps` of K weighted columns, concatenated column by column.
+def steps(columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]) -> Steps:
+    """The :class:`Steps` of K >= 1 weighted columns from one sort.
 
-    Returns ``(values, tail, counts, first)``: the distinct values of every
-    column and their tails, column 0 first, the number of distinct values
-    of each column and the index of its first one.  Each column's group
-    weights and prefix sums add the same floats in the same order as a sort
-    of that column alone.
+    The columns may differ in length (each at least 1); ``weights[k]``
+    matches column k.  Each column's group weights and prefix sums add the
+    same floats in the same order as a sort of that column alone.
     """
     x = np.concatenate(columns)
     rows = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
@@ -150,14 +191,16 @@ def _step_groups(
     new[1:] |= rows[1:] != rows[:-1]
     starts = new.nonzero()[0]
     counts = np.bincount(rows[starts], minlength=len(columns))
-    ends = counts.cumsum()
     # one column per row, zeros after its last group: a row's prefix sums
     # are the cumulative sums of that column's group weights
     placed, in_row = _padded(counts)
     placed[in_row] = np.add.reduceat(np.concatenate(weights)[order], starts)
     tail = np.maximum(1.0 - placed.cumsum(axis=1)[in_row], 0.0)
-    tail[ends - 1] = 0.0
-    return sx[starts], tail, counts, ends - counts
+    tail[counts.cumsum() - 1] = 0.0
+    table = Steps(sx[starts], tail, counts)
+    for a in (table.values, table.tail, table.counts):
+        a.setflags(write=False)
+    return table
 
 
 def _padded(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,17 +213,23 @@ def _padded(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((len(counts), n)), np.arange(n) < counts[:, None]
 
 
-def survival_from_steps(values: np.ndarray, tail: np.ndarray, t) -> np.ndarray:
-    """Evaluate the step survival function given its :func:`marginal_steps` form.
+def _split(arrays: Sequence[np.ndarray], counts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Arrays concatenated column by column, split into one tuple of views per column."""
+    cuts = counts.cumsum()[:-1]
+    return list(zip(*(np.split(a, cuts) for a in arrays)))
 
-    Every consumer of survival values reads them off ``tail``, through this
-    lookup or the cells of :func:`marginal_cells`, so that one mathematical
-    quantity always maps to one float: re-deriving S(t) through a different
-    summation order can land on the other side of a jump of a discontinuous
-    (empirical) copula evaluated at it.
+
+def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and tail probabilities of marginal ``i``.
+
+    Returns ``(values, tail)`` where ``values`` are the sorted distinct losses
+    and ``tail[j] = P(X_i > values[j])``.  The survival function is 1 below
+    ``values[0]``, equals ``tail[j]`` on ``[values[j], values[j+1])`` and 0 at
+    and above the maximum (right-continuous step function).  Both arrays are
+    read-only views of ``s.steps``.
     """
-    idx = np.searchsorted(values, np.asarray(t, dtype=float), side="right") - 1
-    return np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
+    _check_index(s, i)
+    return s.steps.columns()[i]
 
 
 def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,80 +240,15 @@ def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.n
     0 and the distinct positive losses; all three are empty when the marginal
     has no positive loss.
     """
-    return _column_cells([s.column(i)], [s.weights])[0]
-
-
-def _column_cells(
-    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`marginal_cells` of K weighted columns from one pass, one tuple per column.
-
-    Each column's cells are the same floats as a call on that column alone.
-    """
-    *entries, counts = _cells(columns, weights)
-    return _per_column(entries, counts)
-
-
-def _per_column(arrays: Sequence[np.ndarray], counts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Arrays concatenated column by column, split into one tuple of views per column."""
-    cuts = counts.cumsum()[:-1]
-    return list(zip(*(np.split(a, cuts) for a in arrays)))
-
-
-def _cells(
-    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`marginal_cells` of K weighted columns, concatenated column by column.
-
-    Returns ``(left, survival, widths, counts)`` with ``counts[k]`` cells
-    of column k.
-    """
-    values, tail, _, first = _step_groups(columns, weights)
-    return _cells_of_steps(values, tail, first)
-
-
-def _cells_of_steps(
-    values: np.ndarray, tail: np.ndarray, first: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_cells` of the columns whose :func:`_step_groups` are given.
-
-    Column k's cells are its steps with a positive value: its last
-    ``counts[k]`` steps, where ``counts`` is the fourth array returned.
-    """
-    # each positive value is the right edge of one cell; the cell's left
-    # edge is the value below it, or 0 when that is not positive or absent,
-    # and its survival is the tail of the value below it, or 1
-    below = np.concatenate(([0.0], values[:-1]))
-    below[first] = 0.0
-    tail_below = np.concatenate(([1.0], tail[:-1]))
-    tail_below[first] = 1.0
-    cell = values > 0.0
-    left = np.where(below > 0.0, below, 0.0)[cell]
-    return left, tail_below[cell], values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
-
-
-def cell_table(
-    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`marginal_cells` of K weighted columns as one padded (K, n) table.
-
-    Returns ``(left, survival, widths, counts)``: row k holds column k's
-    cells in its first ``counts[k]`` entries, and 0 in every entry after
-    them.  The K >= 1 columns may differ in length (each at least 1);
-    ``weights[k]`` matches column k.
-    """
-    *entries, counts = _cells(columns, weights)
-    left, in_row = _padded(counts)
-    survival, widths = np.zeros_like(left), np.zeros_like(left)
-    for table, e in zip((left, survival, widths), entries):
-        table[in_row] = e
-    return left, survival, widths, counts
+    _check_index(s, i)
+    return s.steps.cells()[i]
 
 
 def marginal_survival(s: ScenarioSet, i: int, t) -> float | np.ndarray:
     """P(X_i > t), exact weighted tail probability; vectorized over ``t``."""
     values, tail = marginal_steps(s, i)
-    out = survival_from_steps(values, tail, t)
+    idx = np.searchsorted(values, np.asarray(t, dtype=float), side="right") - 1
+    out = np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -277,20 +261,6 @@ def joint_survival(s: ScenarioSet, t) -> float:
     return float(s.weights[hit].sum())
 
 
-def _cum_levels(
-    columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Distinct values and cumulative probabilities P(X <= v) of each column.
-
-    One step pass covers the K columns; each column's pair is the same floats
-    as a pass over that column alone.  A column's last tail is exactly 0, so
-    its last probability is exactly 1.  :func:`_var_at` and :func:`_cvar_at`
-    read :func:`var` and :func:`cvar` off a pair.
-    """
-    values, tail, counts, _ = _step_groups(columns, weights)
-    return _per_column((values, 1.0 - tail), counts)
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level must lie in (0, 1), got {alpha}")
@@ -299,12 +269,13 @@ def _check_alpha(alpha: float) -> None:
 def var(s: ScenarioSet, i: int, alpha: float) -> float:
     """Left-continuous generalized quantile inf{x : P(X_i <= x) >= alpha}."""
     _check_alpha(alpha)
-    return _var_at(*_cum_levels([s.column(i)], [s.weights])[0], alpha)
+    return _var_at(*marginal_steps(s, i), alpha)
 
 
-def _var_at(values: np.ndarray, cum: np.ndarray, alpha: float) -> float:
-    """:func:`var` of one column's :func:`_cum_levels` pair; alpha is not checked."""
-    j = int(np.searchsorted(cum, alpha - _WEIGHT_TOL, side="left"))
+def _var_at(values: np.ndarray, tail: np.ndarray, alpha: float) -> float:
+    """:func:`var` of one column's :func:`marginal_steps`; alpha is not checked."""
+    # a column's last tail is exactly 0, so its last P(X <= v) is exactly 1
+    j = int(np.searchsorted(1.0 - tail, alpha - _WEIGHT_TOL, side="left"))
     return float(values[min(j, len(values) - 1)])
 
 
@@ -315,11 +286,12 @@ def cvar(s: ScenarioSet, i: int, alpha: float) -> float:
     the maximum loss (the limit of the defining integral).
     """
     _check_alpha(alpha)
-    return _cvar_at(*_cum_levels([s.column(i)], [s.weights])[0], alpha)
+    return _cvar_at(*marginal_steps(s, i), alpha)
 
 
-def _cvar_at(values: np.ndarray, cum: np.ndarray, alpha: float) -> float:
-    """:func:`cvar` of one column's :func:`_cum_levels` pair; alpha is not checked."""
+def _cvar_at(values: np.ndarray, tail: np.ndarray, alpha: float) -> float:
+    """:func:`cvar` of one column's :func:`marginal_steps`; alpha is not checked."""
+    cum = 1.0 - tail
     left = np.concatenate(([0.0], cum[:-1]))
     seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(left, alpha), 0.0)
     return float(seg @ values / (1.0 - alpha))

@@ -19,14 +19,7 @@ import numpy as np
 from .copula import CopulaLike, _broadcast, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
-from .portfolio import (
-    ScenarioSet,
-    _cells_of_steps,
-    _step_groups,
-    cell_table,
-    pi_comonotone_split,
-    scenario_set,
-)
+from .portfolio import ScenarioSet, pi_comonotone_split, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
@@ -105,13 +98,13 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> list[float]:
     """:func:`gamma_survival_form` of every portfolio, in size-sorted chunks of batched grids.
 
-    One cell table covers every column of every portfolio.  Portfolios with
-    no positive loss in some marginal get 0; the others are ordered by their
-    per-axis cell counts and evaluated in consecutive chunks whose padded
-    grids hold at most ``_CELL_BUDGET`` cells together (one grid, if that
-    alone is larger), so memory stays bounded however many portfolios come
-    in.  A chunk calls each distortion once on
-    its axis' rows (a 2-D array) and evaluates the coupling copula once on
+    One ``steps(...).cell_table()`` covers every column of every portfolio.
+    Portfolios with no positive loss in some marginal get 0; the others are
+    ordered by their per-axis cell counts and evaluated in consecutive
+    chunks whose padded grids hold at most ``_CELL_BUDGET`` cells together
+    (one grid, if that alone is larger), so memory stays bounded however
+    many portfolios come in.  A chunk calls each distortion once on its
+    axis' rows (a 2-D array) and evaluates the coupling copula once on
     its padded batch of grids.  Each value is contracted on its own cells
     only, so it equals the value computed alone bit for bit.
     """
@@ -121,10 +114,10 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
     # one cell table over every column: rows i * P to (i + 1) * P hold
     # column i of the P portfolios
     n_port = len(portfolios)
-    _, survival, widths, counts = cell_table(
+    survival, widths, counts = steps(
         [s.losses[:, i] for i in range(spec.dim) for s in portfolios],
         [s.weights for _ in range(spec.dim) for s in portfolios],
-    )
+    ).cell_table()
     counts = counts.reshape(spec.dim, n_port)
     out = np.zeros(n_port)
     live = np.flatnonzero(counts.all(axis=0))
@@ -179,28 +172,22 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     loss.
     """
     _check_inputs([s], spec)
-    d = s.dim
-    # the steps and cells of every marginal from one pass over the columns
-    values, tails, counts, first = _step_groups([s.losses[:, i] for i in range(d)], [s.weights] * d)
-    _, _, widths, cells = _cells_of_steps(values, tails, first)
-    bounds = [*first.tolist(), len(values)]
-    levels, coords = [], []
-    for i, g in enumerate(spec.distortions):
-        tail = tails[bounds[i] : bounds[i + 1]]
+    levels, coords, cut, cell_widths = [], [], [], []
+    for g, (values, tail), (_, _, widths) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
         levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
-        coords.append(values[None, bounds[i] : bounds[i + 1]])
+        coords.append(values[None])
+        cut.append(slice(len(values) - len(widths), len(values)))
+        cell_widths.append(widths[None])
     grid = spec.cstar.cdf_grid(levels)
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
-    for mask in itertools.product((False, True), repeat=d):
+    for mask in itertools.product((False, True), repeat=s.dim):
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
     survival = 0.0
-    if cells.all():
-        sub = grid[tuple(slice(n - c, n) for n, c in zip(counts.tolist(), cells.tolist()))]
-        cell_widths = [w[None] for w in np.split(widths, cells.cumsum()[:-1])]
-        survival = float(_contract(sub[None], cell_widths)[0])
+    if all(w.size for w in cell_widths):
+        survival = float(_contract(grid[tuple(cut)][None], cell_widths)[0])
     return survival, total
 
 
@@ -365,10 +352,11 @@ def _rank_preserving_increase(rng: np.random.Generator, s: ScenarioSet) -> Scena
     for i in range(s.dim):
         values = np.unique(s.losses[:, i])
         bumps = rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
-        newv = values + bumps
-        for j in range(1, len(newv)):
-            if newv[j] <= newv[j - 1]:
-                newv[j] = newv[j - 1] + 0.0625
+        # a bumped value at or below its predecessor moves to 1/16 above it:
+        # on sixteenths that is newv[j] = max(values[j] + bumps[j],
+        # newv[j - 1] + 1/16), one running maximum with exact terms
+        step = np.arange(len(values)) * 0.0625
+        newv = step + np.maximum.accumulate(values + bumps - step)
         idx = np.searchsorted(values, s.losses[:, i])
         cols.append(newv[idx])
     return s.with_losses(np.column_stack(cols))

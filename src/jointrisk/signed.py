@@ -15,18 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .portfolio import ScenarioSet, marginal_cells, marginal_steps
+from .portfolio import ScenarioSet
 from .scalar_risk import JointRiskSpec, _contract
 
 
-def _negative_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
+def _negative_cells(values: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left-edge survival values and widths of the cells covering [min, 0).
 
-    Empty for a nonnegative marginal.  Cells below the smallest loss carry
-    survival one and make every correction integrand vanish identically, so
-    they are omitted rather than evaluated.
+    Takes one marginal's ``marginal_steps``; empty for a nonnegative
+    marginal.  Cells below the smallest loss carry survival one and make
+    every correction integrand vanish identically, so they are omitted
+    rather than evaluated.
     """
-    values, tail = marginal_steps(s, i)
     k = int(np.count_nonzero(values < 0.0))
     if k == 0:
         return np.empty(0), np.empty(0)
@@ -48,8 +48,8 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
         )
     if spec.dim != 2:
         raise DimensionError(f"spec dimension {spec.dim} != 2")
-    _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
-    sv_neg, w_neg = zip(*(_negative_cells(s, i) for i in range(2)))
+    _, sv_pos, w_pos = zip(*s.steps.cells())
+    sv_neg, w_neg = zip(*(_negative_cells(values, tail) for values, tail in s.steps.columns()))
     # one grid over each axis' negative-side levels followed by its
     # positive-side ones: the four quadrants are its blocks
     levels = [

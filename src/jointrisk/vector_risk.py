@@ -17,7 +17,7 @@ import numpy as np
 from .copula import CopulaLike, survival_copula
 from .distortion import ConfidenceBand, blend_diagnostics, build_distortions
 from .errors import DataError, DegenerateTailError, DimensionError, DomainError
-from .portfolio import ScenarioSet, _column_cells, _cum_levels, _var_at
+from .portfolio import ScenarioSet, _var_at
 from .scalar_risk import DistortionLike, JointRiskSpec
 
 WHOLE_SPACE = "whole_space"
@@ -63,15 +63,6 @@ def _require_nonnegative(s: ScenarioSet) -> None:
         raise DataError("vector measures require nonnegative losses")
 
 
-def _columns(s: ScenarioSet) -> list[np.ndarray]:
-    return [s.losses[:, i] for i in range(s.dim)]
-
-
-def _marginal_cells(s: ScenarioSet) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``marginal_cells`` of every marginal, from one pass over the columns."""
-    return _column_cells(_columns(s), [s.weights] * s.dim)
-
-
 def _step_integral(transform, survival: np.ndarray, widths: np.ndarray) -> float:
     """Exact integral over [0, max) of transform(S(t)) for a step survival S given by its cells."""
     if len(widths) == 0:
@@ -91,7 +82,7 @@ def h_vector(s: ScenarioSet, spec: JointRiskSpec) -> VectorRiskResult:
     _require_nonnegative(s)
     comps = tuple(
         _step_integral(g, sv, widths)
-        for g, (_, sv, widths) in zip(spec.distortions, _marginal_cells(s))
+        for g, (_, sv, widths) in zip(spec.distortions, s.steps.cells())
     )
     return VectorRiskResult(comps, "h_vector")
 
@@ -118,7 +109,7 @@ def mixture_var_cvar(
     if blend is None:
         blend = blend_diagnostics(c, band, grid_n)
     gs = build_distortions(kinds, blend["alpha_c"], s.dim, tail_only=True)
-    comps = tuple(_step_integral(g, sv, widths) for g, (_, sv, widths) in zip(gs, _marginal_cells(s)))
+    comps = tuple(_step_integral(g, sv, widths) for g, (_, sv, widths) in zip(gs, s.steps.cells()))
     return VectorRiskResult(comps, "mixture_var_cvar", {**blend, "kinds": [g.kind for g in gs]})
 
 
@@ -155,7 +146,7 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
 
         return _step_integral(transform, sv, widths)
 
-    comps = tuple(component(i, sv, widths) for i, (_, sv, widths) in enumerate(_marginal_cells(s)))
+    comps = tuple(component(i, sv, widths) for i, (_, sv, widths) in enumerate(s.steps.cells()))
     return VectorRiskResult(comps, "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
 
 
@@ -186,9 +177,7 @@ def mtdrm(
     if region.kind == WHOLE_SPACE:
         in_tail = np.ones(s.m, dtype=bool)
     else:
-        quantiles = np.array(
-            [_var_at(v, cum, region.q) for v, cum in _cum_levels(_columns(s), [s.weights] * s.dim)]
-        )
+        quantiles = np.array([_var_at(values, tail, region.q) for values, tail in s.steps.columns()])
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
     p_tail = float(s.weights[in_tail].sum())
     if p_tail <= 0.0:
@@ -207,7 +196,7 @@ def mtdrm(
 
     comps = tuple(
         _step_integral(g, joint(i, left), widths) / p_tail
-        for i, (g, (left, _, widths)) in enumerate(zip(distortions, _marginal_cells(s)))
+        for i, (g, (left, _, widths)) in enumerate(zip(distortions, s.steps.cells()))
     )
     diag = {"region": region.kind, "tail_probability": p_tail}
     if region.q is not None:

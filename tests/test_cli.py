@@ -307,6 +307,35 @@ class TestRun:
         assert main(["scalar", "--input", plain_csv, "--copula", "clayton:2.0"]) == 0
         assert calls == ["cdf_grid"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scalar", "--band", "0.9,0.99"],
+            ["vector", "--band", "0.9,0.99", "--distortion", "cvar"],
+            ["mtdrm", "--band", "0.9,0.99", "--q", "0.5"],
+            ["signed2d"],
+        ],
+    )
+    def test_report_sorts_the_columns_once(self, monkeypatch, tmp_path, argv):
+        # the summary and the measure read the portfolio's one step table (a
+        # batched survival-form pass would count too); signed losses run the
+        # signed form's correction quadrants
+        from jointrisk import portfolio, scalar_risk
+
+        rows = "-1,2\n2,-1.5\n3,4\n0,3\n" if argv[0] == "signed2d" else "1,2\n2,1\n3,4\n4,3\n"
+        path = write(tmp_path, "in.csv", "a,b\n" + rows)
+        calls = []
+
+        def counted(*args, _steps=portfolio.steps):
+            calls.append(len(args[0]))
+            return _steps(*args)
+
+        monkeypatch.setattr(portfolio, "steps", counted)
+        monkeypatch.setattr(scalar_risk, "steps", counted)
+        args = cli.build_parser().parse_args([*argv, "--input", path, "--copula", "clayton:2.0"])
+        run(cli.config_from_args(args))
+        assert calls == [2]
+
     def test_empirical_report_skips_the_self_comparison_grid(self, monkeypatch, plain_csv):
         def refused(*args, **kwargs):
             raise AssertionError("gof_distance evaluated for the empirical copula")

@@ -14,7 +14,7 @@ from jointrisk import (
     scenario_set,
     var,
 )
-from jointrisk.portfolio import cell_table, marginal_cells, marginal_steps
+from jointrisk.portfolio import marginal_cells, marginal_steps, steps
 
 
 def two_point():
@@ -106,25 +106,42 @@ class TestMarginalSurvival:
         ]
         weights = [rng.integers(1, 5, size=len(c)).astype(float) for c in columns]
         weights = [w / w.sum() for w in weights]
-        left, survival, widths, counts = cell_table(columns, weights)
-        assert left.shape == survival.shape == widths.shape == (len(columns), max(counts))
+        table = steps(columns, weights)
+        survival, widths, counts = table.cell_table()
+        assert survival.shape == widths.shape == (len(columns), max(counts))
+        assert len(table.columns()) == len(table.cells()) == len(columns)
         for k, (col, w) in enumerate(zip(columns, weights)):
             order = np.argsort(col, kind="stable")
             values, start = np.unique(col[order], return_index=True)
             group_w = np.add.reduceat(w[order], start)
             tail = np.maximum(1.0 - (np.concatenate(([0.0], np.cumsum(group_w)[:-1])) + group_w), 0.0)
             tail[-1] = 0.0
+            for got, expected in zip(table.columns()[k], (values, tail)):
+                assert np.array_equal(got, expected)
             edges = np.concatenate(([0.0], values[values > 0.0]))
             idx = np.searchsorted(values, edges[:-1], side="right") - 1
             ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
+            for got, expected in zip(table.cells()[k], ref):
+                assert np.array_equal(got, expected)
             n = counts[k]
             assert n == len(edges) - 1
-            for table, expected in zip((left, survival, widths), ref):
-                assert np.array_equal(table[k, :n], expected)
-                assert not np.any(table[k, n:])
+            for padded, expected in zip((survival, widths), ref[1:]):
+                assert np.array_equal(padded[k, :n], expected)
+                assert not np.any(padded[k, n:])
             s = scenario_set(col[:, None], w)
             for got, expected in zip(marginal_cells(s, 0), ref):
                 assert np.array_equal(got, expected)
+
+    def test_cached_steps_are_read_only(self):
+        s = scenario_set([[1.0, 2.0], [3.0, 2.0], [1.0, 5.0]], weights=[1.0, 2.0, 3.0])
+        values, tail = marginal_steps(s, 0)
+        with pytest.raises(ValueError):
+            marginal_steps(s, 0)[1][0] = 0.5
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+        again = marginal_steps(s, 0)
+        assert np.array_equal(again[0], values) and np.array_equal(again[1], tail)
+        assert np.array_equal(again[0], [1.0, 3.0]) and again[1][-1] == 0.0
 
     def test_index_error(self):
         with pytest.raises(DimensionError):

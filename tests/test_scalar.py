@@ -429,11 +429,11 @@ class TestBatchedSurvivalForm:
     def test_dimension_mismatch_is_raised_before_any_cell_table(self, monkeypatch):
         built = []
 
-        def counted(*args, _cell_table=scalar_risk.cell_table):
+        def counted(*args, _steps=scalar_risk.steps):
             built.append(len(args[0]))
-            return _cell_table(*args)
+            return _steps(*args)
 
-        monkeypatch.setattr(scalar_risk, "cell_table", counted)
+        monkeypatch.setattr(scalar_risk, "steps", counted)
         spec = identity_spec(independence(2))
         # a negative set ahead of the mismatched one: dimensions are checked first
         batch = [scenario_set([[1.0, -2.0]]), indep_two_by_two(), scenario_set([[1.0, 2.0, 3.0]])]
@@ -565,6 +565,32 @@ class TestAxiomSuite:
         assert report["checks"][1]["witness"] is not None
         with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
             assert axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict() == report
+
+    def test_rank_preserving_increase_equals_the_gap_loop(self):
+        # reference: one Python pass per distinct value, drawing the same bumps
+        def looped(rng, s):
+            cols = []
+            for i in range(s.dim):
+                values = np.unique(s.losses[:, i])
+                bumps = rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
+                newv = values + bumps
+                for j in range(1, len(newv)):
+                    if newv[j] <= newv[j - 1]:
+                        newv[j] = newv[j - 1] + 0.0625
+                cols.append(newv[np.searchsorted(values, s.losses[:, i])])
+            return np.column_stack(cols)
+
+        draw = np.random.default_rng(41)
+        for case in range(300):
+            d = int(draw.integers(1, 5))
+            if case % 2:
+                s = random_portfolio(draw, d, max_m=30)
+            else:
+                # ties and zeros on the sixteenths grid
+                s = scenario_set(draw.integers(0, 24, size=(int(draw.integers(1, 30)), d)) / 16)
+            seed = int(draw.integers(2**31))
+            got = scalar_risk._rank_preserving_increase(np.random.default_rng(seed), s).losses
+            assert np.array_equal(got, looped(np.random.default_rng(seed), s))
 
     def test_one_copula_grid_call_per_spec(self):
         calls = []

@@ -24,7 +24,7 @@ from jointrisk import (
     var_step,
 )
 from jointrisk.copula import EMPIRICAL, Copula, SurvivalCopula
-from jointrisk.portfolio import marginal_cells
+from jointrisk.portfolio import marginal_cells, marginal_steps
 from jointrisk.signed import _negative_cells
 
 IDENTITY_SPECS = [
@@ -134,7 +134,7 @@ class TestValidation:
 def _signed_per_quadrant(s, spec):
     """The signed form with one cdf_grid call per non-empty quadrant."""
     _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
-    sv_neg, w_neg = zip(*(_negative_cells(s, i) for i in range(2)))
+    sv_neg, w_neg = zip(*(_negative_cells(*marginal_steps(s, i)) for i in range(2)))
     gp = [np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, sv_pos)]
     gn = [np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, sv_neg)]
     c = spec.cstar
