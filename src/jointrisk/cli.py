@@ -213,17 +213,6 @@ def _resolve_copula(config: RunConfig, s: ScenarioSet) -> tuple[CopulaLike, dict
     return cop, info
 
 
-def _parse_distortion_kind(raw: str) -> str:
-    kind = raw.strip().lower()
-    if kind in ("var", "cvar", "identity") or (
-        kind.startswith("power:") and len(kind.split(":")) == 2
-    ):
-        return kind
-    raise ParameterError(
-        f"--distortion: expected var|cvar|identity|power:<k>, got {raw!r}"
-    )
-
-
 def _scenario_summary(s: ScenarioSet, band: ConfidenceBand | None) -> dict:
     means = (s.weights @ s.losses).tolist()
     summary = {
@@ -267,19 +256,26 @@ def _copula_diagnostics(
     return diag, blend
 
 
-def _check_match(config: RunConfig, diag: dict) -> None:
+def _poor_fit(config: RunConfig, diag: dict) -> float | None:
+    """The report's gof distance when it exceeds the --match threshold, else None."""
     dist = diag.get("gof_distance")
-    if dist is None:
-        return
-    if config.match_policy == "assert" and dist > config.match_threshold:
-        raise MatchError(
-            f"declared copula rejected: gof distance {dist:.6g} exceeds "
-            f"threshold {config.match_threshold:.6g}"
-        )
+    return dist if dist is not None and dist > config.match_threshold else None
 
 
 def run(config: RunConfig) -> dict:
-    """Execute one configured computation and assemble the JSON-ready report."""
+    """Execute one configured computation and assemble the JSON-ready report.
+
+    The options that need no data are checked before the input is read.
+    """
+    measure, kinds = config.measure, config.distortion_kinds
+    if measure not in MEASURES:
+        raise ParameterError(f"unknown measure {measure!r}")
+    option = {"mixture": "band", "axioms": "band", "mtce": "q"}.get(measure)
+    if option is not None and getattr(config, option) is None:
+        raise ParameterError(f"{measure}: --{option} is required")
+    if kinds and measure in ("mtce", "copula-fit", "copula-distance"):
+        raise ParameterError(f"{measure}: takes no --distortion")
+
     names, data, raw_weights = _read_rows(config.input_path)
     s = scenario_set(data, raw_weights, names)
     notes = []
@@ -292,17 +288,20 @@ def run(config: RunConfig) -> dict:
             "pairwise Kendall taus (exchangeable approximation for d > 2)"
         )
     diag, blend = _copula_diagnostics(config, s, cop, info)
-    _check_match(config, diag)
+    dist = _poor_fit(config, diag)
+    if config.match_policy == "assert" and dist is not None:
+        raise MatchError(
+            f"declared copula rejected: gof distance {dist:.6g} exceeds "
+            f"threshold {config.match_threshold:.6g}"
+        )
 
     # every measure takes the report's one blend; none makes its own
     level = None if blend is None else blend["alpha_c"]
-    kinds = config.distortion_kinds
-    measure = config.measure
-    results: dict
-
-    if measure == "scalar":
+    gs = None
+    if measure in ("scalar", "vector", "mtdrm", "signed2d"):
         gs = build_distortions(kinds or "identity", level, s.dim)
         spec = JointRiskSpec(survival_copula(cop), gs)
+    if measure == "scalar":
         if not s.nonnegative:
             raise DataError(
                 "scalar: data has negative losses; use the signed2d command (d = 2 only)"
@@ -310,53 +309,28 @@ def run(config: RunConfig) -> dict:
         # both forms from one coupling grid
         value, value_ls = gamma_forms(s, spec)
         gap = abs(value - value_ls) / max(abs(value), abs(value_ls), 1e-12)
-        results = {"gamma": value, "gamma_ls": value_ls, "formulation_gap": gap,
-                   "distortions": [g.label() for g in gs]}
+        results = {"gamma": value, "gamma_ls": value_ls, "formulation_gap": gap}
     elif measure == "vector":
-        gs = build_distortions(kinds or "identity", level, s.dim)
-        res = h_vector(s, JointRiskSpec(survival_copula(cop), gs))
-        results = res.as_dict()
-        results["distortions"] = [g.label() for g in gs]
+        results = h_vector(s, spec).as_dict()
     elif measure == "mixture":
-        if blend is None:
-            raise ParameterError("mixture: --band is required")
-        res = mixture_var_cvar(s, cop, config.band, kinds or "var", config.grid_n, blend)
-        results = res.as_dict()
+        results = mixture_var_cvar(s, cop, config.band, kinds or "var", config.grid_n, blend).as_dict()
     elif measure == "mtce":
-        if config.q is None:
-            raise ParameterError("mtce: --q is required")
         results = mtce(s, cop, config.q).as_dict()
     elif measure == "mtdrm":
-        gs = build_distortions(kinds or "identity", level, s.dim)
-        region = (
-            TailRegionSpec("joint_exceedance", config.q)
-            if config.q is not None
-            else TailRegionSpec()
-        )
-        res = mtdrm(s, cop, gs, region)
-        results = res.as_dict()
-        results["distortions"] = [g.label() for g in gs]
+        region = TailRegionSpec() if config.q is None else TailRegionSpec("joint_exceedance", config.q)
+        results = mtdrm(s, cop, gs, region).as_dict()
     elif measure == "signed2d":
-        gs = build_distortions(kinds or "identity", level, s.dim)
-        results = {"gamma_signed": gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), gs)),
-                   "distortions": [g.label() for g in gs]}
+        results = {"gamma_signed": gamma_signed_2d(s, spec)}
     elif measure == "axioms":
-        if blend is None:
-            raise ParameterError("axioms: --band is required")
-        gs = build_distortions(kinds or "var", level, s.dim, tail_only=True)
-        report = axiom_suite(lambda c: JointRiskSpec(survival_copula(c), gs), [cop], seed=config.seed)
+        tail = build_distortions(kinds or "var", level, s.dim, tail_only=True)
+        report = axiom_suite(lambda c: JointRiskSpec(survival_copula(c), tail), [cop], seed=config.seed)
         results = report.as_dict()
     elif measure == "copula-fit":
-        results = {"family": info.get("family"), "params": info.get("params"),
-                   "gof_distance": diag.get("gof_distance")}
-    elif measure == "copula-distance":
-        results = {
-            "gof_distance": diag.get("gof_distance"),
-            "d_ul": diag.get("d_ul"),
-            "d_uc": diag.get("d_uc"),
-        }
-    else:
-        raise ParameterError(f"unknown measure {measure!r}")
+        results = {k: diag.get(k) for k in ("family", "params", "gof_distance")}
+    else:  # copula-distance
+        results = {k: diag.get(k) for k in ("gof_distance", "d_ul", "d_uc")}
+    if gs is not None:
+        results["distortions"] = [g.label() for g in gs]
 
     summary = _scenario_summary(s, config.band)
     summary["notes"] = notes
@@ -420,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     policy, threshold = _parse_match(args.match)
-    kinds = tuple(_parse_distortion_kind(k) for k in (args.distortion or []))
+    kinds = tuple(k.strip().lower() for k in args.distortion or [])
     if args.q is not None and not 0.0 < args.q < 1.0:
         raise ParameterError(f"--q: must lie in (0, 1), got {args.q}")
     if args.grid_n is not None and args.grid_n < 2:
@@ -455,8 +429,8 @@ def main(argv=None) -> int:
     except JointRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dist = report["copula"].get("gof_distance")
-    if config.match_policy == "warn" and dist is not None and dist > config.match_threshold:
+    dist = _poor_fit(config, report["copula"])
+    if config.match_policy == "warn" and dist is not None:
         print(
             f"warning: declared copula fits the data poorly: gof distance {dist:.6g} "
             f"exceeds {config.match_threshold:.6g}",

@@ -46,12 +46,14 @@ class ScenarioSet:
         return steps([self.losses[:, i] for i in range(self.dim)], [self.weights] * self.dim)
 
     def with_losses(self, losses: np.ndarray) -> "ScenarioSet":
-        """Same names/weights, new loss matrix of identical shape."""
-        losses = np.asarray(losses, dtype=float)
+        """Same names/weights, a read-only copy of a new loss matrix of identical shape."""
+        losses = np.array(losses, dtype=float, order="C")
         if losses.shape != self.losses.shape:
             raise DimensionError(
                 f"replacement losses have shape {losses.shape}, expected {self.losses.shape}"
             )
+        # a copy the caller cannot write into keeps the cached steps valid
+        losses.setflags(write=False)
         return ScenarioSet(self.names, losses, self.weights)
 
 

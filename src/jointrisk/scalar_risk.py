@@ -308,22 +308,20 @@ class AxiomReport:
         }
 
 
-def random_portfolio(
-    rng: np.random.Generator,
-    dim: int,
-    max_m: int = 8,
-    denom: int = 16,
-    max_num: int = 63,
-) -> ScenarioSet:
+_DENOM = 16
+_MAX_NUM = 63
+
+
+def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> ScenarioSet:
     """Random nonnegative portfolio with tie-free exact-rational losses.
 
-    Each marginal draws distinct numerators without replacement over a common
-    power-of-two denominator, so halving and quartering stay exact and ties
+    Each marginal draws distinct numerators without replacement over the common
+    power-of-two denominator ``_DENOM``, so halving and quartering stay exact and ties
     only appear when a transform deliberately introduces them.
     """
     m = int(rng.integers(2, max_m + 1))
     cols = [
-        rng.choice(np.arange(1, max_num + 1), size=m, replace=False) / denom
+        rng.choice(np.arange(1, _MAX_NUM + 1), size=m, replace=False) / _DENOM
         for _ in range(dim)
     ]
     return scenario_set(np.column_stack(cols))
@@ -388,13 +386,12 @@ def axiom_suite(
     copulas: Sequence[CopulaLike],
     trials: int = 100,
     seed: int = 0,
-    rel_tol: float = REL_TOL,
 ) -> AxiomReport:
     """Run all six executable axiom checks against randomly generated portfolios.
 
     ``spec_factory`` maps a declared dependence copula to the concrete measure
     under test; ``copulas`` are cycled over the trials.  All comparisons are
-    relative at ``rel_tol`` (absolute floor 1e-12).  Deterministic given
+    relative at ``REL_TOL`` (absolute floor 1e-12).  Deterministic given
     ``seed``; the seed is recorded in the report.
     """
     if trials < 1:
@@ -504,9 +501,9 @@ def axiom_suite(
         AxiomCheck(
             axiom=a,
             description=AXIOM_DESCRIPTIONS[a],
-            passed=worst[a][0] <= rel_tol,
+            passed=worst[a][0] <= REL_TOL,
             worst_violation=worst[a][0],
-            witness=worst[a][1] if worst[a][0] > rel_tol else None,
+            witness=worst[a][1] if worst[a][0] > REL_TOL else None,
         )
         for a in ("A1", "A2", "A3", "A4", "A5", "A6")
     )

@@ -19,6 +19,10 @@ from jointrisk.distortion import ConfidenceBand
 from jointrisk.portfolio import marginal_steps
 
 
+# the commands that build no distortion
+NO_DISTORTION = ("mtce", "copula-fit", "copula-distance")
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -284,16 +288,29 @@ class TestRun:
 
         monkeypatch.setattr(cli, "frechet_distances", counted)
         monkeypatch.setattr(distortion, "frechet_distances", counted)
-        config = dict(copula_choice="clayton:2.0", grid_n=30, q=0.5, distortion_kinds=("cvar",))
+        config = dict(copula_choice="clayton:2.0", grid_n=30, q=0.5)
         plain = run(RunConfig("copula-distance", plain_csv, **config))["copula"]
         assert calls == [30]
         # the mixture components and the axiom specs take the report's blend too
         for measure in cli.MEASURES:
             calls.clear()
-            banded = run(RunConfig(measure, plain_csv, band=ConfidenceBand(0.9, 0.99), **config))["copula"]
+            kinds = () if measure in NO_DISTORTION else ("cvar",)
+            band = ConfidenceBand(0.9, 0.99)
+            banded = run(RunConfig(measure, plain_csv, band=band, distortion_kinds=kinds, **config))["copula"]
             assert calls == [30], measure
             assert list(banded) == list(plain) + ["theta_c", "alpha_c"]
             assert (banded["d_ul"], banded["d_uc"]) == (plain["d_ul"], plain["d_uc"])
+
+    def test_distortion_measures_label_their_distortions(self, plain_csv):
+        band = ConfidenceBand(0.5, 0.9)
+        for measure in cli.MEASURES:
+            kinds = () if measure in NO_DISTORTION else ("cvar",)
+            config = RunConfig(measure, plain_csv, copula_choice="independence", band=band, q=0.5,
+                               distortion_kinds=kinds)
+            report = run(config)
+            labelled = measure in ("scalar", "vector", "mtdrm", "signed2d")
+            want = [f"cvar({report['copula']['alpha_c']:g})"] * 2 if labelled else None
+            assert report["results"][measure].get("distortions") == want, measure
 
     def test_scalar_report_evaluates_the_coupling_grid_once(self, monkeypatch, plain_csv):
         # the survival form reads its cells off the ls form's grid
@@ -403,6 +420,27 @@ class TestMainExitCodes:
         assert "3 distortion kinds for 2 components" in capsys.readouterr().err
         assert main(["vector", "--input", plain_csv, "--distortion", "cvar"]) == 2
         assert "band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure, option", [("mixture", "band"), ("axioms", "band"), ("mtce", "q")])
+    def test_required_option_is_checked_before_the_input_is_read(self, monkeypatch, capsys, measure, option):
+        calls = []
+        monkeypatch.setattr(cli, "_read_rows", lambda path: calls.append(path))
+        assert main([measure, "--input", "/nonexistent.csv"]) == 2
+        assert f"{measure}: --{option} is required" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("measure", NO_DISTORTION)
+    def test_commands_without_distortions_reject_one(self, monkeypatch, plain_csv, capsys, measure):
+        calls = []
+        monkeypatch.setattr(cli, "_read_rows", lambda path: calls.append(path))
+        assert main([measure, "--input", plain_csv, "--q", "0.5", "--distortion", "var"]) == 2
+        assert f"{measure}: takes no --distortion" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("measure", ["scalar", "vector", "mtdrm", "signed2d"])
+    def test_unknown_distortion_kind_is_a_validation_error(self, plain_csv, capsys, measure):
+        assert main([measure, "--input", plain_csv, "--distortion", "bogus"]) == 2
+        assert "unknown distortion kind 'bogus'" in capsys.readouterr().err
 
     def test_negative_losses_with_mtce_is_validation_error(self, tmp_path, capsys):
         path = write(tmp_path, "neg.csv", "a,b\n-1,2\n3,4\n")

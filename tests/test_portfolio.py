@@ -50,6 +50,20 @@ class TestConstruction:
         assert s.with_losses(s.losses).nonnegative
         assert s.nonnegative
 
+    def test_replacement_losses_are_a_read_only_copy(self):
+        # a later write into the caller's array must not reach the set or its caches
+        s = scenario_set([[0.0, 0.0], [0.0, 0.0]])
+        a = np.array([[1.0, 3.0], [2.0, 4.0]])
+        t = s.with_losses(a)
+        values, tail = marginal_steps(t, 0)
+        assert values.tolist() == [1.0, 2.0] and t.nonnegative
+        a[0, 0] = -5.0
+        assert t.losses.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        assert not t.losses.flags.writeable
+        assert marginal_steps(t, 0)[0].tolist() == [1.0, 2.0]
+        assert marginal_steps(t, 0)[1].tolist() == tail.tolist()
+        assert t.nonnegative
+
 
 class TestMarginalSurvival:
     def test_between_atoms(self):
