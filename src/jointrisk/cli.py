@@ -318,7 +318,7 @@ def run(config: RunConfig) -> dict:
         results = mtce(s, cop, config.q).as_dict()
     elif measure == "mtdrm":
         region = TailRegionSpec() if config.q is None else TailRegionSpec("joint_exceedance", config.q)
-        results = mtdrm(s, cop, gs, region).as_dict()
+        results = mtdrm(s, gs, region).as_dict()
     elif measure == "signed2d":
         results = {"gamma_signed": gamma_signed_2d(s, spec)}
     elif measure == "axioms":

@@ -7,18 +7,18 @@ level vectors (``cdf_grids`` for a batch of such grids).  Values are
 grounded (zero whenever a coordinate is zero) and have uniform margins up to
 floating-point rounding.
 
-Each parametric family has one formula, written over grids: a pointwise
-``cdf`` evaluates n points as a batch of n one-cell grids.  Empirical
-copulas keep a pointwise rank count, because their grid is a histogram
-built row by row, and survival copulas keep a pointwise inclusion-exclusion
-that calls the base ``cdf``.
+Each copula class has one evaluator, ``_grid``, written over batches of
+grids: a parametric family's formula, an empirical copula's rank histogram,
+a survival copula's inclusion-exclusion over one base evaluation.  A
+pointwise ``cdf`` evaluates n points as a batch of n one-cell grids.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,9 +87,13 @@ def _broadcast(op, vectors: list[np.ndarray]) -> np.ndarray:
     which numpy reduces a row of ``d < 8`` coordinates, so each cell matches
     the pointwise value bit for bit.
     """
-    d = len(vectors)
-    shaped = [v.reshape(v.shape[:1] + (1,) * j + v.shape[1:] + (1,) * (d - j - 1)) for j, v in enumerate(vectors)]
+    shaped = [_on_axis(v, j, len(vectors)) for j, v in enumerate(vectors)]
     return functools.reduce(op, shaped[1:], shaped[0])
+
+
+def _on_axis(v: np.ndarray, j: int, d: int) -> np.ndarray:
+    """Axis j's (P, n_j) array, reshaped to broadcast over a (P, n_0, ..., n_{d-1}) grid."""
+    return v.reshape(v.shape[:1] + (1,) * j + v.shape[1:] + (1,) * (d - j - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +111,8 @@ class Copula:
     theta: float | None = None
     ranks: np.ndarray | None = None
     rank_weights: np.ndarray | None = None
+    # empirical: per column, the ranks ascending and each scenario's position there
+    _rank_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -122,17 +128,18 @@ class Copula:
                 raise ParameterError("Frank requires theta != 0")
             if self.dim >= 3 and self.theta < 0:
                 raise ParameterError("Frank with theta < 0 is a copula only for dimension 2")
-        if self.family == EMPIRICAL and (self.ranks is None or self.rank_weights is None):
-            raise DataError("empirical copula requires rank data")
+        if self.family == EMPIRICAL:
+            if self.ranks is None or self.rank_weights is None:
+                raise DataError("empirical copula requires rank data")
+            if self._rank_index is None:  # not handed over by empirical_copula: sort here
+                order = np.argsort(self.ranks, axis=0, kind="stable")
+                index = (np.take_along_axis(self.ranks, order, 0).T, np.argsort(order, 0).T)
+                object.__setattr__(self, "_rank_index", index)
 
     def cdf(self, u):
-        """Evaluate the copula at ``u`` ((d,) or (n, d)); returns float or (n,)."""
+        """Evaluate the copula at ``u`` ((d,) or (n, d)), as n one-cell grids; returns float or (n,)."""
         pts, single = _as_points(u, self.dim)
-        if self.family == EMPIRICAL:
-            out = _empirical_cdf(self.ranks, self.rank_weights, pts)
-        else:
-            # a batch of one-cell grids, (n, 1, ..., 1)
-            out = self._grid([pts[:, [j]] for j in range(self.dim)]).reshape(len(pts))
+        out = self._grid([pts[:, [j]] for j in range(self.dim)]).reshape(len(pts))
         return float(out[0]) if single else out
 
     def cdf_grid(self, axes):
@@ -154,7 +161,7 @@ class Copula:
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
         if self.family == EMPIRICAL:
-            return _empirical_grid(self.ranks, self.rank_weights, axes)
+            return _empirical_grid(self, axes)
         out = _family_grid_raw(self, axes)
         if self.family == FRANK:
             # C(1, ..., 1) = 1 exactly: Frank's ratio of expm1 powers can miss
@@ -192,47 +199,52 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     raise ParameterError(f"unknown copula family {fam!r}")
 
 
-def _empirical_grid(ranks: np.ndarray, w: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-    """:func:`_empirical_hist` of every batch row of ``axes`` (P, n_j)."""
-    batch = axes[0].shape[0]
-    if batch == 1:
-        return _empirical_hist(ranks, w, [a[0] for a in axes])[None]
-    out = np.empty((batch,) + tuple(a.shape[1] for a in axes))
-    for p in range(batch):
-        out[p] = _empirical_hist(ranks, w, [a[p] for a in axes])
-    return out
+# (row, scenario) pairs per chunk of an empirical histogram, about 24 bytes of
+# index arrays each: a chunk, one row at least, takes a few MB
+_PAIR_BUDGET = 1 << 17
 
 
-def _empirical_hist(ranks: np.ndarray, w: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-    """Weighted rank histogram over the sorted levels, summed up along every axis.
+def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
+    """Weighted rank histogram over each batch row's sorted levels, summed up along every axis.
 
-    A scenario counts at level ``u`` of axis j when ``ranks[:, j] <= u``, so
-    its bin is the first sorted level at or above its rank (side="left");
-    bin ``n_j`` means it never counts.  Cost is O(m d + prod n_j).
+    A scenario counts at level ``u`` of axis j when its rank is <= u, so its
+    bin is the first sorted level at or above its rank; bin ``n_j`` means it
+    never counts.  A level lies below the t-th smallest rank exactly when at
+    most t ranks are <= it, so one ``searchsorted`` of the sorted levels into
+    the sorted ranks bins every scenario by its position in the rank order.
+    Each flat adds its scenarios' weights in scenario order, as one row's
+    ``bincount`` would.  Rows go in chunks of at most ``_PAIR_BUDGET``
+    (row, scenario) pairs; cost is O(P m d + P prod(n_j + 1)).
     """
-    shape = tuple(len(a) for a in axes)
-    if 0 in shape:
-        return np.zeros(shape)
-    order = [np.argsort(a, kind="stable") for a in axes]
-    bins = [np.searchsorted(a[o], ranks[:, j], side="left") for j, (a, o) in enumerate(zip(axes, order))]
-    keep = np.all(np.column_stack(bins) < np.array(shape), axis=1)
-    flat = np.ravel_multi_index([b[keep] for b in bins], shape)
-    hist = np.bincount(flat, weights=w[keep], minlength=int(np.prod(shape))).reshape(shape)
-    for j in range(len(shape)):
-        np.cumsum(hist, axis=j, out=hist)
-    # back from sorted levels to the callers' level order
-    inverse = [np.argsort(o) for o in order]
-    return hist[np.ix_(*inverse)]
-
-
-def _empirical_cdf(ranks: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.empty(len(u))
-    # bound the (chunk, m, d) comparison tensor to ~4M entries
-    chunk = max(1, int(4_000_000 / max(1, ranks.size)))
-    for i in range(0, len(u), chunk):
-        blk = u[i : i + chunk]
-        hit = np.all(ranks[None, :, :] <= blk[:, None, :], axis=2)
-        out[i : i + chunk] = hit @ w
+    ascending, pos = c._rank_index
+    m, d = len(c.rank_weights), len(axes)
+    shape = tuple(a.shape[1] for a in axes)
+    bins = tuple(n + 1 for n in shape)
+    n_cells = math.prod(bins)
+    # callers' levels mostly come in ascending order: sort only when they do not
+    order = None if all((a[:, 1:] >= a[:, :-1]).all() for a in axes) else [a.argsort(axis=1) for a in axes]
+    levels = axes if order is None else [np.take_along_axis(a, o, axis=1) for a, o in zip(axes, order)]
+    out = np.empty(axes[0].shape[:1] + shape)
+    step = max(1, _PAIR_BUDGET // m)
+    for lo in range(0, len(out), step):
+        row_ids = np.arange(len(out[lo : lo + step]))[:, None]
+        flat = np.repeat(row_ids, m, axis=1)  # each pair's flat cell index, built up in Horner form
+        for j, v in enumerate(levels):
+            below = np.searchsorted(ascending[j], v[lo : lo + step], side="right") + (m + 1) * row_ids
+            # a scenario's bin: how many of its row's levels lie below the t-th smallest rank, t its position
+            flat *= bins[j]
+            flat += np.bincount(below.ravel(), minlength=len(flat) * (m + 1)).reshape(-1, m + 1).cumsum(1)[:, pos[j]]
+        hist = np.bincount(flat.ravel(), weights=np.tile(c.rank_weights, len(flat)), minlength=len(flat) * n_cells)
+        # drop bin n_j of every axis, where the scenarios that never count went
+        hist = hist.reshape((len(flat),) + bins)[(slice(None),) + tuple(slice(n) for n in shape)]
+        for j in range(d):
+            if shape[j] > 1:
+                hist.cumsum(axis=j + 1, out=hist)
+        out[lo : lo + step] = hist
+    if order is not None:
+        # back from sorted levels to the callers' level order
+        rows = np.arange(len(out)).reshape((-1,) + (1,) * d)
+        out[(rows, *(_on_axis(o, j, d) for j, o in enumerate(order)))] = out.copy()
     return out
 
 
@@ -250,24 +262,13 @@ class SurvivalCopula:
     def dim(self) -> int:
         return self.base.dim
 
-    def cdf(self, u):
-        pts, single = _as_points(u, self.dim)
-        out = _survival_cdf(self.base, pts)
-        return float(out[0]) if single else out
-
-    def cdf_grid(self, axes):
-        """The survival copula over the Cartesian product of ``axes``; see :meth:`Copula.cdf_grid`."""
-        return self._grid(_as_axes(axes, self.dim))[0]
-
-    def cdf_grids(self, axes):
-        """The survival copula over a batch of grids; see :meth:`Copula.cdf_grids`."""
-        return self._grid(_as_axes(axes, self.dim, batched=True))
+    # the same methods as Copula's; tracing wraps each class's own cdf entry
+    cdf, cdf_grid, cdf_grids = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        # the 2^d inclusion-exclusion terms of _survival_cdf from one base
-        # evaluation on the flipped axes with 1 appended: each term is the
-        # sub-grid holding the flipped levels on its selected axes and the
-        # appended 1 on the others
+        # the 2^d inclusion-exclusion terms from one base evaluation on the
+        # flipped axes with 1 appended: each term is the sub-grid holding the
+        # flipped levels on its selected axes and the appended 1 on the others
         base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
         pinned, flipped = slice(-1, None), slice(0, -1)
         total = np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in axes))
@@ -280,18 +281,6 @@ class SurvivalCopula:
 CopulaLike = Copula | SurvivalCopula
 
 
-def _survival_cdf(base: CopulaLike, u: np.ndarray) -> np.ndarray:
-    d = base.dim
-    one_minus = 1.0 - u
-    total = np.zeros(len(u))
-    for mask in itertools.product((False, True), repeat=d):
-        sel = np.array(mask)
-        pts = np.where(sel[None, :], one_minus, 1.0)
-        sign = -1.0 if sel.sum() % 2 else 1.0
-        total += sign * np.asarray(base.cdf(pts))
-    return np.clip(total, 0.0, 1.0)
-
-
 def survival_copula(c: CopulaLike) -> CopulaLike:
     """The survival copula of ``c``; independence is returned unchanged (self-dual)."""
     if isinstance(c, Copula) and c.family == INDEPENDENCE:
@@ -300,18 +289,16 @@ def survival_copula(c: CopulaLike) -> CopulaLike:
 
 
 def box_increment(c: CopulaLike, a, b) -> float:
-    """Mass the copula assigns to the box (a, b], as the alternating corner sum."""
+    """Mass the copula assigns to the box (a, b]: the alternating sum of one cdf batch of its corners."""
     a_pts, _ = _as_points(np.asarray(a, dtype=float), c.dim)
     b_pts, _ = _as_points(np.asarray(b, dtype=float), c.dim)
     lo, hi = a_pts[0], b_pts[0]
     if np.any(lo > hi):
         raise DomainError("box corners must satisfy a <= b componentwise")
+    masks = np.array(list(itertools.product((False, True), repeat=c.dim)))
     total = 0.0
-    for mask in itertools.product((False, True), repeat=c.dim):
-        sel = np.array(mask)
-        corner = np.where(sel, lo, hi)
-        sign = -1.0 if sel.sum() % 2 else 1.0
-        total += sign * c.cdf(corner)
+    for sel, value in zip(masks, c.cdf(np.where(masks, lo, hi)).tolist()):
+        total += -value if sel.sum() % 2 else value
     return max(total, 0.0) if total > -1e-12 else total
 
 
@@ -384,17 +371,21 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     return d_ul, d_uc
 
 
-def scaled_midranks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mid-ranks in (0, 1]: cumulative weight below plus half the tied weight."""
+def _midranks(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted mid-ranks in (0, 1]: cumulative weight below plus half the tied weight.
+
+    Returns the ranks, the ranks in ascending order and each value's position
+    in that order (a stable sort of ``values``).
+    """
     order = np.argsort(values, kind="stable")
     sv, sw = values[order], weights[order]
     uniq, start = np.unique(sv, return_index=True)
     group_w = np.add.reduceat(sw, start)
     below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
-    mid = below + 0.5 * group_w
-    out = np.empty_like(values)
-    out[order] = np.repeat(mid, np.diff(np.concatenate((start, [len(sv)]))))
-    return out
+    ascending = np.repeat(below + 0.5 * group_w, np.diff(np.concatenate((start, [len(sv)]))))
+    positions = np.empty_like(order)
+    positions[order] = np.arange(len(order))
+    return ascending[positions], ascending, positions
 
 
 def empirical_copula(s: ScenarioSet) -> Copula:
@@ -406,11 +397,11 @@ def empirical_copula(s: ScenarioSet) -> Copula:
     """
     if s.m < 2:
         raise DataError("empirical copula requires at least 2 scenarios")
-    ranks = np.column_stack(
-        [scaled_midranks(s.losses[:, i], s.weights) for i in range(s.dim)]
-    )
+    ranks, ascending, positions = zip(*(_midranks(s.losses[:, i], s.weights) for i in range(s.dim)))
+    ranks = np.column_stack(ranks)
     ranks.setflags(write=False)
-    return Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights)
+    index = (np.array(ascending), np.array(positions))
+    return Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights, _rank_index=index)
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:

@@ -129,7 +129,7 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     alpha = 1.0 - q
     chat = survival_copula(c)
-    p = float(chat.cdf_grid([[alpha]] * s.dim)[(0,) * s.dim])
+    p = chat.cdf([alpha] * s.dim)
     # the 2^d-term inclusion-exclusion of a survival copula leaves a rounding
     # residue of a few ulps where the joint tail is empty
     if p <= 2**s.dim * np.finfo(float).eps:
@@ -152,7 +152,6 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
 
 def mtdrm(
     s: ScenarioSet,
-    c: CopulaLike,
     distortions: Sequence[DistortionLike],
     region: TailRegionSpec = TailRegionSpec(),
 ) -> VectorRiskResult:
@@ -169,8 +168,6 @@ def mtdrm(
     O(m) memory.
     """
     _require_nonnegative(s)
-    if c.dim != s.dim:
-        raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
     if len(distortions) != s.dim:
         raise DimensionError(f"expected {s.dim} distortions, got {len(distortions)}")
 

@@ -237,11 +237,11 @@ def test_criterion_8_mtdrm_reduction():
     marginals += [np.sort(rng.choice(np.arange(1, 64), size=16, replace=False)) / 16.0 for _ in range(4)]
     for col in marginals:
         s = scenario_set(np.column_stack([col, 2 * col]))
-        res = mtdrm(s, independence(2), (identity(), identity()))
+        res = mtdrm(s, (identity(), identity()))
         means = s.weights @ s.losses
         means_exact &= res.components == tuple(means)
         for a in (0.5, 0.85, 0.9, 0.99):
-            resv = mtdrm(s, independence(2), (var_step(a), var_step(a)))
+            resv = mtdrm(s, (var_step(a), var_step(a)))
             var_exact &= resv.components == (var(s, 0, a), var(s, 1, a))
     ok = means_exact and var_exact
     report_line(8, ok, f"identity==means exactly: {means_exact}; step==quantile exactly: {var_exact}")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -40,6 +41,7 @@ from jointrisk import (
     survival_copula,
     var_step,
 )
+from jointrisk import copula
 from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, default_grid_n, frechet_lower, frechet_upper
 from jointrisk.portfolio import marginal_cells
 
@@ -596,16 +598,13 @@ def _grid_points(axes):
     return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
 
 
-def _pointwise_grid(cop, axes):
-    return np.asarray(cop.cdf(_grid_points(axes))).reshape(tuple(len(a) for a in axes))
-
-
 def _reference_cdf(cop, u):
     """Pointwise family formulas, written apart from the grid kernel.
 
     Rows are reduced with ``np.sum`` and ``np.prod``, the grounded cells and
     C(1, ..., 1) = 1 are set by row masks, and a survival copula is the
-    2^d-term inclusion-exclusion of reference values of its base.
+    2^d-term inclusion-exclusion of reference values of its base.  An
+    empirical copula is the rank count sum_k w_k 1[r_k <= u].
     """
     u = np.asarray(u, dtype=float).reshape(-1, cop.dim).clip(0.0, 1.0)
     if isinstance(cop, SurvivalCopula):
@@ -616,6 +615,8 @@ def _reference_cdf(cop, u):
             total += sign * _reference_cdf(cop.base, np.where(sel[None, :], 1.0 - u, 1.0))
         return np.clip(total, 0.0, 1.0)
     fam, th = cop.family, cop.theta
+    if fam == "empirical":
+        return np.all(cop.ranks[None, :, :] <= u[:, None, :], axis=2) @ cop.rank_weights
     if fam == "independence" or (fam == "frank" and abs(th) < 1e-10):
         return np.prod(u, axis=1)
     if fam == "comonotone":
@@ -712,8 +713,82 @@ def test_cdf_parametric_matches_the_reference_formulas(case):
 @settings(max_examples=100, deadline=None)
 @given(case=empirical_grid_case())
 def test_cdf_grid_empirical_matches_pointwise(case):
+    # the rank count adds the same weights as the histogram, in another order
     cop, axes = case
-    np.testing.assert_allclose(cop.cdf_grid(axes), _pointwise_grid(cop, axes), rtol=0, atol=1e-14)
+    want = _reference_cdf(cop, _grid_points(axes)).reshape(tuple(len(a) for a in axes))
+    np.testing.assert_allclose(cop.cdf_grid(axes), want, rtol=0, atol=1e-14)
+
+
+def _row_histogram(ranks, w, axes):
+    """One row's empirical grid as a histogram of its own: the row-by-row reference.
+
+    A scenario counts at level ``u`` of axis j when ``ranks[:, j] <= u``, so
+    its bin is the first sorted level at or above its rank (side="left");
+    bin ``n_j`` means it never counts.
+    """
+    shape = tuple(len(a) for a in axes)
+    if 0 in shape:
+        return np.zeros(shape)
+    order = [np.argsort(a, kind="stable") for a in axes]
+    bins = [np.searchsorted(a[o], ranks[:, j], side="left") for j, (a, o) in enumerate(zip(axes, order))]
+    keep = np.all(np.column_stack(bins) < np.array(shape), axis=1)
+    flat = np.ravel_multi_index([b[keep] for b in bins], shape)
+    hist = np.bincount(flat, weights=w[keep], minlength=int(np.prod(shape))).reshape(shape)
+    for j in range(len(shape)):
+        np.cumsum(hist, axis=j, out=hist)
+    inverse = [np.argsort(o) for o in order]
+    return hist[np.ix_(*inverse)]
+
+
+class _RowByRow:
+    """An empirical copula evaluated one batch row at a time by :func:`_row_histogram`."""
+
+    def __init__(self, e):
+        self.e, self.dim = e, e.dim
+
+    def _grid(self, axes):
+        out = np.empty((len(axes[0]),) + tuple(a.shape[1] for a in axes))
+        for p in range(len(out)):
+            out[p] = _row_histogram(self.e.ranks, self.e.rank_weights, [a[p] for a in axes])
+        return out
+
+
+@st.composite
+def empirical_batch_case(draw):
+    """An empirical copula (d = 1-5, tied ranks, maybe weighted), 0-2 survival wraps and
+    d level arrays (P, n_j), P and n_j in 0-6, rich in 0s, 1s and (flipped) ranks."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    losses = rng.integers(0, draw(st.integers(1, 6)), size=(m, d)).astype(float)
+    weights = rng.integers(1, 5, size=m).astype(float) if draw(st.booleans()) else None
+    e = empirical_copula(scenario_set(losses, weights))
+    pool = sorted({0.0, 1.0} | set(e.ranks.ravel()) | set(1.0 - e.ranks.ravel()))
+    level = st.one_of(st.floats(0, 1, allow_nan=False), st.sampled_from(pool))
+    batch = draw(st.integers(0, 6))
+    axes = []
+    for _ in range(d):
+        n = draw(st.integers(0, 6))
+        axes.append(np.array(draw(st.lists(level, min_size=batch * n, max_size=batch * n))).reshape(batch, n))
+    return e, draw(st.sampled_from((0, 1, 2))), axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=empirical_batch_case())
+def test_batched_empirical_grid_is_the_row_histogram_bit_for_bit(case):
+    e, wraps, axes = case
+    want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in axes])
+    # a budget of 1 pair makes every row a chunk; 2m + 1 puts chunk edges inside the batch
+    for budget in (copula._PAIR_BUDGET, 1, 2 * len(e.rank_weights) + 1):
+        with mock.patch.object(copula, "_PAIR_BUDGET", budget):
+            assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(axes), want)
+
+
+def test_empirical_copula_built_from_ranks_alone_sorts_them_itself():
+    e = _tied_empirical(3)
+    bare = Copula("empirical", 3, ranks=e.ranks, rank_weights=e.rank_weights)
+    axes = [np.array([0.0, 0.3, 1.0, 0.5]), np.array([0.7, 0.2]), np.array(sorted(set(e.ranks[:, 2])))]
+    assert np.array_equal(bare.cdf_grid(axes), e.cdf_grid(axes))
 
 
 @st.composite
@@ -730,21 +805,17 @@ def batched_grid_case(draw):
     for _ in range(d):
         n = draw(st.integers(1, 4))
         axes.append(np.array(draw(st.lists(level, min_size=batch * n, max_size=batch * n))).reshape(batch, n))
-    return _survival_wraps(cop, wraps), axes, empirical
+    return _survival_wraps(cop, wraps), axes
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=batched_grid_case())
 def test_cdf_grids_rows_are_cdf_grids(case):
-    cop, axes, empirical = case
+    cop, axes = case
     grids = cop.cdf_grids(axes)
     assert grids.shape == (len(axes[0]),) + tuple(a.shape[1] for a in axes)
     for p, grid in enumerate(grids):
-        alone = cop.cdf_grid([a[p] for a in axes])
-        if empirical:
-            np.testing.assert_allclose(grid, alone, rtol=0, atol=1e-14)
-        else:
-            assert np.array_equal(grid, alone)
+        assert np.array_equal(grid, cop.cdf_grid([a[p] for a in axes]))
 
 
 class TestCdfGrid:
@@ -791,7 +862,11 @@ class TestCdfGrid:
             with pytest.raises(DomainError):
                 c.cdf_grid([[0.1, 0.9], [0.5, nan]])
 
-    @pytest.mark.parametrize("cop", [clayton(2.0, 3), frank(5.0, 2), independence(4), comonotone(1)])
+    @pytest.mark.parametrize(
+        "cop",
+        [clayton(2.0, 3), frank(5.0, 2), independence(4), comonotone(1), EMPIRICAL_ZOO[2], EMPIRICAL_ZOO[3]]
+        + [_survival_wraps(c, w) for w in (1, 2) for c in (frank(5.0, 2), comonotone(1), EMPIRICAL_ZOO[3])],
+    )
     def test_pointwise_cdf_is_one_grid_evaluation(self, monkeypatch, cop):
         calls = []
         base_grid = Copula._grid
@@ -802,8 +877,31 @@ class TestCdfGrid:
 
         monkeypatch.setattr(Copula, "_grid", spy)
         assert cop.cdf(np.full((7, cop.dim), 0.5)).shape == (7,)
-        # n points are one batch of n one-cell grids
-        assert calls == [((7, 1),) * cop.dim]
+        assert isinstance(cop.cdf([0.5] * cop.dim), float)
+        # n points are one batch of n one-cell grids; each survival wrap
+        # appends the level 1 to every axis of its base's one evaluation
+        wraps = 0
+        while isinstance(cop, SurvivalCopula):
+            cop, wraps = cop.base, wraps + 1
+        assert calls == [((7, 1 + wraps),) * cop.dim, ((1, 1 + wraps),) * cop.dim]
+
+    def test_empirical_evaluation_of_a_large_sample_peaks_below_the_row_by_row_code(self):
+        # m = 100 000: the rank-count cdf of 200 points peaked at 18.0 MB and
+        # the row-by-row histogram of 32 grids of 8 x 8 at 4.0 MB
+        rng = np.random.default_rng(11)
+        cop = empirical_copula(scenario_set(rng.gamma(2.0, 1.5, size=(100_000, 2))))
+        calls = [
+            (lambda: cop.cdf(rng.uniform(size=(200, 2))), 18.0e6),
+            (lambda: cop.cdf_grids([rng.uniform(size=(32, 8)) for _ in range(2)]), 4.0e6),
+        ]
+        for call, bound in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("wraps", [1, 2])

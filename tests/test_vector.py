@@ -203,17 +203,17 @@ class TestMtdrm:
     def test_whole_space_identity_gives_means(self):
         rng = np.random.default_rng(6)
         s = random_portfolio(rng, 2, max_m=12)
-        res = mtdrm(s, independence(2), (identity(), identity()))
+        res = mtdrm(s, (identity(), identity()))
         assert res.components == pytest.approx(tuple(s.weights @ s.losses), rel=1e-12)
 
     def test_whole_space_var_step_matches_quantile(self):
         s = decile_pair()
-        res = mtdrm(s, independence(2), (var_step(0.85), var_step(0.85)))
+        res = mtdrm(s, (var_step(0.85), var_step(0.85)))
         assert res.components == (var(s, 0, 0.85), var(s, 1, 0.85))
 
     def test_joint_exceedance_comonotone_pairs(self):
         s = scenario_set([[1.0, 1.0], [3.0, 3.0]])
-        res = mtdrm(s, independence(2), (identity(), identity()),
+        res = mtdrm(s, (identity(), identity()),
                     TailRegionSpec("joint_exceedance", 0.5))
         assert res.components == pytest.approx((3.0, 3.0))
         assert res.diagnostics["tail_probability"] == 0.5
@@ -221,12 +221,12 @@ class TestMtdrm:
     def test_empty_tail_raises(self):
         s = scenario_set([[1.0, 3.0], [3.0, 1.0]])  # countermonotone data
         with pytest.raises(DegenerateTailError):
-            mtdrm(s, independence(2), (identity(), identity()),
+            mtdrm(s, (identity(), identity()),
                   TailRegionSpec("joint_exceedance", 0.5))
 
     def test_quantile_ties_fall_outside_tail(self):
         s = scenario_set([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        res = mtdrm(s, independence(2), (identity(), identity()),
+        res = mtdrm(s, (identity(), identity()),
                     TailRegionSpec("joint_exceedance", 0.5))
         # VaR_.5 = 2, strict exceedance keeps {3, 4}
         assert res.components == pytest.approx((3.5, 3.5))
@@ -286,9 +286,9 @@ class TestOneCellPass:
         want = _reference_mtdrm(s, gs, region)
         if want is None:
             with pytest.raises(DegenerateTailError):
-                mtdrm(s, independence(s.dim), gs, region)
+                mtdrm(s, gs, region)
             return
-        got = mtdrm(s, independence(s.dim), gs, region).components
+        got = mtdrm(s, gs, region).components
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
@@ -327,7 +327,7 @@ class TestOneCellPass:
         s = scenario_set(np.column_stack([rng.permutation(m) + 1.0, 0.5 * rng.permutation(m) + 1.0]))
         tracemalloc.start()
         try:
-            res = mtdrm(s, independence(2), (power(2.0), power(2.0)), TailRegionSpec("joint_exceedance", 0.8))
+            res = mtdrm(s, (power(2.0), power(2.0)), TailRegionSpec("joint_exceedance", 0.8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,4 +390,4 @@ class TestVectorTheorems:
         with pytest.raises(DimensionError):
             mtce(s, independence(3), 0.5)
         with pytest.raises(DimensionError):
-            mtdrm(s, independence(2), (identity(),))
+            mtdrm(s, (identity(),))
