@@ -112,7 +112,7 @@ class Copula:
     ranks: np.ndarray | None = None
     rank_weights: np.ndarray | None = None
     # empirical: per column, the ranks ascending and each scenario's position there
-    _rank_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _rank_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -131,10 +131,10 @@ class Copula:
         if self.family == EMPIRICAL:
             if self.ranks is None or self.rank_weights is None:
                 raise DataError("empirical copula requires rank data")
-            if self._rank_index is None:  # not handed over by empirical_copula: sort here
-                order = np.argsort(self.ranks, axis=0, kind="stable")
-                index = (np.take_along_axis(self.ranks, order, 0).T, np.argsort(order, 0).T)
-                object.__setattr__(self, "_rank_index", index)
+            # sorted once here, so that no evaluation sorts the ranks
+            order = np.argsort(self.ranks.T, axis=1)
+            index = (np.take_along_axis(self.ranks.T, order, axis=1), np.argsort(order, axis=1))
+            object.__setattr__(self, "_rank_index", index)
 
     def cdf(self, u):
         """Evaluate the copula at ``u`` ((d,) or (n, d)), as n one-cell grids; returns float or (n,)."""
@@ -199,9 +199,9 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     raise ParameterError(f"unknown copula family {fam!r}")
 
 
-# (row, scenario) pairs per chunk of an empirical histogram, about 24 bytes of
-# index arrays each: a chunk, one row at least, takes a few MB
-_PAIR_BUDGET = 1 << 17
+# (row, scenario) pairs or grid cells per chunk of batch rows, in an empirical
+# histogram and a survival copula's base grid: a few MB per chunk of rows
+_PAIR_BUDGET = 1 << 16
 
 
 def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
@@ -212,20 +212,20 @@ def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     never counts.  A level lies below the t-th smallest rank exactly when at
     most t ranks are <= it, so one ``searchsorted`` of the sorted levels into
     the sorted ranks bins every scenario by its position in the rank order.
-    Each flat adds its scenarios' weights in scenario order, as one row's
-    ``bincount`` would.  Rows go in chunks of at most ``_PAIR_BUDGET``
-    (row, scenario) pairs; cost is O(P m d + P prod(n_j + 1)).
+    Each cell adds its scenarios' weights in scenario order, as one row's
+    ``bincount`` would.  Rows go in chunks of at most ``_PAIR_BUDGET`` (row,
+    scenario) pairs and as many cells; cost is O(P m d + P prod(n_j + 1)).
     """
     ascending, pos = c._rank_index
     m, d = len(c.rank_weights), len(axes)
     shape = tuple(a.shape[1] for a in axes)
     bins = tuple(n + 1 for n in shape)
     n_cells = math.prod(bins)
-    # callers' levels mostly come in ascending order: sort only when they do not
+    # internal callers' levels ascend: only other batches are sorted and scattered back
     order = None if all((a[:, 1:] >= a[:, :-1]).all() for a in axes) else [a.argsort(axis=1) for a in axes]
     levels = axes if order is None else [np.take_along_axis(a, o, axis=1) for a, o in zip(axes, order)]
     out = np.empty(axes[0].shape[:1] + shape)
-    step = max(1, _PAIR_BUDGET // m)
+    step = max(1, _PAIR_BUDGET // max(m + 1, n_cells))
     for lo in range(0, len(out), step):
         row_ids = np.arange(len(out[lo : lo + step]))[:, None]
         flat = np.repeat(row_ids, m, axis=1)  # each pair's flat cell index, built up in Horner form
@@ -238,13 +238,12 @@ def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
         # drop bin n_j of every axis, where the scenarios that never count went
         hist = hist.reshape((len(flat),) + bins)[(slice(None),) + tuple(slice(n) for n in shape)]
         for j in range(d):
-            if shape[j] > 1:
-                hist.cumsum(axis=j + 1, out=hist)
-        out[lo : lo + step] = hist
-    if order is not None:
-        # back from sorted levels to the callers' level order
-        rows = np.arange(len(out)).reshape((-1,) + (1,) * d)
-        out[(rows, *(_on_axis(o, j, d) for j, o in enumerate(order)))] = out.copy()
+            hist.cumsum(axis=j + 1, out=hist)
+        if order is None:
+            out[lo : lo + step] = hist
+        else:  # back from sorted levels to the callers' level order
+            rows = (lo + row_ids).reshape((-1,) + (1,) * d)
+            out[(rows, *(_on_axis(o[lo : lo + step], j, d) for j, o in enumerate(order)))] = hist
     return out
 
 
@@ -266,16 +265,21 @@ class SurvivalCopula:
     cdf, cdf_grid, cdf_grids = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        # the 2^d inclusion-exclusion terms from one base evaluation on the
-        # flipped axes with 1 appended: each term is the sub-grid holding the
-        # flipped levels on its selected axes and the appended 1 on the others
-        base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
+        # per chunk of batch rows, the 2^d inclusion-exclusion terms from one
+        # base evaluation on the flipped axes with 1 appended: each term is the
+        # sub-grid holding the flipped levels on its selected axes, the 1 on the others
+        shape = tuple(a.shape[1] for a in axes)
+        step = max(1, _PAIR_BUDGET // math.prod(n + 1 for n in shape))
         pinned, flipped = slice(-1, None), slice(0, -1)
-        total = np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in axes))
-        for mask in itertools.product((pinned, flipped), repeat=self.dim):
-            sign = -1.0 if mask.count(flipped) % 2 else 1.0
-            total += sign * base[(slice(None), *mask)]
-        return np.clip(total, 0.0, 1.0, out=total)
+        parts = []
+        for rows in ([a[lo : lo + step] for a in axes] for lo in range(0, max(len(axes[0]), 1), step)):
+            base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in rows])
+            total = np.zeros((len(base),) + shape)
+            for mask in itertools.product((pinned, flipped), repeat=self.dim):
+                sign = -1.0 if mask.count(flipped) % 2 else 1.0
+                total += sign * base[(slice(None), *mask)]
+            parts.append(np.clip(total, 0.0, 1.0, out=total))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 CopulaLike = Copula | SurvivalCopula
@@ -371,21 +375,17 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     return d_ul, d_uc
 
 
-def _midranks(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted mid-ranks in (0, 1]: cumulative weight below plus half the tied weight.
-
-    Returns the ranks, the ranks in ascending order and each value's position
-    in that order (a stable sort of ``values``).
-    """
+def scaled_midranks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mid-ranks in (0, 1]: cumulative weight below plus half the tied weight."""
     order = np.argsort(values, kind="stable")
     sv, sw = values[order], weights[order]
     uniq, start = np.unique(sv, return_index=True)
     group_w = np.add.reduceat(sw, start)
     below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
-    ascending = np.repeat(below + 0.5 * group_w, np.diff(np.concatenate((start, [len(sv)]))))
-    positions = np.empty_like(order)
-    positions[order] = np.arange(len(order))
-    return ascending[positions], ascending, positions
+    mid = below + 0.5 * group_w
+    out = np.empty_like(values)
+    out[order] = np.repeat(mid, np.diff(np.concatenate((start, [len(sv)]))))
+    return out
 
 
 def empirical_copula(s: ScenarioSet) -> Copula:
@@ -397,11 +397,11 @@ def empirical_copula(s: ScenarioSet) -> Copula:
     """
     if s.m < 2:
         raise DataError("empirical copula requires at least 2 scenarios")
-    ranks, ascending, positions = zip(*(_midranks(s.losses[:, i], s.weights) for i in range(s.dim)))
-    ranks = np.column_stack(ranks)
+    ranks = np.column_stack(
+        [scaled_midranks(s.losses[:, i], s.weights) for i in range(s.dim)]
+    )
     ranks.setflags(write=False)
-    index = (np.array(ascending), np.array(positions))
-    return Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights, _rank_index=index)
+    return Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights)
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import os
@@ -777,18 +778,26 @@ def empirical_batch_case(draw):
 @given(case=empirical_batch_case())
 def test_batched_empirical_grid_is_the_row_histogram_bit_for_bit(case):
     e, wraps, axes = case
-    want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in axes])
-    # a budget of 1 pair makes every row a chunk; 2m + 1 puts chunk edges inside the batch
-    for budget in (copula._PAIR_BUDGET, 1, 2 * len(e.rank_weights) + 1):
-        with mock.patch.object(copula, "_PAIR_BUDGET", budget):
-            assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(axes), want)
+    # levels as drawn, then each row ascending, which is neither sorted nor scattered back
+    for levels in (axes, [np.sort(a, axis=1) for a in axes]):
+        want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in levels])
+        # a budget of 1 pair makes every row a chunk; 2m + 1 puts chunk edges inside the batch
+        for budget in (copula._PAIR_BUDGET, 1, 2 * len(e.rank_weights) + 1):
+            with mock.patch.object(copula, "_PAIR_BUDGET", budget):
+                assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(levels), want)
 
 
-def test_empirical_copula_built_from_ranks_alone_sorts_them_itself():
+def test_rank_order_is_always_sorted_from_the_ranks():
     e = _tied_empirical(3)
-    bare = Copula("empirical", 3, ranks=e.ranks, rank_weights=e.rank_weights)
+    other = empirical_copula(scenario_set(np.arange(18.0).reshape(6, 3) % 5))
     axes = [np.array([0.0, 0.3, 1.0, 0.5]), np.array([0.7, 0.2]), np.array(sorted(set(e.ranks[:, 2])))]
+    bare = Copula("empirical", 3, ranks=e.ranks, rank_weights=e.rank_weights)
     assert np.array_equal(bare.cdf_grid(axes), e.cdf_grid(axes))
+    # replacing the ranks sorts the new ones; the order cannot be handed in
+    swapped = dataclasses.replace(e, ranks=other.ranks, rank_weights=other.rank_weights)
+    assert np.array_equal(swapped.cdf_grid(axes), other.cdf_grid(axes))
+    with pytest.raises(TypeError):
+        Copula("empirical", 3, ranks=e.ranks, rank_weights=e.rank_weights, _rank_index=other._rank_index)
 
 
 @st.composite
@@ -894,6 +903,10 @@ class TestCdfGrid:
             (lambda: cop.cdf(rng.uniform(size=(200, 2))), 18.0e6),
             (lambda: cop.cdf_grids([rng.uniform(size=(32, 8)) for _ in range(2)]), 4.0e6),
         ]
+        # 20 000 points of a survival-wrapped empirical copula at d = 6, m = 10:
+        # the 2^6 pointwise base rank counts peaked at 7.1 MB
+        surv = survival_copula(empirical_copula(scenario_set(rng.gamma(2.0, 1.5, size=(10, 6)))))
+        calls.append((lambda: surv.cdf(rng.uniform(size=(20_000, 6))), 7.0e6))
         for call, bound in calls:
             tracemalloc.start()
             try:
