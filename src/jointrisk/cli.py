@@ -275,6 +275,8 @@ def run(config: RunConfig) -> dict:
         raise ParameterError(f"{measure}: --{option} is required")
     if kinds and measure in ("mtce", "copula-fit", "copula-distance"):
         raise ParameterError(f"{measure}: takes no --distortion")
+    if config.seed < 0:
+        raise ParameterError(f"--seed: must be >= 0, got {config.seed}")
 
     names, data, raw_weights = _read_rows(config.input_path)
     s = scenario_set(data, raw_weights, names)

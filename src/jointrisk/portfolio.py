@@ -43,7 +43,7 @@ class ScenarioSet:
     @functools.cached_property
     def steps(self) -> "Steps":
         """The :class:`Steps` of every column, from one sort held for the set's lifetime."""
-        return steps([self.losses[:, i] for i in range(self.dim)], [self.weights] * self.dim)
+        return steps(self.losses.T.ravel(), np.full(self.dim, self.m), np.tile(self.weights, self.dim))
 
     def with_losses(self, losses: np.ndarray) -> "ScenarioSet":
         """Same names/weights, a read-only copy of a new loss matrix of identical shape."""
@@ -173,30 +173,29 @@ class Steps:
         return left, tail_below[cell], self.values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
 
 
-def steps(columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]) -> Steps:
+def steps(values: np.ndarray, lengths: np.ndarray, weights: np.ndarray) -> Steps:
     """The :class:`Steps` of K >= 1 weighted columns from one sort.
 
-    The columns may differ in length (each at least 1); ``weights[k]``
-    matches column k.  Each column's group weights and prefix sums add the
-    same floats in the same order as a sort of that column alone.
+    ``values`` holds the K columns concatenated, column k's ``lengths[k]``
+    (at least 1) entries after those of the columns before it, and
+    ``weights`` the weight of each entry.  Each column's group weights and
+    prefix sums add the same floats in the same order as a sort of that
+    column alone.
     """
-    x = np.concatenate(columns)
-    rows = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
-    # stable in x within each column: the order of a stable sort of the column
-    order = np.lexsort((x, rows))
-    sx = x[order]
-    # the unsorted values and weights are not held through the prefix sums
-    del x
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    # stable in the values within each column: the order of a stable sort of the column
+    order = np.lexsort((values, rows))
+    sx = values[order]
     new = np.empty(len(sx), dtype=bool)
     new[0] = True
     np.not_equal(sx[1:], sx[:-1], out=new[1:])
     new[1:] |= rows[1:] != rows[:-1]
     starts = new.nonzero()[0]
-    counts = np.bincount(rows[starts], minlength=len(columns))
+    counts = np.bincount(rows[starts], minlength=len(lengths))
     # one column per row, zeros after its last group: a row's prefix sums
     # are the cumulative sums of that column's group weights
     placed, in_row = _padded(counts)
-    placed[in_row] = np.add.reduceat(np.concatenate(weights)[order], starts)
+    placed[in_row] = np.add.reduceat(weights[order], starts)
     tail = np.maximum(1.0 - placed.cumsum(axis=1)[in_row], 0.0)
     tail[counts.cumsum() - 1] = 0.0
     table = Steps(sx[starts], tail, counts)

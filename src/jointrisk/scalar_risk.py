@@ -19,7 +19,7 @@ import numpy as np
 from .copula import CopulaLike, _broadcast, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
-from .portfolio import ScenarioSet, pi_comonotone_split, scenario_set, steps
+from .portfolio import ScenarioSet, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
@@ -52,17 +52,19 @@ class JointRiskSpec:
         return self.cstar.dim
 
 
-def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> None:
-    """Every dimension first, then one nonnegativity scan over all the losses (P >= 1)."""
+def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> np.ndarray:
+    """Every dimension first, then one nonnegativity scan; returns the losses concatenated (P >= 1)."""
     for s in portfolios:
         if s.dim != spec.dim:
             raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
+    losses = np.concatenate([s.losses for s in portfolios])
     # written so that a NaN fails the test
-    if not np.concatenate([s.losses for s in portfolios]).min() >= 0.0:
+    if not losses.min() >= 0.0:
         raise DataError(
             "negative losses are outside the nonnegative evaluator; "
             "use the signed two-dimensional form"
         )
+    return losses
 
 
 def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
@@ -96,29 +98,34 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
 
 def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> list[float]:
-    """:func:`gamma_survival_form` of every portfolio, in size-sorted chunks of batched grids.
-
-    One ``steps(...).cell_table()`` covers every column of every portfolio.
-    Portfolios with no positive loss in some marginal get 0; the others are
-    ordered by their per-axis cell counts and evaluated in consecutive
-    chunks whose padded grids hold at most ``_CELL_BUDGET`` cells together
-    (one grid, if that alone is larger), so memory stays bounded however
-    many portfolios come in.  A chunk calls each distortion once on its
-    axis' rows (a 2-D array) and evaluates the coupling copula once on
-    its padded batch of grids.  Each value is contracted on its own cells
-    only, so it equals the value computed alone bit for bit.
-    """
+    """:func:`gamma_survival_form` of every portfolio: the checked portfolios stacked for :func:`_survival_forms`."""
     if not portfolios:
         return []
-    _check_inputs(portfolios, spec)
-    # one cell table over every column: rows i * P to (i + 1) * P hold
-    # column i of the P portfolios
-    n_port = len(portfolios)
-    survival, widths, counts = steps(
-        [s.losses[:, i] for i in range(spec.dim) for s in portfolios],
-        [s.weights for _ in range(spec.dim) for s in portfolios],
-    ).cell_table()
-    counts = counts.reshape(spec.dim, n_port)
+    losses = _check_inputs(portfolios, spec)
+    weights = np.concatenate([s.weights for s in portfolios])
+    return _survival_forms(losses, weights, np.array([s.m for s in portfolios]), spec).tolist()
+
+
+def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray, spec: JointRiskSpec) -> np.ndarray:
+    """The survival forms of P portfolios stacked row-wise: portfolio p is the next ``lengths[p]`` rows.
+
+    ``losses`` (shape (sum of lengths, d)) must be nonnegative and
+    ``weights`` hold each row's weight.  One ``steps(...).cell_table()``
+    covers every column of every portfolio.  Portfolios with no positive
+    loss in some marginal get 0; the others are ordered by their per-axis
+    cell counts and evaluated in consecutive chunks whose padded grids hold
+    at most ``_CELL_BUDGET`` cells together (one grid, if that alone is
+    larger), so memory stays bounded however many portfolios come in.  A
+    chunk calls each distortion once on its axis' rows (a 2-D array) and
+    evaluates the coupling copula once on its padded batch of grids.  Each
+    value is contracted on its own cells only, so it equals the value
+    computed alone bit for bit.
+    """
+    # one cell table over every column; [i, p] of each reshaped table is column i of portfolio p
+    n_port, dim = len(lengths), spec.dim
+    survival, widths, counts = steps(losses.T.ravel(), np.tile(lengths, dim), np.tile(weights, dim)).cell_table()
+    survival, widths = survival.reshape(dim, n_port, -1), widths.reshape(dim, n_port, -1)
+    counts = counts.reshape(dim, n_port)
     out = np.zeros(n_port)
     live = np.flatnonzero(counts.all(axis=0))
     # sorted by cell counts, axis 0 first, so that portfolios of one shape
@@ -129,19 +136,19 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
         rows = order[start : start + step]
         sizes = counts[:, rows]
         levels = [
-            np.asarray(g(survival[i * n_port + rows, :n]), dtype=float)
+            np.asarray(g(survival[i, rows, :n]), dtype=float)
             for i, (g, n) in enumerate(zip(spec.distortions, sizes.max(axis=1)))
         ]
         grids = spec.cstar.cdf_grids(levels)
+        chunk_widths = widths[:, rows]
         # the rows are sorted, so each cell shape is one run, contracted as one batch
         starts = np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1
         bounds = [0, *starts.tolist(), len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
             n = sizes[:, a].tolist()
             cells = grids[(slice(a, b), *(slice(0, k) for k in n))]
-            weights = [widths[i * n_port + rows[a:b], :k] for i, k in enumerate(n)]
-            out[rows[a:b]] = _contract(cells, weights)
-    return out.tolist()
+            out[rows[a:b]] = _contract(cells, [w[a:b, :k] for w, k in zip(chunk_widths, n)])
+    return out
 
 
 def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -317,8 +324,10 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
 
     Each marginal draws distinct numerators without replacement over the common
     power-of-two denominator ``_DENOM``, so halving and quartering stay exact and ties
-    only appear when a transform deliberately introduces them.
+    only appear when a transform deliberately introduces them.  2 <= ``max_m`` <= ``_MAX_NUM``.
     """
+    if not 2 <= max_m <= _MAX_NUM:
+        raise ParameterError(f"random_portfolio needs 2 <= max_m <= {_MAX_NUM}, got {max_m}")
     m = int(rng.integers(2, max_m + 1))
     cols = [
         rng.choice(np.arange(1, _MAX_NUM + 1), size=m, replace=False) / _DENOM
@@ -332,53 +341,46 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _mixed_portfolios(y: ScenarioSet, z: ScenarioSet):
-    """All 2^d recombinations picking each column from y or z (y-pick count first)."""
-    for mask in itertools.product((False, True), repeat=y.dim):
-        yield sum(mask), y.with_losses(np.where(mask, y.losses, z.losses))
-
-
-def _rank_preserving_increase(rng: np.random.Generator, s: ScenarioSet) -> ScenarioSet:
+def _rank_preserving_increase(rng: np.random.Generator, losses: np.ndarray, uniques: list[np.ndarray]) -> np.ndarray:
     """A strictly increasing per-column map with h(x) >= x and reshuffled gaps.
 
+    ``uniques[i]`` holds the sorted distinct values of column i.
     Non-uniform bumps shrink some inter-value gaps while growing others, so
     the increase genuinely reweights integration cells instead of just
     stretching the domain (an affine map could never expose a non-monotone
     distortion).  All arithmetic stays on the exact rational grid.
     """
     cols = []
-    for i in range(s.dim):
-        values = np.unique(s.losses[:, i])
+    for col, values in zip(losses.T, uniques):
         bumps = rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
         # a bumped value at or below its predecessor moves to 1/16 above it:
         # on sixteenths that is newv[j] = max(values[j] + bumps[j],
         # newv[j - 1] + 1/16), one running maximum with exact terms
         step = np.arange(len(values)) * 0.0625
         newv = step + np.maximum.accumulate(values + bumps - step)
-        idx = np.searchsorted(values, s.losses[:, i])
-        cols.append(newv[idx])
-    return s.with_losses(np.column_stack(cols))
+        cols.append(newv[np.searchsorted(values, col)])
+    return np.column_stack(cols)
 
 
-def _single_cell_squeeze(rng: np.random.Generator, s: ScenarioSet) -> ScenarioSet:
+def _single_cell_squeeze(rng: np.random.Generator, losses: np.ndarray, uniques: list[np.ndarray]) -> np.ndarray:
     """Move one interior breakpoint of one column almost onto its right neighbor.
 
-    Shifts integration width from that breakpoint's cell onto the cell to its
+    ``uniques[i]`` holds the sorted distinct values of column i.  Shifts
+    integration width from that breakpoint's cell onto the cell to its
     left while every loss still increases; a measure built from a monotone
     distortion cannot decrease under this, a non-monotone one generically
     does.
     """
-    i = int(rng.integers(0, s.dim))
-    values = np.unique(s.losses[:, i])
+    i = int(rng.integers(0, losses.shape[1]))
+    values = uniques[i]
     if len(values) < 3:
-        return s.with_losses(s.losses + 0.25)
+        return losses + 0.25
     j = int(rng.integers(1, len(values) - 1))
     newv = values.copy()
     newv[j] = values[j] + (values[j + 1] - values[j]) * 0.9375
-    idx = np.searchsorted(values, s.losses[:, i])
-    losses = s.losses.copy()
-    losses[:, i] = newv[idx]
-    return s.with_losses(losses)
+    out = losses.copy()
+    out[:, i] = newv[np.searchsorted(values, losses[:, i])]
+    return out
 
 
 def axiom_suite(
@@ -394,8 +396,10 @@ def axiom_suite(
     relative at ``REL_TOL`` (absolute floor 1e-12).  Deterministic given
     ``seed``; the seed is recorded in the report.
     """
-    if trials < 1:
-        raise ParameterError(f"axiom_suite needs trials >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ParameterError(f"axiom_suite needs an integer trials >= 1, got {trials!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"axiom_suite needs an integer seed >= 0, got {seed!r}")
     if not copulas:
         raise DataError("axiom_suite needs at least one copula")
     dim = copulas[0].dim
@@ -415,46 +419,56 @@ def axiom_suite(
             worst[axiom] = (violation, witness)
 
     scale_pool = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
+    # the 2^d ways to pick each column from a first or a second portfolio, a
+    # (2^d, 1, d) stack for np.where; picks[k] counts mask k's first-portfolio columns
+    masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, :]
+    picks = masks.sum(axis=(1, 2)).tolist()
+    fracs = np.array([0.25, 0.5, 0.75, 1.0])[:, None, None]
 
     # every portfolio of every trial is drawn first, in the suite's fixed rng
     # order (no draw depends on a measure), then each spec evaluates its
-    # trials' portfolios in one call and the trials are scored in order
+    # trials as one flat loss batch and the trials are scored in order
     drawn, batches = [], []
     for _ in range(trials):
         s = random_portfolio(rng, dim)
+        losses = s.losses
+        uniques = [np.unique(col) for col in losses.T]
         c_vec = rng.choice(scale_pool, size=dim)
-        bigger = _rank_preserving_increase(rng, s)
-        squeezed = _single_cell_squeeze(rng, s)
-        clamps = []
-        for i in range(dim):
-            vals = np.unique(s.losses[:, i])
-            clamps.append(float(vals[rng.integers(0, len(vals))] if len(vals) > 1 else vals[0] * 0.5))
-        y, z = pi_comonotone_split(s, clamps=clamps)
-        col_max = s.losses.max(axis=0)
+        bigger = _rank_preserving_increase(rng, losses, uniques)
+        squeezed = _single_cell_squeeze(rng, losses, uniques)
+        clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
+        y = np.minimum(losses, clamps)  # y, z: the split of pi_comonotone_split(s, clamps)
+        z = losses - y
         perm = rng.permutation(s.m)
-        split_losses = np.vstack([s.losses[perm], s.losses[perm][:1]])
+        split_losses = np.vstack([losses[perm], losses[perm][:1]])
         w = s.weights[perm]
         split_w = np.concatenate(([w[0] / 2.0], w[1:], [w[0] / 2.0]))
         relabeled = scenario_set(split_losses, split_w, s.names)
 
-        increments = list(_mixed_portfolios(bigger, s))
-        splits = [p for _, p in _mixed_portfolios(y, z)]
-        clamped = [s.with_losses(np.minimum(s.losses, frac * col_max[None, :])) for frac in (0.25, 0.5, 0.75, 1.0)]
-        batch = [s, s.with_losses(s.losses * c_vec[None, :]), bigger, squeezed]
-        batch += [p for _, p in increments] + splits + clamped + [relabeled]
-        drawn.append((s, c_vec, clamps, increments, splits, clamped))
-        batches.append(batch)
+        # the portfolios on s's weights, in scoring order, then the relabeled set
+        same = np.concatenate([
+            np.stack([losses, losses * c_vec, bigger, squeezed]),
+            np.where(masks, bigger, losses),
+            np.where(masks, y, z),
+            np.minimum(losses, fracs * losses.max(axis=0)),
+        ])
+        drawn.append((s.m, c_vec, clamps))
+        batches.append((
+            np.concatenate([same.reshape(-1, dim), relabeled.losses]),
+            np.concatenate([np.tile(s.weights, len(same)), relabeled.weights]),
+            [s.m] * len(same) + [s.m + 1],
+        ))
 
     # one value stream per spec, consumed trial by trial in trial order
-    streams = {
-        ci: iter(gamma_survival_forms([p for t in range(ci, trials, len(copulas)) for p in batches[t]], spec))
-        for ci, spec in specs.items()
-    }
-    for t, (s, c_vec, clamps, increments, splits, clamped) in enumerate(drawn):
+    streams = {}
+    for ci, spec in specs.items():
+        losses, weights, lengths = (np.concatenate(part) for part in zip(*batches[ci :: len(copulas)]))
+        streams[ci] = iter(_survival_forms(losses, weights, lengths, spec).tolist())
+    for t, (m, c_vec, clamps) in enumerate(drawn):
         ci = t % len(copulas)
         gammas = streams[ci]
         base = next(gammas)
-        info = {"trial": t, "copula_index": ci, "m": s.m}
+        info = {"trial": t, "copula_index": ci, "m": m}
 
         # A1: componentwise positive homogeneity
         lhs, rhs = next(gammas), float(np.prod(c_vec)) * base
@@ -477,17 +491,17 @@ def axiom_suite(
         )
 
         increment = 0.0
-        for n_base_picks, _ in increments:
+        for n_base_picks in picks:
             pick_sign = -1.0 if (dim - n_base_picks) % 2 else 1.0
             increment += pick_sign * next(gammas)
         note("A5", max(0.0, -increment / scale), {**info, "increment": increment})
 
         # A3: comonotone clamp split, compare against all mixed recombinations
-        mixed_total = sum(next(gammas) for _ in splits)
+        mixed_total = sum(next(gammas) for _ in picks)
         note("A3", _rel_gap(base, mixed_total), {**info, "clamps": clamps, "sum": mixed_total, "gamma": base})
 
         # A4: clamp sequences increase to the full portfolio
-        seq = [next(gammas) for _ in clamped]
+        seq = [next(gammas) for _ in fracs]
         mono_viol = max(
             max(0.0, (seq[j] - seq[j + 1]) / max(abs(seq[j + 1]), ABS_FLOOR))
             for j in range(len(seq) - 1)

@@ -186,7 +186,8 @@ def test_criterion_6_vector_theorems():
             worst["translation"], float(np.max(np.abs(moved - want) / np.maximum(np.abs(want), 1e-12)))
         )
 
-        bigger = np.array(h_vector(_rank_preserving_increase(rng, s), spec).components)
+        uniques = [np.unique(col) for col in s.losses.T]
+        bigger = np.array(h_vector(s.with_losses(_rank_preserving_increase(rng, s.losses, uniques)), spec).components)
         worst["monotonicity"] = max(
             worst["monotonicity"],
             float(np.max((base - bigger) / np.maximum(np.abs(base), 1e-12))),

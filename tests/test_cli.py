@@ -344,7 +344,7 @@ class TestRun:
         calls = []
 
         def counted(*args, _steps=portfolio.steps):
-            calls.append(len(args[0]))
+            calls.append(len(args[1]))
             return _steps(*args)
 
         monkeypatch.setattr(portfolio, "steps", counted)
@@ -427,6 +427,13 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "_read_rows", lambda path: calls.append(path))
         assert main([measure, "--input", "/nonexistent.csv"]) == 2
         assert f"{measure}: --{option} is required" in capsys.readouterr().err
+        assert calls == []
+
+    def test_negative_seed_is_checked_before_the_input_is_read(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_read_rows", lambda path: calls.append(path))
+        assert main(["axioms", "--input", "/nonexistent.csv", "--band", "0.9,0.99", "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("measure", NO_DISTORTION)

@@ -120,7 +120,7 @@ class TestMarginalSurvival:
         ]
         weights = [rng.integers(1, 5, size=len(c)).astype(float) for c in columns]
         weights = [w / w.sum() for w in weights]
-        table = steps(columns, weights)
+        table = steps(np.concatenate(columns), [len(c) for c in columns], np.concatenate(weights))
         survival, widths, counts = table.cell_table()
         assert survival.shape == widths.shape == (len(columns), max(counts))
         assert len(table.columns()) == len(table.cells()) == len(columns)

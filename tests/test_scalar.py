@@ -31,6 +31,7 @@ from jointrisk import (
     gumbel,
     identity,
     independence,
+    pi_comonotone_split,
     power,
     random_portfolio,
     scenario_set,
@@ -430,7 +431,7 @@ class TestBatchedSurvivalForm:
         built = []
 
         def counted(*args, _steps=scalar_risk.steps):
-            built.append(len(args[0]))
+            built.append(len(args[1]))
             return _steps(*args)
 
         monkeypatch.setattr(scalar_risk, "steps", counted)
@@ -538,7 +539,141 @@ def _broken_factory(cop):
     return JointRiskSpec(survival_copula(cop), (_broken, _broken))
 
 
+def _scenario_set_axiom_suite(spec_factory, copulas, trials, seed):
+    """``axiom_suite(...).as_dict()`` with every trial portfolio built as a ScenarioSet.
+
+    The suite's construction before its flat loss batches: the transforms
+    go through ``with_losses``, ``pi_comonotone_split`` and a mask
+    generator, and each trial's batch is one ``gamma_survival_forms`` call.
+    """
+    dim = copulas[0].dim
+    rng = np.random.default_rng(seed)
+    specs = [spec_factory(c) for c in copulas]
+    worst = {a: (0.0, None) for a in scalar_risk.AXIOM_DESCRIPTIONS}
+
+    def note(axiom, violation, witness):
+        if violation > worst[axiom][0]:
+            worst[axiom] = (violation, witness)
+
+    def mixed(y, z):
+        for mask in itertools.product((False, True), repeat=dim):
+            yield sum(mask), y.with_losses(np.where(mask, y.losses, z.losses))
+
+    floor = scalar_risk.ABS_FLOOR
+    for t in range(trials):
+        s = random_portfolio(rng, dim)
+        c_vec = rng.choice(np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0]), size=dim)
+        uniques = [np.unique(col) for col in s.losses.T]
+        bigger = s.with_losses(scalar_risk._rank_preserving_increase(rng, s.losses, uniques))
+        squeezed = s.with_losses(scalar_risk._single_cell_squeeze(rng, s.losses, uniques))
+        clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
+        y, z = pi_comonotone_split(s, clamps=clamps)
+        perm = rng.permutation(s.m)
+        w = s.weights[perm]
+        relabeled = scenario_set(
+            np.vstack([s.losses[perm], s.losses[perm][:1]]),
+            np.concatenate(([w[0] / 2.0], w[1:], [w[0] / 2.0])),
+            s.names,
+        )
+        increments = list(mixed(bigger, s))
+        splits = [p for _, p in mixed(y, z)]
+        clamped = [
+            s.with_losses(np.minimum(s.losses, frac * s.losses.max(axis=0)[None, :]))
+            for frac in (0.25, 0.5, 0.75, 1.0)
+        ]
+        batch = [s, s.with_losses(s.losses * c_vec[None, :]), bigger, squeezed]
+        batch += [p for _, p in increments] + splits + clamped + [relabeled]
+        ci = t % len(copulas)
+        gammas = iter(gamma_survival_forms(batch, specs[ci]))
+        base = next(gammas)
+        info = {"trial": t, "copula_index": ci, "m": s.m}
+        lhs, rhs = next(gammas), float(np.prod(c_vec)) * base
+        note("A1", scalar_risk._rel_gap(lhs, rhs), {**info, "scales": c_vec.tolist(), "lhs": lhs, "rhs": rhs})
+        high = next(gammas)
+        scale = max(abs(base), abs(high), floor)
+        note("A2", max(0.0, (base - high) / scale), {**info, "gamma_low": base, "gamma_high": high})
+        squeezed_gamma = next(gammas)
+        note(
+            "A2",
+            max(0.0, (base - squeezed_gamma) / max(abs(base), abs(squeezed_gamma), floor)),
+            {**info, "gamma_low": base, "gamma_high": squeezed_gamma, "perturbation": "cell_squeeze"},
+        )
+        increment = 0.0
+        for picks, _ in increments:
+            increment += (-1.0 if (dim - picks) % 2 else 1.0) * next(gammas)
+        note("A5", max(0.0, -increment / scale), {**info, "increment": increment})
+        total = sum(next(gammas) for _ in splits)
+        note("A3", scalar_risk._rel_gap(base, total), {**info, "clamps": clamps, "sum": total, "gamma": base})
+        seq = [next(gammas) for _ in clamped]
+        mono = max(max(0.0, (seq[j] - seq[j + 1]) / max(abs(seq[j + 1]), floor)) for j in range(3))
+        note("A4", max(mono, scalar_risk._rel_gap(seq[-1], base)), {**info, "sequence": seq, "gamma": base})
+        note("A6", scalar_risk._rel_gap(base, next(gammas)), info)
+    checks = [
+        {
+            "axiom": a,
+            "description": scalar_risk.AXIOM_DESCRIPTIONS[a],
+            "passed": worst[a][0] <= scalar_risk.REL_TOL,
+            "worst_violation": worst[a][0],
+            "witness": worst[a][1] if worst[a][0] > scalar_risk.REL_TOL else None,
+        }
+        for a in ("A1", "A2", "A3", "A4", "A5", "A6")
+    ]
+    return {"seed": seed, "trials": trials, "all_passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def _low_level_factory(c):
+    # levels low enough that m <= 8 portfolios have nonzero measures
+    return JointRiskSpec(survival_copula(c), (cvar_ramp(0.3),) * c.dim)
+
+
 class TestAxiomSuite:
+    @pytest.mark.parametrize("budget", [scalar_risk._CELL_BUDGET, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_flat_batches_equal_the_scenario_set_construction_bit_for_bit(self, d, budget):
+        rng = np.random.default_rng(d)
+        copulas = [independence(d), empirical_copula(scenario_set(np.round(rng.gamma(2.0, 1.5, size=(30, d)), 1)))]
+        if d > 1:
+            copulas += [clayton(2.0, d), gumbel(1.5, d)]
+        cases = [(_low_level_factory, copulas, 9), (varcvar_spec_factory(BAND, "cvar", grid_n=20), copulas, 5)]
+        if d == 2:
+            cases.append((_broken_factory, [independence(2)], 40))
+        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+            for factory, cops, trials in cases:
+                for seed in (1, 8):
+                    want = _scenario_set_axiom_suite(factory, cops, trials, seed)
+                    assert axiom_suite(factory, cops, trials=trials, seed=seed).as_dict() == want
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+    def test_negative_or_non_integer_seed_is_a_parameter_error(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            axiom_suite(_low_level_factory, [independence(2)], trials=2, seed=seed)
+
+    @pytest.mark.parametrize("trials", [0, 2.0, 1.5])
+    def test_non_positive_or_non_integer_trials_is_a_parameter_error(self, trials):
+        with pytest.raises(ParameterError, match="trials"):
+            axiom_suite(_low_level_factory, [independence(2)], trials=trials, seed=0)
+
+    @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100])
+    def test_random_portfolio_size_bound_outside_its_range_is_a_parameter_error(self, max_m):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="max_m"):
+            random_portfolio(rng, 2, max_m=max_m)
+        # raised before any draw: the generator's stream is untouched
+        assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
+
+    @pytest.mark.parametrize("max_m", [2, 8, 63])
+    def test_random_portfolio_in_range_draws_the_same_stream(self, max_m):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        s = random_portfolio(rng, 3, max_m=max_m)
+        m = int(ref.integers(2, max_m + 1))
+        cols = [ref.choice(np.arange(1, 64), size=m, replace=False) / 16 for _ in range(3)]
+        assert np.array_equal(s.losses, np.column_stack(cols))
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    def test_numpy_integer_seed_and_trials_are_accepted(self):
+        want = axiom_suite(_low_level_factory, [independence(2)], trials=3, seed=4).as_dict()
+        assert axiom_suite(_low_level_factory, [independence(2)], trials=np.int64(3), seed=np.int64(4)).as_dict() == want
+
     def test_example_family_passes(self):
         factory = varcvar_spec_factory(BAND, "cvar", grid_n=60)
         report = axiom_suite(factory, COPULA_ZOO, trials=30, seed=2024)
@@ -589,7 +724,8 @@ class TestAxiomSuite:
                 # ties and zeros on the sixteenths grid
                 s = scenario_set(draw.integers(0, 24, size=(int(draw.integers(1, 30)), d)) / 16)
             seed = int(draw.integers(2**31))
-            got = scalar_risk._rank_preserving_increase(np.random.default_rng(seed), s).losses
+            uniques = [np.unique(col) for col in s.losses.T]
+            got = scalar_risk._rank_preserving_increase(np.random.default_rng(seed), s.losses, uniques)
             assert np.array_equal(got, looped(np.random.default_rng(seed), s))
 
     def test_one_copula_grid_call_per_spec(self):

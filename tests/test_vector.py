@@ -368,7 +368,8 @@ class TestVectorTheorems:
             s = random_portfolio(rng, 2)
             from jointrisk.scalar_risk import _rank_preserving_increase
 
-            bigger = _rank_preserving_increase(rng, s)
+            uniques = [np.unique(col) for col in s.losses.T]
+            bigger = s.with_losses(_rank_preserving_increase(rng, s.losses, uniques))
             low = np.array(h_vector(s, spec).components)
             high = np.array(h_vector(bigger, spec).components)
             assert np.all(high >= low - 1e-9)
