@@ -11,7 +11,7 @@ quadrature approximation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,6 +206,18 @@ def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
     return counts / scale
 
 
+def _check_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> None:
+    """The inputs, then ``n`` an integer >= 1, then ``n`` at or above every loss."""
+    _check_inputs([s], spec)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
+    max_loss = float(s.losses.max(initial=0.0))
+    if n < max_loss:
+        raise TruncationError(
+            f"truncation level n={n} is below the maximum loss {max_loss:g}"
+        )
+
+
 def gamma_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> float:
     """Dyadic staircase approximation at resolution 2^-n and truncation level n.
 
@@ -214,20 +226,13 @@ def gamma_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> float:
     value increases with ``n`` and is sandwiched between the exact measures of
     the clamped portfolios returned by :func:`dyadic_bounds`.
     """
-    _check_inputs([s], spec)
-    if n < 1:
-        raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
-    max_loss = float(s.losses.max(initial=0.0))
-    if n < max_loss:
-        raise TruncationError(
-            f"truncation level n={n} is below the maximum loss {max_loss:g}"
-        )
+    _check_dyadic(s, spec, n)
     return gamma_survival_form(s.with_losses(_dyadic_round(s.losses, n)), spec)
 
 
 def dyadic_bounds(s: ScenarioSet, spec: JointRiskSpec, n: int) -> tuple[float, float]:
     """Exact lower/upper envelopes sandwiching :func:`gamma_dyadic` at level ``n``."""
-    _check_inputs([s], spec)
+    _check_dyadic(s, spec, n)
     eps = 2.0**-n
     lower = np.minimum(s.losses, float(n)) - np.minimum(s.losses, eps)
     upper = np.minimum(s.losses, n - eps)
@@ -281,13 +286,7 @@ class AxiomCheck:
     witness: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "description": self.description,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -319,6 +318,16 @@ _DENOM = 16
 _MAX_NUM = 63
 
 
+def _random_losses(rng: np.random.Generator, dim: int, max_m: int = 8) -> np.ndarray:
+    """The loss matrix of :func:`random_portfolio`, drawn in its order."""
+    m = int(rng.integers(2, max_m + 1))
+    cols = [
+        rng.choice(np.arange(1, _MAX_NUM + 1), size=m, replace=False) / _DENOM
+        for _ in range(dim)
+    ]
+    return np.column_stack(cols)
+
+
 def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> ScenarioSet:
     """Random nonnegative portfolio with tie-free exact-rational losses.
 
@@ -326,19 +335,20 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
     power-of-two denominator ``_DENOM``, so halving and quartering stay exact and ties
     only appear when a transform deliberately introduces them.  2 <= ``max_m`` <= ``_MAX_NUM``.
     """
+    if dim < 1:
+        raise DimensionError(f"random_portfolio needs dim >= 1, got {dim}")
     if not 2 <= max_m <= _MAX_NUM:
         raise ParameterError(f"random_portfolio needs 2 <= max_m <= {_MAX_NUM}, got {max_m}")
-    m = int(rng.integers(2, max_m + 1))
-    cols = [
-        rng.choice(np.arange(1, _MAX_NUM + 1), size=m, replace=False) / _DENOM
-        for _ in range(dim)
-    ]
-    return scenario_set(np.column_stack(cols))
+    return scenario_set(_random_losses(rng, dim, max_m))
 
 
-def _rel_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), ABS_FLOOR)
-    return abs(a - b) / scale
+def _magnitude(a, b):
+    """The larger of |a| and |b|, at least ``ABS_FLOOR``, elementwise."""
+    return np.maximum(np.maximum(abs(a), abs(b)), ABS_FLOOR)
+
+
+def _rel_gap(a, b):
+    return abs(a - b) / _magnitude(a, b)
 
 
 def _rank_preserving_increase(rng: np.random.Generator, losses: np.ndarray, uniques: list[np.ndarray]) -> np.ndarray:
@@ -393,8 +403,9 @@ def axiom_suite(
 
     ``spec_factory`` maps a declared dependence copula to the concrete measure
     under test; ``copulas`` are cycled over the trials.  All comparisons are
-    relative at ``REL_TOL`` (absolute floor 1e-12).  Deterministic given
-    ``seed``; the seed is recorded in the report.
+    relative at ``REL_TOL`` (absolute floor 1e-12).  A NaN measure fails
+    every check it enters.  Deterministic given ``seed``; the seed is
+    recorded in the report.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"axiom_suite needs an integer trials >= 1, got {trials!r}")
@@ -407,118 +418,99 @@ def axiom_suite(
         if c.dim != dim:
             raise DimensionError("all copulas passed to axiom_suite must share one dimension")
     rng = np.random.default_rng(seed)
-    specs = {i: spec_factory(c) for i, c in enumerate(copulas)}
-    for sp in specs.values():
+    specs = [spec_factory(c) for c in copulas]
+    for sp in specs:
         if sp.dim != dim:
             raise DimensionError("spec_factory produced a spec of mismatched dimension")
 
-    worst = {a: (0.0, None) for a in AXIOM_DESCRIPTIONS}
-
-    def note(axiom: str, violation: float, witness: dict) -> None:
-        if violation > worst[axiom][0]:
-            worst[axiom] = (violation, witness)
-
     scale_pool = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
     # the 2^d ways to pick each column from a first or a second portfolio, a
-    # (2^d, 1, d) stack for np.where; picks[k] counts mask k's first-portfolio columns
+    # (2^d, 1, d) stack for np.where, and the sign of each pick in A5's increment
     masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, :]
-    picks = masks.sum(axis=(1, 2)).tolist()
+    signs = np.where((dim - masks.sum(axis=(1, 2))) % 2, -1.0, 1.0)
     fracs = np.array([0.25, 0.5, 0.75, 1.0])[:, None, None]
 
     # every portfolio of every trial is drawn first, in the suite's fixed rng
-    # order (no draw depends on a measure), then each spec evaluates its
-    # trials as one flat loss batch and the trials are scored in order
+    # order (no draw depends on a measure); a trial's batch is its base
+    # portfolio, scaled, bigger, squeezed, the increment mixes, the split
+    # mixes, the clamps, all on the base weights, then the relabeled set
+    sizes = [1, 1, 2, len(masks), len(masks), len(fracs), 1]
     drawn, batches = [], []
     for _ in range(trials):
-        s = random_portfolio(rng, dim)
-        losses = s.losses
+        losses = _random_losses(rng, dim)
+        m = len(losses)
+        w = np.full(m, 1.0 / m)  # as scenario_set weighs m scenarios
         uniques = [np.unique(col) for col in losses.T]
         c_vec = rng.choice(scale_pool, size=dim)
         bigger = _rank_preserving_increase(rng, losses, uniques)
         squeezed = _single_cell_squeeze(rng, losses, uniques)
         clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
-        y = np.minimum(losses, clamps)  # y, z: the split of pi_comonotone_split(s, clamps)
+        y = np.minimum(losses, clamps)  # y, z: pi_comonotone_split's split at these clamps
         z = losses - y
-        perm = rng.permutation(s.m)
-        split_losses = np.vstack([losses[perm], losses[perm][:1]])
-        w = s.weights[perm]
-        split_w = np.concatenate(([w[0] / 2.0], w[1:], [w[0] / 2.0]))
-        relabeled = scenario_set(split_losses, split_w, s.names)
-
-        # the portfolios on s's weights, in scoring order, then the relabeled set
+        perm = rng.permutation(m)
         same = np.concatenate([
             np.stack([losses, losses * c_vec, bigger, squeezed]),
             np.where(masks, bigger, losses),
             np.where(masks, y, z),
             np.minimum(losses, fracs * losses.max(axis=0)),
         ])
-        drawn.append((s.m, c_vec, clamps))
+        drawn.append((m, c_vec, clamps))
         batches.append((
-            np.concatenate([same.reshape(-1, dim), relabeled.losses]),
-            np.concatenate([np.tile(s.weights, len(same)), relabeled.weights]),
-            [s.m] * len(same) + [s.m + 1],
+            # the relabeled set: permuted, its first scenario split in two halves
+            np.concatenate([same.reshape(-1, dim), losses[perm], losses[perm[:1]]]),
+            np.concatenate([np.tile(w, len(same)), [w[0] / 2.0], w[1:], [w[0] / 2.0]]),
+            [m] * len(same) + [m + 1],
         ))
 
-    # one value stream per spec, consumed trial by trial in trial order
-    streams = {}
-    for ci, spec in specs.items():
-        losses, weights, lengths = (np.concatenate(part) for part in zip(*batches[ci :: len(copulas)]))
-        streams[ci] = iter(_survival_forms(losses, weights, lengths, spec).tolist())
-    for t, (m, c_vec, clamps) in enumerate(drawn):
-        ci = t % len(copulas)
-        gammas = streams[ci]
-        base = next(gammas)
-        info = {"trial": t, "copula_index": ci, "m": m}
+    # one (trials, K) value table: row t holds trial t's batch, evaluated
+    # by its spec together with every other trial of that spec
+    table = np.empty((trials, sum(sizes)))
+    for ci, spec in enumerate(specs[:trials]):
+        flat = [np.concatenate(part) for part in zip(*batches[ci :: len(specs)])]
+        table[ci :: len(specs)] = _survival_forms(*flat, spec).reshape(-1, table.shape[1])
+    # high: the bigger and the squeezed portfolio; A2 checks both (the targeted
+    # squeeze widens its reach to locally non-monotone specs), A5 the bigger one
+    base, scaled, high, mixes, splits, seq, relabeled = np.split(table, np.cumsum(sizes)[:-1], axis=1)
+    base, scaled, relabeled = base[:, 0], scaled[:, 0], relabeled[:, 0]
+    ms, c_vecs, clamps = zip(*drawn)
 
-        # A1: componentwise positive homogeneity
-        lhs, rhs = next(gammas), float(np.prod(c_vec)) * base
-        note("A1", _rel_gap(lhs, rhs), {**info, "scales": c_vec.tolist(), "lhs": lhs, "rhs": rhs})
+    # left to right over the 2^d columns, as the trial-by-trial sums added them
+    increment, total = np.zeros(trials), np.zeros(trials)
+    for sign, mix, split in zip(signs, mixes.T, splits.T):
+        increment += sign * mix
+        total += split
+    rhs = np.prod(c_vecs, axis=1) * base
+    mono = np.maximum(0.0, (seq[:, :-1] - seq[:, 1:]) / np.maximum(abs(seq[:, 1:]), ABS_FLOOR)).max(axis=1)
+    violations = {
+        "A1": _rel_gap(scaled, rhs),
+        "A2": np.maximum(0.0, (base[:, None] - high) / _magnitude(base[:, None], high)).ravel(),
+        "A3": _rel_gap(base, total),
+        "A4": np.maximum(mono, _rel_gap(seq[:, -1], base)),
+        "A5": np.maximum(0.0, -increment / _magnitude(base, high[:, 0])),
+        "A6": _rel_gap(base, relabeled),
+    }
 
-        # A2 / A5 share a rank-preserving dominating portfolio; the targeted
-        # single-cell squeeze widens A2's reach to locally non-monotone specs
-        gamma_bigger = next(gammas)
-        scale = max(abs(base), abs(gamma_bigger), ABS_FLOOR)
-        note(
-            "A2",
-            max(0.0, (base - gamma_bigger) / scale),
-            {**info, "gamma_low": base, "gamma_high": gamma_bigger},
-        )
-        gamma_squeezed = next(gammas)
-        note(
-            "A2",
-            max(0.0, (base - gamma_squeezed) / max(abs(base), abs(gamma_squeezed), ABS_FLOOR)),
-            {**info, "gamma_low": base, "gamma_high": gamma_squeezed, "perturbation": "cell_squeeze"},
-        )
+    def witness(axiom: str, k: int) -> dict:
+        t, j = divmod(k, 2) if axiom == "A2" else (k, 0)
+        info = {"trial": t, "copula_index": t % len(specs), "m": ms[t]}
+        gamma = float(base[t])
+        if axiom == "A1":
+            return {**info, "scales": c_vecs[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}
+        if axiom == "A2":
+            info.update(gamma_low=gamma, gamma_high=float(high[t, j]))
+            return {**info, "perturbation": "cell_squeeze"} if j else info
+        if axiom == "A3":
+            return {**info, "clamps": clamps[t], "sum": float(total[t]), "gamma": gamma}
+        if axiom == "A4":
+            return {**info, "sequence": seq[t].tolist(), "gamma": gamma}
+        if axiom == "A5":
+            return {**info, "increment": float(increment[t])}
+        return info
 
-        increment = 0.0
-        for n_base_picks in picks:
-            pick_sign = -1.0 if (dim - n_base_picks) % 2 else 1.0
-            increment += pick_sign * next(gammas)
-        note("A5", max(0.0, -increment / scale), {**info, "increment": increment})
-
-        # A3: comonotone clamp split, compare against all mixed recombinations
-        mixed_total = sum(next(gammas) for _ in picks)
-        note("A3", _rel_gap(base, mixed_total), {**info, "clamps": clamps, "sum": mixed_total, "gamma": base})
-
-        # A4: clamp sequences increase to the full portfolio
-        seq = [next(gammas) for _ in fracs]
-        mono_viol = max(
-            max(0.0, (seq[j] - seq[j + 1]) / max(abs(seq[j + 1]), ABS_FLOOR))
-            for j in range(len(seq) - 1)
-        )
-        note("A4", max(mono_viol, _rel_gap(seq[-1], base)), {**info, "sequence": seq, "gamma": base})
-
-        # A6: permutation plus weight-preserving scenario split
-        note("A6", _rel_gap(base, next(gammas)), info)
-
-    checks = tuple(
-        AxiomCheck(
-            axiom=a,
-            description=AXIOM_DESCRIPTIONS[a],
-            passed=worst[a][0] <= REL_TOL,
-            worst_violation=worst[a][0],
-            witness=worst[a][1] if worst[a][0] > REL_TOL else None,
-        )
-        for a in ("A1", "A2", "A3", "A4", "A5", "A6")
-    )
-    return AxiomReport(seed=seed, trials=trials, checks=checks)
+    checks = []
+    for a, v in violations.items():
+        k = int(np.argmax(v))  # the first maximum, or the first NaN
+        worst = 0.0 if v[k] <= 0.0 else float(v[k])  # -0.0 reads 0.0, NaN stays
+        passed = worst <= REL_TOL
+        checks.append(AxiomCheck(a, AXIOM_DESCRIPTIONS[a], passed, worst, None if passed else witness(a, k)))
+    return AxiomReport(seed=seed, trials=trials, checks=tuple(checks))

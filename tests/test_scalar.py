@@ -12,6 +12,7 @@ from jointrisk import (
     ConfidenceBand,
     DataError,
     DimensionError,
+    DomainError,
     JointRiskSpec,
     ParameterError,
     TruncationError,
@@ -499,6 +500,22 @@ class TestDyadic:
         s = scenario_set([[10.0, 3.0]])
         with pytest.raises(TruncationError):
             gamma_dyadic(s, identity_spec(independence(2)), 4)
+        with pytest.raises(TruncationError):
+            dyadic_bounds(s, identity_spec(independence(2)), 4)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, np.float64(4.0)])
+    @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
+    def test_resolution_must_be_a_positive_integer(self, measure, n):
+        # checked before the truncation level: 2.5 covers these losses
+        s = scenario_set([[1.0, 2.0], [2.0, 0.5]])
+        with pytest.raises(DomainError, match="positive integer"):
+            measure(s, identity_spec(independence(2)), n)
+
+    @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
+    def test_numpy_integer_resolution_is_accepted(self, measure):
+        s = scenario_set([[1.0, 2.0], [2.0, 0.5]])
+        spec = identity_spec(independence(2))
+        assert measure(s, spec, np.int64(4)) == measure(s, spec, 4)
 
 
 class TestHomogeneityAndConvergence:
@@ -642,6 +659,18 @@ class TestAxiomSuite:
                 for seed in (1, 8):
                     want = _scenario_set_axiom_suite(factory, cops, trials, seed)
                     assert axiom_suite(factory, cops, trials=trials, seed=seed).as_dict() == want
+            # a per-portfolio term in every value fails A1, A3, A4 and A6 too,
+            # so that their witnesses are compared as well
+            kernel = scalar_risk._survival_forms
+
+            def skewed(losses, weights, lengths, spec):
+                largest = np.maximum.reduceat(losses.max(axis=1), np.cumsum(lengths) - lengths)
+                return kernel(losses, weights, lengths, spec) + lengths - largest**2
+
+            with mock.patch.object(scalar_risk, "_survival_forms", skewed):
+                want = _scenario_set_axiom_suite(_low_level_factory, copulas, 9, 1)
+                assert {c["axiom"] for c in want["checks"] if c["witness"]} >= {"A1", "A3", "A4", "A6"}
+                assert axiom_suite(_low_level_factory, copulas, trials=9, seed=1).as_dict() == want
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
     def test_negative_or_non_integer_seed_is_a_parameter_error(self, seed):
@@ -660,6 +689,35 @@ class TestAxiomSuite:
             random_portfolio(rng, 2, max_m=max_m)
         # raised before any draw: the generator's stream is untouched
         assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_random_portfolio_without_columns_is_a_dimension_error(self, dim):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DimensionError, match="dim"):
+            random_portfolio(rng, dim)
+        assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
+
+    def test_a_nan_measure_fails_every_axiom_at_its_first_nan_trial(self):
+        kernel, width = scalar_risk._survival_forms, 2**3 + 9
+
+        def nan_trials(losses, weights, lengths, spec):
+            # one spec: trial t is the t-th run of `width` values
+            out = kernel(losses, weights, lengths, spec)
+            out[30 * width : 31 * width] = out[35 * width : 36 * width] = np.nan
+            return out
+
+        with mock.patch.object(scalar_risk, "_survival_forms", nan_trials):
+            # A2 also fails on finite values before trial 30
+            report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1)
+        assert not report.all_passed
+        for c in report.checks:
+            assert not c.passed and np.isnan(c.worst_violation)
+            assert c.witness["trial"] == 30
+
+    def test_fewer_trials_than_copulas(self):
+        copulas = [independence(2), clayton(2.0), gumbel(1.5)]
+        report = axiom_suite(_low_level_factory, copulas, trials=2, seed=0).as_dict()
+        assert report == _scenario_set_axiom_suite(_low_level_factory, copulas, 2, 0)
 
     @pytest.mark.parametrize("max_m", [2, 8, 63])
     def test_random_portfolio_in_range_draws_the_same_stream(self, max_m):
