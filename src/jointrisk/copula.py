@@ -37,6 +37,9 @@ PARAMETRIC_FAMILIES = (INDEPENDENCE, COMONOTONE, COUNTERMONOTONE_2D, CLAYTON, GU
 ARCHIMEDEAN_FAMILIES = (CLAYTON, GUMBEL, FRANK)
 
 _FRANK_INDEPENDENCE_EPS = 1e-10  # removable singularity at theta = 0
+# below it, expm1(-theta)^2 overflows: a d = 2 Frank grid holding (1, 1),
+# as every survival grid does, would turn to NaN or a clipped 1
+_FRANK_THETA_FLOOR = -np.log(np.finfo(float).max) / 2
 _U_TOL = 1e-12
 
 
@@ -101,9 +104,10 @@ class Copula:
     """A copula from one of the supported families.
 
     ``theta`` is the Archimedean dependence parameter (Clayton theta > 0,
-    Gumbel theta >= 1, Frank theta != 0; |theta| < 1e-10 evaluates as
-    independence).  Empirical copulas carry the scaled mid-ranks and weights
-    of the scenario set they were built from.
+    Gumbel theta >= 1, Frank theta != 0 and theta >= -log(DBL_MAX)/2, about
+    -354.89; |theta| < 1e-10 evaluates as independence).  Empirical copulas
+    carry the scaled mid-ranks and weights of the scenario set they were
+    built from.
     """
 
     family: str
@@ -128,6 +132,11 @@ class Copula:
                 raise ParameterError("Frank requires theta != 0")
             if self.dim >= 3 and self.theta < 0:
                 raise ParameterError("Frank with theta < 0 is a copula only for dimension 2")
+            if self.theta < _FRANK_THETA_FLOOR:
+                raise ParameterError(
+                    f"Frank requires theta >= {_FRANK_THETA_FLOOR:.6f} (-log(DBL_MAX)/2), "
+                    f"where its terms stay finite; got {self.theta}"
+                )
         if self.family == EMPIRICAL:
             if self.ranks is None or self.rank_weights is None:
                 raise DataError("empirical copula requires rank data")
@@ -276,8 +285,9 @@ class SurvivalCopula:
             base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in rows])
             total = np.zeros((len(base),) + shape)
             for mask in itertools.product((pinned, flipped), repeat=self.dim):
-                sign = -1.0 if mask.count(flipped) % 2 else 1.0
-                total += sign * base[(slice(None), *mask)]
+                # in place: a - b is a + (-b) bit for bit, with no temporary
+                signed = np.subtract if mask.count(flipped) % 2 else np.add
+                signed(total, base[(slice(None), *mask)], out=total)
             parts.append(np.clip(total, 0.0, 1.0, out=total))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

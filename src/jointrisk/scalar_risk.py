@@ -316,16 +316,16 @@ class AxiomReport:
 
 _DENOM = 16
 _MAX_NUM = 63
+_NUMERATORS = np.arange(1, _MAX_NUM + 1)
+# the pools of axiom_suite's scale factors and rank-preserving bumps
+_SCALES = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
+_BUMPS = np.array([0.0, 0.25, 0.5, 1.0])
 
 
-def _random_losses(rng: np.random.Generator, dim: int, max_m: int = 8) -> np.ndarray:
-    """The loss matrix of :func:`random_portfolio`, drawn in its order."""
+def _random_columns(rng: np.random.Generator, dim: int, max_m: int = 8) -> np.ndarray:
+    """The loss columns of :func:`random_portfolio`, shape (dim, m), drawn in its order."""
     m = int(rng.integers(2, max_m + 1))
-    cols = [
-        rng.choice(np.arange(1, _MAX_NUM + 1), size=m, replace=False) / _DENOM
-        for _ in range(dim)
-    ]
-    return np.column_stack(cols)
+    return np.array([rng.choice(_NUMERATORS, size=m, replace=False) for _ in range(dim)]) / _DENOM
 
 
 def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> ScenarioSet:
@@ -339,7 +339,7 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
         raise DimensionError(f"random_portfolio needs dim >= 1, got {dim}")
     if not 2 <= max_m <= _MAX_NUM:
         raise ParameterError(f"random_portfolio needs 2 <= max_m <= {_MAX_NUM}, got {max_m}")
-    return scenario_set(_random_losses(rng, dim, max_m))
+    return scenario_set(_random_columns(rng, dim, max_m).T)
 
 
 def _magnitude(a, b):
@@ -351,45 +351,37 @@ def _rel_gap(a, b):
     return abs(a - b) / _magnitude(a, b)
 
 
-def _rank_preserving_increase(rng: np.random.Generator, losses: np.ndarray, uniques: list[np.ndarray]) -> np.ndarray:
-    """A strictly increasing per-column map with h(x) >= x and reshuffled gaps.
+def _rank_preserving_increase(values: np.ndarray, bumps: np.ndarray) -> np.ndarray:
+    """A strictly increasing map h with h(x) >= x and reshuffled gaps, at sorted distinct values.
 
-    ``uniques[i]`` holds the sorted distinct values of column i.
-    Non-uniform bumps shrink some inter-value gaps while growing others, so
-    the increase genuinely reweights integration cells instead of just
-    stretching the domain (an affine map could never expose a non-monotone
-    distortion).  All arithmetic stays on the exact rational grid.
+    ``values`` holds sorted distinct sixteenths along its last axis and
+    ``bumps`` (same shape) each value's bump from ``_BUMPS``; returns h at
+    each value.  Non-uniform bumps shrink some inter-value gaps while
+    growing others, so the increase genuinely reweights integration cells
+    instead of just stretching the domain (an affine map could never expose
+    a non-monotone distortion).  All arithmetic stays on the exact rational
+    grid.
     """
-    cols = []
-    for col, values in zip(losses.T, uniques):
-        bumps = rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
-        # a bumped value at or below its predecessor moves to 1/16 above it:
-        # on sixteenths that is newv[j] = max(values[j] + bumps[j],
-        # newv[j - 1] + 1/16), one running maximum with exact terms
-        step = np.arange(len(values)) * 0.0625
-        newv = step + np.maximum.accumulate(values + bumps - step)
-        cols.append(newv[np.searchsorted(values, col)])
-    return np.column_stack(cols)
+    # a bumped value at or below its predecessor moves to 1/16 above it: on
+    # sixteenths that is h[j] = max(values[j] + bumps[j], h[j - 1] + 1/16),
+    # one running maximum with exact terms
+    step = np.arange(values.shape[-1]) * 0.0625
+    return step + np.maximum.accumulate(values + bumps - step, axis=-1)
 
 
-def _single_cell_squeeze(rng: np.random.Generator, losses: np.ndarray, uniques: list[np.ndarray]) -> np.ndarray:
-    """Move one interior breakpoint of one column almost onto its right neighbor.
+def _single_cell_squeeze(values: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Move one interior breakpoint of each row almost onto its right neighbor.
 
-    ``uniques[i]`` holds the sorted distinct values of column i.  Shifts
-    integration width from that breakpoint's cell onto the cell to its
-    left while every loss still increases; a measure built from a monotone
-    distortion cannot decrease under this, a non-monotone one generically
-    does.
+    ``values`` (P, n) holds sorted distinct values per row (n >= 3) and
+    ``cell`` (P,) an index in [1, n - 2] per row; returns a copy with that
+    value moved 15/16 of the way to the next.  Shifts integration width from
+    that breakpoint's cell onto the cell to its left while every loss still
+    increases; a measure built from a monotone distortion cannot decrease
+    under this, a non-monotone one generically does.
     """
-    i = int(rng.integers(0, losses.shape[1]))
-    values = uniques[i]
-    if len(values) < 3:
-        return losses + 0.25
-    j = int(rng.integers(1, len(values) - 1))
-    newv = values.copy()
-    newv[j] = values[j] + (values[j + 1] - values[j]) * 0.9375
-    out = losses.copy()
-    out[:, i] = newv[np.searchsorted(values, losses[:, i])]
+    rows = np.arange(len(values))
+    out = values.copy()
+    out[rows, cell] += (values[rows, cell + 1] - values[rows, cell]) * 0.9375
     return out
 
 
@@ -406,6 +398,10 @@ def axiom_suite(
     relative at ``REL_TOL`` (absolute floor 1e-12).  A NaN measure fails
     every check it enters.  Deterministic given ``seed``; the seed is
     recorded in the report.
+
+    Every trial is drawn first; the portfolios are then built as arrays over
+    all trials of one size, and each spec evaluates the 2^(d+1) + 6 distinct
+    portfolios of each of its trials in one kernel call.
     """
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"axiom_suite needs an integer trials >= 1, got {trials!r}")
@@ -423,63 +419,102 @@ def axiom_suite(
         if sp.dim != dim:
             raise DimensionError("spec_factory produced a spec of mismatched dimension")
 
-    scale_pool = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
+    # every draw of every trial comes first, in the suite's fixed rng order
+    # (no draw depends on a measure): the loss columns, the scale indices,
+    # each column's bump indices, the squeezed column and cell, each
+    # column's clamp index and the relabeling permutation; they are kept
+    # by portfolio size m, in trial order
+    ms, draws = [], {}
+    for t in range(trials):
+        cols = _random_columns(rng, dim)
+        m = cols.shape[1]
+        scales = rng.integers(0, len(_SCALES), size=dim)
+        bumps = [rng.integers(0, len(_BUMPS), size=m) for _ in range(dim)]
+        col = rng.integers(0, dim)
+        cell = rng.integers(1, m - 1) if m > 2 else 0
+        clamp_at = [rng.integers(0, m) for _ in range(dim)]
+        ms.append(m)
+        draws.setdefault(m, []).append((t, cols, scales, bumps, col, cell, clamp_at, rng.permutation(m)))
+
     # the 2^d ways to pick each column from a first or a second portfolio, a
-    # (2^d, 1, d) stack for np.where, and the sign of each pick in A5's increment
-    masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, :]
-    signs = np.where((dim - masks.sum(axis=(1, 2))) % 2, -1.0, 1.0)
-    fracs = np.array([0.25, 0.5, 0.75, 1.0])[:, None, None]
-
-    # every portfolio of every trial is drawn first, in the suite's fixed rng
-    # order (no draw depends on a measure); a trial's batch is its base
-    # portfolio, scaled, bigger, squeezed, the increment mixes, the split
-    # mixes, the clamps, all on the base weights, then the relabeled set
+    # (2^d, 1, 1, d) stack for np.where, and the sign of each pick in A5's increment
+    masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, None, :]
+    signs = np.where((dim - masks.sum(axis=(1, 2, 3))) % 2, -1.0, 1.0)
+    fracs = np.array([0.25, 0.5, 0.75, 1.0])
+    # a trial's value-table row: base, scaled, bigger, squeezed, the
+    # increment mixes, the split mixes, the clamps, the relabeled set.  Three
+    # columns copy another and are not evaluated: the first increment mix
+    # (all False) is the base portfolio, the last (all True) the bigger
+    # portfolio, and the last clamp, at the column maxima, the base portfolio
     sizes = [1, 1, 2, len(masks), len(masks), len(fracs), 1]
-    drawn, batches = [], []
-    for _ in range(trials):
-        losses = _random_losses(rng, dim)
-        m = len(losses)
-        w = np.full(m, 1.0 / m)  # as scenario_set weighs m scenarios
-        uniques = [np.unique(col) for col in losses.T]
-        c_vec = rng.choice(scale_pool, size=dim)
-        bigger = _rank_preserving_increase(rng, losses, uniques)
-        squeezed = _single_cell_squeeze(rng, losses, uniques)
-        clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
-        y = np.minimum(losses, clamps)  # y, z: pi_comonotone_split's split at these clamps
-        z = losses - y
-        perm = rng.permutation(m)
-        same = np.concatenate([
-            np.stack([losses, losses * c_vec, bigger, squeezed]),
-            np.where(masks, bigger, losses),
-            np.where(masks, y, z),
-            np.minimum(losses, fracs * losses.max(axis=0)),
-        ])
-        drawn.append((m, c_vec, clamps))
-        batches.append((
-            # the relabeled set: permuted, its first scenario split in two halves
-            np.concatenate([same.reshape(-1, dim), losses[perm], losses[perm[:1]]]),
-            np.concatenate([np.tile(w, len(same)), [w[0] / 2.0], w[1:], [w[0] / 2.0]]),
-            [m] * len(same) + [m + 1],
-        ))
+    width = sum(sizes)
+    copies = {4: 0, 3 + len(masks): 2, width - 2: 0}
+    sent = [k for k in range(width) if k not in copies]
 
-    # one (trials, K) value table: row t holds trial t's batch, evaluated
-    # by its spec together with every other trial of that spec
-    table = np.empty((trials, sum(sizes)))
+    # the arithmetic runs on the T trials of one size m at once, on (T, d, m)
+    # columns and (T, m, d) losses; a trial's block is the loss rows of its
+    # evaluated portfolios, all on the base weights 1/m (as scenario_set
+    # weighs m scenarios) except the relabeled set
+    blocks, weights, lengths = [None] * trials, {}, {}
+    scale_of, clamps_of = np.empty((trials, dim)), np.empty((trials, dim))
+    for m, group in draws.items():
+        ts, cols, scales, bumps, col, cell, clamp_at, perm = (np.array(a) for a in zip(*group))
+        losses = cols.transpose(0, 2, 1)
+        # each column's sorted values (columns are tie-free) and the flat
+        # position, in a (T, d, m) array, of every loss's rank among them
+        order = np.argsort(cols, axis=-1)
+        offsets = m * np.arange(cols.size // m).reshape(len(ts), dim, 1)
+        values = cols.reshape(-1)[order + offsets]
+        at = np.argsort(order, axis=-1) + offsets
+
+        bigger = _rank_preserving_increase(values, _BUMPS[bumps]).reshape(-1)[at].transpose(0, 2, 1)
+        rows = np.arange(len(ts))
+        if m > 2:
+            squeezed = values.copy()
+            squeezed[rows, col] = _single_cell_squeeze(values[rows, col], cell)
+            squeezed = squeezed.reshape(-1)[at].transpose(0, 2, 1)
+        else:
+            squeezed = losses + 0.25
+        scales, clamps = _SCALES[scales], values.reshape(-1)[clamp_at + offsets[..., 0]]
+        scale_of[ts], clamps_of[ts] = scales, clamps
+        y = np.minimum(losses, clamps[:, None, :])  # y, z: pi_comonotone_split's split at these clamps
+        z = losses - y
+        same = np.concatenate([
+            np.stack([losses, losses * scales[:, None, :], bigger, squeezed]),
+            np.where(masks[1:-1], bigger, losses),  # less the two copies
+            np.where(masks, y, z),
+            np.minimum(losses, fracs[:-1, None, None, None] * losses.max(axis=1, keepdims=True)),  # less the copy
+        ])
+        # the relabeled set: permuted, its first scenario split in two halves
+        relabeled = losses[rows[:, None], perm]
+        batch = np.concatenate([same.swapaxes(0, 1).reshape(len(ts), -1, dim), relabeled, relabeled[:, :1]], axis=1)
+        for t, block in zip(ts.tolist(), batch):
+            blocks[t] = block
+        w = np.full(m, 1.0 / m)
+        weights[m] = np.concatenate([np.tile(w, len(same)), [w[0] / 2.0], w[1:], [w[0] / 2.0]])
+        lengths[m] = np.array([m] * len(same) + [m + 1])
+
+    # one (trials, width) value table: row t holds trial t's values, its
+    # evaluated portfolios scored by its spec together with every other
+    # trial of that spec
+    table = np.empty((trials, width))
     for ci, spec in enumerate(specs[:trials]):
-        flat = [np.concatenate(part) for part in zip(*batches[ci :: len(specs)])]
-        table[ci :: len(specs)] = _survival_forms(*flat, spec).reshape(-1, table.shape[1])
+        ts = range(ci, trials, len(specs))
+        batch = [np.concatenate([part[ms[t]] for t in ts]) for part in (weights, lengths)]
+        gammas = _survival_forms(np.concatenate([blocks[t] for t in ts]), *batch, spec)
+        table[ci :: len(specs), sent] = gammas.reshape(-1, len(sent))
+    table[:, list(copies)] = table[:, list(copies.values())]
     # high: the bigger and the squeezed portfolio; A2 checks both (the targeted
     # squeeze widens its reach to locally non-monotone specs), A5 the bigger one
     base, scaled, high, mixes, splits, seq, relabeled = np.split(table, np.cumsum(sizes)[:-1], axis=1)
     base, scaled, relabeled = base[:, 0], scaled[:, 0], relabeled[:, 0]
-    ms, c_vecs, clamps = zip(*drawn)
 
     # left to right over the 2^d columns, as the trial-by-trial sums added them
     increment, total = np.zeros(trials), np.zeros(trials)
     for sign, mix, split in zip(signs, mixes.T, splits.T):
         increment += sign * mix
         total += split
-    rhs = np.prod(c_vecs, axis=1) * base
+    rhs = np.prod(scale_of, axis=1) * base
     mono = np.maximum(0.0, (seq[:, :-1] - seq[:, 1:]) / np.maximum(abs(seq[:, 1:]), ABS_FLOOR)).max(axis=1)
     violations = {
         "A1": _rel_gap(scaled, rhs),
@@ -495,12 +530,12 @@ def axiom_suite(
         info = {"trial": t, "copula_index": t % len(specs), "m": ms[t]}
         gamma = float(base[t])
         if axiom == "A1":
-            return {**info, "scales": c_vecs[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}
+            return {**info, "scales": scale_of[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}
         if axiom == "A2":
             info.update(gamma_low=gamma, gamma_high=float(high[t, j]))
             return {**info, "perturbation": "cell_squeeze"} if j else info
         if axiom == "A3":
-            return {**info, "clamps": clamps[t], "sum": float(total[t]), "gamma": gamma}
+            return {**info, "clamps": clamps_of[t].tolist(), "sum": float(total[t]), "gamma": gamma}
         if axiom == "A4":
             return {**info, "sequence": seq[t].tolist(), "gamma": gamma}
         if axiom == "A5":

@@ -33,7 +33,7 @@ from jointrisk import (
     varcvar_spec_factory,
 )
 from jointrisk.cli import main, render_report, run, RunConfig
-from jointrisk.scalar_risk import _rank_preserving_increase
+from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -186,8 +186,12 @@ def test_criterion_6_vector_theorems():
             worst["translation"], float(np.max(np.abs(moved - want) / np.maximum(np.abs(want), 1e-12)))
         )
 
-        uniques = [np.unique(col) for col in s.losses.T]
-        bigger = np.array(h_vector(s.with_losses(_rank_preserving_increase(rng, s.losses, uniques)), spec).components)
+        cols = []
+        for col in s.losses.T:
+            values = np.unique(col)
+            newv = _rank_preserving_increase(values, rng.choice(_BUMPS, size=len(values)))
+            cols.append(newv[np.searchsorted(values, col)])
+        bigger = np.array(h_vector(s.with_losses(np.column_stack(cols)), spec).components)
         worst["monotonicity"] = max(
             worst["monotonicity"],
             float(np.max((base - bigger) / np.maximum(np.abs(base), 1e-12))),

@@ -399,6 +399,11 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "--copula" in err
 
+    def test_frank_below_its_overflow_floor_is_two(self, plain_csv, capsys):
+        # it used to run into NaN values and fail on the blended level instead
+        assert main(["axioms", "--input", plain_csv, "--copula", "frank:-800", "--band", "0.9,0.99"]) == 2
+        assert "Frank requires theta >= -354.891356" in capsys.readouterr().err
+
     def test_input_that_is_not_utf8_is_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,b\n1,\xe9\n")

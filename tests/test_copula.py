@@ -111,6 +111,32 @@ class TestEval:
         with pytest.raises(DimensionError):
             countermonotone_2d().__class__("countermonotone", 3)
 
+    @pytest.mark.parametrize(
+        "theta", [-800.0, -400.0, -355.0, float(np.nextafter(copula._FRANK_THETA_FLOOR, -np.inf))]
+    )
+    def test_frank_below_its_overflow_floor_is_a_parameter_error(self, theta):
+        # expm1(-theta)^2 overflows there; frank(-400).cdf([0.9, 0.9]) gave 1.0 for 0.8
+        with pytest.raises(ParameterError, match=r"theta >= -354\.891356"):
+            frank(theta)
+
+    @pytest.mark.parametrize("theta", [copula._FRANK_THETA_FLOOR, -354.0, -100.0])
+    def test_frank_down_to_its_floor_matches_high_precision(self, theta):
+        points = np.array([[0.9, 0.9], [0.5, 0.5], [1.0, 0.2], [1.0, 1.0], [0.3, 0.8], [0.05, 0.97]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = frank(theta).cdf(points)
+            hat = survival_copula(frank(theta)).cdf(points)
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+
+            def c(u, v):
+                return -mpmath.log1p(mpmath.expm1(-t * u) * mpmath.expm1(-t * v) / mpmath.expm1(-t)) / t
+
+            pts = [(mpmath.mpf(u), mpmath.mpf(v)) for u, v in points]
+            want = [float(c(u, v)) for u, v in pts]
+            want_hat = [float(u + v - 1 + c(1 - u, 1 - v)) for u, v in pts]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        np.testing.assert_allclose(hat, want_hat, rtol=1e-14, atol=1e-15)
+
     def test_frank_near_zero_is_independence(self):
         c = frank(1e-12)
         assert c.cdf([0.3, 0.8]) == 0.3 * 0.8
@@ -163,6 +189,35 @@ class TestSurvival:
             a = rng.uniform(0, 1, cop.dim)
             b = a + rng.uniform(0, 1, cop.dim) * (1 - a)
             assert box_increment(hat, a, b) >= -1e-12
+
+
+    def test_in_place_inclusion_exclusion_equals_the_signed_sum(self):
+        # reference: each term times its sign, added to the running total
+        def signed_sum(c, axes):
+            if not isinstance(c, SurvivalCopula):
+                return c._grid(axes)
+            base = signed_sum(c.base, [np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
+            total = np.zeros((len(base),) + tuple(a.shape[1] for a in axes))
+            for mask in itertools.product((True, False), repeat=c.dim):
+                sign = -1.0 if mask.count(False) % 2 else 1.0
+                total += sign * base[(slice(None), *(slice(-1, None) if m else slice(0, -1) for m in mask))]
+            return np.clip(total, 0.0, 1.0)
+
+        rng = np.random.default_rng(29)
+        for case in range(400):
+            d = case % 4 + 1
+            families = [independence, comonotone, functools.partial(clayton, 2.0), functools.partial(gumbel, 1.5),
+                        functools.partial(frank, 5.0), _tied_empirical]
+            cop = families[case // 4 % len(families)](d)
+            for _ in range(case // 24 % 2 + 1):
+                cop = SurvivalCopula(cop)
+            pool = np.array([0.0, 0.25, 0.5, 1.0])
+            axes = [
+                np.where(rng.random((3, n)) < 0.3, rng.choice(pool, (3, n)), rng.random((3, n)))
+                for n in rng.integers(1, 5, size=d)
+            ]
+            got, want = cop.cdf_grids(axes), signed_sum(cop, axes)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBoxIncrement:

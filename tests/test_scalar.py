@@ -559,9 +559,12 @@ def _broken_factory(cop):
 def _scenario_set_axiom_suite(spec_factory, copulas, trials, seed):
     """``axiom_suite(...).as_dict()`` with every trial portfolio built as a ScenarioSet.
 
-    The suite's construction before its flat loss batches: the transforms
-    go through ``with_losses``, ``pi_comonotone_split`` and a mask
-    generator, and each trial's batch is one ``gamma_survival_forms`` call.
+    The suite's construction before its flat loss batches, kept as an
+    independent reference for both the random stream and the arithmetic:
+    each trial draws with ``rng.choice`` and builds its transforms in place,
+    one column and one loop at a time, through ``with_losses``,
+    ``pi_comonotone_split`` and a mask generator; each trial's whole batch,
+    copies included, is one ``gamma_survival_forms`` call.
     """
     dim = copulas[0].dim
     rng = np.random.default_rng(seed)
@@ -576,13 +579,35 @@ def _scenario_set_axiom_suite(spec_factory, copulas, trials, seed):
         for mask in itertools.product((False, True), repeat=dim):
             yield sum(mask), y.with_losses(np.where(mask, y.losses, z.losses))
 
+    def rank_preserving_increase(s, uniques):
+        cols = []
+        for col, values in zip(s.losses.T, uniques):
+            newv = values + rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
+            for j in range(1, len(newv)):
+                if newv[j] <= newv[j - 1]:
+                    newv[j] = newv[j - 1] + 0.0625
+            cols.append(newv[np.searchsorted(values, col)])
+        return s.with_losses(np.column_stack(cols))
+
+    def single_cell_squeeze(s, uniques):
+        i = int(rng.integers(0, dim))
+        values = uniques[i]
+        if len(values) < 3:
+            return s.with_losses(s.losses + 0.25)
+        j = int(rng.integers(1, len(values) - 1))
+        newv = values.copy()
+        newv[j] = values[j] + (values[j + 1] - values[j]) * 0.9375
+        losses = s.losses.copy()
+        losses[:, i] = newv[np.searchsorted(values, losses[:, i])]
+        return s.with_losses(losses)
+
     floor = scalar_risk.ABS_FLOOR
     for t in range(trials):
         s = random_portfolio(rng, dim)
         c_vec = rng.choice(np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0]), size=dim)
         uniques = [np.unique(col) for col in s.losses.T]
-        bigger = s.with_losses(scalar_risk._rank_preserving_increase(rng, s.losses, uniques))
-        squeezed = s.with_losses(scalar_risk._single_cell_squeeze(rng, s.losses, uniques))
+        bigger = rank_preserving_increase(s, uniques)
+        squeezed = single_cell_squeeze(s, uniques)
         clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
         y, z = pi_comonotone_split(s, clamps=clamps)
         perm = rng.permutation(s.m)
@@ -698,7 +723,8 @@ class TestAxiomSuite:
         assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
 
     def test_a_nan_measure_fails_every_axiom_at_its_first_nan_trial(self):
-        kernel, width = scalar_risk._survival_forms, 2**3 + 9
+        # a trial sends 2^(d+1) + 6 portfolios to the kernel
+        kernel, width = scalar_risk._survival_forms, 2**3 + 6
 
         def nan_trials(losses, weights, lengths, spec):
             # one spec: trial t is the t-th run of `width` values
@@ -760,18 +786,13 @@ class TestAxiomSuite:
             assert axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict() == report
 
     def test_rank_preserving_increase_equals_the_gap_loop(self):
-        # reference: one Python pass per distinct value, drawing the same bumps
-        def looped(rng, s):
-            cols = []
-            for i in range(s.dim):
-                values = np.unique(s.losses[:, i])
-                bumps = rng.choice(np.array([0.0, 0.25, 0.5, 1.0]), size=len(values))
-                newv = values + bumps
-                for j in range(1, len(newv)):
-                    if newv[j] <= newv[j - 1]:
-                        newv[j] = newv[j - 1] + 0.0625
-                cols.append(newv[np.searchsorted(values, s.losses[:, i])])
-            return np.column_stack(cols)
+        # reference: one Python pass per distinct value, on the same bumps
+        def looped(values, bumps):
+            newv = values + bumps
+            for j in range(1, len(newv)):
+                if newv[j] <= newv[j - 1]:
+                    newv[j] = newv[j - 1] + 0.0625
+            return newv
 
         draw = np.random.default_rng(41)
         for case in range(300):
@@ -781,10 +802,32 @@ class TestAxiomSuite:
             else:
                 # ties and zeros on the sixteenths grid
                 s = scenario_set(draw.integers(0, 24, size=(int(draw.integers(1, 30)), d)) / 16)
-            seed = int(draw.integers(2**31))
-            uniques = [np.unique(col) for col in s.losses.T]
-            got = scalar_risk._rank_preserving_increase(np.random.default_rng(seed), s.losses, uniques)
-            assert np.array_equal(got, looped(np.random.default_rng(seed), s))
+            for col in s.losses.T:
+                values = np.unique(col)
+                bumps = draw.choice(scalar_risk._BUMPS, size=len(values))
+                got = scalar_risk._rank_preserving_increase(values, bumps)
+                assert np.array_equal(got, looped(values, bumps))
+                assert np.all(np.diff(got) > 0) and np.all(got >= values)
+        # a stack of columns, as axiom_suite passes them, equals column by column
+        columns = [draw.choice(np.arange(1, 64), size=8, replace=False) for _ in range(15)]
+        values = np.sort(np.reshape(columns, (5, 3, 8)), axis=-1) / 16
+        bumps = draw.choice(scalar_risk._BUMPS, size=values.shape)
+        want = [looped(v, b) for v, b in zip(values.reshape(-1, 8), bumps.reshape(-1, 8))]
+        got = scalar_risk._rank_preserving_increase(values, bumps)
+        assert np.array_equal(got, np.reshape(want, values.shape))
+
+    def test_single_cell_squeeze_moves_one_interior_value_per_row(self):
+        draw = np.random.default_rng(43)
+        for n in (3, 4, 8):
+            rows = [draw.choice(np.arange(1, 64), size=n, replace=False) for _ in range(20)]
+            values = np.sort(np.array(rows), axis=1) / 16
+            cell = draw.integers(1, n - 1, size=len(values))
+            got = scalar_risk._single_cell_squeeze(values, cell)
+            for row, j, new in zip(values, cell, got):
+                want = row.copy()
+                want[j] = row[j] + (row[j + 1] - row[j]) * 0.9375
+                assert np.array_equal(new, want)
+                assert np.all(np.diff(new) > 0) and np.all(new >= row)
 
     def test_one_copula_grid_call_per_spec(self):
         calls = []
@@ -801,9 +844,42 @@ class TestAxiomSuite:
         factory = varcvar_spec_factory(BAND, "var", grid_n=40)
         with spy(Copula), spy(SurvivalCopula):
             axiom_suite(factory, [clayton(2.0)], trials=10, seed=4)
-        # the portfolios of all ten trials (17 each at d = 2, less those
+        # the portfolios of all ten trials (14 each at d = 2, less those
         # without cells) in one grid batch
-        assert len(calls) == 1 and 150 < calls[0] <= 170
+        assert len(calls) == 1 and 120 < calls[0] <= 140
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_each_trial_sends_its_distinct_portfolios_once(self, d):
+        batches = []
+        kernel = scalar_risk._survival_forms
+
+        def spy(losses, weights, lengths, spec):
+            ends = np.cumsum(lengths)
+            batches.append([(losses[e - n : e], weights[e - n : e]) for e, n in zip(ends, lengths)])
+            return kernel(losses, weights, lengths, spec)
+
+        trials, sent, full = 12, 2 ** (d + 1) + 6, 2 ** (d + 1) + 9
+        with mock.patch.object(scalar_risk, "_survival_forms", spy):
+            axiom_suite(_low_level_factory, [independence(d)], trials=trials, seed=d)
+            # one kernel call per trial, each with the trial's whole batch
+            _scenario_set_axiom_suite(_low_level_factory, [independence(d)], trials, d)
+        suite, reference = batches[0], batches[1:]
+        assert len(suite) == trials * sent and len(reference) == trials
+
+        def same(p, q):
+            return np.array_equal(p[0], q[0]) and np.array_equal(p[1], q[1])
+
+        # the all-False increment mix is the base, the all-True one the
+        # bigger portfolio, and the clamp at the column maxima the base
+        copies = {4: 0, 3 + 2**d: 2, full - 2: 0}
+        trial_batches = [suite[t * sent : (t + 1) * sent] for t in range(trials)]
+        for got, want in zip(trial_batches, reference):
+            assert all(same(want[k], want[j]) for k, j in copies.items())
+            kept = [p for k, p in enumerate(want) if k not in copies]
+            assert len(got) == len(kept) and all(map(same, got, kept))
+        # no two places in the batch hold the same portfolio in every trial
+        for a, b in itertools.combinations(range(sent), 2):
+            assert not all(same(batch[a], batch[b]) for batch in trial_batches)
 
     def test_large_batch_memory_is_bounded_by_the_cell_budget(self):
         rng = np.random.default_rng(11)

@@ -366,10 +366,14 @@ class TestVectorTheorems:
         spec = self.spec_for(frank(5.0), 2)
         for _ in range(20):
             s = random_portfolio(rng, 2)
-            from jointrisk.scalar_risk import _rank_preserving_increase
+            from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
 
-            uniques = [np.unique(col) for col in s.losses.T]
-            bigger = s.with_losses(_rank_preserving_increase(rng, s.losses, uniques))
+            cols = []
+            for col in s.losses.T:
+                values = np.unique(col)
+                newv = _rank_preserving_increase(values, rng.choice(_BUMPS, size=len(values)))
+                cols.append(newv[np.searchsorted(values, col)])
+            bigger = s.with_losses(np.column_stack(cols))
             low = np.array(h_vector(s, spec).components)
             high = np.array(h_vector(bigger, spec).components)
             assert np.all(high >= low - 1e-9)
