@@ -163,29 +163,38 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     return gamma_forms(s, spec)[1]
 
 
+def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list[slice], list]:
+    """``(grid, levels, values, cut, widths)``: the coupling copula once on every axis' distorted step levels.
+
+    ``levels[i]`` is ``g_i([1, tail_0, ..., tail_{n-1}])`` over axis i's n
+    sorted distinct ``values[i]``: entry j + 1 is the level at value j, entry
+    j the level below it.  Axis i's c cells covering [0, max) are its last c
+    steps, at the levels ``cut[i]`` = entries n - c to n, with widths ``widths[i]``.
+    """
+    levels, values, cut, widths = [], [], [], []
+    for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
+        levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
+        values.append(v)
+        cut.append(slice(len(v) - len(w), len(v)))
+        widths.append(w)
+    return spec.cstar.cdf_grid(levels), levels, values, cut, widths
+
+
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     """``(gamma_survival_form(s, spec), gamma_ls_form(s, spec))`` from one copula grid.
 
-    The coupling copula is evaluated once, on ``g([1, tail_0, ..., tail_{n-1}])``
-    per axis.  For the ls form, the levels at each step are that vector's
-    last n entries and the levels just below it its first n, so every term
-    of the increment is a sub-grid of the one tensor.  The survival form's
-    c cells are the last c of the n steps, each at the level below it, so
-    its levels are the entries n - c to n (the start is 1 exactly when the
-    column's smallest value is 0), contracted with the cell widths as
-    :func:`gamma_survival_forms` contracts them: both forms read the same
-    copula values, and the survival form equals :func:`gamma_survival_form`
-    bit for bit.  The survival form is 0 when some marginal has no positive
-    loss.
+    Both forms read :func:`_step_grid`.  For the ls form, the levels at each
+    step are the last n entries of an axis' level vector and the levels just
+    below it the first n, so every term of the increment is a sub-grid of
+    the one tensor.  The survival form contracts the grid's ``cut`` with the
+    cell widths as :func:`gamma_survival_forms` contracts them: both forms
+    read the same copula values, and the survival form equals
+    :func:`gamma_survival_form` bit for bit.  The survival form is 0 when
+    some marginal has no positive loss.
     """
     _check_inputs([s], spec)
-    levels, coords, cut, cell_widths = [], [], [], []
-    for g, (values, tail), (_, _, widths) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
-        levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
-        coords.append(values[None])
-        cut.append(slice(len(values) - len(widths), len(values)))
-        cell_widths.append(widths[None])
-    grid = spec.cstar.cdf_grid(levels)
+    grid, _, values, cut, widths = _step_grid(s, spec)
+    coords = [v[None] for v in values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
     for mask in itertools.product((False, True), repeat=s.dim):
@@ -193,8 +202,8 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
     survival = 0.0
-    if all(w.size for w in cell_widths):
-        survival = float(_contract(grid[tuple(cut)][None], cell_widths)[0])
+    if all(w.size for w in widths):
+        survival = float(_contract(grid[tuple(cut)][None], [w[None] for w in widths])[0])
     return survival, total
 
 
@@ -423,16 +432,17 @@ def axiom_suite(
     # (no draw depends on a measure): the loss columns, the scale indices,
     # each column's bump indices, the squeezed column and cell, each
     # column's clamp index and the relabeling permutation; they are kept
-    # by portfolio size m, in trial order
+    # by portfolio size m, in trial order (a (d, m) or (d,) draw gives the
+    # values and generator state of d draws, one per column)
     ms, draws = [], {}
     for t in range(trials):
         cols = _random_columns(rng, dim)
         m = cols.shape[1]
         scales = rng.integers(0, len(_SCALES), size=dim)
-        bumps = [rng.integers(0, len(_BUMPS), size=m) for _ in range(dim)]
+        bumps = rng.integers(0, len(_BUMPS), size=(dim, m))
         col = rng.integers(0, dim)
         cell = rng.integers(1, m - 1) if m > 2 else 0
-        clamp_at = [rng.integers(0, m) for _ in range(dim)]
+        clamp_at = rng.integers(0, m, size=dim)
         ms.append(m)
         draws.setdefault(m, []).append((t, cols, scales, bumps, col, cell, clamp_at, rng.permutation(m)))
 

@@ -404,6 +404,32 @@ class TestMainExitCodes:
         assert main(["axioms", "--input", plain_csv, "--copula", "frank:-800", "--band", "0.9,0.99"]) == 2
         assert "Frank requires theta >= -354.891356" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, argv, message",
+        [
+            ("plain", ["vector", "--band", "0.9"], "--band: expected 'a1,a2' with 0 < a1 <= a2 < 1, got '0.9'"),
+            ("plain", ["vector", "--match", "assert:abc"], "--match: threshold must be a positive number, got 'assert:abc'"),
+            ("plain", ["vector", "--match", "assert:0"], "--match: threshold must be a positive number, got 'assert:0'"),
+            ("plain", ["vector", "--match", "bogus"], "--match: expected 'warn' or 'assert:<threshold>', got 'bogus'"),
+            ("three", ["vector", "--copula", "countermonotone"], "--copula: countermonotone requires two-column data"),
+            ("plain", ["vector", "--copula", "bogus"], "--copula: unknown choice 'bogus'"),
+            ("plain", ["mtce", "--q", "1.5"], "--q: must lie in (0, 1), got 1.5"),
+            ("plain", ["vector", "--grid-n", "1"], "--grid-n: must be >= 2, got 1"),
+            ("negative", ["scalar"], "scalar: data has negative losses; use the signed2d command"),
+        ],
+    )
+    def test_invalid_option_or_data_is_two_with_its_message(self, tmp_path, capsys, data, argv, message):
+        text = {"plain": "a,b\n1,2\n3,4\n", "three": "a,b,c\n1,2,3\n3,4,5\n", "negative": "a,b\n-1,2\n3,4\n"}
+        path = write(tmp_path, "data.csv", text[data])
+        assert main([*argv, "--input", path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bare_match_assert_applies_the_default_threshold(self, comonotone_csv, capsys, monkeypatch):
+        # countermonotone against comonotone data sits at gof distance ~0.043
+        monkeypatch.setattr(cli, "DEFAULT_MATCH_THRESHOLD", 0.01)
+        assert main(["scalar", "--input", comonotone_csv, "--copula", "countermonotone", "--match", "assert"]) == 3
+        assert "exceeds threshold 0.01" in capsys.readouterr().err
+
     def test_input_that_is_not_utf8_is_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,b\n1,\xe9\n")

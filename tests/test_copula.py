@@ -507,6 +507,20 @@ class TestFit:
         with pytest.raises(FitError):
             fit_archimedean(s, "clayton")  # average tau = -1/3 < 0
 
+    @pytest.mark.parametrize(
+        "columns, family, message",
+        [
+            ([[1, 2, 3, 4], [4, 3, 2, 1]], "gumbel", "Gumbel requires tau >= 0"),
+            ([[1, 2, 3, 4], [2, 4, 1, 3]], "frank", "Frank is undefined at tau = 0"),
+            ([[1, 2, 3, 4], [1, 2, 3, 4], [4, 3, 2, 1]], "frank", "only a copula for dimension 2"),
+            ([[1, 2, 3, 4], [10, 20, 30, 40]], "frank", "outside the invertible Frank range"),
+        ],
+    )
+    def test_sample_tau_outside_the_family_is_a_fit_error(self, columns, family, message):
+        # taus -1, 0, -1/3 (the average over three pairs) and 1
+        with pytest.raises(FitError, match=message):
+            fit_archimedean(scenario_set(np.array(columns, float).T), family)
+
 
     @pytest.mark.parametrize("theta", [0.1, 0.5, 2.0, 5.0, 20.0, 60.0, 150.0, 300.0, -5.0])
     def test_frank_tau_matches_debye_integral(self, theta):

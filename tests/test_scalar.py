@@ -707,6 +707,21 @@ class TestAxiomSuite:
         with pytest.raises(ParameterError, match="trials"):
             axiom_suite(_low_level_factory, [independence(2)], trials=trials, seed=0)
 
+    def test_no_copula_is_a_data_error(self):
+        with pytest.raises(DataError, match="at least one copula"):
+            axiom_suite(_low_level_factory, [], trials=2)
+
+    def test_copulas_of_two_dimensions_are_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="share one dimension"):
+            axiom_suite(_low_level_factory, [independence(2), independence(3)], trials=2)
+
+    def test_a_spec_of_another_dimension_is_a_dimension_error(self):
+        def factory(c):
+            return JointRiskSpec(independence(c.dim + 1), (identity(),) * (c.dim + 1))
+
+        with pytest.raises(DimensionError, match="mismatched dimension"):
+            axiom_suite(factory, [independence(2)], trials=2)
+
     @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100])
     def test_random_portfolio_size_bound_outside_its_range_is_a_parameter_error(self, max_m):
         rng = np.random.default_rng(0)

@@ -25,7 +25,7 @@ from jointrisk import (
 )
 from jointrisk.copula import EMPIRICAL, Copula, SurvivalCopula
 from jointrisk.portfolio import marginal_cells, marginal_steps
-from jointrisk.signed import _negative_cells
+from jointrisk.scalar_risk import _contract
 
 IDENTITY_SPECS = [
     JointRiskSpec(independence(2), (identity(), identity())),
@@ -131,6 +131,14 @@ class TestValidation:
             gamma_signed_2d(s, spec)
 
 
+def _negative_cells(values, tail):
+    """Left-edge survival values and widths of one marginal's cells covering [min, 0)."""
+    k = int(np.count_nonzero(values < 0.0))
+    if k == 0:
+        return np.empty(0), np.empty(0)
+    return tail[:k], np.diff(np.concatenate((values[:k], [0.0])))
+
+
 def _signed_per_quadrant(s, spec):
     """The signed form with one cdf_grid call per non-empty quadrant."""
     _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
@@ -200,6 +208,37 @@ def test_signed_form_equals_the_per_quadrant_calls(case):
         # in [-1, 1], so the area of the loss box sets the rounding scale
         area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
         assert abs(got - want) <= 1e-14 * max(abs(got), abs(want), area)
+
+
+def _signed_one_grid(s, spec):
+    """The signed form on its own grid: g(concat(neg, pos)) levels, one cdf_grid, four blocks."""
+    _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
+    sv_neg, w_neg = zip(*(_negative_cells(*marginal_steps(s, i)) for i in range(2)))
+    levels = [np.asarray(g(np.concatenate((n, p))), dtype=float) for g, n, p in zip(spec.distortions, sv_neg, sv_pos)]
+    grid = spec.cstar.cdf_grid(levels)
+    k1, k2 = len(w_neg[0]), len(w_neg[1])
+    gn, gp = [levels[0][:k1], levels[1][:k2]], [levels[0][k1:], levels[1][k2:]]
+    total = 0.0
+    if len(w_pos[0]) and len(w_pos[1]):
+        total += float(_contract(grid[None, k1:, k2:], [w_pos[0][None], w_pos[1][None]])[0])
+    if len(w_pos[0]) and k2:
+        total += float(w_pos[0] @ (grid[k1:, :k2] - gp[0][:, None]) @ w_neg[1])
+    if k1 and len(w_pos[1]):
+        total += float(w_neg[0] @ (grid[:k1, k2:] - gp[1][None, :]) @ w_pos[1])
+    if k1 and k2:
+        total += float(w_neg[0] @ (grid[:k1, :k2] - gn[0][:, None] - gn[1][None, :] + 1.0) @ w_neg[1])
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_case())
+def test_signed_form_equals_its_own_one_grid_construction(case):
+    # the step grid adds the levels 1 and g(0) and shares an axis' entry k
+    # between its quadrants; a parametric cell depends on its own levels only,
+    # and under an empirical base the extra levels bin no scenario
+    s, spec = case
+    got, want = gamma_signed_2d(s, spec), _signed_one_grid(s, spec)
+    assert got == want and np.signbit(got) == np.signbit(want)
 
 
 @pytest.mark.parametrize("choice", ["clayton", "empirical"])
