@@ -68,7 +68,6 @@ from .scalar_risk import (
 )
 from .signed import gamma_signed_2d
 from .vector_risk import (
-    TailRegionSpec,
     VectorRiskResult,
     h_vector,
     mixture_var_cvar,

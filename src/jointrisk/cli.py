@@ -48,7 +48,7 @@ from .errors import (
 from .portfolio import ScenarioSet, _cvar_at, _var_at, scenario_set
 from .scalar_risk import JointRiskSpec, axiom_suite, gamma_forms
 from .signed import gamma_signed_2d
-from .vector_risk import TailRegionSpec, h_vector, mixture_var_cvar, mtce, mtdrm
+from .vector_risk import h_vector, mixture_var_cvar, mtce, mtdrm
 
 SCHEMA_VERSION = 1
 DEFAULT_MATCH_THRESHOLD = 0.05
@@ -171,7 +171,8 @@ def _parse_match(raw: str) -> tuple[str, float]:
             thr = float(raw.split(":", 1)[1])
         except ValueError:
             thr = -1.0
-        if thr <= 0.0:
+        # written so that a NaN fails the test
+        if not 0.0 < thr < np.inf:
             raise ParameterError(f"--match: threshold must be a positive number, got {raw!r}")
         return "assert", thr
     raise ParameterError(f"--match: expected 'warn' or 'assert:<threshold>', got {raw!r}")
@@ -319,8 +320,7 @@ def run(config: RunConfig) -> dict:
     elif measure == "mtce":
         results = mtce(s, cop, config.q).as_dict()
     elif measure == "mtdrm":
-        region = TailRegionSpec() if config.q is None else TailRegionSpec("joint_exceedance", config.q)
-        results = mtdrm(s, gs, region).as_dict()
+        results = mtdrm(s, gs, config.q).as_dict()
     elif measure == "signed2d":
         results = {"gamma_signed": gamma_signed_2d(s, spec)}
     elif measure == "axioms":
@@ -438,8 +438,12 @@ def main(argv=None) -> int:
         )
     text = render_report(report)
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out: cannot write {config.out_path}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

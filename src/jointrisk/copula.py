@@ -352,11 +352,9 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     bounds and the distance of ``c`` from the upper bound.  Requires
     dimension >= 2 (there is no dependence spread in dimension 1).
 
-    Both maxima are read off the grid's diagonal in O(grid_n) when that is
-    exact: always for ``d_ul``, and for ``d_uc`` when ``c`` is a
-    :class:`Copula`, parametric or empirical.  ``d_uc`` of a
-    :class:`SurvivalCopula` takes the full (grid_n + 1)^d grid, because its
-    inclusion-exclusion sum is not monotone in floats.
+    Both maxima are read off the grid's diagonal in O(grid_n): ``d_ul`` as
+    the full (grid_n + 1)^d grid's maximum bit for bit, ``d_uc`` as that
+    maximum up to rounding.
     """
     if c.dim < 2:
         raise DimensionError("Frechet distances require dimension >= 2")
@@ -370,17 +368,13 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     # the grid's order, so this is the full grid's maximum bit for bit.
     diagonal_sum = functools.reduce(np.add, [axis] * c.dim)
     d_ul = float(np.max(axis - np.maximum(diagonal_sum - (c.dim - 1), 0.0)))
-    if isinstance(c, Copula):
-        # M - C peaks on the diagonal too: C is nondecreasing in every
-        # coordinate, cell by cell in floats, so the diagonal point at min(u)
-        # keeps M and has a C no larger.  A parametric cdf equals its grid
-        # cells bit for bit, so this is the full grid's maximum; an empirical
-        # cdf counts the same scenarios as its grid cell, summed in another
-        # order, so it is that maximum up to rounding.
-        gap = axis - c.cdf(np.repeat(axis[:, None], c.dim, axis=1))
-    else:
-        upper = _broadcast(np.minimum, [axis[None]] * c.dim)[0]
-        gap = upper - c.cdf_grid([axis] * c.dim)
+    # M - C peaks on the diagonal too: C is nondecreasing in every
+    # coordinate, so the diagonal point at min(u) keeps M and has a C no
+    # larger.  In floats, a parametric cdf equals its grid cells bit for bit,
+    # so this is the full grid's maximum; an empirical cdf sums the weights
+    # of its cell in another order, and a survival copula's inclusion-exclusion
+    # sum is not monotone, so for those it is that maximum up to rounding.
+    gap = axis - c.cdf(np.repeat(axis[:, None], c.dim, axis=1))
     d_uc = float(max(np.max(gap), 0.0))
     return d_ul, d_uc
 

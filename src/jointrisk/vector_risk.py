@@ -20,24 +20,6 @@ from .errors import DataError, DegenerateTailError, DimensionError, DomainError
 from .portfolio import ScenarioSet, _var_at
 from .scalar_risk import DistortionLike, JointRiskSpec
 
-WHOLE_SPACE = "whole_space"
-JOINT_EXCEEDANCE = "joint_exceedance"
-
-
-@dataclass(frozen=True)
-class TailRegionSpec:
-    """Conditioning region: the whole space or the joint exceedance of per-marginal quantiles."""
-
-    kind: str = WHOLE_SPACE
-    q: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (WHOLE_SPACE, JOINT_EXCEEDANCE):
-            raise DomainError(f"unknown tail region kind {self.kind!r}")
-        if self.kind == JOINT_EXCEEDANCE and not (self.q is not None and 0.0 < self.q < 1.0):
-            raise DomainError(f"joint exceedance needs q in (0, 1), got {self.q}")
-
-
 @dataclass(frozen=True)
 class VectorRiskResult:
     """Per-marginal risk figures (currency units) plus method diagnostics."""
@@ -45,10 +27,6 @@ class VectorRiskResult:
     components: tuple[float, ...]
     method: str
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
     def as_dict(self) -> dict:
         return {
@@ -61,6 +39,12 @@ class VectorRiskResult:
 def _require_nonnegative(s: ScenarioSet) -> None:
     if not s.nonnegative:
         raise DataError("vector measures require nonnegative losses")
+
+
+def _require_tail_level(q: float) -> None:
+    # written so that a NaN fails the test
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
 def _step_integral(transform, survival: np.ndarray, widths: np.ndarray) -> float:
@@ -125,8 +109,7 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
     _require_nonnegative(s)
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _require_tail_level(q)
     alpha = 1.0 - q
     chat = survival_copula(c)
     p = chat.cdf([alpha] * s.dim)
@@ -153,14 +136,15 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
 def mtdrm(
     s: ScenarioSet,
     distortions: Sequence[DistortionLike],
-    region: TailRegionSpec = TailRegionSpec(),
+    q: float | None = None,
 ) -> VectorRiskResult:
     """Tail distortion risk measure over a scenario-defined conditioning region.
 
-    Whole-space conditioning reproduces the classic componentwise distortion
-    measure; joint exceedance restricts to scenarios strictly above every
-    marginal's q-quantile (quantile ties fall outside the tail).  All
-    integrals are exact step sums on the conditioned survival functions.
+    With ``q`` None the region is the whole space, which reproduces the
+    classic componentwise distortion measure; a ``q`` in (0, 1) restricts to
+    the joint exceedance, the scenarios strictly above every marginal's
+    q-quantile (quantile ties fall outside the tail).  All integrals are
+    exact step sums on the conditioned survival functions.
 
     The tail-weighted survival of marginal i at each cell's left edge,
     sum_k w_k 1[x_ki > left] over the tail scenarios k, is read off a reverse
@@ -171,15 +155,16 @@ def mtdrm(
     if len(distortions) != s.dim:
         raise DimensionError(f"expected {s.dim} distortions, got {len(distortions)}")
 
-    if region.kind == WHOLE_SPACE:
+    if q is None:
         in_tail = np.ones(s.m, dtype=bool)
     else:
-        quantiles = np.array([_var_at(values, tail, region.q) for values, tail in s.steps.columns()])
+        _require_tail_level(q)
+        quantiles = np.array([_var_at(values, tail, q) for values, tail in s.steps.columns()])
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
     p_tail = float(s.weights[in_tail].sum())
     if p_tail <= 0.0:
         raise DegenerateTailError(
-            f"tail region is empty on the data (joint exceedance at q={region.q})"
+            f"tail region is empty on the data (joint exceedance at q={q})"
         )
 
     tail_losses, tail_w = s.losses[in_tail], s.weights[in_tail]
@@ -195,7 +180,7 @@ def mtdrm(
         _step_integral(g, joint(i, left), widths) / p_tail
         for i, (g, (left, _, widths)) in enumerate(zip(distortions, s.steps.cells()))
     )
-    diag = {"region": region.kind, "tail_probability": p_tail}
-    if region.q is not None:
-        diag["q"] = region.q
+    diag = {"region": "whole_space", "tail_probability": p_tail}
+    if q is not None:
+        diag.update(region="joint_exceedance", q=q)
     return VectorRiskResult(comps, "mtdrm", diag)

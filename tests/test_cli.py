@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointrisk import DataError, cli, cvar, scenario_set, var
+from jointrisk import DataError, ParameterError, cli, cvar, scenario_set, var
 from jointrisk.cli import (
     RunConfig,
     ingest_csv,
@@ -410,6 +410,12 @@ class TestMainExitCodes:
             ("plain", ["vector", "--band", "0.9"], "--band: expected 'a1,a2' with 0 < a1 <= a2 < 1, got '0.9'"),
             ("plain", ["vector", "--match", "assert:abc"], "--match: threshold must be a positive number, got 'assert:abc'"),
             ("plain", ["vector", "--match", "assert:0"], "--match: threshold must be a positive number, got 'assert:0'"),
+            # a NaN or infinite threshold would never fire
+            *(
+                ("plain", ["copula-distance", "--copula", "countermonotone", "--grid-n", "20", "--match", f"assert:{thr}"],
+                 f"--match: threshold must be a positive number, got 'assert:{thr}'")
+                for thr in ("nan", "inf", "-inf")
+            ),
             ("plain", ["vector", "--match", "bogus"], "--match: expected 'warn' or 'assert:<threshold>', got 'bogus'"),
             ("three", ["vector", "--copula", "countermonotone"], "--copula: countermonotone requires two-column data"),
             ("plain", ["vector", "--copula", "bogus"], "--copula: unknown choice 'bogus'"),
@@ -423,6 +429,13 @@ class TestMainExitCodes:
         path = write(tmp_path, "data.csv", text[data])
         assert main([*argv, "--input", path]) == 2
         assert message in capsys.readouterr().err
+
+    def test_unwritable_out_is_two_with_its_message(self, plain_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["scalar", "--input", plain_csv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out: cannot write {out}: ")
+        assert captured.out == ""
 
     def test_bare_match_assert_applies_the_default_threshold(self, comonotone_csv, capsys, monkeypatch):
         # countermonotone against comonotone data sits at gof distance ~0.043
@@ -562,3 +575,17 @@ class TestMainExitCodes:
         assert code == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["results"]["copula-distance"]["gof_distance"] < 0.05
+
+
+@pytest.mark.parametrize(
+    "measure, text, error, message",
+    [
+        pytest.param("vector", "weight\n1\n2\n", DataError, "--input: {path} has no asset columns", id="weight-only"),
+        pytest.param("bogus", "a,b\n1,2\n3,4\n", ParameterError, "unknown measure 'bogus'", id="measure"),
+    ],
+)
+def test_run_validation_raises_its_typed_error(tmp_path, measure, text, error, message):
+    path = write(tmp_path, "data.csv", text)
+    with pytest.raises(error) as info:
+        run(RunConfig(measure, path))
+    assert str(info.value) == message.format(path=path)

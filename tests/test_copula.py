@@ -300,7 +300,7 @@ class TestFrechet:
         assert frechet_distances(independence(d), grid_n)[0] == full
 
     @pytest.mark.parametrize("cop", [clayton(2.0), frank(-3.0), _tied_empirical(2), survival_copula(clayton(2.0))])
-    def test_d_uc_takes_the_full_grid_only_off_the_parametric_families(self, monkeypatch, cop):
+    def test_d_uc_takes_no_full_grid_of_any_copula(self, monkeypatch, cop):
         calls = []
         for cls in (Copula, SurvivalCopula):
             def counted(self, axes, _grid=cls.cdf_grid):
@@ -309,13 +309,26 @@ class TestFrechet:
 
             monkeypatch.setattr(cls, "cdf_grid", counted)
         frechet_distances(cop, 10)
-        # a Copula, parametric or empirical, is read off the diagonal with one
-        # pointwise batch; only a survival copula takes the full grid
-        assert calls == ([2] if isinstance(cop, SurvivalCopula) else [])
+        # every copula, a survival copula too, is read off the diagonal with
+        # one pointwise batch
+        assert calls == []
 
     def test_d_uc_of_a_parametric_copula_peaks_under_one_megabyte(self):
         # the full default grid of d = 6 would hold 21^6 cells (690 MB in floats)
         cop = clayton(2.0, 6)
+        tracemalloc.start()
+        try:
+            d_ul, d_uc = frechet_distances(cop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert 0.0 < d_uc < d_ul
+
+    def test_d_uc_of_a_survival_copula_peaks_under_one_megabyte(self):
+        # the full default grid of d = 5 would hold 21^5 cells and their
+        # inclusion-exclusion terms (about 156 MB)
+        cop = survival_copula(clayton(2.0, 5))
         tracemalloc.start()
         try:
             d_ul, d_uc = frechet_distances(cop)
@@ -409,6 +422,27 @@ def test_empirical_d_uc_is_the_full_grid_maximum_up_to_rounding(case):
     # their weights in another order than the grid's cumulative sums
     cop, grid_n = case
     expected = _full_grid_d_uc(cop, default_grid_n(cop.dim) if grid_n is None else grid_n)
+    assert frechet_distances(cop, grid_n)[1] == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+@st.composite
+def survival_frechet_case(draw):
+    """A parametric or empirical copula of dimension 2-5 under one or two survival wraps, and a grid resolution."""
+    base, grid_n = draw(st.one_of(frechet_case(), empirical_frechet_case()))
+    cop = SurvivalCopula(base)
+    if draw(st.booleans()):
+        cop = SurvivalCopula(cop)
+    return cop, default_grid_n(cop.dim) if grid_n is None else grid_n
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=survival_frechet_case())
+@example(case=(SurvivalCopula(SurvivalCopula(_tied_empirical(3))), 11))
+def test_survival_d_uc_is_the_full_grid_maximum_up_to_rounding(case):
+    # a survival copula's inclusion-exclusion sum is not monotone in floats,
+    # so its diagonal may miss the full grid's maximum by rounding
+    cop, grid_n = case
+    expected = _full_grid_d_uc(cop, grid_n)
     assert frechet_distances(cop, grid_n)[1] == pytest.approx(expected, rel=0, abs=1e-15)
 
 
@@ -1025,3 +1059,31 @@ class TestCdfGrid:
         pts[:, 1] = np.tile(levels[1], len(levels[0]))
         vals = np.asarray(spec.cstar.cdf(pts)).reshape(len(levels[0]), len(levels[1]))
         assert gamma_survival_form(s, spec) == float(widths[0] @ (vals @ widths[1]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: Copula("independence", 0), DimensionError, "dimension must be >= 1, got 0", id="dim"),
+        pytest.param(lambda: Copula("empirical", 2), DataError, "empirical copula requires rank data", id="empirical-ranks"),
+        pytest.param(lambda: Copula("bogus", 2).cdf([0.5, 0.5]), ParameterError, "unknown copula family 'bogus'", id="family"),
+        pytest.param(lambda: frechet_bounds([[0.5, 0.5]]), DimensionError, "frechet_bounds takes a single point", id="bounds-2d"),
+        pytest.param(lambda: frechet_distances(independence(2), grid_n=1), DomainError, "grid_n must be >= 2, got 1", id="grid_n"),
+        pytest.param(
+            lambda: fit_archimedean(scenario_set([[1.0, 2.0], [2.0, 1.0]]), "gaussian"),
+            FitError, "cannot fit family 'gaussian'; choose one of ('clayton', 'gumbel', 'frank')", id="fit-family",
+        ),
+        pytest.param(
+            lambda: fit_archimedean(scenario_set([1.0, 2.0, 3.0]), "clayton"),
+            DimensionError, "fitting requires dimension >= 2", id="fit-dim",
+        ),
+        pytest.param(
+            lambda: fit_archimedean(scenario_set([[1.0, 2.0]]), "clayton"),
+            DataError, "fitting requires at least 2 scenarios", id="fit-m",
+        ),
+    ],
+)
+def test_validation_raises_its_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -170,3 +170,17 @@ class TestBuildDistortions:
     def test_bad_kinds_are_parameter_errors(self, kinds, level, tail_only):
         with pytest.raises(ParameterError):
             build_distortions(kinds, level, 2, tail_only)
+
+
+@pytest.mark.parametrize(
+    "g, label",
+    [
+        (identity(), "identity"),
+        (var_step(0.95), "var(0.95)"),
+        (cvar_ramp(0.9), "cvar(0.9)"),
+        (power(2.0), "power(2)"),
+        (power(0.5), "power(0.5)"),
+    ],
+)
+def test_label_names_the_kind_and_its_parameter(g, label):
+    assert g.label() == label

@@ -4,6 +4,7 @@ import pytest
 from jointrisk import (
     DataError,
     DimensionError,
+    DomainError,
     comonotone_transform,
     cvar,
     empirical_copula,
@@ -290,3 +291,62 @@ class TestPiComonotoneSplit:
             dy = y.losses[:, i][:, None] - y.losses[:, i][None, :]
             dz = z.losses[:, i][:, None] - z.losses[:, i][None, :]
             assert np.all(dy * dz >= -1e-15)
+
+
+_PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: _PAIR.with_losses(np.ones((2, 3))),
+            DimensionError, "replacement losses have shape (2, 3), expected (2, 2)", id="with_losses",
+        ),
+        pytest.param(
+            lambda: scenario_set(np.ones((2, 2, 2))),
+            DataError, "losses must be a non-empty (m, d) matrix, got shape (2, 2, 2)", id="losses-3d",
+        ),
+        pytest.param(
+            lambda: scenario_set(np.ones((0, 2))),
+            DataError, "losses must be a non-empty (m, d) matrix, got shape (0, 2)", id="losses-empty",
+        ),
+        pytest.param(
+            lambda: scenario_set([[1.0, 2.0]], weights=[1.0, 1.0]),
+            DataError, "weights must have shape (1,), got (2,)", id="weights",
+        ),
+        pytest.param(lambda: scenario_set([[1.0, 2.0]], names=["a"]), DataError, "expected 2 names, got 1", id="names"),
+        pytest.param(
+            lambda: joint_survival(_PAIR, [1.0]),
+            DimensionError, "threshold must have shape (2,), got (1,)", id="threshold",
+        ),
+        *(
+            pytest.param(
+                lambda f=f, alpha=alpha: f(_PAIR, 0, alpha),
+                DomainError, f"confidence level must lie in (0, 1), got {alpha}", id=f"{f.__name__}-{alpha}",
+            )
+            for f in (var, cvar)
+            for alpha in (0.0, 1.0, float("nan"))
+        ),
+        pytest.param(lambda: comonotone_transform(_PAIR, [np.sqrt]), DimensionError, "expected 2 maps, got 1", id="maps"),
+        pytest.param(
+            lambda: comonotone_transform(_PAIR, [np.sqrt, lambda v: v[:1]]),
+            DataError, "map 1 must be a pointwise transform of the breakpoints", id="map-pointwise",
+        ),
+        pytest.param(
+            lambda: pi_comonotone_split(_PAIR, clamps=[1.0]),
+            DimensionError, "expected 2 clamp levels, got shape (1,)", id="clamps",
+        ),
+    ],
+)
+def test_validation_raises_its_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_one_dimensional_losses_are_a_single_asset():
+    s = scenario_set([3.0, 1.0, 2.0])
+    assert s.losses.shape == (3, 1)
+    assert s.names == ("x1",)
+    assert var(s, 0, 0.5) == 2.0

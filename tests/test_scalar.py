@@ -942,3 +942,12 @@ class TestAxiomSuite:
         r1 = axiom_suite(factory, [clayton(2.0)], trials=10, seed=5)
         r2 = axiom_suite(factory, [clayton(2.0)], trials=10, seed=5)
         assert r1.as_dict() == r2.as_dict()
+
+
+@pytest.mark.parametrize("axiom", ["A0", "a1", ""])
+def test_axiom_report_check_of_an_unknown_axiom_is_a_key_error(axiom):
+    report = scalar_risk.AxiomReport(seed=0, trials=1, checks=(scalar_risk.AxiomCheck("A1", "monotonicity", True, 0.0),))
+    assert report.check("A1").passed
+    with pytest.raises(KeyError) as info:
+        report.check(axiom)
+    assert info.value.args == (axiom,)

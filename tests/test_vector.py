@@ -10,8 +10,8 @@ from jointrisk import (
     DegenerateTailError,
     DimensionError,
     JointRiskSpec,
+    DomainError,
     ParameterError,
-    TailRegionSpec,
     blend_diagnostics,
     clayton,
     comonotone,
@@ -213,23 +213,31 @@ class TestMtdrm:
 
     def test_joint_exceedance_comonotone_pairs(self):
         s = scenario_set([[1.0, 1.0], [3.0, 3.0]])
-        res = mtdrm(s, (identity(), identity()),
-                    TailRegionSpec("joint_exceedance", 0.5))
+        res = mtdrm(s, (identity(), identity()), 0.5)
         assert res.components == pytest.approx((3.0, 3.0))
         assert res.diagnostics["tail_probability"] == 0.5
 
     def test_empty_tail_raises(self):
         s = scenario_set([[1.0, 3.0], [3.0, 1.0]])  # countermonotone data
         with pytest.raises(DegenerateTailError):
-            mtdrm(s, (identity(), identity()),
-                  TailRegionSpec("joint_exceedance", 0.5))
+            mtdrm(s, (identity(), identity()), 0.5)
 
     def test_quantile_ties_fall_outside_tail(self):
         s = scenario_set([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        res = mtdrm(s, (identity(), identity()),
-                    TailRegionSpec("joint_exceedance", 0.5))
+        res = mtdrm(s, (identity(), identity()), 0.5)
         # VaR_.5 = 2, strict exceedance keeps {3, 4}
         assert res.components == pytest.approx((3.5, 3.5))
+
+    @pytest.mark.parametrize(
+        "q, diagnostics",
+        [
+            (None, {"region": "whole_space", "tail_probability": 1.0}),
+            (0.5, {"region": "joint_exceedance", "tail_probability": 0.5, "q": 0.5}),
+        ],
+    )
+    def test_q_selects_the_region(self, q, diagnostics):
+        s = scenario_set([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+        assert mtdrm(s, (identity(), identity()), q).diagnostics == diagnostics
 
 
 def _reference_integral(s, i, transform):
@@ -240,12 +248,12 @@ def _reference_integral(s, i, transform):
     return float(np.asarray(transform(sv), dtype=float) @ widths)
 
 
-def _reference_mtdrm(s, distortions, region):
+def _reference_mtdrm(s, distortions, q):
     """mtdrm with the conditioned survival as an (n, m) indicator matrix times the tail weights."""
-    if region.kind == "whole_space":
+    if q is None:
         in_tail = np.ones(s.m, dtype=bool)
     else:
-        quantiles = np.array([var(s, i, region.q) for i in range(s.dim)])
+        quantiles = np.array([var(s, i, q) for i in range(s.dim)])
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
     p_tail = float(s.weights[in_tail].sum())
     if p_tail <= 0.0:
@@ -282,13 +290,12 @@ class TestOneCellPass:
     def test_mtdrm_matches_the_indicator_matrix_form(self, s, data):
         gs = tuple(data.draw(st.sampled_from(DISTORTIONS)) for _ in range(s.dim))
         q = data.draw(st.one_of(st.none(), st.sampled_from([0.2, 0.5, 0.7181])))
-        region = TailRegionSpec() if q is None else TailRegionSpec("joint_exceedance", q)
-        want = _reference_mtdrm(s, gs, region)
+        want = _reference_mtdrm(s, gs, q)
         if want is None:
             with pytest.raises(DegenerateTailError):
-                mtdrm(s, gs, region)
+                mtdrm(s, gs, q)
             return
-        got = mtdrm(s, gs, region).components
+        got = mtdrm(s, gs, q).components
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
@@ -327,12 +334,48 @@ class TestOneCellPass:
         s = scenario_set(np.column_stack([rng.permutation(m) + 1.0, 0.5 * rng.permutation(m) + 1.0]))
         tracemalloc.start()
         try:
-            res = mtdrm(s, (power(2.0), power(2.0)), TailRegionSpec("joint_exceedance", 0.8))
+            res = mtdrm(s, (power(2.0), power(2.0)), 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
         assert 0.0 < res.diagnostics["tail_probability"] < 0.2
+
+
+_PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: h_vector(_PAIR, JointRiskSpec(independence(3), (identity(),) * 3)),
+            DimensionError, "portfolio dimension 2 != spec dimension 3", id="h_vector-dim",
+        ),
+        pytest.param(
+            lambda: mixture_var_cvar(_PAIR, independence(3), BAND),
+            DimensionError, "copula dimension 3 != portfolio dimension 2", id="mixture-dim",
+        ),
+        *(
+            pytest.param(
+                lambda q=q: mtce(_PAIR, independence(2), q),
+                DomainError, f"q must lie in (0, 1), got {q}", id=f"mtce-q={q}",
+            )
+            for q in (0.0, 1.0, -0.5, float("nan"))
+        ),
+        *(
+            pytest.param(
+                lambda q=q: mtdrm(_PAIR, (identity(), identity()), q),
+                DomainError, f"q must lie in (0, 1), got {q}", id=f"mtdrm-q={q}",
+            )
+            for q in (0.0, 1.0, 1.5, float("nan"))
+        ),
+    ],
+)
+def test_validation_raises_its_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestVectorTheorems:
