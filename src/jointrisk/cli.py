@@ -191,12 +191,13 @@ def _resolve_copula(config: RunConfig, s: ScenarioSet) -> tuple[CopulaLike, dict
         cop = fit_archimedean(s, family)
         info.update(family=cop.family, params={"theta": cop.theta}, fitted=True)
         return cop, info
+    # the parameter-free families match the whole choice, so none drops a parameter
     name, _, param = choice.partition(":")
-    if name == "independence":
+    if choice == "independence":
         cop = independence(s.dim)
-    elif name == "comonotone":
+    elif choice == "comonotone":
         cop = comonotone(s.dim)
-    elif name == "countermonotone":
+    elif choice == "countermonotone":
         cop = countermonotone_2d()
         if s.dim != 2:
             raise ParameterError("--copula: countermonotone requires two-column data")
@@ -420,15 +421,9 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
-    except MatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateTailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except JointRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {MatchError: 3, DegenerateTailError: 4}.get(type(exc), 2)
     dist = _poor_fit(config, report["copula"])
     if config.match_policy == "warn" and dist is not None:
         print(

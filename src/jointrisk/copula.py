@@ -33,7 +33,6 @@ GUMBEL = "gumbel"
 FRANK = "frank"
 EMPIRICAL = "empirical"
 
-PARAMETRIC_FAMILIES = (INDEPENDENCE, COMONOTONE, COUNTERMONOTONE_2D, CLAYTON, GUMBEL, FRANK)
 ARCHIMEDEAN_FAMILIES = (CLAYTON, GUMBEL, FRANK)
 
 _FRANK_INDEPENDENCE_EPS = 1e-10  # removable singularity at theta = 0
@@ -43,10 +42,13 @@ _FRANK_THETA_FLOOR = -np.log(np.finfo(float).max) / 2
 _U_TOL = 1e-12
 
 
-def _check_levels(v: np.ndarray) -> None:
+def _unit_levels(u, what: str) -> np.ndarray:
+    """``u`` as floats clipped to [0, 1]; a level more than 1e-12 outside, or a NaN, raises."""
+    a = np.asarray(u, dtype=float)
     # one min/max pass; written so that a NaN fails the test
-    if v.size and not (v.min() >= -_U_TOL and v.max() <= 1.0 + _U_TOL):
-        raise DomainError("copula arguments must lie in [0, 1]")
+    if a.size and not (a.min() >= -_U_TOL and a.max() <= 1.0 + _U_TOL):
+        raise DomainError(f"{what} arguments must lie in [0, 1]")
+    return a.clip(0.0, 1.0)
 
 
 def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
@@ -56,8 +58,7 @@ def _as_points(u, dim: int) -> tuple[np.ndarray, bool]:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] != dim:
         raise DimensionError(f"expected points of dimension {dim}, got shape {np.shape(u)}")
-    _check_levels(a)
-    return a.clip(0.0, 1.0), single
+    return _unit_levels(a, "copula"), single
 
 
 def _as_axes(axes, dim: int, batched: bool = False) -> list[np.ndarray]:
@@ -75,8 +76,7 @@ def _as_axes(axes, dim: int, batched: bool = False) -> list[np.ndarray]:
         if v.ndim != 1 + batched:
             what = "batched level arrays must be 2-D" if batched else "level vectors must be 1-D"
             raise DimensionError(f"{what}, got shape {v.shape}")
-        _check_levels(v)
-        v = v.clip(0.0, 1.0)
+        v = _unit_levels(v, "copula")
         out.append(v if batched else v[None])
     if batched and len({v.shape[0] for v in out}) > 1:
         raise DimensionError(f"batched level arrays differ in batch size: {[v.shape[0] for v in out]}")
@@ -103,7 +103,7 @@ def _on_axis(v: np.ndarray, j: int, d: int) -> np.ndarray:
 class Copula:
     """A copula from one of the supported families.
 
-    ``theta`` is the Archimedean dependence parameter (Clayton theta > 0,
+    ``theta`` is the finite Archimedean dependence parameter (Clayton theta > 0,
     Gumbel theta >= 1, Frank theta != 0 and theta >= -log(DBL_MAX)/2, about
     -354.89; |theta| < 1e-10 evaluates as independence).  Empirical copulas
     carry the scaled mid-ranks and weights of the scenario set they were
@@ -123,6 +123,9 @@ class Copula:
             raise DimensionError(f"dimension must be >= 1, got {self.dim}")
         if self.family == COUNTERMONOTONE_2D and self.dim != 2:
             raise DimensionError("the lower Frechet bound is a copula only for dimension 2")
+        # ahead of the range tests, which an infinite theta passes (and a NaN passes Frank's)
+        if self.family in ARCHIMEDEAN_FAMILIES and self.theta is not None and not math.isfinite(self.theta):
+            raise ParameterError(f"{self.family.capitalize()} requires a finite theta, got {self.theta}")
         if self.family == CLAYTON and not (self.theta is not None and self.theta > 0):
             raise ParameterError(f"Clayton requires theta > 0, got {self.theta}")
         if self.family == GUMBEL and not (self.theta is not None and self.theta >= 1):
@@ -345,6 +348,15 @@ def default_grid_n(dim: int) -> int:
     return 20
 
 
+def _unit_grid(dim: int, grid_n: int | None) -> np.ndarray:
+    """The closed unit grid's axis 0, 1/grid_n, ..., 1; ``grid_n`` None takes :func:`default_grid_n`."""
+    if grid_n is None:
+        grid_n = default_grid_n(dim)
+    if grid_n < 2:
+        raise DomainError(f"grid_n must be >= 2, got {grid_n}")
+    return np.linspace(0.0, 1.0, grid_n + 1)
+
+
 def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, float]:
     """Grid maxima of (M - W) and (M - C) over the closed unit grid.
 
@@ -358,11 +370,7 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     """
     if c.dim < 2:
         raise DimensionError("Frechet distances require dimension >= 2")
-    if grid_n is None:
-        grid_n = default_grid_n(c.dim)
-    if grid_n < 2:
-        raise DomainError(f"grid_n must be >= 2, got {grid_n}")
-    axis = np.linspace(0.0, 1.0, grid_n + 1)
+    axis = _unit_grid(c.dim, grid_n)
     # M - W peaks on the diagonal: off it, min(u) stays while every rounded
     # partial sum of the coordinates can only grow.  The sum is folded in
     # the grid's order, so this is the full grid's maximum bit for bit.
@@ -557,9 +565,7 @@ def gof_distance(e: CopulaLike, c: CopulaLike, grid_n: int | None = None) -> flo
     """
     if e.dim != c.dim:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {c.dim}")
-    if grid_n is None:
-        grid_n = default_grid_n(e.dim)
-    axes = [np.linspace(0.0, 1.0, grid_n + 1)] * e.dim
+    axes = [_unit_grid(e.dim, grid_n)] * e.dim
     diff = e.cdf_grid(axes) - c.cdf_grid(axes)
     return float(np.mean(diff**2))
 

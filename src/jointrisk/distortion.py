@@ -7,8 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .copula import CopulaLike, frechet_distances
-from .errors import DomainError, ParameterError
+from .copula import CopulaLike, _unit_levels, frechet_distances
+from .errors import ParameterError
 
 IDENTITY = "identity"
 VAR_STEP = "var"
@@ -31,7 +31,7 @@ class Distortion:
       level alpha).
     * ``cvar`` — the tail ramp: u / (1 - alpha) capped at 1 (expected
       shortfall at level alpha).
-    * ``power`` — g(u) = u**k, k > 0; an extension beyond the two tail forms
+    * ``power`` — g(u) = u**k, k > 0 finite; an extension beyond the two tail forms
       used to widen the test surface.
     """
 
@@ -44,8 +44,9 @@ class Distortion:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ParameterError(f"{self.kind} distortion needs alpha in (0, 1), got {self.alpha}")
         elif self.kind == POWER:
-            if self.k is None or self.k <= 0.0:
-                raise ParameterError(f"power distortion needs k > 0, got {self.k}")
+            # written so that a NaN fails the test
+            if self.k is None or not 0.0 < self.k < np.inf:
+                raise ParameterError(f"power distortion needs a finite k > 0, got {self.k}")
         elif self.kind != IDENTITY:
             raise ParameterError(f"unknown distortion kind {self.kind!r}")
 
@@ -111,17 +112,9 @@ def build_distortions(
     return tuple(out)
 
 
-def _check_unit(u) -> np.ndarray:
-    a = np.asarray(u, dtype=float)
-    # one min/max pass; written so that a NaN fails the test
-    if a.size and not (a.min() >= -_LEVEL_TOL and a.max() <= 1.0 + _LEVEL_TOL):
-        raise DomainError("distortion arguments must lie in [0, 1]")
-    return a.clip(0.0, 1.0)
-
-
 def distortion_eval(g: Distortion, u):
     """g(u), vectorized; scalar in, scalar out."""
-    a = _check_unit(u)
+    a = _unit_levels(u, "distortion")
     if g.kind == IDENTITY:
         out = a
     elif g.kind == VAR_STEP:
@@ -138,7 +131,7 @@ def right_cont_inverse(g: Distortion, v):
 
     Endpoints are pinned: the inverse is 0 at v = 0 and 1 at v = 1.
     """
-    a = np.atleast_1d(_check_unit(v)).astype(float)
+    a = np.atleast_1d(_unit_levels(v, "distortion")).astype(float)
     if g.kind == IDENTITY:
         out = a.copy()
     elif g.kind == VAR_STEP:

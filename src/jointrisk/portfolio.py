@@ -262,14 +262,15 @@ def joint_survival(s: ScenarioSet, t) -> float:
     return float(s.weights[hit].sum())
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"confidence level must lie in (0, 1), got {alpha}")
+def _check_level(level: float, name: str) -> None:
+    # written so that a NaN fails the test
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {level}")
 
 
 def var(s: ScenarioSet, i: int, alpha: float) -> float:
     """Left-continuous generalized quantile inf{x : P(X_i <= x) >= alpha}."""
-    _check_alpha(alpha)
+    _check_level(alpha, "confidence level")
     return _var_at(*marginal_steps(s, i), alpha)
 
 
@@ -286,7 +287,7 @@ def cvar(s: ScenarioSet, i: int, alpha: float) -> float:
     When the tail mass 1 - alpha falls inside the top atom this degenerates to
     the maximum loss (the limit of the defining integral).
     """
-    _check_alpha(alpha)
+    _check_level(alpha, "confidence level")
     return _cvar_at(*marginal_steps(s, i), alpha)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .copula import CopulaLike, survival_copula
 from .distortion import ConfidenceBand, blend_diagnostics, build_distortions
-from .errors import DataError, DegenerateTailError, DimensionError, DomainError
-from .portfolio import ScenarioSet, _var_at
+from .errors import DataError, DegenerateTailError, DimensionError
+from .portfolio import ScenarioSet, _check_level, _var_at
 from .scalar_risk import DistortionLike, JointRiskSpec
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class VectorRiskResult:
 def _require_nonnegative(s: ScenarioSet) -> None:
     if not s.nonnegative:
         raise DataError("vector measures require nonnegative losses")
-
-
-def _require_tail_level(q: float) -> None:
-    # written so that a NaN fails the test
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
 def _step_integral(transform, survival: np.ndarray, widths: np.ndarray) -> float:
@@ -109,7 +103,7 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
     _require_nonnegative(s)
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
-    _require_tail_level(q)
+    _check_level(q, "q")
     alpha = 1.0 - q
     chat = survival_copula(c)
     p = chat.cdf([alpha] * s.dim)
@@ -158,7 +152,7 @@ def mtdrm(
     if q is None:
         in_tail = np.ones(s.m, dtype=bool)
     else:
-        _require_tail_level(q)
+        _check_level(q, "q")
         quantiles = np.array([_var_at(values, tail, q) for values, tail in s.steps.columns()])
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
     p_tail = float(s.weights[in_tail].sum())

@@ -422,6 +422,15 @@ class TestMainExitCodes:
             ("plain", ["mtce", "--q", "1.5"], "--q: must lie in (0, 1), got 1.5"),
             ("plain", ["vector", "--grid-n", "1"], "--grid-n: must be >= 2, got 1"),
             ("negative", ["scalar"], "scalar: data has negative losses; use the signed2d command"),
+            # a parameter-free family given a parameter used to run without it
+            *(
+                ("plain", ["scalar", "--copula", choice], f"--copula: unknown choice '{choice}'")
+                for choice in ("independence:5", "comonotone:abc", "countermonotone:1")
+            ),
+            # a non-finite theta or exponent used to run to a wrong or null value
+            ("plain", ["scalar", "--copula", "frank:nan"], "Frank requires a finite theta, got nan"),
+            ("plain", ["scalar", "--copula", "clayton:inf"], "Clayton requires a finite theta, got inf"),
+            ("plain", ["scalar", "--distortion", "power:nan"], "power distortion needs a finite k > 0, got nan"),
         ],
     )
     def test_invalid_option_or_data_is_two_with_its_message(self, tmp_path, capsys, data, argv, message):

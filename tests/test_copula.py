@@ -1081,6 +1081,24 @@ class TestCdfGrid:
             lambda: fit_archimedean(scenario_set([[1.0, 2.0]]), "clayton"),
             DataError, "fitting requires at least 2 scenarios", id="fit-m",
         ),
+        # it used to return 0.0 at grid_n 0 and 1, and NaN below
+        *(
+            pytest.param(
+                lambda n=n: gof_distance(independence(2), clayton(2.0), grid_n=n),
+                DomainError, f"grid_n must be >= 2, got {n}", id=f"gof-grid_n={n}",
+            )
+            for n in (1, -1)
+        ),
+        # an infinite theta passed every range test, and a NaN passed Frank's
+        *(
+            pytest.param(
+                lambda make=make, theta=theta: make(theta),
+                ParameterError, f"{make.__name__.capitalize()} requires a finite theta, got {theta}",
+                id=f"{make.__name__}-{theta}",
+            )
+            for make in (clayton, gumbel, frank)
+            for theta in (float("nan"), float("inf"), float("-inf"))
+        ),
     ],
 )
 def test_validation_raises_its_typed_error(call, error, message):

@@ -59,6 +59,9 @@ class TestEval:
             cvar_ramp(1.0)
         with pytest.raises(ParameterError):
             power(-1.0)
+        for k in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="power distortion needs a finite k > 0"):
+                power(k)
 
     @pytest.mark.parametrize("g", ALL_KINDS)
     def test_endpoints_and_monotone(self, g):
