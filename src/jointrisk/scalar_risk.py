@@ -23,8 +23,9 @@ from .portfolio import ScenarioSet, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
-# padded grid cells that one chunk of gamma_survival_forms evaluates at once,
-# so that a call's memory does not grow with its number of portfolios
+# padded grid cells, one per run of equal distorted levels on each axis, that
+# one chunk of gamma_survival_forms evaluates at once, so that a call's memory
+# does not grow with its number of portfolios
 _CELL_BUDGET = 1 << 14
 
 
@@ -92,7 +93,9 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
     The integrand is evaluated at each cell's lower-left corner (consistent
     with right-continuous step survival functions), making the value exact.
-    Complexity is the product of the marginal breakpoint counts.
+    Neighbouring cells at one distorted level share one copula value, so
+    complexity is the product of each axis' distinct distorted levels (its
+    runs of equal levels), not of its breakpoint counts.
     """
     return gamma_survival_forms([s], spec)[0]
 
@@ -112,43 +115,80 @@ def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray
     ``losses`` (shape (sum of lengths, d)) must be nonnegative and
     ``weights`` hold each row's weight.  One ``steps(...).cell_table()``
     covers every column of every portfolio.  Portfolios with no positive
-    loss in some marginal get 0; the others are ordered by their per-axis
-    cell counts and evaluated in consecutive chunks whose padded grids hold
-    at most ``_CELL_BUDGET`` cells together (one grid, if that alone is
-    larger), so memory stays bounded however many portfolios come in.  A
-    chunk calls each distortion once on its axis' rows (a 2-D array) and
-    evaluates the coupling copula once on its padded batch of grids.  Each
-    value is contracted on its own cells only, so it equals the value
-    computed alone bit for bit.
+    loss in some marginal get 0; each distortion is called once, on the
+    zero-padded cells of its axis in all the others.  Their cells are
+    merged into runs of one distorted level (:func:`_level_runs`): the
+    integrand depends on t only through the levels, so a run needs one
+    copula value, times the sum of its widths.  The portfolios are ordered
+    by their per-axis run counts and evaluated in consecutive chunks whose
+    padded grids hold at most ``_CELL_BUDGET`` runs together (one grid, if
+    that alone is larger), so memory stays bounded however many portfolios
+    come in.  A chunk evaluates the coupling copula once on its padded
+    batch of grids.  Each value is contracted on its own runs only, so it
+    equals the value computed alone bit for bit.
     """
     # one cell table over every column; [i, p] of each reshaped table is column i of portfolio p
     n_port, dim = len(lengths), spec.dim
     survival, widths, counts = steps(losses.T.ravel(), np.tile(lengths, dim), np.tile(weights, dim)).cell_table()
-    survival, widths = survival.reshape(dim, n_port, -1), widths.reshape(dim, n_port, -1)
     counts = counts.reshape(dim, n_port)
     out = np.zeros(n_port)
     live = np.flatnonzero(counts.all(axis=0))
-    # sorted by cell counts, axis 0 first, so that portfolios of one shape
-    # are neighbours and a chunk pads little past its own cells
-    order = live[np.lexsort(counts[::-1, live])]
-    step = max(1, _CELL_BUDGET // int(np.prod(counts[:, live].max(axis=1, initial=1))))
+    if not live.size:
+        return out
+    # the live portfolios' rows of every axis, axis 0 first, as one (dim * L, n) table
+    survival, widths = (a.reshape(dim, n_port, -1)[:, live] for a in (survival, widths))
+    levels = np.concatenate([np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, survival)])
+    first, widths, counts = _level_runs(levels, widths.reshape(len(levels), -1), counts[:, live].ravel())
+    levels = np.take_along_axis(levels, first, axis=1).reshape(dim, len(live), -1)
+    widths, counts = widths.reshape(dim, len(live), -1), counts.reshape(dim, len(live))
+    # sorted by run counts, axis 0 first, so that portfolios of one shape
+    # are neighbours and a chunk pads little past its own runs
+    order = np.lexsort(counts[::-1])
+    step = max(1, _CELL_BUDGET // int(np.prod(counts.max(axis=1))))
     for start in range(0, len(order), step):
         rows = order[start : start + step]
         sizes = counts[:, rows]
-        levels = [
-            np.asarray(g(survival[i, rows, :n]), dtype=float)
-            for i, (g, n) in enumerate(zip(spec.distortions, sizes.max(axis=1)))
-        ]
-        grids = spec.cstar.cdf_grids(levels)
+        grids = spec.cstar.cdf_grids([levels[i, rows, :n] for i, n in enumerate(sizes.max(axis=1))])
         chunk_widths = widths[:, rows]
-        # the rows are sorted, so each cell shape is one run, contracted as one batch
+        # the rows are sorted, so each run shape is one stretch, contracted as one batch
         starts = np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1
         bounds = [0, *starts.tolist(), len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
             n = sizes[:, a].tolist()
             cells = grids[(slice(a, b), *(slice(0, k) for k in n))]
-            out[rows[a:b]] = _contract(cells, [w[a:b, :k] for w, k in zip(chunk_widths, n)])
+            out[live[rows[a:b]]] = _contract(cells, [w[a:b, :k] for w, k in zip(chunk_widths, n)])
     return out
+
+
+def _level_runs(levels: np.ndarray, widths: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's runs of consecutive cells at one distorted level.
+
+    ``levels`` and ``widths`` (K, n), n >= 1, hold row k's cells in their
+    first ``counts[k]`` entries and widths 0 after them.  A run starts at a
+    row's first cell and at each of its own cells whose level differs from
+    the one before; padding never starts a run, so it joins the row's last
+    run with width 0.  Returns ``(first, widths, counts)``: ``counts[k]``
+    is row k's number of runs, ``first`` (K, r) the cell that starts each
+    run, repeating the row's last run start past its runs, and ``widths``
+    (K, r) each run's summed widths, added in cell order by one
+    ``bincount`` (so a run of one cell keeps its width bit for bit), zero
+    past the row's runs.
+    """
+    n_rows, n = levels.shape
+    start = np.empty((n_rows, n), dtype=bool)
+    start[:, 0] = True
+    np.not_equal(levels[:, 1:], levels[:, :-1], out=start[:, 1:])
+    start[:, 1:] &= np.arange(1, n) < counts[:, None]
+    run = np.cumsum(start, axis=1) - 1
+    run_counts = run[:, -1] + 1
+    r = int(run_counts.max())
+    flat = (run + r * np.arange(n_rows)[:, None]).ravel()
+    run_widths = np.bincount(flat, weights=widths.ravel(), minlength=n_rows * r).reshape(n_rows, r)
+    first = np.zeros((n_rows, r), dtype=np.intp)
+    rows, cols = np.nonzero(start)
+    first[rows, run[rows, cols]] = cols
+    np.maximum.accumulate(first, axis=1, out=first)
+    return first, run_widths, run_counts
 
 
 def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -186,14 +226,16 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     Both forms read :func:`_step_grid`.  For the ls form, the levels at each
     step are the last n entries of an axis' level vector and the levels just
     below it the first n, so every term of the increment is a sub-grid of
-    the one tensor.  The survival form contracts the grid's ``cut`` with the
-    cell widths as :func:`gamma_survival_forms` contracts them: both forms
-    read the same copula values, and the survival form equals
-    :func:`gamma_survival_form` bit for bit.  The survival form is 0 when
-    some marginal has no positive loss.
+    the one tensor.  The survival form reads the grid's ``cut`` run by run
+    (:func:`_step_survival_form`), with the runs and summed widths of
+    :func:`gamma_survival_forms`: both read the same copula values, and the
+    survival form equals :func:`gamma_survival_form` bit for bit when the
+    distortions are monotone (under an empirical coupling the extra levels
+    g(1) and g(0) then bin no scenario).  The survival form is 0 when some
+    marginal has no positive loss.
     """
     _check_inputs([s], spec)
-    grid, _, values, cut, widths = _step_grid(s, spec)
+    grid, levels, values, cut, widths = _step_grid(s, spec)
     coords = [v[None] for v in values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
@@ -201,10 +243,32 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    survival = 0.0
-    if all(w.size for w in widths):
-        survival = float(_contract(grid[tuple(cut)][None], [w[None] for w in widths])[0])
-    return survival, total
+    return _step_survival_form(grid, levels, cut, widths), total
+
+
+def _step_survival_form(grid: np.ndarray, levels: list, cut: list[slice], widths: list) -> float:
+    """The survival form off a :func:`_step_grid`: its ``cut`` contracted run by run.
+
+    Each axis' cells merge into runs of one level as in
+    :func:`_survival_forms`, and the grid entry at each run's first cell is
+    contracted with the run's summed widths; with no run longer than one
+    cell, the ``cut`` sub-grid itself is contracted.  0 when some marginal
+    has no positive loss.
+    """
+    if not all(w.size for w in widths):
+        return 0.0
+    cut_levels = [lv[c] for lv, c in zip(levels, cut)]
+    if not any((v[1:] == v[:-1]).any() for v in cut_levels):
+        # every run is one cell, of its own width: the sub-grid, with no fancy-index copy
+        return float(_contract(grid[tuple(cut)][None], [w[None] for w in widths])[0])
+    # every axis as one row of a zero-padded table, for one _level_runs call
+    counts = np.array([w.size for w in widths])
+    table = np.zeros((2, len(widths), counts.max()))
+    for i, (v, w) in enumerate(zip(cut_levels, widths)):
+        table[:, i, : w.size] = v, w
+    first, run_widths, runs = _level_runs(*table, counts)
+    picks = np.ix_(*(c.start + f[:k] for c, f, k in zip(cut, first, runs)))
+    return float(_contract(grid[picks][None], [w[None, :k] for w, k in zip(run_widths, runs)])[0])
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:

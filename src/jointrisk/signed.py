@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .portfolio import ScenarioSet
-from .scalar_risk import JointRiskSpec, _contract, _step_grid
+from .scalar_risk import JointRiskSpec, _step_grid, _step_survival_form
 
 
 def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -46,9 +46,8 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
     gp, gn = ([v[cut] for v, cut in zip(levels, cuts)] for cuts in (pos, neg))
 
     total = 0.0
-    # positive quadrant: same cells and accumulation as the nonnegative evaluator
-    if w_pos[0].size and w_pos[1].size:
-        total += float(_contract(grid[None, pos[0], pos[1]], [w_pos[0][None], w_pos[1][None]])[0])
+    # positive quadrant: the nonnegative evaluator's survival form, run by run
+    total += _step_survival_form(grid, levels, pos, w_pos)
     # x1 >= 0, x2 < 0: subtract the first marginal term
     if w_pos[0].size and w_neg[1].size:
         integrand = grid[pos[0], neg[1]] - gp[0][:, None]

@@ -1046,19 +1046,33 @@ class TestCdfGrid:
         # the d=2 survival form contracts the grid exactly as a pointwise batch
         # reshaped to (n1, n2) would: rows by the second axis' widths, then the
         # first's.  Stored formulation gaps of d=2 parametric runs depend on it.
+        # Neighbouring cells at one distorted level are one run: its widths are
+        # summed in cell order first, and the run takes one copula value
         rng = np.random.default_rng(9)
         s = scenario_set(np.round(rng.gamma(2.0, 1.5, size=(150, 2)), 1))
         spec = JointRiskSpec(survival_copula(cop), gs)
-        levels, widths = [], []
+
+        def pointwise_sum(levels, widths):
+            pts = np.empty((len(levels[0]) * len(levels[1]), 2))
+            pts[:, 0] = np.repeat(levels[0], len(levels[1]))
+            pts[:, 1] = np.tile(levels[1], len(levels[0]))
+            vals = np.asarray(spec.cstar.cdf(pts)).reshape(len(levels[0]), len(levels[1]))
+            return float(widths[0] @ (vals @ widths[1]))
+
+        levels, widths, run_levels, run_widths = [], [], [], []
         for i in range(2):
             _, sv, w = marginal_cells(s, i)
-            levels.append(np.asarray(gs[i](sv), dtype=float))
+            g = np.asarray(gs[i](sv), dtype=float)
+            starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+            levels.append(g)
             widths.append(w)
-        pts = np.empty((len(levels[0]) * len(levels[1]), 2))
-        pts[:, 0] = np.repeat(levels[0], len(levels[1]))
-        pts[:, 1] = np.tile(levels[1], len(levels[0]))
-        vals = np.asarray(spec.cstar.cdf(pts)).reshape(len(levels[0]), len(levels[1]))
-        assert gamma_survival_form(s, spec) == float(widths[0] @ (vals @ widths[1]))
+            run_levels.append(g[starts])
+            run_widths.append(np.array([np.cumsum(r)[-1] for r in np.split(w, starts[1:])]))
+        got = gamma_survival_form(s, spec)
+        assert got == pointwise_sum(run_levels, run_widths)
+        # the per-cell sum differs by the order of its additions only
+        per_cell = pointwise_sum(levels, widths)
+        assert abs(got - per_cell) <= 1e-13 * abs(per_cell)
 
 
 @pytest.mark.parametrize(

@@ -223,14 +223,29 @@ def portfolio_batch(draw):
     return portfolios, JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
 
 
-def _survival_form_per_axis(s, spec):
-    """The survival form unbatched: marginal_cells and a distortion call per axis, one cdf_grid."""
+def _level_runs(levels, widths):
+    """Each run of equal neighbouring levels: its first cell and its widths summed in cell order."""
+    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
+    return starts, np.array([np.cumsum(w)[-1] for w in np.split(widths, starts[1:])])
+
+
+def _survival_form_per_axis(s, spec, merge=True):
+    """The survival form unbatched: marginal_cells and a distortion call per axis, one cdf_grid.
+
+    With ``merge``, each axis' runs of one distorted level are one grid
+    entry with the run's summed widths; without it, every cell is its own
+    entry (the sum the runs reassociate).
+    """
     levels, widths = [], []
     for i in range(s.dim):
         _, sv, w = marginal_cells(s, i)
         if len(w) == 0:
             return 0.0
-        levels.append(np.asarray(spec.distortions[i](sv), dtype=float))
+        g = np.asarray(spec.distortions[i](sv), dtype=float)
+        if merge:
+            starts, w = _level_runs(g, w)
+            g = g[starts]
+        levels.append(g)
         widths.append(w)
     return _grid_contract(spec.cstar.cdf_grid(levels), widths)
 
@@ -271,12 +286,116 @@ def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
     for s, value in zip(portfolios, singles):
         if not np.all(s.losses.max(axis=0) > 0.0):
             assert value == 0.0
+        per_cell = _survival_form_per_axis(s, spec, merge=False)
+        assert abs(value - per_cell) <= 1e-13 * abs(per_cell)
     # the default budget, one portfolio per chunk, and a few per chunk
     for budget in (scalar_risk._CELL_BUDGET, 1, 40):
         with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
             batched = gamma_survival_forms(portfolios, spec)
             assert batched == [gamma_survival_form(s, spec) for s in portfolios]
         assert batched == singles
+
+
+def _rise_and_fall(u):
+    """A non-monotone distortion with plateaus: equal levels need not be neighbours."""
+    return np.round(np.sin(3.0 * np.asarray(u, dtype=float)), 1)
+
+
+@st.composite
+def runs_case(draw):
+    """1-4 portfolios of dimension 1-4 and a spec whose distortions make runs of equal levels.
+
+    Losses come from small pools, so columns tie; a column may be all zero
+    or start at zero.  The coupling is any family (Frank with theta < 0 and
+    countermonotone at d = 2 only), bare or survival-wrapped once or twice.
+    The distortions are the built-in kinds at a few levels and
+    :func:`_rise_and_fall`.
+    """
+    d = draw(st.integers(1, 4))
+    pool = draw(st.sampled_from(([0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.125, 0.25, 0.5, 7.0])))
+    portfolios = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, {1: 12, 2: 8, 3: 5, 4: 4}[d]))
+        losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d))).reshape(m, d)
+        col, shape = draw(st.integers(0, d - 1)), draw(st.integers(0, 3))
+        if shape == 0:
+            losses[:, col] = 0.0  # no cell: gamma 0
+        elif shape == 1:
+            losses[draw(st.integers(0, m - 1)), col] = 0.0  # cells start one step in
+        weights = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), float)
+        portfolios.append(scenario_set(losses, weights))
+    families = ["independence", "comonotone", "clayton", "gumbel", "frank", "empirical"]
+    choice = draw(st.sampled_from(families + ["countermonotone"] if d == 2 else families))
+    if choice == "empirical":
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        cop = empirical_copula(scenario_set(np.round(rng.uniform(0, 3, size=(12, d)))))
+    elif choice == "countermonotone":
+        cop = countermonotone_2d()
+    elif choice in ("independence", "comonotone"):
+        cop = {"independence": independence, "comonotone": comonotone}[choice](d)
+    else:
+        thetas = {"clayton": (0.5, 3.0), "gumbel": (1.0, 2.5), "frank": (-3.0, 0.5, 3.0) if d == 2 else (0.5, 3.0)}
+        cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](draw(st.sampled_from(thetas[choice])), d)
+    for _ in range(draw(st.integers(0, 2))):
+        cop = survival_copula(cop)
+    kinds = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), _rise_and_fall)
+    return portfolios, JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=runs_case())
+# axis 0's levels 0.1, 0.4, 0.7, 0.9, 1, 1, 0.9, 0.8, 0.6, 0.3: the two 1s
+# merge, the two 0.9s are runs of their own; axis 1 merges its two 1s
+@example(case=(
+    [scenario_set(np.column_stack([np.arange(1.0, 11.0), np.tile([1.0, 2.0], 5)]))],
+    JointRiskSpec(survival_copula(clayton(3.0)), (_rise_and_fall, cvar_ramp(0.6))),
+))
+def test_survival_kernel_equals_the_full_cell_sum(case):
+    # merging a run of equal levels reassociates the cell sum; nothing else moves
+    portfolios, spec = case
+    want = [_survival_form_per_axis(s, spec, merge=False) for s in portfolios]
+    for budget in (scalar_risk._CELL_BUDGET, 1):
+        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+            got = gamma_survival_forms(portfolios, spec)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-13 * abs(b)
+    # the step grid's runs are the same runs; its extra levels g(1) and g(0)
+    # bin no scenario of an empirical coupling only when g is monotone
+    if _rise_and_fall not in spec.distortions:
+        assert [gamma_forms(s, spec)[0] for s in portfolios] == got
+
+
+def _spied_grids(monkeypatch):
+    """Record the shape of every batch of grids asked of a copula."""
+    shapes = []
+    for cls in (Copula, SurvivalCopula):
+        def spy(self, axes, _grids=cls.cdf_grids):
+            out = _grids(self, axes)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(cls, "cdf_grids", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_var_axiom_suite_grids_hold_at_most_two_levels_per_axis(monkeypatch, d):
+    # a var step takes the levels 0 and 1 only, and they are in order: at most two runs per axis
+    shapes = _spied_grids(monkeypatch)
+    copulas = [clayton(2.0, d), independence(d), empirical_copula(scenario_set(_dependent_losses(d, 40, d)))]
+    axiom_suite(varcvar_spec_factory(BAND, "var"), copulas, trials=12, seed=3)
+    assert shapes and all(max(shape[1:]) <= 2 for shape in shapes)
+
+
+def test_identity_grids_are_the_cell_counts(monkeypatch):
+    # identity levels are the survival values, distinct on every cell: no run merges
+    rng = np.random.default_rng(11)
+    portfolios = [random_portfolio(rng, 3, max_m=8) for _ in range(6)]
+    shapes = _spied_grids(monkeypatch)
+    with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+        gamma_survival_forms(portfolios, identity_spec(survival_copula(clayton(2.0, 3))))
+    counts = [tuple(len(marginal_cells(s, i)[2]) for i in range(3)) for s in portfolios]
+    assert sorted(shapes) == sorted((1, *c) for c in counts)
 
 
 def _ls_form_per_mask(s, spec):

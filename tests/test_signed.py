@@ -139,8 +139,19 @@ def _negative_cells(values, tail):
     return tail[:k], np.diff(np.concatenate((values[:k], [0.0])))
 
 
-def _signed_per_quadrant(s, spec):
-    """The signed form with one cdf_grid call per non-empty quadrant."""
+def _level_runs(levels, widths):
+    """Each run of equal neighbouring levels: its first cell and its widths summed in cell order."""
+    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
+    return starts, np.array([np.cumsum(w)[-1] for w in np.split(widths, starts[1:])])
+
+
+def _signed_per_quadrant(s, spec, merge=True):
+    """The signed form with one cdf_grid call per non-empty quadrant.
+
+    With ``merge``, the positive quadrant takes one level per run of equal
+    neighbouring levels on each axis, with the run's summed widths; without
+    it, every cell.
+    """
     _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
     sv_neg, w_neg = zip(*(_negative_cells(*marginal_steps(s, i)) for i in range(2)))
     gp = [np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, sv_pos)]
@@ -148,7 +159,11 @@ def _signed_per_quadrant(s, spec):
     c = spec.cstar
     total = 0.0
     if len(w_pos[0]) and len(w_pos[1]):
-        total += float(w_pos[0] @ (c.cdf_grid(gp) @ w_pos[1]))
+        levels, widths = gp, w_pos
+        if merge:
+            runs = [_level_runs(g, w) for g, w in zip(gp, w_pos)]
+            levels, widths = [g[starts] for g, (starts, _) in zip(gp, runs)], [w for _, w in runs]
+        total += float(widths[0] @ (c.cdf_grid(levels) @ widths[1]))
     if len(w_pos[0]) and len(w_neg[1]):
         total += float(w_pos[0] @ (c.cdf_grid([gp[0], gn[1]]) - gp[0][:, None]) @ w_neg[1])
     if len(w_neg[0]) and len(w_pos[1]):
@@ -200,18 +215,26 @@ def signed_case(draw):
 def test_signed_form_equals_the_per_quadrant_calls(case):
     s, spec = case
     got, want = gamma_signed_2d(s, spec), _signed_per_quadrant(s, spec)
+    # every integrand lies in [-1, 1], so the area of the loss box sets the rounding scale
+    area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
     if s.nonnegative or _base_family(spec.cstar) != EMPIRICAL:
         assert got == want
     else:
         # an empirical grid over both quadrants' levels splits histogram
-        # bins, which moves the rounding of its sums; every integrand lies
-        # in [-1, 1], so the area of the loss box sets the rounding scale
-        area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
+        # bins, which moves the rounding of its sums
         assert abs(got - want) <= 1e-14 * max(abs(got), abs(want), area)
+    # the per-cell positive quadrant differs by the order of its additions only
+    per_cell = _signed_per_quadrant(s, spec, merge=False)
+    assert abs(got - per_cell) <= 1e-13 * max(abs(got), abs(per_cell), area)
 
 
-def _signed_one_grid(s, spec):
-    """The signed form on its own grid: g(concat(neg, pos)) levels, one cdf_grid, four blocks."""
+def _signed_one_grid(s, spec, merge=True):
+    """The signed form on its own grid: g(concat(neg, pos)) levels, one cdf_grid, four blocks.
+
+    With ``merge``, the positive quadrant takes one grid entry per run of
+    equal neighbouring levels on each axis, with the run's widths summed in
+    cell order; without it, every cell.
+    """
     _, sv_pos, w_pos = zip(*(marginal_cells(s, i) for i in range(2)))
     sv_neg, w_neg = zip(*(_negative_cells(*marginal_steps(s, i)) for i in range(2)))
     levels = [np.asarray(g(np.concatenate((n, p))), dtype=float) for g, n, p in zip(spec.distortions, sv_neg, sv_pos)]
@@ -220,7 +243,11 @@ def _signed_one_grid(s, spec):
     gn, gp = [levels[0][:k1], levels[1][:k2]], [levels[0][k1:], levels[1][k2:]]
     total = 0.0
     if len(w_pos[0]) and len(w_pos[1]):
-        total += float(_contract(grid[None, k1:, k2:], [w_pos[0][None], w_pos[1][None]])[0])
+        picks, widths = [np.arange(len(w)) for w in w_pos], w_pos
+        if merge:
+            picks, widths = zip(*(_level_runs(g, w) for g, w in zip(gp, w_pos)))
+        cells = grid[np.ix_(k1 + picks[0], k2 + picks[1])]
+        total += float(_contract(cells[None], [widths[0][None], widths[1][None]])[0])
     if len(w_pos[0]) and k2:
         total += float(w_pos[0] @ (grid[k1:, :k2] - gp[0][:, None]) @ w_neg[1])
     if k1 and len(w_pos[1]):
@@ -239,6 +266,11 @@ def test_signed_form_equals_its_own_one_grid_construction(case):
     s, spec = case
     got, want = gamma_signed_2d(s, spec), _signed_one_grid(s, spec)
     assert got == want and np.signbit(got) == np.signbit(want)
+    # the per-cell positive quadrant differs by the order of its additions
+    # only; every integrand lies in [-1, 1], so the loss box's area sets the scale
+    per_cell = _signed_one_grid(s, spec, merge=False)
+    area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
+    assert abs(got - per_cell) <= 1e-13 * max(abs(got), abs(per_cell), area)
 
 
 @pytest.mark.parametrize("choice", ["clayton", "empirical"])
