@@ -24,8 +24,8 @@ from .portfolio import ScenarioSet, scenario_set, steps
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
 # padded grid cells, one per run of equal distorted levels on each axis, that
-# one chunk of gamma_survival_forms evaluates at once, so that a call's memory
-# does not grow with its number of portfolios
+# one chunk of gamma_survival_forms evaluates at once, so that the grids of a
+# call do not grow with its number of portfolios
 _CELL_BUDGET = 1 << 14
 
 
@@ -114,81 +114,92 @@ def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray
 
     ``losses`` (shape (sum of lengths, d)) must be nonnegative and
     ``weights`` hold each row's weight.  One ``steps(...).cell_table()``
-    covers every column of every portfolio.  Portfolios with no positive
-    loss in some marginal get 0; each distortion is called once, on the
-    zero-padded cells of its axis in all the others.  Their cells are
-    merged into runs of one distorted level (:func:`_level_runs`): the
-    integrand depends on t only through the levels, so a run needs one
-    copula value, times the sum of its widths.  The portfolios are ordered
-    by their per-axis run counts and evaluated in consecutive chunks whose
-    padded grids hold at most ``_CELL_BUDGET`` runs together (one grid, if
-    that alone is larger), so memory stays bounded however many portfolios
-    come in.  A chunk evaluates the coupling copula once on its padded
-    batch of grids.  Each value is contracted on its own runs only, so it
-    equals the value computed alone bit for bit.
+    covers every column of every portfolio, and each distortion is called
+    once, on its axis' zero-padded survival levels, which its output
+    overwrites.  Portfolios with no positive loss in some marginal get 0.
+    The others' cells are merged into runs of one distorted level
+    (:func:`_run_starts`): the integrand depends on t only through the
+    levels, so a run needs one copula value, times the sum of its widths.
+    The portfolios are ordered by their per-axis run counts and evaluated
+    in consecutive chunks whose padded grids hold at most ``_CELL_BUDGET``
+    runs together (one grid, if that alone is larger), so the grids stay
+    bounded however many portfolios come in; only the cell table and its
+    run starts span the batch.  A chunk finds its rows' runs
+    (:func:`_level_runs`) and evaluates the coupling copula once on its
+    padded batch of grids.  Each value is contracted on its own runs only,
+    so it equals the value computed alone bit for bit.
     """
     # one cell table over every column; [i, p] of each reshaped table is column i of portfolio p
     n_port, dim = len(lengths), spec.dim
-    survival, widths, counts = steps(losses.T.ravel(), np.tile(lengths, dim), np.tile(weights, dim)).cell_table()
+    levels, widths, counts = steps(losses.T.ravel(), np.tile(lengths, dim), np.tile(weights, dim)).cell_table()
     counts = counts.reshape(dim, n_port)
     out = np.zeros(n_port)
     live = np.flatnonzero(counts.all(axis=0))
     if not live.size:
         return out
-    # the live portfolios' rows of every axis, axis 0 first, as one (dim * L, n) table
-    survival, widths = (a.reshape(dim, n_port, -1)[:, live] for a in (survival, widths))
-    levels = np.concatenate([np.asarray(g(sv), dtype=float) for g, sv in zip(spec.distortions, survival)])
-    first, widths, counts = _level_runs(levels, widths.reshape(len(levels), -1), counts[:, live].ravel())
-    levels = np.take_along_axis(levels, first, axis=1).reshape(dim, len(live), -1)
-    widths, counts = widths.reshape(dim, len(live), -1), counts.reshape(dim, len(live))
+    levels, widths = levels.reshape(dim, n_port, -1), widths.reshape(dim, n_port, -1)
+    # each axis' survival levels distorted in place, one call per axis
+    for i, g in enumerate(spec.distortions):
+        levels[i] = g(levels[i])
+    starts = _run_starts(levels, counts)
+    runs = starts.sum(axis=2)
     # sorted by run counts, axis 0 first, so that portfolios of one shape
     # are neighbours and a chunk pads little past its own runs
-    order = np.lexsort(counts[::-1])
-    step = max(1, _CELL_BUDGET // int(np.prod(counts.max(axis=1))))
+    order = live[np.lexsort(runs[::-1, live])]
+    step = max(1, _CELL_BUDGET // int(np.prod(runs[:, live].max(axis=1))))
     for start in range(0, len(order), step):
         rows = order[start : start + step]
-        sizes = counts[:, rows]
-        grids = spec.cstar.cdf_grids([levels[i, rows, :n] for i, n in enumerate(sizes.max(axis=1))])
-        chunk_widths = widths[:, rows]
+        sizes = runs[:, rows]
+        n = counts[:, rows].max()
+        first, chunk_widths = _level_runs(starts[:, rows, :n], widths[:, rows, :n])
+        run_levels = np.take_along_axis(levels[:, rows, :n], first, axis=2)
+        grids = spec.cstar.cdf_grids([run_levels[i, :, :k] for i, k in enumerate(sizes.max(axis=1))])
         # the rows are sorted, so each run shape is one stretch, contracted as one batch
-        starts = np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1
-        bounds = [0, *starts.tolist(), len(rows)]
+        bounds = [0, *(np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            n = sizes[:, a].tolist()
-            cells = grids[(slice(a, b), *(slice(0, k) for k in n))]
-            out[live[rows[a:b]]] = _contract(cells, [w[a:b, :k] for w, k in zip(chunk_widths, n)])
+            k = sizes[:, a].tolist()
+            cells = grids[(slice(a, b), *(slice(0, j) for j in k))]
+            out[rows[a:b]] = _contract(cells, [w[a:b, :j] for w, j in zip(chunk_widths, k)])
     return out
 
 
-def _level_runs(levels: np.ndarray, widths: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's runs of consecutive cells at one distorted level.
+def _run_starts(levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Where each row's runs of consecutive cells at one distorted level start.
 
-    ``levels`` and ``widths`` (K, n), n >= 1, hold row k's cells in their
-    first ``counts[k]`` entries and widths 0 after them.  A run starts at a
-    row's first cell and at each of its own cells whose level differs from
-    the one before; padding never starts a run, so it joins the row's last
-    run with width 0.  Returns ``(first, widths, counts)``: ``counts[k]``
-    is row k's number of runs, ``first`` (K, r) the cell that starts each
-    run, repeating the row's last run start past its runs, and ``widths``
-    (K, r) each run's summed widths, added in cell order by one
-    ``bincount`` (so a run of one cell keeps its width bit for bit), zero
-    past the row's runs.
+    ``levels`` (..., n), n >= 1, holds a row's cells in its first
+    ``counts[...]`` entries.  True at a row's first cell and at each of its
+    own cells whose level differs from the one before; padding never starts
+    a run, so it joins the row's last run.
     """
-    n_rows, n = levels.shape
-    start = np.empty((n_rows, n), dtype=bool)
-    start[:, 0] = True
-    np.not_equal(levels[:, 1:], levels[:, :-1], out=start[:, 1:])
-    start[:, 1:] &= np.arange(1, n) < counts[:, None]
-    run = np.cumsum(start, axis=1) - 1
-    run_counts = run[:, -1] + 1
-    r = int(run_counts.max())
+    start = np.empty(levels.shape, dtype=bool)
+    start[..., 0] = True
+    np.not_equal(levels[..., 1:], levels[..., :-1], out=start[..., 1:])
+    start[..., 1:] &= np.arange(1, levels.shape[-1]) < counts[..., None]
+    return start
+
+
+def _level_runs(start: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, widths)`` of each row's runs, from its :func:`_run_starts` ``start``.
+
+    ``widths`` has the shape (..., n) of ``start`` and is 0 past a row's
+    cells.  With r the most runs of any row, ``first`` (..., r) holds the
+    cell that starts each run, repeating the row's last run start past its
+    runs, and ``widths`` (..., r) each run's summed widths, added in cell
+    order by one ``bincount`` (so a run of one cell keeps its width bit for
+    bit), zero past the row's runs.
+    """
+    shape, n = start.shape[:-1], start.shape[-1]
+    start = start.reshape(-1, n)
+    run = np.cumsum(start, axis=1)
+    run -= 1
+    n_rows, r = len(run), int(run[:, -1].max()) + 1
     flat = (run + r * np.arange(n_rows)[:, None]).ravel()
-    run_widths = np.bincount(flat, weights=widths.ravel(), minlength=n_rows * r).reshape(n_rows, r)
+    run_widths = np.bincount(flat, weights=widths.ravel(), minlength=n_rows * r)
     first = np.zeros((n_rows, r), dtype=np.intp)
     rows, cols = np.nonzero(start)
     first[rows, run[rows, cols]] = cols
     np.maximum.accumulate(first, axis=1, out=first)
-    return first, run_widths, run_counts
+    return first.reshape(*shape, r), run_widths.reshape(*shape, r)
 
 
 def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -259,14 +270,17 @@ def _step_survival_form(grid: np.ndarray, levels: list, cut: list[slice], widths
         return 0.0
     cut_levels = [lv[c] for lv, c in zip(levels, cut)]
     if not any((v[1:] == v[:-1]).any() for v in cut_levels):
-        # every run is one cell, of its own width: the sub-grid, with no fancy-index copy
+        # every run is one cell, of its own width: the sub-grid, with no
+        # fancy-index copy (np.ix_ costs 5-10x a slice copy on a large grid)
         return float(_contract(grid[tuple(cut)][None], [w[None] for w in widths])[0])
-    # every axis as one row of a zero-padded table, for one _level_runs call
+    # every axis as one row of a zero-padded table
     counts = np.array([w.size for w in widths])
     table = np.zeros((2, len(widths), counts.max()))
     for i, (v, w) in enumerate(zip(cut_levels, widths)):
         table[:, i, : w.size] = v, w
-    first, run_widths, runs = _level_runs(*table, counts)
+    start = _run_starts(table[0], counts)
+    first, run_widths = _level_runs(start, table[1])
+    runs = start.sum(axis=1)
     picks = np.ix_(*(c.start + f[:k] for c, f, k in zip(cut, first, runs)))
     return float(_contract(grid[picks][None], [w[None, :k] for w, k in zip(run_widths, runs)])[0])
 

@@ -215,17 +215,29 @@ def signed_case(draw):
 def test_signed_form_equals_the_per_quadrant_calls(case):
     s, spec = case
     got, want = gamma_signed_2d(s, spec), _signed_per_quadrant(s, spec)
-    # every integrand lies in [-1, 1], so the area of the loss box sets the rounding scale
-    area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
     if s.nonnegative or _base_family(spec.cstar) != EMPIRICAL:
         assert got == want
     else:
         # an empirical grid over both quadrants' levels splits histogram
-        # bins, which moves the rounding of its sums
+        # bins, which moves the rounding of its sums; every integrand lies
+        # in [-1, 1], so the area of the loss box sets the rounding scale
+        area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
         assert abs(got - want) <= 1e-14 * max(abs(got), abs(want), area)
     # the per-cell positive quadrant differs by the order of its additions only
-    per_cell = _signed_per_quadrant(s, spec, merge=False)
-    assert abs(got - per_cell) <= 1e-13 * max(abs(got), abs(per_cell), area)
+    _assert_per_cell_close(s, got, _signed_per_quadrant(s, spec, merge=False))
+
+
+def _assert_per_cell_close(s, got, per_cell):
+    """``got`` within 1e-13 of the per-cell sum: relative on nonnegative data, else on the loss box's area.
+
+    A nonnegative portfolio's form adds nonnegative terms only; the signed
+    quadrants cancel, so a value near 0 can come from terms as large as
+    the area of the loss box (every integrand lies in [-1, 1]).
+    """
+    scale = max(abs(got), abs(per_cell))
+    if not s.nonnegative:
+        scale = max(scale, float(np.prod(s.losses.max(axis=0) - s.losses.min(axis=0).clip(max=0.0))))
+    assert abs(got - per_cell) <= 1e-13 * scale
 
 
 def _signed_one_grid(s, spec, merge=True):
@@ -266,11 +278,8 @@ def test_signed_form_equals_its_own_one_grid_construction(case):
     s, spec = case
     got, want = gamma_signed_2d(s, spec), _signed_one_grid(s, spec)
     assert got == want and np.signbit(got) == np.signbit(want)
-    # the per-cell positive quadrant differs by the order of its additions
-    # only; every integrand lies in [-1, 1], so the loss box's area sets the scale
-    per_cell = _signed_one_grid(s, spec, merge=False)
-    area = float(np.prod(s.losses.max(axis=0) - np.minimum(s.losses.min(axis=0), 0.0)))
-    assert abs(got - per_cell) <= 1e-13 * max(abs(got), abs(per_cell), area)
+    # the per-cell positive quadrant differs by the order of its additions only
+    _assert_per_cell_close(s, got, _signed_one_grid(s, spec, merge=False))
 
 
 @pytest.mark.parametrize("choice", ["clayton", "empirical"])
