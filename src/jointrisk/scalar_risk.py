@@ -214,21 +214,33 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     return gamma_forms(s, spec)[1]
 
 
-def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list[slice], list]:
-    """``(grid, levels, values, cut, widths)``: the coupling copula once on every axis' distorted step levels.
+def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list, list[slice], list]:
+    """``(run_grid, run, levels, values, cut, widths)``: the coupling copula once per run of equal distorted step levels.
 
     ``levels[i]`` is ``g_i([1, tail_0, ..., tail_{n-1}])`` over axis i's n
     sorted distinct ``values[i]``: entry j + 1 is the level at value j, entry
     j the level below it.  Axis i's c cells covering [0, max) are its last c
     steps, at the levels ``cut[i]`` = entries n - c to n, with widths ``widths[i]``.
+    ``run[i]`` holds each entry's run of neighbours at one level (:func:`_run_starts`)
+    and ``run_grid`` the copula on the run levels; :func:`_full_grid` repeats it over every entry.
     """
-    levels, values, cut, widths = [], [], [], []
+    levels, starts, values, cut, widths = [], [], [], [], []
     for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
         levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
+        starts.append(_run_starts(levels[-1], np.asarray(levels[-1].size)))
         values.append(v)
         cut.append(slice(len(v) - len(w), len(v)))
         widths.append(w)
-    return spec.cstar.cdf_grid(levels), levels, values, cut, widths
+    run_grid = spec.cstar.cdf_grid([lv[start] for lv, start in zip(levels, starts)])
+    return run_grid, [np.cumsum(start) - 1 for start in starts], levels, values, cut, widths
+
+
+def _full_grid(run_grid: np.ndarray, run: list) -> np.ndarray:
+    """The step grid: each axis' run values repeated over the run's entries; ``run_grid`` itself when no run merges."""
+    for i, r in enumerate(run):
+        if r[-1] + 1 < r.size:
+            run_grid = np.repeat(run_grid, np.bincount(r), axis=i)
+    return run_grid
 
 
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
@@ -237,8 +249,8 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     Both forms read :func:`_step_grid`.  For the ls form, the levels at each
     step are the last n entries of an axis' level vector and the levels just
     below it the first n, so every term of the increment is a sub-grid of
-    the one tensor.  The survival form reads the grid's ``cut`` run by run
-    (:func:`_step_survival_form`), with the runs and summed widths of
+    :func:`_full_grid`.  The survival form reads the run grid
+    (:func:`_step_survival_form`) with the runs and summed widths of
     :func:`gamma_survival_forms`: both read the same copula values, and the
     survival form equals :func:`gamma_survival_form` bit for bit when the
     distortions are monotone (under an empirical coupling the extra levels
@@ -246,7 +258,8 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     marginal has no positive loss.
     """
     _check_inputs([s], spec)
-    grid, levels, values, cut, widths = _step_grid(s, spec)
+    run_grid, run, _, values, cut, widths = _step_grid(s, spec)
+    grid = _full_grid(run_grid, run)
     coords = [v[None] for v in values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
@@ -254,35 +267,21 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    return _step_survival_form(grid, levels, cut, widths), total
+    return _step_survival_form(run_grid, run, cut, widths), total
 
 
-def _step_survival_form(grid: np.ndarray, levels: list, cut: list[slice], widths: list) -> float:
-    """The survival form off a :func:`_step_grid`: its ``cut`` contracted run by run.
+def _step_survival_form(run_grid: np.ndarray, run: list, cut: list[slice], widths: list) -> float:
+    """The survival form off a :func:`_step_grid`'s run grid, contracted run by run.
 
-    Each axis' cells merge into runs of one level as in
-    :func:`_survival_forms`, and the grid entry at each run's first cell is
-    contracted with the run's summed widths; with no run longer than one
-    cell, the ``cut`` sub-grid itself is contracted.  0 when some marginal
-    has no positive loss.
+    An axis' ``cut`` covers a contiguous range of its runs: a slice of the run grid,
+    contracted with the cut widths summed per run in cell order by one ``bincount``
+    (a one-cell run keeps its width bit for bit).  0 when some marginal has no positive loss.
     """
     if not all(w.size for w in widths):
         return 0.0
-    cut_levels = [lv[c] for lv, c in zip(levels, cut)]
-    if not any((v[1:] == v[:-1]).any() for v in cut_levels):
-        # every run is one cell, of its own width: the sub-grid, with no
-        # fancy-index copy (np.ix_ costs 5-10x a slice copy on a large grid)
-        return float(_contract(grid[tuple(cut)][None], [w[None] for w in widths])[0])
-    # every axis as one row of a zero-padded table
-    counts = np.array([w.size for w in widths])
-    table = np.zeros((2, len(widths), counts.max()))
-    for i, (v, w) in enumerate(zip(cut_levels, widths)):
-        table[:, i, : w.size] = v, w
-    start = _run_starts(table[0], counts)
-    first, run_widths = _level_runs(start, table[1])
-    runs = start.sum(axis=1)
-    picks = np.ix_(*(c.start + f[:k] for c, f, k in zip(cut, first, runs)))
-    return float(_contract(grid[picks][None], [w[None, :k] for w, k in zip(run_widths, runs)])[0])
+    ids = [r[c] for r, c in zip(run, cut)]
+    cells = run_grid[tuple(slice(i[0], i[-1] + 1) for i in ids)]
+    return float(_contract(cells[None], [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, widths)])[0])
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:

@@ -6,10 +6,10 @@ tail integrand, while each quadrant touching negative loss levels subtracts
 the matching marginal terms (plus one on the doubly negative quadrant).  All
 four integrands vanish outside the scenario range, so the improper integrals
 reduce to exact cell sums.  The four quadrants are blocks of the scalar
-forms' step grid (``scalar_risk._step_grid``): one copula evaluation over
-each axis' distorted step levels, split at 0.  On nonnegative data the three
-correction quadrants are empty and the value coincides bit-for-bit with the
-nonnegative evaluator.
+forms' step grid (``scalar_risk._step_grid``): one copula evaluation per
+run of equal distorted step levels on each axis, split at 0.  On nonnegative
+data the three correction quadrants are empty and the value coincides
+bit-for-bit with the nonnegative evaluator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .portfolio import ScenarioSet
-from .scalar_risk import JointRiskSpec, _step_grid, _step_survival_form
+from .scalar_risk import JointRiskSpec, _full_grid, _step_grid, _step_survival_form
 
 
 def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -34,7 +34,7 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
         )
     if spec.dim != 2:
         raise DimensionError(f"spec dimension {spec.dim} != 2")
-    grid, levels, values, pos, w_pos = _step_grid(s, spec)
+    run_grid, run, levels, values, pos, w_pos = _step_grid(s, spec)
     # an axis' k cells covering [min, 0) have its first k values as left
     # edges, at levels 1 to k; below the smallest loss the level g(1) = 1
     # makes every correction integrand vanish
@@ -47,7 +47,8 @@ def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
     total = 0.0
     # positive quadrant: the nonnegative evaluator's survival form, run by run
-    total += _step_survival_form(grid, levels, pos, w_pos)
+    total += _step_survival_form(run_grid, run, pos, w_pos)
+    grid = _full_grid(run_grid, run)
     # x1 >= 0, x2 < 0: subtract the first marginal term
     if w_pos[0].size and w_neg[1].size:
         integrand = grid[pos[0], neg[1]] - gp[0][:, None]

@@ -1,0 +1,204 @@
+"""The step grid evaluates the coupling once per run of equal distorted levels.
+
+``gamma_forms`` and ``gamma_signed_2d`` must give the same floats as one
+coupling grid over every entry of every axis' step levels, with the survival
+form's runs picked out of it; and on merged levels the coupling must be asked
+for one level per run only.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jointrisk import (
+    JointRiskSpec,
+    clayton,
+    comonotone,
+    countermonotone_2d,
+    cvar_ramp,
+    empirical_copula,
+    frank,
+    gamma_forms,
+    gamma_signed_2d,
+    gumbel,
+    identity,
+    independence,
+    power,
+    scenario_set,
+    survival_copula,
+    var_step,
+)
+from jointrisk.copula import Copula, SurvivalCopula
+from jointrisk.portfolio import marginal_cells, marginal_steps
+from jointrisk.scalar_risk import _contract
+
+
+def _rise_and_fall(u):
+    """A non-monotone distortion with plateaus: equal levels need not be neighbours."""
+    return np.round(np.sin(3.0 * np.asarray(u, dtype=float)), 1)
+
+
+def _level_runs(levels, widths):
+    """Each run of equal neighbouring levels: its first cell and its widths summed in cell order."""
+    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
+    return starts, np.array([np.cumsum(w)[-1] for w in np.split(widths, starts[1:])])
+
+
+def _full_step_grid(s, spec):
+    """``(grid, levels, values, cut, widths)`` with the coupling evaluated at every entry of every axis."""
+    levels, values, cut, widths = [], [], [], []
+    for i, g in enumerate(spec.distortions):
+        v, tail = marginal_steps(s, i)
+        w = marginal_cells(s, i)[2]
+        levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
+        values.append(v)
+        cut.append(slice(len(v) - len(w), len(v)))
+        widths.append(w)
+    return spec.cstar.cdf_grid(levels), levels, values, cut, widths
+
+
+def _survival_over_cut(grid, levels, cut, widths):
+    """The survival form off a full step grid: each run's first cut entry times the run's summed widths."""
+    if not all(w.size for w in widths):
+        return 0.0
+    picks, run_widths = zip(*(_level_runs(lv[c], w) for lv, c, w in zip(levels, cut, widths)))
+    cells = grid[np.ix_(*(c.start + p for c, p in zip(cut, picks)))]
+    return float(_contract(cells[None], [w[None] for w in run_widths])[0])
+
+
+def _forms_reference(s, spec):
+    grid, levels, values, cut, widths = _full_step_grid(s, spec)
+    at, below = slice(1, None), slice(0, -1)
+    total = 0.0
+    for mask in itertools.product((False, True), repeat=s.dim):
+        sign = -1.0 if sum(mask) % 2 else 1.0
+        term = grid[tuple(at if m else below for m in mask)]
+        total += sign * float(_contract(term[None], [v[None] for v in values])[0])
+    return _survival_over_cut(grid, levels, cut, widths), total
+
+
+def _signed_reference(s, spec):
+    grid, levels, values, pos, w_pos = _full_step_grid(s, spec)
+    neg, w_neg = [], []
+    for v in values:
+        k = int(np.count_nonzero(v < 0.0))
+        neg.append(slice(1, k + 1))
+        w_neg.append(np.diff(np.concatenate((v[:k], [0.0]))))
+    gp, gn = ([v[cut] for v, cut in zip(levels, cuts)] for cuts in (pos, neg))
+    total = 0.0
+    total += _survival_over_cut(grid, levels, pos, w_pos)
+    if w_pos[0].size and w_neg[1].size:
+        total += float(w_pos[0] @ (grid[pos[0], neg[1]] - gp[0][:, None]) @ w_neg[1])
+    if w_neg[0].size and w_pos[1].size:
+        total += float(w_neg[0] @ (grid[neg[0], pos[1]] - gp[1][None, :]) @ w_pos[1])
+    if w_neg[0].size and w_neg[1].size:
+        total += float(w_neg[0] @ (grid[neg[0], neg[1]] - gn[0][:, None] - gn[1][None, :] + 1.0) @ w_neg[1])
+    return total
+
+
+def _same_float(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.signbit(a) == np.signbit(b)
+
+
+_TIED_WEIGHTED = empirical_copula(scenario_set([[0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]], [1.0, 3.0, 2.0, 1.0]))
+KINDS = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), _rise_and_fall)
+
+
+@st.composite
+def step_case(draw, signed=False):
+    """A portfolio of dimension 1-4 (2 when ``signed``) and a spec over any coupling.
+
+    Losses come from small pools, so columns tie, and one pool's widths are
+    not dyadic, so a run's summed widths depend on the order of their
+    additions; a column may be all zero.
+    Some weights differ.  The coupling is any family, including the
+    empirical copula of tied and weighted data (Frank with theta < 0 and
+    countermonotone at d = 2 only), bare or survival-wrapped once or twice;
+    each axis takes its own distortion.
+    """
+    d = 2 if signed else draw(st.integers(1, 4))
+    pools = ([0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.1, 0.3, 0.7, 1.3, 2.9, 3.7])
+    if signed:
+        pools = ([-2.0, -0.5, 0.0, 1.0, 2.5], [-1.5, -0.25, 0.75, 3.0], *pools[1:])
+    pool = draw(st.sampled_from(pools))
+    m = draw(st.integers(1, {1: 12, 2: 10, 3: 6, 4: 4}[d]))
+    losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d))).reshape(m, d)
+    if draw(st.integers(0, 4)) == 0:
+        losses[:, draw(st.integers(0, d - 1))] = 0.0
+    weights = None if draw(st.booleans()) else np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), float)
+    families = ["independence", "comonotone", "clayton", "gumbel", "frank", "empirical"]
+    choice = draw(st.sampled_from(families + ["countermonotone"] if d == 2 else families))
+    if choice == "empirical":
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        base = np.round(rng.uniform(0, 3, size=(12, d)))
+        base_weights = rng.integers(1, 4, size=12).astype(float) if draw(st.booleans()) else None
+        cop = empirical_copula(scenario_set(base, base_weights))
+    elif choice == "countermonotone":
+        cop = countermonotone_2d()
+    elif choice in ("independence", "comonotone"):
+        cop = {"independence": independence, "comonotone": comonotone}[choice](d)
+    else:
+        thetas = {"clayton": (0.5, 3.0), "gumbel": (1.0, 2.5), "frank": (-3.0, 0.5, 3.0) if d == 2 else (0.5, 3.0)}
+        cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](draw(st.sampled_from(thetas[choice])), d)
+    for _ in range(draw(st.integers(0, 2))):
+        cop = survival_copula(cop)
+    return scenario_set(losses, weights), JointRiskSpec(cop, tuple(draw(st.sampled_from(KINDS)) for _ in range(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=step_case())
+# axis 0's levels 1, 0.1, 0.4, 0.7, 0.9, 1, 1, 0.9, 0.8, 0.6, 0.3: the two
+# 0.9s and the 1s apart from the neighbouring pair are runs of their own
+@example(case=(
+    scenario_set(np.column_stack([np.arange(1.0, 11.0), np.tile([1.0, 2.0], 5)])),
+    JointRiskSpec(survival_copula(clayton(3.0)), (_rise_and_fall, cvar_ramp(0.6))),
+))
+# ramp, step and identity axes over a tied, weighted empirical coupling
+@example(case=(
+    scenario_set([[0.5, 1.0, 0.5], [1.0, 1.0, 2.0], [2.0, 0.5, 1.0], [3.0, 2.0, 2.0]], [1.0, 2.0, 1.0, 3.0]),
+    JointRiskSpec(survival_copula(_TIED_WEIGHTED), (cvar_ramp(0.6), var_step(0.5), identity())),
+))
+def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
+    s, spec = case
+    got, want = gamma_forms(s, spec), _forms_reference(s, spec)
+    assert _same_float(got[0], want[0]) and _same_float(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=step_case(signed=True))
+def test_gamma_signed_2d_equals_the_full_grid_bit_for_bit(case):
+    s, spec = case
+    assert _same_float(gamma_signed_2d(s, spec), _signed_reference(s, spec))
+
+
+def _spied_levels(monkeypatch):
+    """Record the level counts of every single grid asked of a copula."""
+    asked = []
+    for cls in (Copula, SurvivalCopula):
+        def spy(self, axes, _grid=cls.cdf_grid):
+            asked.append(tuple(len(a) for a in axes))
+            return _grid(self, axes)
+
+        monkeypatch.setattr(cls, "cdf_grid", spy)
+    return asked
+
+
+@pytest.mark.parametrize("choice", ["clayton", "empirical"])
+def test_var_step_grid_asks_for_at_most_two_levels_per_axis(monkeypatch, choice):
+    # a var step flattens the step levels to 1s then 0s: two runs per axis
+    s = scenario_set(np.random.default_rng(7).uniform(0.0, 10.0, size=(400, 2)))
+    cop = clayton(2.0) if choice == "clayton" else empirical_copula(s)
+    asked = _spied_levels(monkeypatch)
+    gamma_forms(s, JointRiskSpec(survival_copula(cop), (var_step(0.9), var_step(0.9))))
+    assert len(asked) == 1 and max(asked[0]) <= 2
+
+
+def test_identity_grid_asks_for_every_entry(monkeypatch):
+    # identity levels are distinct on every step: nothing merges
+    s = scenario_set(np.random.default_rng(7).uniform(0.0, 10.0, size=(400, 2)))
+    asked = _spied_levels(monkeypatch)
+    gamma_forms(s, JointRiskSpec(survival_copula(clayton(2.0)), (identity(), identity())))
+    assert asked == [tuple(len(marginal_steps(s, i)[0]) + 1 for i in range(2))] == [(401, 401)]
