@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -87,29 +89,86 @@ class RunConfig:
         return d
 
 
+# printable ASCII but '"', tab and LF: text that numpy's reader splits into
+# the same lines and cells as csv.reader
+_PLAIN_TEXT = re.compile(r"[\t\n !#-~]*")
+
+
 def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """The asset names, the loss table and the raw weights (None without a weight column).
+
+    A plain file goes through numpy's C reader (``_loadtxt_table``): printable
+    ASCII with no quote character, LF or CRLF line ends and a non-blank first
+    line.  Every other file, and every file that reader declines, goes through
+    ``csv.reader`` (``_csv_table``), which alone words the errors.  Both convert
+    each cell with the routine behind ``float()``, so they give the same floats.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"--input: cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"--input: {path} is not UTF-8 text: {exc}") from exc
+    names, table, has_weights = _loadtxt_table(text) or _csv_table(path, text)
+    if not has_weights:
+        return names, table, None
+    return names, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
+
+
+def _header(row: list[str]) -> tuple[list[str], bool]:
+    """The asset names of a header row, and whether its last column holds weights."""
+    header = [h.strip() for h in row]
+    has_weights = bool(header) and header[-1].lower() == "weight"
+    return header[:-1] if has_weights else header, has_weights
+
+
+def _loadtxt_table(text: str) -> tuple[list[str], np.ndarray, bool] | None:
+    """A plain file's header and data rows through ``np.loadtxt``, or None to decline.
+
+    It declines every file that ``_csv_table`` might read differently or
+    reject, so it never raises or warns itself.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not _PLAIN_TEXT.fullmatch(text):
+        return None
+    lines = text.split("\n")
+    names, has_weights = _header(lines[0].split(","))
+    body = lines[1:]
+    # a blank first line is not the header; loadtxt skips empty lines and
+    # warns when nothing is left
+    if not "".join(names) or not any(body):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except Exception:  # whatever the cause, csv.reader reads the file and words the error
+        return None
+    if table.shape[1] != len(names) + has_weights:
+        return None
+    if has_weights and np.any(table[:, -1] <= 0.0):
+        return None
+    return names, table, has_weights
+
+
+def _csv_table(path: str, text: str) -> tuple[list[str], np.ndarray, bool]:
+    """The header and data rows through ``csv.reader``; a file that fails raises ``DataError``."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataError(f"--input: {path} is not a readable CSV file: {exc}") from exc
     rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise DataError(f"--input: {path} is empty")
-    header = [h.strip() for h in rows[0]]
-    has_weights = bool(header) and header[-1].lower() == "weight"
-    names = header[:-1] if has_weights else header
+    names, has_weights = _header(rows[0])
     if not names:
         raise DataError(f"--input: {path} has no asset columns")
     if len(rows) < 2:
         raise DataError(f"--input: {path} has a header but no data rows")
-
-    table = _parse_table(path, rows[1:], len(header), has_weights)
-    if not has_weights:
-        return names, table, None
-    return names, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
+    return names, _parse_table(path, rows[1:], len(rows[0]), has_weights), has_weights
 
 
 def _parse_table(path: str, body: list[list[str]], ncols: int, has_weights: bool) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,41 +111,69 @@ def _reference_read_rows(path):
 
 NUMBER_CELLS = ["1", "2.5", "1e3", "1_000", "-0.0", "0", "inf", "-inf", "nan", " 3 ", "\t4", '"5"',
                 '" 6.5 "', "\u0661\u0662", "+7", ".5"]
+# the number cells numpy's reader parses
+PLAIN_CELLS = ["1", "2.5", "1e3", "-0.0", "0", "inf", "-inf", "nan", " 3 ", "\t4", "+7", ".5"]
 BAD_CELLS = ["x", "", '"1,2"', "1__0", "--1", "0x10", "1e", '" "']
 # a NaN or infinite weight passes the reader; scenario_set rejects it
 WEIGHT_CELLS = ["1", "2.5", "1e-3", "nan", "inf"]
 BAD_WEIGHTS = ["0", "-0.0", "-1"]
 BLANK_LINES = ["", "  ", "\t", ",,", " , ", "\u00a0", '""']
+# characters placed inside a line: str.splitlines breaks lines at all but the
+# last two, Python's float() strips some of them, and numpy's reader reads
+# none of them
+IN_LINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "#", ","]
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def csv_text(draw):
-    """Scenario CSV text: mostly well-formed, with bad cells, short and long rows and blank lines."""
+    """Scenario CSV text: mostly well-formed, with bad cells, short and long rows and blank lines.
+
+    Lines end in LF, CRLF or CR, mixed within one file; a few lines carry a
+    stray character or a trailing comma, and blank lines may come first.
+    About half the files are plain (ASCII number cells, empty blank lines, LF
+    and CRLF line ends), and half of those have no bad row, so that many
+    files go through numpy's reader.
+    """
+    plain = draw(st.booleans())
+    faults = not plain or draw(st.booleans())
     names = draw(st.sampled_from([["a"], ["a", "b"], [" a", "b ", "c"]]))
     weight = draw(st.sampled_from([None, "weight", " Weight ", "WEIGHT"]))
     header = names + ([weight] if weight else [])
-    number = st.one_of(st.sampled_from(NUMBER_CELLS), st.floats().map(repr))
-    lines = [",".join(header)]
+    number = st.one_of(st.sampled_from(PLAIN_CELLS if plain else NUMBER_CELLS), st.floats().map(repr))
+    blank = st.just("") if plain else st.sampled_from(BLANK_LINES)
+    lines = [draw(blank) for _ in range(draw(st.sampled_from([0] * 6 + [1, 2])))]
+    lines.append(",".join(header))
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            lines.append(draw(blank))
             continue
-        n = len(names) + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        n = len(names) + (draw(st.sampled_from([0] * 18 + [-1, 1])) if faults else 0)
         cells = [draw(number) for _ in range(n)]
         if weight:
-            bad = draw(st.integers(0, 11)) == 0
+            bad = faults and draw(st.integers(0, 11)) == 0
             cells.append(draw(st.sampled_from(BAD_WEIGHTS if bad else WEIGHT_CELLS)))
-        if cells and draw(st.integers(0, 14)) == 0:
+        if faults and cells and draw(st.integers(0, 14)) == 0:
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
-        lines.append(",".join(cells))
+        line = ",".join(cells)
+        if not plain and draw(st.integers(0, 9)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(IN_LINE)) + line[at:]
+        lines.append(line)
     if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    # one line end for the whole file, or one drawn per line
+    end = st.sampled_from(LINE_ENDS[:2] if plain else LINE_ENDS)
+    ends = [draw(end)] * len(lines) if draw(st.booleans()) else [draw(end) for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    return text if draw(st.integers(0, 3)) else text[: -len(ends[-1])]
 
 
 @settings(max_examples=400, deadline=None)
 @given(csv_text())
 @example("a,b\n1\n2,3,4\n")  # a short and a long row hold as many cells as two full ones
+@example("a\n1\x1e\n2\n")  # str.splitlines would split the first row in two
+@example("a,b\r1,2\r3,4\r")  # CR-only line ends
 def test_read_rows_matches_the_per_cell_reader(tmp_path_factory, text):
     path = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -179,6 +208,72 @@ def test_read_rows_reports_the_first_bad_row_in_file_order(tmp_path):
     path = write(tmp_path, "bad3.csv", "a,b\n\n \n1,x,3\n")
     with pytest.raises(DataError, match=r"row 2 has 3 cells, expected 2"):
         cli._read_rows(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,2\n3,4\n",
+        "a,b\r\n1,2\r\n\r\n3,4",  # CRLF line ends and an inner empty line
+        " a ,\tb,weight\n 1e3,-0.0,2\n\tnan,inf , .5\n",
+        "a\n1\n",
+    ],
+)
+def test_plain_files_take_numpys_reader_with_the_same_floats(text):
+    names, table, has_weights = cli._loadtxt_table(text)
+    want = cli._csv_table("plain.csv", text)
+    assert names == want[0] and has_weights == want[2]
+    assert table.dtype == want[1].dtype and table.shape == want[1].shape
+    assert np.array_equal(table, want[1], equal_nan=True)
+    assert np.array_equal(np.signbit(table), np.signbit(want[1]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,\u0662\n",  # non-ASCII
+        'a,b\n1,"2"\n',  # a quote
+        "a,b\r1,2\r",  # CR-only line ends
+        "a,b\n1,2\x0b\n",  # a control character
+        "\na,b\n1,2\n",  # a blank first line
+        " ,\t\na,b\n1,2\n",
+        "weight\n1\n",  # no asset column
+        pytest.param("a,b\n1," + "9" * 131_073 + "\n", id="line-over-csv-field-limit"),
+        "a,b\n1,x\n",  # loadtxt raises
+        "a,b\n1,2\n \n",
+        "a,b\n1,2,3\n",  # the header's column count differs
+        "a,b\n",  # no rows
+        "a,b\n\n\n",
+        "a,b",
+        "a,weight\n1,0\n",  # a non-positive weight
+        "a,weight\n1,-2\n",
+    ],
+)
+def test_numpys_reader_declines_what_csv_reader_might_read_otherwise(text):
+    # recorded, not raised: a warning turned into an error would only be declined
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli._loadtxt_table(text) is None
+    assert caught == []
+
+
+@pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "a,b\r\n\r\n", "a,b\n  \n\t\n"])
+def test_a_file_without_data_rows_raises_and_warns_nothing(tmp_path, text):
+    path = write(tmp_path, "header_only.csv", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError) as got:
+            cli._read_rows(path)
+    assert caught == []
+    assert str(got.value) == f"--input: {path} has a header but no data rows"
+
+
+def test_a_cell_over_csvs_field_limit_is_a_data_error(tmp_path, capsys):
+    path = write(tmp_path, "long.csv", "a,b\n1,2\n3," + "7" * 200_000 + "\n")
+    with pytest.raises(DataError, match=r"is not a readable CSV file: field larger than field limit"):
+        cli._read_rows(path)
+    assert main(["scalar", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --input: {path} is not a readable CSV file: ")
 
 
 def _reference_var(s, i, alpha):

@@ -37,7 +37,8 @@ from jointrisk import (
     var_step,
 )
 from jointrisk.distortion import build_distortions
-from jointrisk.portfolio import marginal_cells
+from jointrisk.portfolio import _var_at, marginal_cells
+from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -462,6 +463,14 @@ def _components_or_error(measure, s):
         return DegenerateTailError
 
 
+def _joint_exceedance(s, q):
+    """The scenarios strictly above every marginal's q-quantile; every scenario when q is None."""
+    if q is None:
+        return np.ones(s.m, dtype=bool)
+    quantiles = np.array([var(s, i, q) for i in range(s.dim)])
+    return np.all(s.losses > quantiles, axis=1)
+
+
 @st.composite
 def dyadic_portfolio(draw):
     """A ``random_portfolio`` (tie-free sixteenths, d = 1-3, m = 2-8), some with unequal integer weights."""
@@ -508,10 +517,7 @@ class TestVectorProperties:
     @example(s=decile_pair(), g=var_step(0.85), q=0.5)
     @example(s=decile_pair(), g=cvar_ramp(0.5), q=0.5)
     def test_mtdrm_lies_within_its_marginal_range_over_the_tail(self, s, g, q):
-        in_tail = np.ones(s.m, dtype=bool)
-        if q is not None:
-            quantiles = np.array([var(s, i, q) for i in range(s.dim)])
-            in_tail = np.all(s.losses > quantiles, axis=1)
+        in_tail = _joint_exceedance(s, q)
         if not in_tail.any():
             return
         comps = mtdrm(s, (g,) * s.dim, q).components
@@ -519,3 +525,88 @@ class TestVectorProperties:
         for i, x in enumerate(comps):
             scale = 1e-12 * tail[:, i].max()
             assert tail[:, i].min() - scale <= x <= tail[:, i].max() + scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=dyadic_portfolio(),
+        copula=st.sampled_from([clayton, gumbel, frank, independence, comonotone]),
+        q=st.sampled_from([0.3, 0.5, 0.6, 0.8137]),
+    )
+    def test_mtce_lies_between_the_marginal_quantile_and_maximum(self, s, copula, q):
+        c = copula(s.dim) if copula in (independence, comonotone) else copula(2.0, s.dim)
+        try:
+            comps = mtce(s, c, q).components
+        except DegenerateTailError:
+            return
+        for (values, tail), x in zip(s.steps.columns(), comps):
+            scale = 1e-12 * values[-1]
+            assert _var_at(values, tail, q) - scale <= x <= values[-1] + scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=dyadic_portfolio(), measure=st.sampled_from(["h_vector", "mtce"]), data=st.data())
+    def test_a_rank_preserving_increase_lowers_no_component(self, s, measure, data):
+        # each column gets its own increase; the declared copula and the
+        # distortions do not move, so every component is nondecreasing
+        bumps = np.array(data.draw(st.lists(st.sampled_from(list(_BUMPS)), min_size=s.m * s.dim, max_size=s.m * s.dim)))
+        losses = s.losses.copy()
+        for i, row in enumerate(bumps.reshape(s.dim, s.m)):
+            order = np.argsort(losses[:, i])
+            losses[order, i] = _rank_preserving_increase(losses[order, i], row)
+        assert np.all(losses >= s.losses)
+        before = _components_or_error(measure, s)
+        after = _components_or_error(measure, scenario_set(losses, s.weights))
+        if before is DegenerateTailError:
+            assert after is DegenerateTailError
+            return
+        for a, b in zip(before, after):
+            assert b >= a - 1e-12 * abs(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=dyadic_portfolio(), measure=st.sampled_from(sorted(_VECTOR_MEASURES)), data=st.data())
+    def test_a_weight_preserving_relabeling_changes_no_component(self, s, measure, data):
+        # axiom A6's relabeling: permute the scenarios, then split the first
+        # one into two halves, one first and one last
+        perm = np.array(data.draw(st.permutations(range(s.m))))
+        losses, w = s.losses[perm], s.weights[perm]
+        relabeled = scenario_set(np.vstack([losses, losses[:1]]), np.concatenate([[w[0] / 2], w[1:], [w[0] / 2]]))
+        before = _components_or_error(measure, s)
+        after = _components_or_error(measure, relabeled)
+        if before is DegenerateTailError:
+            assert after is DegenerateTailError
+            return
+        assert after == pytest.approx(before, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=dyadic_portfolio(), q=st.sampled_from([None, 0.3, 0.5, 0.8137]))
+    @example(s=decile_pair(), q=0.5)
+    def test_mtdrm_identity_is_the_conditional_tail_mean(self, s, q):
+        in_tail = _joint_exceedance(s, q)
+        if not in_tail.any():
+            with pytest.raises(DegenerateTailError):
+                mtdrm(s, (identity(),) * s.dim, q)
+            return
+        w = s.weights[in_tail]
+        want = w @ s.losses[in_tail] / w.sum()
+        assert mtdrm(s, (identity(),) * s.dim, q).components == pytest.approx(tuple(want), rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: mtdrm distorts the joint tail weight, not the conditioned survival",
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s=dyadic_portfolio(),
+        alpha=st.sampled_from([0.3, 0.6180339887, 0.8137]),
+        q=st.sampled_from([0.3, 0.5]),
+    )
+    # 18.0 (var) and 19.33 (cvar) today; the tail {6, ..., 10} has 0.85-quantile
+    # 10 and tail mean above it 10
+    @example(s=decile_pair(), alpha=0.85, q=0.5)
+    def test_mtdrm_var_step_and_cvar_ramp_reduce_to_the_conditioned_measures(self, s, alpha, q):
+        in_tail = _joint_exceedance(s, q)
+        if not in_tail.any():
+            return
+        tail = scenario_set(s.losses[in_tail], s.weights[in_tail])
+        for g, reference in ((var_step(alpha), var), (cvar_ramp(alpha), cvar)):
+            comps = mtdrm(s, (g,) * s.dim, q).components
+            assert comps == pytest.approx(tuple(reference(tail, i, alpha) for i in range(s.dim)), rel=1e-12)
