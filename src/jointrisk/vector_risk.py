@@ -155,17 +155,18 @@ def mtdrm(
         _check_level(q, "q")
         quantiles = np.array([_var_at(values, tail, q) for values, tail in s.steps.columns()])
         in_tail = np.all(s.losses > quantiles[None, :], axis=1)
-    p_tail = float(s.weights[in_tail].sum())
+    tail_losses, tail_w = s.losses[in_tail], s.weights[in_tail]
+    # every sum runs in an order fixed by values, not by scenario position, so
+    # relabeling the scenarios leaves each component unchanged to the last bit
+    p_tail = float(np.sort(tail_w).sum())
     if p_tail <= 0.0:
         raise DegenerateTailError(
             f"tail region is empty on the data (joint exceedance at q={q})"
         )
 
-    tail_losses, tail_w = s.losses[in_tail], s.weights[in_tail]
-
     def joint(i: int, left: np.ndarray) -> np.ndarray:
         col = tail_losses[:, i]
-        order = np.argsort(col, kind="stable")
+        order = np.lexsort((tail_w, col))
         # above[k]: tail weight of the k-th smallest tail loss and every one after it
         above = np.append(np.cumsum(tail_w[order][::-1])[::-1], 0.0)
         return above[np.searchsorted(col[order], left, side="right")]
