@@ -485,6 +485,46 @@ class TestEmpirical:
         assert prev < 0.01
 
 
+
+def scaled_midranks_by_unique(values, weights):
+    """Reference: tie groups from ``np.unique``'s own sort of the sorted column."""
+    order = np.argsort(values, kind="stable")
+    sv, sw = values[order], weights[order]
+    _, start = np.unique(sv, return_index=True)
+    group_w = np.add.reduceat(sw, start)
+    below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
+    out = np.empty_like(values)
+    out[order] = np.repeat(below + 0.5 * group_w, np.diff(np.concatenate((start, [len(sv)]))))
+    return out
+
+
+@st.composite
+def tied_weighted_losses(draw):
+    # small pools give ties within and across columns; weights are unnormalized
+    m = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    pool = draw(st.sampled_from([1, 2, 3, 7, 1000]))
+    losses = np.array(draw(st.lists(st.integers(0, pool - 1), min_size=m * d, max_size=m * d)), float)
+    w = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=m, max_size=m)))
+    return losses.reshape(m, d), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=tied_weighted_losses())
+def test_empirical_ranks_and_rank_index_match_the_sort_based_reference(data):
+    losses, w = data
+    s = scenario_set(losses, w)
+    for i in range(s.dim):
+        expected = scaled_midranks_by_unique(s.losses[:, i], s.weights)
+        assert np.array_equal(copula.scaled_midranks(s.losses[:, i], s.weights), expected)
+    e = empirical_copula(s)
+    order = np.argsort(e.ranks.T, axis=1)
+    ascending, pos = e._rank_index
+    assert np.array_equal(ascending, np.take_along_axis(e.ranks.T, order, axis=1))
+    assert pos.dtype == order.dtype
+    assert np.array_equal(pos, np.argsort(order, axis=1))
+
+
 class TestFit:
     def test_comonotone_sample_rejects_clayton(self):
         s = scenario_set([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
@@ -556,6 +596,21 @@ class TestFit:
             fit_archimedean(scenario_set(np.array(columns, float).T), family)
 
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_kendall_tau_per_column_pair(self, d):
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=30)
+        s = scenario_set(np.column_stack([base + rng.normal(size=30) for _ in range(d)]) + 10.0)
+        with mock.patch.object(copula, "kendall_tau", wraps=copula.kendall_tau) as spy:
+            fit_archimedean(s, "gumbel")
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        assert spy.call_count == len(pairs)
+        for (i, j), call in zip(pairs, spy.call_args_list):
+            x, y, w = call.args
+            assert np.array_equal(x, s.losses[:, i]) and np.array_equal(y, s.losses[:, j])
+            assert np.array_equal(w, s.weights)
+
+
     @pytest.mark.parametrize("theta", [0.1, 0.5, 2.0, 5.0, 20.0, 60.0, 150.0, 300.0, -5.0])
     def test_frank_tau_matches_debye_integral(self, theta):
         # oracle: 40-digit quadrature of D1(theta) = 1/theta int_0^theta t/(e^t - 1) dt
@@ -621,6 +676,51 @@ class TestKendallTau:
     def test_one_scenario_is_a_data_error(self):
         with pytest.raises(DataError):
             kendall_tau(np.array([1.0]), np.array([2.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "x, y, w",
+        [
+            # the count read only the first 3 weights, the denominator all 4: tau was 0.5, not 1
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.25, 0.25, 0.25, 0.25]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.5, 0.5]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0], [1 / 3, 1 / 3, 1 / 3]),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], [[0.25, 0.25], [0.25, 0.25]]),
+        ],
+        ids=["long-weights", "short-weights", "short-y", "two-dimensional"],
+    )
+    def test_shapes_that_do_not_match_are_a_data_error(self, x, y, w):
+        with pytest.raises(DataError, match="1-D arrays of one length"):
+            kendall_tau(np.array(x), np.array(y), np.array(w))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_or_weights_are_a_data_error(self, column, bad):
+        # a NaN in x returned 1/3
+        data = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), np.full(3, 1 / 3)]
+        data[column][1] = bad
+        with pytest.raises(DataError, match="finite"):
+            kendall_tau(*data)
+
+    def test_negative_weight_is_a_data_error(self):
+        with pytest.raises(DataError, match="nonnegative"):
+            kendall_tau(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]), np.array([0.6, 0.6, -0.2]))
+
+    def test_heavy_ties_at_m_3000_match_the_pairwise_reference(self):
+        rng = np.random.default_rng(3000)
+        m = 3000
+        x = rng.integers(0, 20, m).astype(float)
+        y = np.minimum(x + rng.integers(0, 6, m), 19.0) * 0.5
+        w = rng.uniform(0.1, 5.0, m)
+        w /= w.sum()
+        assert len(np.unique(x)) <= 20 and len(np.unique(y)) <= 20
+        # the signed pair sum, 250 rows at a time (the full m x m matrices need 216 MB)
+        signed = 0.0
+        for lo in range(0, m, 250):
+            rows = slice(lo, lo + 250)
+            sign = np.sign(x[rows, None] - x[None, :]) * np.sign(y[rows, None] - y[None, :])
+            signed += float(w[rows] @ sign @ w)
+        expected = signed / float(w.sum() ** 2 - np.sum(w**2))
+        assert abs(kendall_tau(x, y, w) - expected) <= 1e-13
 
     def test_large_tied_weighted_sample_in_linear_memory(self):
         # the m x m pairwise formula needs about 9.6 GB here
