@@ -6,6 +6,11 @@ Commands
 
 Input is a CSV of loss scenarios (header row of asset names, optional final
 ``weight`` column).  Output is a versioned JSON report on stdout or ``--out``.
+``signed2d`` takes losses of either sign in any number of columns: one
+signed-weight contraction of the coupling grid, under a name kept for
+compatibility.  Its values under the empirical coupling with a continuous
+distortion differ from the earlier two-dimensional form's, which was wrong
+there.
 Exit codes: 0 success, 2 validation error, 3 match-assertion failure,
 4 degenerate tail.
 """
@@ -366,9 +371,7 @@ def run(config: RunConfig) -> dict:
         spec = JointRiskSpec(survival_copula(cop), gs)
     if measure == "scalar":
         if not s.nonnegative:
-            raise DataError(
-                "scalar: data has negative losses; use the signed2d command (d = 2 only)"
-            )
+            raise DataError("scalar: data has negative losses; use the signed2d command")
         # both forms from one coupling grid
         value, value_ls = gamma_forms(s, spec)
         gap = abs(value - value_ls) / max(abs(value), abs(value_ls), 1e-12)

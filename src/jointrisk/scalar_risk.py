@@ -63,7 +63,7 @@ def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> np.
     if not losses.min() >= 0.0:
         raise DataError(
             "negative losses are outside the nonnegative evaluator; "
-            "use the signed two-dimensional form"
+            "use the signed form, gamma_signed_2d"
         )
     return losses
 
@@ -214,15 +214,15 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     return gamma_forms(s, spec)[1]
 
 
-def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list, list[slice], list]:
-    """``(run_grid, run, levels, values, cut, widths)``: the coupling copula once per run of equal distorted step levels.
+def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list[slice], list]:
+    """``(run_grid, run, values, cut, widths)``: the coupling copula once per run of equal distorted step levels.
 
-    ``levels[i]`` is ``g_i([1, tail_0, ..., tail_{n-1}])`` over axis i's n
+    Axis i's level entries are ``g_i([1, tail_0, ..., tail_{n-1}])`` over its n
     sorted distinct ``values[i]``: entry j + 1 is the level at value j, entry
     j the level below it.  Axis i's c cells covering [0, max) are its last c
     steps, at the levels ``cut[i]`` = entries n - c to n, with widths ``widths[i]``.
     ``run[i]`` holds each entry's run of neighbours at one level (:func:`_run_starts`)
-    and ``run_grid`` the copula on the run levels; :func:`_full_grid` repeats it over every entry.
+    and ``run_grid`` the copula on the run levels.
     """
     levels, starts, values, cut, widths = [], [], [], [], []
     for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
@@ -232,15 +232,7 @@ def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, l
         cut.append(slice(len(v) - len(w), len(v)))
         widths.append(w)
     run_grid = spec.cstar.cdf_grid([lv[start] for lv, start in zip(levels, starts)])
-    return run_grid, [np.cumsum(start) - 1 for start in starts], levels, values, cut, widths
-
-
-def _full_grid(run_grid: np.ndarray, run: list) -> np.ndarray:
-    """The step grid: each axis' run values repeated over the run's entries; ``run_grid`` itself when no run merges."""
-    for i, r in enumerate(run):
-        if r[-1] + 1 < r.size:
-            run_grid = np.repeat(run_grid, np.bincount(r), axis=i)
-    return run_grid
+    return run_grid, [np.cumsum(start) - 1 for start in starts], values, cut, widths
 
 
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
@@ -249,17 +241,21 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     Both forms read :func:`_step_grid`.  For the ls form, the levels at each
     step are the last n entries of an axis' level vector and the levels just
     below it the first n, so every term of the increment is a sub-grid of
-    :func:`_full_grid`.  The survival form reads the run grid
-    (:func:`_step_survival_form`) with the runs and summed widths of
-    :func:`gamma_survival_forms`: both read the same copula values, and the
+    the step grid: the run grid repeated over each run's entries.  The
+    survival form reads the run grid (:func:`_step_survival_form`) with the
+    runs and summed widths of :func:`gamma_survival_forms`: both read the same copula values, and the
     survival form equals :func:`gamma_survival_form` bit for bit when the
     distortions are monotone (under an empirical coupling the extra levels
     g(1) and g(0) then bin no scenario).  The survival form is 0 when some
     marginal has no positive loss.
     """
     _check_inputs([s], spec)
-    run_grid, run, _, values, cut, widths = _step_grid(s, spec)
-    grid = _full_grid(run_grid, run)
+    run_grid, run, values, cut, widths = _step_grid(s, spec)
+    # the step grid: each axis' run values repeated over the run's entries
+    grid = run_grid
+    for i, r in enumerate(run):
+        if r[-1] + 1 < r.size:
+            grid = np.repeat(grid, np.bincount(r), axis=i)
     coords = [v[None] for v in values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
@@ -274,8 +270,9 @@ def _step_survival_form(run_grid: np.ndarray, run: list, cut: list[slice], width
     """The survival form off a :func:`_step_grid`'s run grid, contracted run by run.
 
     An axis' ``cut`` covers a contiguous range of its runs: a slice of the run grid,
-    contracted with the cut widths summed per run in cell order by one ``bincount``
-    (a one-cell run keeps its width bit for bit).  0 when some marginal has no positive loss.
+    contracted with the weights ``widths`` (the cut's cell widths, or the signed
+    form's weights) summed per run in entry order by one ``bincount`` (a one-entry
+    run keeps its weight bit for bit).  0 when some axis has no weight.
     """
     if not all(w.size for w in widths):
         return 0.0

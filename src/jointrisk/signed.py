@@ -1,15 +1,19 @@
-"""Scalar joint risk for two-dimensional portfolios with losses of either sign.
+"""Scalar joint risk of a portfolio with losses of either sign, in any dimension.
 
-The nonnegative evaluator extends to signed bounded losses through a
-four-quadrant decomposition: the positive quadrant keeps the plain distorted
-tail integrand, while each quadrant touching negative loss levels subtracts
-the matching marginal terms (plus one on the doubly negative quadrant).  All
-four integrands vanish outside the scenario range, so the improper integrals
-reduce to exact cell sums.  The four quadrants are blocks of the scalar
-forms' step grid (``scalar_risk._step_grid``): one copula evaluation per
-run of equal distorted step levels on each axis, split at 0.  On nonnegative
-data the three correction quadrants are empty and the value coincides
-bit-for-bit with the nonnegative evaluator.
+Over losses of either sign the measure's integral splits along each axis at
+0; on an axis' negative cells it subtracts the integrand with that axis at
+level g(1) = 1, which supplies the coupling's own lower-dimensional margins.
+So each axis carries one signed weight vector over the step grid's level
+entries (``scalar_risk._step_grid``): a positive cell's width at its own
+entry, a negative cell's width at its entry and minus their sum at entry 0.
+The value is one contraction of the run grid with those weights
+(``scalar_risk._step_survival_form``).  Each axis passes only the entries
+where its weight is nonzero, so on nonnegative data the value equals the
+nonnegative evaluator bit for bit.  The name ``gamma_signed_2d`` is kept for
+compatibility from when only two dimensions were supported.  That earlier
+form subtracted the distorted marginal level instead, which equals the
+coupling's margin only for a true copula; values under the empirical
+coupling with a continuous distortion change with this form.
 """
 
 from __future__ import annotations
@@ -18,47 +22,26 @@ import numpy as np
 
 from .errors import DimensionError
 from .portfolio import ScenarioSet
-from .scalar_risk import JointRiskSpec, _full_grid, _step_grid, _step_survival_form
+from .scalar_risk import JointRiskSpec, _step_grid, _step_survival_form
 
 
 def gamma_signed_2d(s: ScenarioSet, spec: JointRiskSpec) -> float:
-    """Joint risk of a (possibly negative) two-dimensional loss portfolio.
-
-    Exact on scenario data; can be negative.  Only the two-dimensional
-    decomposition is implemented: higher-dimensional signed portfolios are
-    rejected rather than extrapolated.
-    """
-    if s.dim != 2:
-        raise DimensionError(
-            f"signed evaluation supports dimension 2 only, got dimension {s.dim}"
-        )
-    if spec.dim != 2:
-        raise DimensionError(f"spec dimension {spec.dim} != 2")
-    run_grid, run, levels, values, pos, w_pos = _step_grid(s, spec)
-    # an axis' k cells covering [min, 0) have its first k values as left
-    # edges, at levels 1 to k; below the smallest loss the level g(1) = 1
-    # makes every correction integrand vanish
-    neg, w_neg = [], []
-    for v in values:
+    """Joint risk of a loss portfolio of either sign and any dimension; exact on scenario data, can be negative."""
+    if s.dim != spec.dim:
+        raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
+    run_grid, run, values, cut, widths = _step_grid(s, spec)
+    spans, weights = [], []
+    for v, c, w in zip(values, cut, widths):
+        # an axis' k cells covering [min, 0) have its first k values as left
+        # edges, at entries 1 to k; entry 0 is the level g(1) = 1 below them
         k = int(np.count_nonzero(v < 0.0))
-        neg.append(slice(1, k + 1))
-        w_neg.append(np.diff(np.concatenate((v[:k], [0.0]))))
-    gp, gn = ([v[cut] for v, cut in zip(levels, cuts)] for cuts in (pos, neg))
-
-    total = 0.0
-    # positive quadrant: the nonnegative evaluator's survival form, run by run
-    total += _step_survival_form(run_grid, run, pos, w_pos)
-    grid = _full_grid(run_grid, run)
-    # x1 >= 0, x2 < 0: subtract the first marginal term
-    if w_pos[0].size and w_neg[1].size:
-        integrand = grid[pos[0], neg[1]] - gp[0][:, None]
-        total += float(w_pos[0] @ integrand @ w_neg[1])
-    # x1 < 0, x2 >= 0: subtract the second marginal term
-    if w_neg[0].size and w_pos[1].size:
-        integrand = grid[neg[0], pos[1]] - gp[1][None, :]
-        total += float(w_neg[0] @ integrand @ w_pos[1])
-    # both negative: subtract both marginal terms and add back the unit mass
-    if w_neg[0].size and w_neg[1].size:
-        integrand = grid[neg[0], neg[1]] - gn[0][:, None] - gn[1][None, :] + 1.0
-        total += float(w_neg[0] @ integrand @ w_neg[1])
-    return total
+        w_neg = np.diff(np.concatenate((v[:k], [0.0])))
+        omega = np.zeros(v.size + 1)
+        omega[c] = w
+        omega[1 : k + 1] += w_neg
+        omega[0] -= w_neg.sum()
+        nonzero = np.flatnonzero(omega)
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+        spans.append(span)
+        weights.append(omega[span])
+    return _step_survival_form(run_grid, run, spans, weights)

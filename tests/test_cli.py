@@ -7,7 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointrisk import DataError, ParameterError, cli, cvar, scenario_set, var
+from jointrisk import (
+    DataError,
+    JointRiskSpec,
+    ParameterError,
+    clayton,
+    cli,
+    cvar,
+    empirical_copula,
+    gamma_signed_2d,
+    power,
+    scenario_set,
+    survival_copula,
+    var,
+)
 from jointrisk.cli import (
     RunConfig,
     ingest_csv,
@@ -658,6 +671,17 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["results"]["signed2d"]["gamma_signed"] == -2.0
+
+    @pytest.mark.parametrize("copula", ["empirical", "clayton:2.0"])
+    def test_signed2d_command_takes_three_columns(self, tmp_path, capsys, copula):
+        rows = [[-1.0, 2.0, 0.5], [2.0, -1.5, 1.0], [3.0, 4.0, -2.0], [-0.5, -2.0, 3.0]]
+        path = write(tmp_path, "signed3.csv", "a,b,c\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        code = main(["signed2d", "--input", path, "--copula", copula, "--distortion", "power:2"])
+        assert code == 0
+        s = scenario_set(np.array(rows))
+        cop = empirical_copula(s) if copula == "empirical" else clayton(2.0, 3)
+        want = gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), (power(2.0),) * 3))
+        assert json.loads(capsys.readouterr().out)["results"]["signed2d"]["gamma_signed"] == want
 
     def test_copula_fit_command(self, plain_csv, capsys):
         code = main(["copula-fit", "--input", plain_csv, "--copula", "fit:gumbel"])

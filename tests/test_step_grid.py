@@ -2,8 +2,9 @@
 
 ``gamma_forms`` and ``gamma_signed_2d`` must give the same floats as one
 coupling grid over every entry of every axis' step levels, with the survival
-form's runs picked out of it; and on merged levels the coupling must be asked
-for one level per run only.
+form's runs (or the signed form's weights) picked out of it; the signed form
+must equal the atom-measure form on losses of either sign; and on merged
+levels the coupling must be asked for one level per run only.
 """
 
 import itertools
@@ -80,23 +81,31 @@ def _forms_reference(s, spec):
     return _survival_over_cut(grid, levels, cut, widths), total
 
 
-def _signed_reference(s, spec):
-    grid, levels, values, pos, w_pos = _full_step_grid(s, spec)
-    neg, w_neg = [], []
-    for v in values:
+def _signed_weights(values, cut, widths):
+    """Each axis' entry span where its signed weight is nonzero, and the weights over it.
+
+    A positive cell's width at its survival-form entry, a negative cell's
+    width at entries 1..k and minus their sum at entry 0 (level g(1) = 1).
+    """
+    spans, weights = [], []
+    for v, c, w in zip(values, cut, widths):
         k = int(np.count_nonzero(v < 0.0))
-        neg.append(slice(1, k + 1))
-        w_neg.append(np.diff(np.concatenate((v[:k], [0.0]))))
-    gp, gn = ([v[cut] for v, cut in zip(levels, cuts)] for cuts in (pos, neg))
-    total = 0.0
-    total += _survival_over_cut(grid, levels, pos, w_pos)
-    if w_pos[0].size and w_neg[1].size:
-        total += float(w_pos[0] @ (grid[pos[0], neg[1]] - gp[0][:, None]) @ w_neg[1])
-    if w_neg[0].size and w_pos[1].size:
-        total += float(w_neg[0] @ (grid[neg[0], pos[1]] - gp[1][None, :]) @ w_pos[1])
-    if w_neg[0].size and w_neg[1].size:
-        total += float(w_neg[0] @ (grid[neg[0], neg[1]] - gn[0][:, None] - gn[1][None, :] + 1.0) @ w_neg[1])
-    return total
+        w_neg = np.diff(np.concatenate((v[:k], [0.0])))
+        omega = np.zeros(v.size + 1)
+        omega[c] = w
+        omega[1 : k + 1] += w_neg
+        omega[0] -= w_neg.sum()
+        nonzero = np.flatnonzero(omega)
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+        spans.append(span)
+        weights.append(omega[span])
+    return spans, weights
+
+
+def _signed_reference(s, spec):
+    """The signed weights contracted with the full step grid, run by run."""
+    grid, levels, values, cut, widths = _full_step_grid(s, spec)
+    return _survival_over_cut(grid, levels, *_signed_weights(values, cut, widths))
 
 
 def _same_float(a, b):
@@ -109,9 +118,10 @@ KINDS = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.9
 
 @st.composite
 def step_case(draw, signed=False):
-    """A portfolio of dimension 1-4 (2 when ``signed``) and a spec over any coupling.
+    """A portfolio of dimension 1-4 and a spec over any coupling.
 
-    Losses come from small pools, so columns tie, and one pool's widths are
+    Losses come from small pools, so columns tie (some of either sign when
+    ``signed``, some at zero), and one pool's widths are
     not dyadic, so a run's summed widths depend on the order of their
     additions; a column may be all zero.
     Some weights differ.  The coupling is any family, including the
@@ -119,7 +129,7 @@ def step_case(draw, signed=False):
     countermonotone at d = 2 only), bare or survival-wrapped once or twice;
     each axis takes its own distortion.
     """
-    d = 2 if signed else draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
     pools = ([0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.1, 0.3, 0.7, 1.3, 2.9, 3.7])
     if signed:
         pools = ([-2.0, -0.5, 0.0, 1.0, 2.5], [-1.5, -0.25, 0.75, 3.0], *pools[1:])
@@ -172,6 +182,19 @@ def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
 def test_gamma_signed_2d_equals_the_full_grid_bit_for_bit(case):
     s, spec = case
     assert _same_float(gamma_signed_2d(s, spec), _signed_reference(s, spec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=step_case(signed=True))
+def test_gamma_signed_2d_equals_the_atom_measure_form(case):
+    # the ls reference needs no sign restriction: the sum over atoms of the
+    # product of their coordinates times the 2^d increment of the full step
+    # grid; every integrand lies in [-1, 1], so the area of the smallest box
+    # holding 0 and every scenario sets the scale of the cancellation
+    s, spec = case
+    got, want = gamma_signed_2d(s, spec), _forms_reference(s, spec)[1]
+    area = np.prod(s.losses.max(axis=0).clip(min=0.0) - s.losses.min(axis=0).clip(max=0.0))
+    assert abs(got - want) <= 1e-11 * area
 
 
 def _spied_levels(monkeypatch):

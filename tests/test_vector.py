@@ -479,7 +479,34 @@ def dyadic_portfolio(draw):
     return s if weights is None else scenario_set(s.losses, weights)
 
 
+@st.composite
+def tied_portfolio(draw):
+    """A nonnegative portfolio (d = 1-3, m = 1-8) with losses from a small pool, so columns tie; some weights differ."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    pool = draw(st.sampled_from(([0.0, 0.5, 1.25, 2.0], [0.1, 0.3, 0.7, 1.3, 2.9], [1.0, 1.5, 4.0])))
+    losses = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d))).reshape(m, d)
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    return scenario_set(losses, weights)
+
+
 class TestVectorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s=tied_portfolio(),
+        kind=st.sampled_from(["var", "cvar", "power"]),
+        level=st.sampled_from([0.25, 0.3, 0.5, 0.6180339887, 0.75, 0.8137, 0.9]),
+    )
+    def test_whole_space_mtdrm_is_the_componentwise_distortion_measure(self, s, kind, level):
+        # var_step and cvar_ramp give each marginal's VaR and CVaR; a power
+        # distortion gives h_vector's integral of g(S_i), whatever the copula
+        if kind == "power":
+            g = power(4.0 * level)
+            want = h_vector(s, JointRiskSpec(independence(s.dim), (g,) * s.dim)).components
+        else:
+            g = (var_step if kind == "var" else cvar_ramp)(level)
+            want = tuple((var if kind == "var" else cvar)(s, i, level) for i in range(s.dim))
+        assert mtdrm(s, (g,) * s.dim).components == pytest.approx(want, rel=1e-12, abs=1e-15)
+
     @settings(max_examples=150, deadline=None)
     @given(s=dyadic_portfolio(), measure=st.sampled_from(sorted(_VECTOR_MEASURES)), data=st.data())
     def test_scaling_a_column_scales_its_component_only(self, s, measure, data):
