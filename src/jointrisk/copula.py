@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, FitError, ParameterError
-from .portfolio import ScenarioSet
+from .portfolio import ScenarioSet, column_order
 
 INDEPENDENCE = "independence"
 COMONOTONE = "comonotone"
@@ -115,8 +115,6 @@ class Copula:
     theta: float | None = None
     ranks: np.ndarray | None = None
     rank_weights: np.ndarray | None = None
-    # empirical: per column, the ranks ascending and each scenario's position there
-    _rank_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -143,12 +141,26 @@ class Copula:
         if self.family == EMPIRICAL:
             if self.ranks is None or self.rank_weights is None:
                 raise DataError("empirical copula requires rank data")
-            # sorted once here, so that no evaluation sorts the ranks
-            order = np.argsort(self.ranks.T, axis=1)
-            pos = np.empty_like(order)
-            np.put_along_axis(pos, order, np.arange(order.shape[1]), axis=1)  # order's inverse
-            index = (np.take_along_axis(self.ranks.T, order, axis=1), pos)
-            object.__setattr__(self, "_rank_index", index)
+            if np.ndim(self.ranks) != 2 or np.shape(self.ranks)[1] != self.dim:
+                raise DimensionError(
+                    f"empirical ranks must be an (m, {self.dim}) array, got shape {np.shape(self.ranks)}"
+                )
+            w = np.asarray(self.rank_weights, dtype=float)
+            if w.shape != (len(self.ranks),) or not (np.isfinite(w).all() and (w >= 0.0).all()):
+                raise DataError(f"empirical copula needs {len(self.ranks)} finite, nonnegative weights")
+
+    @functools.cached_property
+    def _rank_order(self) -> np.ndarray:
+        """Empirical: the :func:`column_order` of the ranks; :func:`empirical_copula` hands in its scenario set's."""
+        return column_order(self.ranks)
+
+    @functools.cached_property
+    def _rank_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical: per column, the ranks ascending and each scenario's position there, so no evaluation sorts."""
+        order = self._rank_order
+        pos = np.empty_like(order)
+        np.put_along_axis(pos, order, np.arange(order.shape[1]), axis=1)  # order's inverse
+        return np.take_along_axis(self.ranks.T, order, axis=1), pos
 
     def cdf(self, u):
         """Evaluate the copula at ``u`` ((d,) or (n, d)), as n one-cell grids; returns float or (n,)."""
@@ -389,33 +401,28 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     return d_ul, d_uc
 
 
-def scaled_midranks(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mid-ranks in (0, 1]: cumulative weight below plus half the tied weight."""
-    order = np.argsort(values, kind="stable")
-    sv, sw = values[order], weights[order]
-    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    group_w = np.add.reduceat(sw, start)
-    below = np.concatenate(([0.0], np.cumsum(group_w)[:-1]))
-    mid = below + 0.5 * group_w
-    out = np.empty_like(values)
-    out[order] = np.repeat(mid, np.diff(np.concatenate((start, [len(sv)]))))
-    return out
-
-
 def empirical_copula(s: ScenarioSet) -> Copula:
     """Rank-based empirical copula of a scenario set.
 
     Evaluation at ``u`` is the weighted fraction of scenarios whose scaled
-    mid-ranks are componentwise <= u.  Grounded exactly; uniform margins hold
+    mid-ranks (cumulative weight below plus half the tied weight, in (0, 1])
+    are componentwise <= u.  Grounded exactly; uniform margins hold
     exactly at the grid points k/m for equally weighted tie-free data.
     """
     if s.m < 2:
         raise DataError("empirical copula requires at least 2 scenarios")
-    ranks = np.column_stack(
-        [scaled_midranks(s.losses[:, i], s.weights) for i in range(s.dim)]
-    )
+    ranks = np.empty((s.m, s.dim))
+    for i, order in enumerate(s.order):
+        dense, start = _dense_ranks(s.losses[:, i], order)
+        # each tie group's weights in the stable order, which is scenario order
+        group_w = np.add.reduceat(s.weights[order], start)
+        ranks[:, i] = (np.concatenate(([0.0], np.cumsum(group_w)[:-1])) + 0.5 * group_w)[dense]
     ranks.setflags(write=False)
-    return Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights)
+    c = Copula(EMPIRICAL, s.dim, ranks=ranks, rank_weights=s.weights)
+    # mid-ranks ascend with the losses, so the losses' order sorts them too;
+    # any order of tied ranks bins every scenario alike (_empirical_grid)
+    vars(c)["_rank_order"] = s.order
+    return c
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
@@ -444,11 +451,16 @@ def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
         raise DataError("Kendall tau needs finite values and weights")
     if (w < 0.0).any():
         raise DataError("Kendall tau needs nonnegative weights")
+    return _tau_of_ranks(_dense_ranks(x, column_order(x)), _dense_ranks(y, column_order(y)), w)
+
+
+def _tau_of_ranks(x_ranks: tuple, y_ranks: tuple, w: np.ndarray) -> float:
+    """:func:`kendall_tau` of two columns given by their :func:`_dense_ranks`."""
     den = float(w.sum() ** 2 - np.sum(w**2))
     if den <= 0.0:
         raise DataError("Kendall tau needs at least two scenarios with positive weight")
-    rx, _ = _dense_ranks(x)
-    ry, n_y = _dense_ranks(y)
+    (rx, _), (ry, y_starts) = x_ranks, y_ranks
+    n_y = len(y_starts)
     xy = rx * n_y + ry
     order = np.argsort(xy)
     xs, xys, ranks, ws = rx[order], xy[order], ry[order], w[order]
@@ -460,14 +472,14 @@ def kendall_tau(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
     return 2.0 * (2.0 * _concordant_weight(ranks, ws, n_y) - den / 2.0 + y_tied - x_tied) / den
 
 
-def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's index among the distinct values of ``v``, and their count."""
-    order = np.argsort(v)
+def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index among the distinct values of ``v``, and where each starts in ``v[order]`` (sorted)."""
     sv = v[order]
-    sorted_ranks = np.concatenate(([0], np.cumsum(sv[1:] != sv[:-1])))
-    ranks = np.empty_like(sorted_ranks)
-    ranks[order] = sorted_ranks
-    return ranks, int(sorted_ranks[-1]) + 1
+    new = np.ones(len(sv), dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    ranks = np.empty(len(sv), dtype=np.intp)
+    ranks[order] = new.cumsum() - 1
+    return ranks, new.nonzero()[0]
 
 
 def _run_pair_weight(w: np.ndarray, starts: np.ndarray) -> float:
@@ -554,10 +566,9 @@ def fit_archimedean(s: ScenarioSet, family: str) -> Copula:
         raise DimensionError("fitting requires dimension >= 2")
     if s.m < 2:
         raise DataError("fitting requires at least 2 scenarios")
-    taus = [
-        kendall_tau(s.losses[:, i], s.losses[:, j], s.weights)
-        for i, j in itertools.combinations(range(s.dim), 2)
-    ]
+    # each column's dense ranks once, from the set's order, for all its pairs
+    ranks = [_dense_ranks(s.losses[:, i], order) for i, order in enumerate(s.order)]
+    taus = [_tau_of_ranks(ranks[i], ranks[j], s.weights) for i, j in itertools.combinations(range(s.dim), 2)]
     tau = float(np.mean(taus))
 
     if family == CLAYTON:

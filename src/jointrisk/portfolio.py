@@ -41,9 +41,18 @@ class ScenarioSet:
         return bool(self.losses.min(initial=0.0) >= 0.0)
 
     @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Each column's :func:`column_order`, (d, m) and read-only: the one sort behind steps and ranks."""
+        order = column_order(self.losses)
+        order.setflags(write=False)
+        return order
+
+    @functools.cached_property
     def steps(self) -> "Steps":
-        """The :class:`Steps` of every column, from one sort held for the set's lifetime."""
-        return steps(self.losses.T.ravel(), np.full(self.dim, self.m), np.tile(self.weights, self.dim))
+        """The :class:`Steps` of every column, read off :attr:`order`."""
+        d, m = self.dim, self.m
+        flat = (self.order + np.arange(0, d * m, m)[:, None]).ravel()
+        return steps(self.losses.T.ravel(), np.full(d, m), np.tile(self.weights, d), flat)
 
     def with_losses(self, losses: np.ndarray) -> "ScenarioSet":
         """Same names/weights, a read-only copy of a new loss matrix of identical shape."""
@@ -173,25 +182,27 @@ class Steps:
         return left, tail_below[cell], self.values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
 
 
-def steps(values: np.ndarray, lengths: np.ndarray, weights: np.ndarray) -> Steps:
-    """The :class:`Steps` of K >= 1 weighted columns from one sort.
+def steps(values: np.ndarray, lengths: np.ndarray, weights: np.ndarray, order: np.ndarray | None = None) -> Steps:
+    """The :class:`Steps` of K >= 1 weighted columns.
 
     ``values`` holds the K columns concatenated, column k's ``lengths[k]``
     (at least 1) entries after those of the columns before it, and
-    ``weights`` the weight of each entry.  Each column's group weights and
-    prefix sums add the same floats in the same order as a sort of that
-    column alone.
+    ``weights`` the weight of each entry.  ``order`` lists the positions of
+    ``values`` column by column, each column's in stable ascending order (a
+    lexsort when omitted).  That order is unique, so each column's group
+    weights and prefix sums add the same floats as a sort of it alone.
     """
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    # stable in the values within each column: the order of a stable sort of the column
-    order = np.lexsort((values, rows))
+    ends = np.cumsum(lengths)
+    if order is None:
+        # stable in the values within each column: the order of a stable sort of the column
+        order = np.lexsort((values, np.repeat(np.arange(len(ends)), lengths)))
     sx = values[order]
     new = np.empty(len(sx), dtype=bool)
     new[0] = True
     np.not_equal(sx[1:], sx[:-1], out=new[1:])
-    new[1:] |= rows[1:] != rows[:-1]
+    new[ends[:-1]] = True
     starts = new.nonzero()[0]
-    counts = np.bincount(rows[starts], minlength=len(lengths))
+    counts = np.add.reduceat(new, ends - lengths, dtype=np.intp)
     # one column per row, zeros after its last group: a row's prefix sums
     # are the cumulative sums of that column's group weights
     placed, in_row = _padded(counts)
@@ -212,6 +223,11 @@ def _padded(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = int(counts.max())
     return np.zeros((len(counts), n)), np.arange(n) < counts[:, None]
+
+
+def column_order(losses: np.ndarray) -> np.ndarray:
+    """The stable (so unique) ascending order of each column of ``losses`` (m,) or (m, d): shape (m,) or (d, m)."""
+    return np.argsort(losses.T, axis=-1, kind="stable")
 
 
 def _split(arrays: Sequence[np.ndarray], counts: np.ndarray) -> list[tuple[np.ndarray, ...]]:

@@ -439,27 +439,48 @@ class TestRun:
             ["vector", "--band", "0.9,0.99", "--distortion", "cvar"],
             ["mtdrm", "--band", "0.9,0.99", "--q", "0.5"],
             ["signed2d"],
+            ["copula-fit", "--copula", "fit:gumbel"],
+            ["vector", "--copula", "fit:gumbel", "--band", "0.9,0.99"],
         ],
     )
     def test_report_sorts_the_columns_once(self, monkeypatch, tmp_path, argv):
         # the summary and the measure read the portfolio's one step table (a
         # batched survival-form pass would count too); signed losses run the
-        # signed form's correction quadrants
-        from jointrisk import portfolio, scalar_risk
+        # signed form's correction quadrants.  The step table, the empirical
+        # copula of the gof distance and a fit's Kendall ranks all read the
+        # one column order of the scenario set
+        from jointrisk import copula, portfolio, scalar_risk
 
-        rows = "-1,2\n2,-1.5\n3,4\n0,3\n" if argv[0] == "signed2d" else "1,2\n2,1\n3,4\n4,3\n"
-        path = write(tmp_path, "in.csv", "a,b\n" + rows)
-        calls = []
+        d = 2
+        if argv[0] == "signed2d":
+            text = "a,b\n-1,2\n2,-1.5\n3,4\n0,3\n"
+        elif "--copula" in argv:
+            # fitted reports: three columns with ties, unequal weights
+            d, text = 3, "a,b,c,weight\n1,2,1,1\n1,1,2,2\n2,2,2,1\n3,1,1,1\n3,3,4,3\n4,3,3,1\n"
+        else:
+            text = "a,b\n1,2\n2,1\n3,4\n4,3\n"
+        path = write(tmp_path, "in.csv", text)
+        calls, orders = [], []
 
         def counted(*args, _steps=portfolio.steps):
-            calls.append(len(args[1]))
+            calls.append((len(args[1]), len(args) == 4))
             return _steps(*args)
+
+        def counted_order(losses, _order=portfolio.column_order):
+            orders.append(np.shape(losses)[1:])
+            return _order(losses)
 
         monkeypatch.setattr(portfolio, "steps", counted)
         monkeypatch.setattr(scalar_risk, "steps", counted)
-        args = cli.build_parser().parse_args([*argv, "--input", path, "--copula", "clayton:2.0"])
+        monkeypatch.setattr(portfolio, "column_order", counted_order)
+        monkeypatch.setattr(copula, "column_order", counted_order)
+        if "--copula" not in argv:
+            argv = [*argv, "--copula", "clayton:2.0"]
+        args = cli.build_parser().parse_args([*argv, "--input", path])
         run(cli.config_from_args(args))
-        assert calls == [2]
+        assert orders == [(d,)]
+        # each step table reads that order; copula-fit builds none
+        assert calls == ([] if argv[0] == "copula-fit" else [(d, True)])
 
     def test_empirical_report_skips_the_self_comparison_grid(self, monkeypatch, plain_csv):
         def refused(*args, **kwargs):
