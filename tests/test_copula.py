@@ -626,6 +626,32 @@ class TestFit:
             fit_archimedean(scenario_set(np.array(columns, float).T), family)
 
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_kendall_tau_per_column_pair(self, d):
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=30)
+        s = scenario_set(np.column_stack([base + rng.normal(size=30) for _ in range(d)]) + 10.0)
+        with (
+            mock.patch.object(copula, "_dense_ranks", wraps=copula._dense_ranks) as ranked,
+            mock.patch.object(copula, "_tau_of_ranks", wraps=copula._tau_of_ranks) as spy,
+        ):
+            theta = fit_archimedean(s, "gumbel").theta
+        # each column is ranked once, and shared by all of its pairs
+        assert ranked.call_count == d
+        for i, call in enumerate(ranked.call_args_list):
+            assert np.array_equal(call.args[0], s.losses[:, i])
+        columns = [copula._dense_ranks(s.losses[:, i], s.order[i]) for i in range(d)]
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        assert spy.call_count == len(pairs)
+        taus = []
+        for (i, j), call in zip(pairs, spy.call_args_list):
+            x_ranks, y_ranks, w = call.args
+            for got, want in ((x_ranks, columns[i]), (y_ranks, columns[j])):
+                assert all(np.array_equal(g, e) for g, e in zip(got, want))
+            assert np.array_equal(w, s.weights)
+            taus.append(kendall_tau(s.losses[:, i], s.losses[:, j], s.weights))
+        assert theta == 1.0 / (1.0 - float(np.mean(taus)))
+
     @settings(max_examples=200, deadline=None)
     @given(data=fit_case(), family=st.sampled_from(copula.ARCHIMEDEAN_FAMILIES))
     def test_theta_inverts_the_mean_kendall_tau_bit_for_bit(self, data, family):
