@@ -11,6 +11,14 @@ Each copula class has one evaluator, ``_grid``, written over batches of
 grids: a parametric family's formula, an empirical copula's rank histogram,
 a survival copula's inclusion-exclusion over one base evaluation.  A
 pointwise ``cdf`` evaluates n points as a batch of n one-cell grids.
+
+``contract(levels, weights)`` is what the measures need of a coupling: per
+batch row, the sum over the grid of C times the product of per-axis weights.
+The empirical, independence, comonotone and countermonotone copulas, under
+any survival wraps, are mixtures of product copulas, so that sum factors into
+one weighted sum per axis and mixture component: O(d (m + n)) per row for m
+scenarios and n levels per axis, not prod(n_j) grid cells.  Clayton, Gumbel
+and Frank are summed on their grids.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, FitError, ParameterError
-from .portfolio import ScenarioSet, column_order
+from .portfolio import ScenarioSet, _dense_ranks, column_order
 
 INDEPENDENCE = "independence"
 COMONOTONE = "comonotone"
@@ -88,7 +96,8 @@ def _broadcast(op, vectors: list[np.ndarray]) -> np.ndarray:
 
     Axes are folded first to last.  That left-to-right fold is the order in
     which numpy reduces a row of ``d < 8`` coordinates, so each cell matches
-    the pointwise value bit for bit.
+    the pointwise value bit for bit.  At d = 1 the result is a view of the
+    one input, so a caller that writes into it must own that input.
     """
     shaped = [_on_axis(v, j, len(vectors)) for j, v in enumerate(vectors)]
     return functools.reduce(op, shaped[1:], shaped[0])
@@ -185,16 +194,29 @@ class Copula:
         """
         return self._grid(_as_axes(axes, self.dim, batched=True))
 
+    def contract(self, levels, weights):
+        """Per batch row, the sum over its grid of C(levels) times the product of per-axis weights.
+
+        ``levels`` and ``weights`` hold d arrays of one shape (P, n_j) per
+        axis; returns shape (P,).  A row equals that row contracted alone bit
+        for bit, and zero weights appended at a row's last level (a batch's
+        padding) leave it as it is.  Mixtures of product copulas make no grid
+        (:func:`_mixture_sums`); the others are contracted on their grids
+        (:func:`_grid_sums`).
+        """
+        levels = [np.asarray(v, dtype=float) for v in levels]
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        if [w.shape for w in weights] != [v.shape for v in levels]:
+            raise DimensionError(f"weights of shapes {[w.shape for w in weights]} for levels of {[v.shape for v in levels]}")
+        mixture = _mixture(self)
+        if mixture is None:  # cdf_grids checks the levels of each chunk
+            return _grid_sums(self, levels, weights)
+        return _mixture_sums(*mixture, _as_axes(levels, self.dim, batched=True), weights)
+
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
         if self.family == EMPIRICAL:
             return _empirical_grid(self, axes)
-        out = _family_grid_raw(self, axes)
-        if self.family == FRANK:
-            # C(1, ..., 1) = 1 exactly: Frank's ratio of expm1 powers can miss
-            # it by an ulp.  Clayton and Gumbel need no fix, as 1^t = 1 and
-            # log 1 = 0 make their cells at (1, ..., 1) exactly 1
-            out[_broadcast(np.logical_and, [a == 1.0 for a in axes])] = 1.0
-        return out
+        return _family_grid_raw(self, axes)
 
 
 def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
@@ -207,21 +229,35 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
         return _broadcast(np.minimum, axes)
     if fam == COUNTERMONOTONE_2D:
         return np.maximum(_broadcast(np.add, axes) - 1.0, 0.0)
+    # in place on the broadcast's one grid-sized buffer (never ``axes``: at
+    # d = 1 it views an array made here); ``**=`` takes ``**``'s shortcuts
     if fam == CLAYTON:
         with np.errstate(over="ignore", divide="ignore"):
-            s = _broadcast(np.add, [a ** (-c.theta) for a in axes]) - (c.dim - 1)
-            out = s ** (-1.0 / c.theta)
-        return np.clip(out, 0.0, 1.0)
+            out = _broadcast(np.add, [a ** (-c.theta) for a in axes])
+            out -= c.dim - 1
+            out **= -1.0 / c.theta
+        return np.clip(out, 0.0, 1.0, out=out)
     if fam == GUMBEL:
         with np.errstate(over="ignore", divide="ignore"):
-            s = _broadcast(np.add, [(-np.log(a)) ** c.theta for a in axes])
-            out = np.exp(-(s ** (1.0 / c.theta)))
-        return np.clip(out, 0.0, 1.0)
+            out = _broadcast(np.add, [(-np.log(a)) ** c.theta for a in axes])
+            out **= 1.0 / c.theta
+            np.exp(np.negative(out, out=out), out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
     if fam == FRANK:
         th = c.theta
-        num = _broadcast(np.multiply, [np.expm1(-th * a) for a in axes])
-        den = np.expm1(-th) ** (c.dim - 1)
-        return np.clip(-np.log1p(num / den) / th, 0.0, 1.0)
+        out = _broadcast(np.multiply, [np.expm1(-th * a) for a in axes])
+        out /= np.expm1(-th) ** (c.dim - 1)
+        np.negative(np.log1p(out, out=out), out=out)
+        out /= th
+        np.clip(out, 0.0, 1.0, out=out)
+        # C(1, ..., 1) = 1 exactly: Frank's ratio of expm1 powers can miss it
+        # by an ulp (Clayton's and Gumbel's cells there are exactly 1).  A
+        # batch of one picks its hits per axis; a larger one takes one mask
+        if len(out) == 1:
+            out[0][np.ix_(*[np.flatnonzero(a[0] == 1.0) for a in axes])] = 1.0
+        else:
+            out[_broadcast(np.logical_and, [a == 1.0 for a in axes])] = 1.0
+        return out
     raise ParameterError(f"unknown copula family {fam!r}")
 
 
@@ -288,7 +324,7 @@ class SurvivalCopula:
         return self.base.dim
 
     # the same methods as Copula's; tracing wraps each class's own cdf entry
-    cdf, cdf_grid, cdf_grids = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids
+    cdf, cdf_grid, cdf_grids, contract = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids, Copula.contract
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
         # per chunk of batch rows, the 2^d inclusion-exclusion terms from one
@@ -317,6 +353,208 @@ def survival_copula(c: CopulaLike) -> CopulaLike:
     if isinstance(c, Copula) and c.family == INDEPENDENCE:
         return c
     return SurvivalCopula(c)
+
+
+# grid cells of one chunk of batch rows in the default contract, so that its
+# grids do not grow with the number of rows
+_CELL_BUDGET = 1 << 14
+
+
+def _grid_sums(c: CopulaLike, levels: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
+    """The default :meth:`Copula.contract`: the coupling on the grid of each row, contracted.
+
+    A row's extent on an axis ends at its last nonzero weight; a row with no
+    weight on some axis is 0.  Rows sorted by extent go in chunks whose
+    padded grids hold at most ``_CELL_BUDGET`` cells (one grid, if larger),
+    and each stretch of one extent is contracted on its own cells only
+    (:func:`_contract`), so a row equals the row contracted alone bit for bit.
+    """
+    sizes = np.array([np.where(w != 0.0, np.arange(1, w.shape[1] + 1), 0).max(axis=1, initial=0) for w in weights])
+    out = np.zeros(len(levels[0]))
+    live = np.flatnonzero(sizes.all(axis=0))
+    if not live.size:
+        return out
+    # rows of one extent are neighbours, so a chunk pads little past its own cells
+    order = live[np.lexsort(sizes[::-1, live])]
+    step = max(1, _CELL_BUDGET // int(np.prod(sizes[:, live].max(axis=1))))
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        extents = sizes[:, rows]
+        grids = c.cdf_grids([v[rows, :k] for v, k in zip(levels, extents.max(axis=1))])
+        bounds = [0, *(np.flatnonzero((extents[:, 1:] != extents[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            k = extents[:, a].tolist()
+            cells = grids[(slice(a, b), *(slice(0, j) for j in k))]
+            out[rows[a:b]] = _contract(cells, [w[rows[a:b], :j] for w, j in zip(weights, k)])
+    return out
+
+
+def _contract(vals: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Per batch row, the sum of a grid of copula values times the product of per-axis weights.
+
+    ``vals`` has shape (G, n_0, ..., n_{d-1}) and ``weights[i]`` (G, n_i);
+    returns shape (G,).  numpy calls BLAS once per batch row, with the same
+    operand shapes as a grid of its own, so row g equals the contraction of
+    grid g alone bit for bit.
+    """
+    batch, n0 = weights[0].shape
+    # a contiguous copy of a sub-grid: a strided one can take numpy's own
+    # matmul loop instead of BLAS, which rounds differently
+    vals = np.ascontiguousarray(vals).reshape(batch, n0, -1)
+    # weights of the trailing axes in the grid's row-major order
+    if len(weights) > 1:
+        tail_w = _broadcast(np.multiply, weights[1:]).reshape(batch, -1)
+    else:
+        tail_w = np.ones((batch, 1))
+    return (weights[0][:, None, :] @ (vals @ tail_w[..., None])).reshape(batch)
+
+
+# the families that are mixtures of product copulas, C(u) = sum_l mu_l
+# prod_j F_j(u_j | l), each F_j a per-axis lookup
+_MIXTURES = (EMPIRICAL, INDEPENDENCE, COMONOTONE, COUNTERMONOTONE_2D)
+
+
+def _mixture(c: CopulaLike) -> tuple[Copula, int] | None:
+    """``(base, wraps)`` when ``c`` is a :data:`_MIXTURES` copula under ``wraps`` survival wraps, else None."""
+    wraps = 0
+    while isinstance(c, SurvivalCopula):
+        c, wraps = c.base, wraps + 1
+    return (c, wraps) if c.family in _MIXTURES else None
+
+
+def _mixture_sums(
+    base: Copula, wraps: int, levels: list[np.ndarray], weights: list[np.ndarray], atoms: bool = False
+) -> np.ndarray:
+    """Per batch row, sum_l mu_l prod_j A_j(l), A_j(l) the sum of axis j's weights times F_j(level | l).
+
+    Independence has one component, F(u) = u, and is its own survival
+    copula.  The other factors are indicators 1[x_l <= u], which a survival
+    wrap flips, F^(v) = 1 - F(1 - v): under k wraps 1[x_l <= t] (k even) or
+    1[x_l > t] (k odd), t the level flipped k times by ``1.0 - v`` as
+    ``SurvivalCopula._grid`` flips it, so every decision is the grid's.
+
+    * empirical: l is the scenario, x_l its rank and mu_l its weight.  A
+      ``searchsorted`` into the sorted ranks bins each level by the ranks at
+      or below it; a weighted histogram of the bins, summed from either end,
+      gives every scenario's A_j: O(m + n_j) per row and axis.
+    * comonotone: x = s ~ U(0, 1) (the countermonotone copula's second axis
+      takes 1[1 - s <= t] = 1[s >= 1 - t]).  Between two neighbours of a
+      row's sorted thresholds every A_j is constant: l is such an interval,
+      mu_l its length, and a histogram over the sorted positions gives A_j.
+
+    Histogram bins add in input order and running sums left to right, so
+    zero-weight padding leaves a row unchanged bit for bit, and rows go in
+    chunks of ``_BIN_BUDGET`` bins.  With ``atoms``,
+    axis j holds n_j + 1 levels e_i and n_j coordinates c_i, and A_j(l) =
+    sum_i c_i (F(e_i | l) - F(e_{i+1} | l)): per component the 2^d-term
+    increment is the product of these, so the sum is the atom-measure sum.
+    """
+    if base.family == INDEPENDENCE:
+        terms = [w * (v[:, :-1] - v[:, 1:]) if atoms else w * v for v, w in zip(levels, weights)]
+        return functools.reduce(np.multiply, [_row_sums(t) for t in terms])
+    monotone = not atoms or all((e[:, 1:] <= e[:, :-1]).all() for e in levels)
+    for _ in range(wraps):
+        levels = [1.0 - v for v in levels]
+    even = wraps % 2 == 0
+
+    def axis_sums(bins, j, rows, n_bins, low):
+        w = weights[j][rows]
+        return _axis_atoms(bins, w, n_bins, low, monotone) if atoms else _axis_sums(bins, w, n_bins, low)
+
+    if base.family == EMPIRICAL:
+        ascending, position = base._rank_index
+        m = len(base.rank_weights)
+
+        def chunk(rows):
+            prod = base.rank_weights
+            for j, t in enumerate(levels):
+                # bins[i]: the ranks at or below t_i, so the scenario at sorted position q has r <= t_i iff q < bins[i]
+                bins = np.searchsorted(ascending[j], t[rows], side="right")
+                prod = prod * axis_sums(bins, j, rows, m + 1, even)[:, position[j]]
+            # pairwise over each row's m terms; the pick above can leave the
+            # rows strided, which numpy would add up in another order
+            return np.ascontiguousarray(prod).sum(axis=1)
+
+        return _by_rows(len(levels[0]), m + 1 + max(t.shape[1] for t in levels), chunk)
+    # comonotone or countermonotone: on axis j the factor is on below its
+    # threshold (low) or above it
+    flipped = [base.family == COUNTERMONOTONE_2D and j == 1 for j in range(base.dim)]
+    cuts = [1.0 - t if f else t for t, f in zip(levels, flipped)]
+    n_bins = sum(t.shape[1] for t in cuts) + 2
+
+    def chunk(rows):
+        zeros = np.zeros((len(cuts[0][rows]), 1))
+        every = np.concatenate([zeros, *(t[rows] for t in cuts), zeros + 1.0], axis=1)
+        order = np.argsort(every, axis=1, kind="stable")
+        at = np.empty_like(order)
+        at[np.arange(len(order))[:, None], order] = np.arange(n_bins)
+        prod = np.diff(np.take_along_axis(every, order, axis=1), axis=1)
+        start = 1
+        for j, t in enumerate(cuts):
+            n = t.shape[1]
+            prod *= axis_sums(at[:, start : start + n], j, rows, n_bins, even != flipped[j])
+            start += n
+        return _row_sums(prod)
+
+    return _by_rows(len(levels[0]), n_bins, chunk)
+
+
+def _axis_sums(bins: np.ndarray, w: np.ndarray, n_bins: int, low: bool) -> np.ndarray:
+    """Per row and q < n_bins - 1, the sum of w_i over the i with q < bins_i (``low``), or with bins_i <= q."""
+    n_rows = len(bins)
+    flat = (bins + n_bins * np.arange(n_rows)[:, None]).ravel()
+    hist = np.bincount(flat, weights=w.ravel(), minlength=n_rows * n_bins).reshape(n_rows, n_bins)
+    return hist[:, :0:-1].cumsum(axis=1)[:, ::-1] if low else hist[:, :-1].cumsum(axis=1)
+
+
+def _axis_atoms(bins: np.ndarray, coords: np.ndarray, n_bins: int, low: bool, monotone: bool) -> np.ndarray:
+    """Per row and q, sum_i c_i (F_i - F_{i+1}), F_i the factor of entry i that :func:`_axis_sums` tests.
+
+    On non-increasing levels F is on for a prefix of the entries, so the sum
+    is the coordinate where it turns off, picked with no cancellation; other
+    levels test every entry, O(n_bins n) per row.
+    """
+    if monotone:
+        on = _axis_sums(bins, np.ones(bins.shape), n_bins, low).astype(np.intp)
+        picks = np.zeros((len(coords), coords.shape[1] + 2))
+        picks[:, 1:-1] = coords
+        return np.take_along_axis(picks, on, axis=1)
+    q = np.arange(n_bins - 1)[:, None]
+    on = (q < bins[:, None, :]) if low else (q >= bins[:, None, :])
+    return (coords[:, None, :] * (on[..., :-1].astype(float) - on[..., 1:])).sum(axis=2)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right, so that zeros anywhere leave it unchanged bit for bit."""
+    return x.cumsum(axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
+
+
+# (row, bin) pairs per chunk of a factored sum, which holds about ten arrays
+# of that size: under 1 MB per chunk
+_BIN_BUDGET = 1 << 13
+
+
+def _by_rows(n_rows: int, per_row: int, chunk) -> np.ndarray:
+    """``chunk(rows)`` over consecutive slices of rows holding at most ``_BIN_BUDGET`` of ``per_row`` each."""
+    out = np.empty(n_rows)
+    step = max(1, _BIN_BUDGET // per_row)
+    for lo in range(0, n_rows, step):
+        out[lo : lo + step] = chunk(slice(lo, lo + step))
+    return out
+
+
+def atom_sums(c: CopulaLike, levels, coords) -> np.ndarray | None:
+    """Per batch row, the sum over atoms of their coordinates' product times their mass; None unless ``c`` factors.
+
+    Axis j holds n_j + 1 levels e_i and n_j coordinates c_i; the atom at
+    (c_{i_0}, ...) has the 2^d-term increment of C over the box between the
+    levels (e_{i_j + 1}) and (e_{i_j}) (:func:`_mixture_sums`).
+    """
+    mixture = _mixture(c)
+    if mixture is None:
+        return None
+    levels = _as_axes(levels, c.dim, batched=True)
+    return _mixture_sums(*mixture, levels, [np.asarray(x, dtype=float) for x in coords], atoms=True)
 
 
 def box_increment(c: CopulaLike, a, b) -> float:
@@ -393,12 +631,36 @@ def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, 
     # M - C peaks on the diagonal too: C is nondecreasing in every
     # coordinate, so the diagonal point at min(u) keeps M and has a C no
     # larger.  In floats, a parametric cdf equals its grid cells bit for bit,
-    # so this is the full grid's maximum; an empirical cdf sums the weights
-    # of its cell in another order, and a survival copula's inclusion-exclusion
-    # sum is not monotone, so for those it is that maximum up to rounding.
-    gap = axis - c.cdf(np.repeat(axis[:, None], c.dim, axis=1))
+    # so this is the full grid's maximum; an empirical diagonal sums the
+    # weights in another order than its grid cells, and a survival copula's
+    # inclusion-exclusion sum is not monotone, so for those it is that
+    # maximum up to rounding.
+    gap = axis - _diagonal(c, axis)
     d_uc = float(max(np.max(gap), 0.0))
     return d_ul, d_uc
+
+
+def _diagonal(c: CopulaLike, u: np.ndarray) -> np.ndarray:
+    """C(u, ..., u) at each level of ``u``: one pointwise batch.
+
+    An empirical coupling under k wraps weighs the scenarios whose every rank
+    is <= t (k even) or > t (k odd), t flipped as in :func:`_mixture_sums`:
+    one sort of each scenario's largest (smallest) rank, then running weights.
+    """
+    mixture = _mixture(c)
+    if mixture is None or mixture[0].family != EMPIRICAL:
+        return c.cdf(np.repeat(u[:, None], c.dim, axis=1))
+    base, wraps = mixture
+    for _ in range(wraps):
+        u = 1.0 - u
+    even = wraps % 2 == 0
+    key = base.ranks.max(axis=1) if even else base.ranks.min(axis=1)
+    order = np.argsort(key, kind="stable")
+    below = np.searchsorted(key[order], u, side="right")
+    w = base.rank_weights[order]
+    if even:
+        return np.concatenate(([0.0], np.cumsum(w)))[below]
+    return np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))[below]
 
 
 def empirical_copula(s: ScenarioSet) -> Copula:
@@ -412,8 +674,7 @@ def empirical_copula(s: ScenarioSet) -> Copula:
     if s.m < 2:
         raise DataError("empirical copula requires at least 2 scenarios")
     ranks = np.empty((s.m, s.dim))
-    for i, order in enumerate(s.order):
-        dense, start = _dense_ranks(s.losses[:, i], order)
+    for i, (order, (dense, start)) in enumerate(zip(s.order, s.dense_ranks)):
         # each tie group's weights in the stable order, which is scenario order
         group_w = np.add.reduceat(s.weights[order], start)
         ranks[:, i] = (np.concatenate(([0.0], np.cumsum(group_w)[:-1])) + 0.5 * group_w)[dense]
@@ -470,16 +731,6 @@ def _tau_of_ranks(x_ranks: tuple, y_ranks: tuple, w: np.ndarray) -> float:
     y_weight = np.bincount(ry, w, n_y)
     y_tied = float(np.sum(y_weight**2) - np.sum(w**2)) / 2.0
     return 2.0 * (2.0 * _concordant_weight(ranks, ws, n_y) - den / 2.0 + y_tied - x_tied) / den
-
-
-def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's index among the distinct values of ``v``, and where each starts in ``v[order]`` (sorted)."""
-    sv = v[order]
-    new = np.ones(len(sv), dtype=bool)
-    np.not_equal(sv[1:], sv[:-1], out=new[1:])
-    ranks = np.empty(len(sv), dtype=np.intp)
-    ranks[order] = new.cumsum() - 1
-    return ranks, new.nonzero()[0]
 
 
 def _run_pair_weight(w: np.ndarray, starts: np.ndarray) -> float:
@@ -566,8 +817,8 @@ def fit_archimedean(s: ScenarioSet, family: str) -> Copula:
         raise DimensionError("fitting requires dimension >= 2")
     if s.m < 2:
         raise DataError("fitting requires at least 2 scenarios")
-    # each column's dense ranks once, from the set's order, for all its pairs
-    ranks = [_dense_ranks(s.losses[:, i], order) for i, order in enumerate(s.order)]
+    # each column's dense ranks once per set (shared with empirical_copula), for all its pairs
+    ranks = s.dense_ranks
     taus = [_tau_of_ranks(ranks[i], ranks[j], s.weights) for i, j in itertools.combinations(range(s.dim), 2)]
     tau = float(np.mean(taus))
 
@@ -611,8 +862,9 @@ def gof_distance(e: CopulaLike, c: CopulaLike, grid_n: int | None = None) -> flo
     if e.dim != c.dim:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {c.dim}")
     axes = [_unit_grid(e.dim, grid_n)] * e.dim
-    diff = e.cdf_grid(axes) - c.cdf_grid(axes)
-    return float(np.mean(diff**2))
+    diff = e.cdf_grid(axes)
+    diff -= c.cdf_grid(axes)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def independence(dim: int) -> Copula:

@@ -8,6 +8,7 @@ tail averages) are exact finite sums over the scenario atoms.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +47,14 @@ class ScenarioSet:
         order = column_order(self.losses)
         order.setflags(write=False)
         return order
+
+    @functools.cached_property
+    def dense_ranks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each column's :func:`_dense_ranks`, read off :attr:`order`: shared by the fits and the empirical copula."""
+        ranks = tuple(_dense_ranks(self.losses[:, i], order) for i, order in enumerate(self.order))
+        for a in itertools.chain.from_iterable(ranks):
+            a.setflags(write=False)
+        return ranks
 
     @functools.cached_property
     def steps(self) -> "Steps":
@@ -228,6 +237,16 @@ def _padded(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def column_order(losses: np.ndarray) -> np.ndarray:
     """The stable (so unique) ascending order of each column of ``losses`` (m,) or (m, d): shape (m,) or (d, m)."""
     return np.argsort(losses.T, axis=-1, kind="stable")
+
+
+def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index among the distinct values of ``v``, and where each starts in ``v[order]`` (sorted)."""
+    sv = v[order]
+    new = np.ones(len(sv), dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    ranks = np.empty(len(sv), dtype=np.intp)
+    ranks[order] = new.cumsum() - 1
+    return ranks, new.nonzero()[0]
 
 
 def _split(arrays: Sequence[np.ndarray], counts: np.ndarray) -> list[tuple[np.ndarray, ...]]:

@@ -6,27 +6,30 @@ distortions and coupled through a copula ``C*``.  On discrete scenario data
 the integrand is piecewise constant on the tensor grid of marginal
 breakpoints, so every formulation below is an exact finite sum, not a
 quadrature approximation.
+
+The coupling enters every form through its ``contract``: the survival form
+contracts it on each axis' runs of equal distorted levels with the runs'
+summed widths.  The empirical, independence, comonotone and countermonotone
+couplings, under any survival wraps, factor into one sum per axis and
+mixture component, so neither form makes a grid for them, and their ls form
+is the atom-measure sum itself (``copula.atom_sums``).  Clayton, Gumbel and
+Frank couplings stay on the grid of their run levels.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .copula import CopulaLike, _broadcast, survival_copula
+from .copula import CopulaLike, _contract, atom_sums, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
 from .portfolio import ScenarioSet, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
-
-# padded grid cells, one per run of equal distorted levels on each axis, that
-# one chunk of gamma_survival_forms evaluates at once, so that the grids of a
-# call do not grow with its number of portfolios
-_CELL_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,34 +71,17 @@ def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> np.
     return losses
 
 
-def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
-    """Per batch row, the sum of a grid of copula values times the product of per-axis weights.
-
-    ``vals`` has shape (G, n_0, ..., n_{d-1}) and ``weights[i]`` (G, n_i);
-    returns shape (G,).  numpy calls BLAS once per batch row, with the same
-    operand shapes as a grid of its own, so row g equals the contraction of
-    grid g alone bit for bit.
-    """
-    batch, n0 = weights[0].shape
-    # a contiguous copy of a sub-grid: a strided one can take numpy's own
-    # matmul loop instead of BLAS, which rounds differently
-    vals = np.ascontiguousarray(vals).reshape(batch, n0, -1)
-    # weights of the trailing axes in the grid's row-major order
-    if len(weights) > 1:
-        tail_w = _broadcast(np.multiply, weights[1:]).reshape(batch, -1)
-    else:
-        tail_w = np.ones((batch, 1))
-    return (weights[0][:, None, :] @ (vals @ tail_w[..., None])).reshape(batch)
-
-
 def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     """Exact cell sum of the distorted joint tail integrand over the breakpoint grid.
 
     The integrand is evaluated at each cell's lower-left corner (consistent
     with right-continuous step survival functions), making the value exact.
-    Neighbouring cells at one distorted level share one copula value, so
-    complexity is the product of each axis' distinct distorted levels (its
-    runs of equal levels), not of its breakpoint counts.
+    Neighbouring cells at one distorted level share one copula value, so a
+    coupling that makes a grid (see ``Copula.contract``) costs the product of
+    each axis' distinct distorted levels (its runs of equal levels), not of
+    its breakpoint counts; the empirical, independence, comonotone and
+    countermonotone couplings make none and cost O(d (m + n)) for an
+    m-scenario coupling and n cells per axis.
     """
     return gamma_survival_forms([s], spec)[0]
 
@@ -118,16 +104,12 @@ def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray
     once, on its axis' zero-padded survival levels, which its output
     overwrites.  Portfolios with no positive loss in some marginal get 0.
     The others' cells are merged into runs of one distorted level
-    (:func:`_run_starts`): the integrand depends on t only through the
-    levels, so a run needs one copula value, times the sum of its widths.
-    The portfolios are ordered by their per-axis run counts and evaluated
-    in consecutive chunks whose padded grids hold at most ``_CELL_BUDGET``
-    runs together (one grid, if that alone is larger), so the grids stay
-    bounded however many portfolios come in; only the cell table and its
-    run starts span the batch.  A chunk finds its rows' runs
-    (:func:`_level_runs`) and evaluates the coupling copula once on its
-    padded batch of grids.  Each value is contracted on its own runs only,
-    so it equals the value computed alone bit for bit.
+    (:func:`_run_starts`, :func:`_level_runs`): the integrand depends on t
+    only through the levels, so a run needs one copula value, times the sum
+    of its widths.  One ``contract`` of the coupling copula takes every
+    portfolio's run levels and widths (zero-padded, past a row's own runs,
+    with its last level and width 0), and its rows equal the values
+    computed alone bit for bit.
     """
     # one cell table over every column; [i, p] of each reshaped table is column i of portfolio p
     n_port, dim = len(lengths), spec.dim
@@ -141,25 +123,10 @@ def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray
     # each axis' survival levels distorted in place, one call per axis
     for i, g in enumerate(spec.distortions):
         levels[i] = g(levels[i])
-    starts = _run_starts(levels, counts)
-    runs = starts.sum(axis=2)
-    # sorted by run counts, axis 0 first, so that portfolios of one shape
-    # are neighbours and a chunk pads little past its own runs
-    order = live[np.lexsort(runs[::-1, live])]
-    step = max(1, _CELL_BUDGET // int(np.prod(runs[:, live].max(axis=1))))
-    for start in range(0, len(order), step):
-        rows = order[start : start + step]
-        sizes = runs[:, rows]
-        n = counts[:, rows].max()
-        first, chunk_widths = _level_runs(starts[:, rows, :n], widths[:, rows, :n])
-        run_levels = np.take_along_axis(levels[:, rows, :n], first, axis=2)
-        grids = spec.cstar.cdf_grids([run_levels[i, :, :k] for i, k in enumerate(sizes.max(axis=1))])
-        # the rows are sorted, so each run shape is one stretch, contracted as one batch
-        bounds = [0, *(np.flatnonzero((sizes[:, 1:] != sizes[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            k = sizes[:, a].tolist()
-            cells = grids[(slice(a, b), *(slice(0, j) for j in k))]
-            out[rows[a:b]] = _contract(cells, [w[a:b, :j] for w, j in zip(chunk_widths, k)])
+    if live.size < n_port:
+        levels, widths, counts = levels[:, live], widths[:, live], counts[:, live]
+    first, run_widths = _level_runs(_run_starts(levels, counts), widths)
+    out[live] = spec.cstar.contract(list(np.take_along_axis(levels, first, axis=2)), list(run_widths))
     return out
 
 
@@ -214,71 +181,95 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     return gamma_forms(s, spec)[1]
 
 
-def _step_grid(s: ScenarioSet, spec: JointRiskSpec) -> tuple[np.ndarray, list, list, list[slice], list]:
-    """``(run_grid, run, values, cut, widths)``: the coupling copula once per run of equal distorted step levels.
+class _StepLevels(NamedTuple):
+    """The distorted level entries of each axis of a portfolio's step grid (:func:`_step_levels`)."""
 
-    Axis i's level entries are ``g_i([1, tail_0, ..., tail_{n-1}])`` over its n
-    sorted distinct ``values[i]``: entry j + 1 is the level at value j, entry
-    j the level below it.  Axis i's c cells covering [0, max) are its last c
-    steps, at the levels ``cut[i]`` = entries n - c to n, with widths ``widths[i]``.
-    ``run[i]`` holds each entry's run of neighbours at one level (:func:`_run_starts`)
-    and ``run_grid`` the copula on the run levels.
+    levels: list  # g_i([1, tail_0, ..., tail_{n-1}]) over the n sorted distinct values
+    run: list  # each entry's run of neighbours at one level (:func:`_run_starts`)
+    run_levels: list  # the level of each run
+    values: list  # the sorted distinct values
+    cut: list  # the entries of the c cells covering [0, max): n - c to n
+    widths: list  # those cells' widths
+
+
+def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
+    """Axis i's level entries ``g_i([1, tail_0, ..., tail_{n-1}])`` over its n sorted distinct values.
+
+    Entry j + 1 is the level at value j, entry j the level below it.  Axis
+    i's c cells covering [0, max) are its last c steps, at the levels of
+    entries n - c to n.
     """
-    levels, starts, values, cut, widths = [], [], [], [], []
+    out = _StepLevels([], [], [], [], [], [])
     for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
-        levels.append(np.asarray(g(np.concatenate(([1.0], tail))), dtype=float))
-        starts.append(_run_starts(levels[-1], np.asarray(levels[-1].size)))
-        values.append(v)
-        cut.append(slice(len(v) - len(w), len(v)))
-        widths.append(w)
-    run_grid = spec.cstar.cdf_grid([lv[start] for lv, start in zip(levels, starts)])
-    return run_grid, [np.cumsum(start) - 1 for start in starts], values, cut, widths
+        levels = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
+        start = _run_starts(levels, np.asarray(levels.size))
+        out.levels.append(levels)
+        out.run.append(np.cumsum(start) - 1)
+        out.run_levels.append(levels[start])
+        out.values.append(v)
+        out.cut.append(slice(len(v) - len(w), len(v)))
+        out.widths.append(w)
+    return out
 
 
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
-    """``(gamma_survival_form(s, spec), gamma_ls_form(s, spec))`` from one copula grid.
+    """``(gamma_survival_form(s, spec), gamma_ls_form(s, spec))`` from one evaluation of the coupling.
 
-    Both forms read :func:`_step_grid`.  For the ls form, the levels at each
-    step are the last n entries of an axis' level vector and the levels just
-    below it the first n, so every term of the increment is a sub-grid of
-    the step grid: the run grid repeated over each run's entries.  The
-    survival form reads the run grid (:func:`_step_survival_form`) with the
-    runs and summed widths of :func:`gamma_survival_forms`: both read the same copula values, and the
-    survival form equals :func:`gamma_survival_form` bit for bit when the
-    distortions are monotone (under an empirical coupling the extra levels
-    g(1) and g(0) then bin no scenario).  The survival form is 0 when some
-    marginal has no positive loss.
+    Both forms read :func:`_step_levels`.  The survival form
+    (:func:`_step_survival_form`) contracts the coupling with the runs and
+    summed widths of :func:`gamma_survival_forms`, and equals
+    :func:`gamma_survival_form` bit for bit when the distortions are
+    monotone (under an empirical coupling the extra levels g(1) and g(0)
+    then bin no scenario).  It is 0 when some marginal has no positive loss.
+
+    For the ls form, the levels at each step are the last n entries of an
+    axis' level vector and the levels just below it the first n.  A
+    coupling that ``contract`` factors takes it from ``atom_sums``: per
+    mixture component, the increment is a product of per-axis differences,
+    each one atom's coordinate on non-increasing levels.  Any other coupling
+    is evaluated once on the run levels; every term of the increment is then
+    a sub-grid of the step grid, the run grid repeated over each run's
+    entries, and the survival form contracts a slice of the same run grid.
     """
     _check_inputs([s], spec)
-    run_grid, run, values, cut, widths = _step_grid(s, spec)
+    st = _step_levels(s, spec)
+    ls = atom_sums(spec.cstar, [e[None] for e in st.levels], [v[None] for v in st.values])
+    if ls is not None:
+        return _step_survival_form(spec.cstar, st, st.cut, st.widths), float(ls[0])
+    run_grid = spec.cstar.cdf_grid(st.run_levels)
     # the step grid: each axis' run values repeated over the run's entries
     grid = run_grid
-    for i, r in enumerate(run):
+    for i, r in enumerate(st.run):
         if r[-1] + 1 < r.size:
             grid = np.repeat(grid, np.bincount(r), axis=i)
-    coords = [v[None] for v in values]
+    coords = [v[None] for v in st.values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
     for mask in itertools.product((False, True), repeat=s.dim):
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    return _step_survival_form(run_grid, run, cut, widths), total
+    return _step_survival_form(spec.cstar, st, st.cut, st.widths, run_grid), total
 
 
-def _step_survival_form(run_grid: np.ndarray, run: list, cut: list[slice], widths: list) -> float:
-    """The survival form off a :func:`_step_grid`'s run grid, contracted run by run.
+def _step_survival_form(cstar: CopulaLike, st: _StepLevels, cut: list[slice], widths: list, run_grid=None) -> float:
+    """The survival form on a :func:`_step_levels`' runs, contracted run by run.
 
-    An axis' ``cut`` covers a contiguous range of its runs: a slice of the run grid,
-    contracted with the weights ``widths`` (the cut's cell widths, or the signed
-    form's weights) summed per run in entry order by one ``bincount`` (a one-entry
-    run keeps its weight bit for bit).  0 when some axis has no weight.
+    An axis' ``cut`` covers a contiguous range of its runs, whose levels go
+    to the coupling's ``contract`` with the weights ``widths`` (the cut's
+    cell widths, or the signed form's weights) summed per run in entry
+    order by one ``bincount`` (a one-entry run keeps its weight bit for
+    bit); given the coupling's ``run_grid`` on every run, its slice is
+    contracted instead.  0 when some axis has no weight.
     """
     if not all(w.size for w in widths):
         return 0.0
-    ids = [r[c] for r, c in zip(run, cut)]
-    cells = run_grid[tuple(slice(i[0], i[-1] + 1) for i in ids)]
-    return float(_contract(cells[None], [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, widths)])[0])
+    ids = [r[c] for r, c in zip(st.run, cut)]
+    spans = tuple(slice(i[0], i[-1] + 1) for i in ids)
+    weights = [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, widths)]
+    if run_grid is not None:
+        return float(_contract(run_grid[spans][None], weights)[0])
+    return float(cstar.contract([lv[None, span] for lv, span in zip(st.run_levels, spans)], weights)[0])
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import csv
 import json
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,9 @@ from jointrisk.portfolio import marginal_steps
 
 # the commands that build no distortion
 NO_DISTORTION = ("mtce", "copula-fit", "copula-distance")
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -431,6 +436,27 @@ class TestRun:
             monkeypatch.setattr(SurvivalCopula, name, counted)
         assert main(["scalar", "--input", plain_csv, "--copula", "clayton:2.0"]) == 0
         assert calls == ["cdf_grid"]
+
+    def test_default_scalar_report_on_a_thousand_rows_in_three_columns_makes_no_grid(self, capsys):
+        # tests/data/empirical_d3_m1000.csv holds 1 000 rows, about 770
+        # distinct losses per column: with rng = np.random.default_rng(1000),
+        # z = 0.6 * rng.standard_normal((1000, 1)) + 0.8 * rng.standard_normal((1000, 3))
+        # and losses np.round(np.exp(0.5 * z) * 10.0, 2), written "%.2f".  The
+        # default empirical coupling is summed per scenario: a run grid would
+        # hold 752 * 769 * 773 cells (3.3 GB)
+        path = str(DATA / "empirical_d3_m1000.csv")
+        tracemalloc.start()
+        try:
+            assert main(["scalar", "--input", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        report = json.loads(capsys.readouterr().out)
+        results = report["results"]["scalar"]
+        assert results["gamma"] > 0.0
+        assert results["formulation_gap"] <= 1e-12
+        assert 0.0 < report["copula"]["d_uc"] < report["copula"]["d_ul"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -42,7 +42,7 @@ from jointrisk import (
     survival_copula,
     var_step,
 )
-from jointrisk import copula
+from jointrisk import copula, portfolio
 from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, default_grid_n, frechet_lower, frechet_upper
 from jointrisk.portfolio import marginal_cells
 
@@ -632,11 +632,11 @@ class TestFit:
         base = rng.normal(size=30)
         s = scenario_set(np.column_stack([base + rng.normal(size=30) for _ in range(d)]) + 10.0)
         with (
-            mock.patch.object(copula, "_dense_ranks", wraps=copula._dense_ranks) as ranked,
+            mock.patch.object(portfolio, "_dense_ranks", wraps=portfolio._dense_ranks) as ranked,
             mock.patch.object(copula, "_tau_of_ranks", wraps=copula._tau_of_ranks) as spy,
         ):
             theta = fit_archimedean(s, "gumbel").theta
-        # each column is ranked once, and shared by all of its pairs
+        # each column is ranked once (cached on the set), and shared by all of its pairs
         assert ranked.call_count == d
         for i, call in enumerate(ranked.call_args_list):
             assert np.array_equal(call.args[0], s.losses[:, i])
@@ -1215,6 +1215,20 @@ class TestCdfGrid:
                 tracemalloc.stop()
             assert peak < bound
 
+    @pytest.mark.parametrize(
+        "cop", [clayton(2.0, 1), gumbel(1.5, 1), frank(3.0, 1), frank(1e-12, 1), clayton(2.0), gumbel(1.5), frank(-3.0)]
+    )
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_parametric_grids_leave_their_levels_unwritten(self, cop, rows):
+        # the grid steps run in place on their own buffer; at d = 1 the
+        # broadcast is a view of its one input, which must stay untouched
+        axes = [np.linspace(0.0, 1.0, 4 + j)[None].repeat(rows, axis=0) for j in range(cop.dim)]
+        for a in axes:
+            a.setflags(write=False)
+        grid = cop._grid(axes)
+        assert grid.shape == (rows,) + tuple(4 + j for j in range(cop.dim))
+        assert np.all(grid[(slice(None), *(-1,) * cop.dim)] == 1.0)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("wraps", [1, 2])
     def test_survival_grid_makes_one_base_evaluation(self, monkeypatch, d, wraps):
@@ -1265,7 +1279,12 @@ class TestCdfGrid:
             run_levels.append(g[starts])
             run_widths.append(np.array([np.cumsum(r)[-1] for r in np.split(w, starts[1:])]))
         got = gamma_survival_form(s, spec)
-        assert got == pointwise_sum(run_levels, run_widths)
+        if cop.family in ("comonotone", "countermonotone"):
+            # a mixture of products is summed per component, with no grid:
+            # within 1e-13 of the terms' magnitudes at C = 1
+            assert abs(got - pointwise_sum(run_levels, run_widths)) <= 1e-13 * np.prod([w.sum() for w in widths])
+        else:
+            assert got == pointwise_sum(run_levels, run_widths)
         # the per-cell sum differs by the order of its additions only
         per_cell = pointwise_sum(levels, widths)
         assert abs(got - per_cell) <= 1e-13 * abs(per_cell)

@@ -40,7 +40,7 @@ from jointrisk import (
     var_step,
     varcvar_spec_factory,
 )
-from jointrisk import scalar_risk
+from jointrisk import copula, scalar_risk
 from jointrisk.copula import Copula, SurvivalCopula
 from jointrisk.portfolio import marginal_cells, marginal_steps
 from jointrisk.scalar_risk import _contract
@@ -250,6 +250,23 @@ def _survival_form_per_axis(s, spec, merge=True):
     return _grid_contract(spec.cstar.cdf_grid(levels), widths)
 
 
+def _factors(cop):
+    """Whether ``contract`` sums the coupling per mixture component, with no grid."""
+    return copula._mixture(cop) is not None
+
+
+def _near_grid(got, want, scale):
+    """A factored value against a grid reference, within 1e-13 of ``scale``.
+
+    ``scale`` is the sum of the terms' magnitudes at C = 1 (the product of
+    each axis' summed |weights|).  A survival grid's inclusion-exclusion
+    leaves residues of a few eps in every cell, so the grid is the less
+    accurate of the two; ``test_oracle.py`` judges the factored values
+    against exact sums.
+    """
+    return abs(got - want) <= 1e-13 * scale
+
+
 def _grid_contract(grid, widths):
     """Sum of a grid of copula values times the product of per-axis widths.
 
@@ -289,11 +306,15 @@ def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
         per_cell = _survival_form_per_axis(s, spec, merge=False)
         assert abs(value - per_cell) <= 1e-13 * abs(per_cell)
     # the default budget, one portfolio per chunk, and a few per chunk
-    for budget in (scalar_risk._CELL_BUDGET, 1, 40):
-        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+    for budget in (copula._CELL_BUDGET, 1, 40):
+        with mock.patch.object(copula, "_CELL_BUDGET", budget):
             batched = gamma_survival_forms(portfolios, spec)
             assert batched == [gamma_survival_form(s, spec) for s in portfolios]
-        assert batched == singles
+        if _factors(spec.cstar):
+            scales = [np.prod(s.losses.max(axis=0)) for s in portfolios]
+            assert all(_near_grid(a, b, c) for a, b, c in zip(batched, singles, scales))
+        else:
+            assert batched == singles
 
 
 def _rise_and_fall(u):
@@ -351,14 +372,20 @@ def runs_case(draw):
     JointRiskSpec(survival_copula(clayton(3.0)), (_rise_and_fall, cvar_ramp(0.6))),
 ))
 def test_survival_kernel_equals_the_full_cell_sum(case):
-    # merging a run of equal levels reassociates the cell sum; nothing else moves
+    # merging a run of equal levels reassociates the cell sum; nothing else
+    # moves.  A factored coupling makes no grid, and is judged against the
+    # grid's own rounding (an empty joint tail is exactly 0 there, where a
+    # survival grid leaves a residue)
     portfolios, spec = case
     want = [_survival_form_per_axis(s, spec, merge=False) for s in portfolios]
-    for budget in (scalar_risk._CELL_BUDGET, 1):
-        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+    for budget in (copula._CELL_BUDGET, 1):
+        with mock.patch.object(copula, "_CELL_BUDGET", budget):
             got = gamma_survival_forms(portfolios, spec)
-        for a, b in zip(got, want):
-            assert abs(a - b) <= 1e-13 * abs(b)
+        for s, a, b in zip(portfolios, got, want):
+            if _factors(spec.cstar):
+                assert _near_grid(a, b, np.prod(s.losses.max(axis=0)))
+            else:
+                assert abs(a - b) <= 1e-13 * abs(b)
     # the step grid's runs are the same runs; its extra levels g(1) and g(0)
     # bin no scenario of an empirical coupling only when g is monotone
     if _rise_and_fall not in spec.distortions:
@@ -392,7 +419,7 @@ def test_identity_grids_are_the_cell_counts(monkeypatch):
     rng = np.random.default_rng(11)
     portfolios = [random_portfolio(rng, 3, max_m=8) for _ in range(6)]
     shapes = _spied_grids(monkeypatch)
-    with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+    with mock.patch.object(copula, "_CELL_BUDGET", 1):
         gamma_survival_forms(portfolios, identity_spec(survival_copula(clayton(2.0, 3))))
     counts = [tuple(len(marginal_cells(s, i)[2]) for i in range(3)) for s in portfolios]
     assert sorted(shapes) == sorted((1, *c) for c in counts)
@@ -460,8 +487,17 @@ def ls_case(draw):
     JointRiskSpec(survival_copula(clayton(0.5, 3)), (power(0.5), identity(), identity())),
 ))
 def test_ls_form_equals_the_per_mask_loop_bit_for_bit(case):
+    # a factored coupling's ls form is its atom-measure sum, with no grid
     s, spec = case
-    assert gamma_ls_form(s, spec) == _ls_form_per_mask(s, spec)
+    if _factors(spec.cstar):
+        assert _near_grid(gamma_ls_form(s, spec), _ls_form_per_mask(s, spec), _coordinate_scale(s))
+    else:
+        assert gamma_ls_form(s, spec) == _ls_form_per_mask(s, spec)
+
+
+def _coordinate_scale(s):
+    """The ls form's terms at C = 1: the product of each column's summed distinct |values|."""
+    return np.prod([np.abs(marginal_steps(s, i)[0]).sum() for i in range(s.dim)])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -478,7 +514,8 @@ def test_ls_form_evaluates_the_coupling_once(monkeypatch, d, choice):
     cop = clayton(2.0, d) if choice == "clayton" else empirical_copula(s)
     spec = JointRiskSpec(survival_copula(cop), tuple(cvar_ramp(0.8) for _ in range(d)))
     gamma_ls_form(s, spec)
-    assert calls == [d]
+    # an empirical coupling sums per scenario, with no grid
+    assert calls == ([] if choice == "empirical" else [d])
 
 
 @st.composite
@@ -514,7 +551,12 @@ def forms_case(draw):
 ))
 def test_both_forms_from_one_grid_equal_the_separate_forms_bit_for_bit(case):
     s, spec = case
-    assert gamma_forms(s, spec) == (gamma_survival_form(s, spec), _ls_form_per_mask(s, spec))
+    survival, ls = gamma_forms(s, spec)
+    assert survival == gamma_survival_form(s, spec)
+    if _factors(spec.cstar):
+        assert _near_grid(ls, _ls_form_per_mask(s, spec), _coordinate_scale(s))
+    else:
+        assert ls == _ls_form_per_mask(s, spec)
 
 
 class TestBatchedSurvivalForm:
@@ -788,7 +830,7 @@ def _low_level_factory(c):
 
 
 class TestAxiomSuite:
-    @pytest.mark.parametrize("budget", [scalar_risk._CELL_BUDGET, 1])
+    @pytest.mark.parametrize("budget", [copula._CELL_BUDGET, 1])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_flat_batches_equal_the_scenario_set_construction_bit_for_bit(self, d, budget):
         rng = np.random.default_rng(d)
@@ -798,7 +840,7 @@ class TestAxiomSuite:
         cases = [(_low_level_factory, copulas, 9), (varcvar_spec_factory(BAND, "cvar", grid_n=20), copulas, 5)]
         if d == 2:
             cases.append((_broken_factory, [independence(2)], 40))
-        with mock.patch.object(scalar_risk, "_CELL_BUDGET", budget):
+        with mock.patch.object(copula, "_CELL_BUDGET", budget):
             for factory, cops, trials in cases:
                 for seed in (1, 8):
                     want = _scenario_set_axiom_suite(factory, cops, trials, seed)
@@ -910,13 +952,13 @@ class TestAxiomSuite:
         factory = varcvar_spec_factory(BAND, "cvar", grid_n=40)
         copulas = [clayton(2.0, d), gumbel(1.5, d)]
         report = axiom_suite(factory, copulas, trials=12, seed=3).as_dict()
-        with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+        with mock.patch.object(copula, "_CELL_BUDGET", 1):
             assert axiom_suite(factory, copulas, trials=12, seed=3).as_dict() == report
 
     def test_broken_distortion_witness_does_not_depend_on_the_cell_budget(self):
         report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict()
         assert report["checks"][1]["witness"] is not None
-        with mock.patch.object(scalar_risk, "_CELL_BUDGET", 1):
+        with mock.patch.object(copula, "_CELL_BUDGET", 1):
             assert axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict() == report
 
     def test_rank_preserving_increase_equals_the_gap_loop(self):

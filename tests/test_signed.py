@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -147,15 +149,17 @@ class TestValidation:
 @pytest.mark.parametrize("choice", ["clayton", "empirical"])
 @pytest.mark.parametrize("shift", [0.0, 2.0])
 def test_signed_form_evaluates_the_coupling_once(monkeypatch, choice, shift):
+    # single grids and batches of grids: the coupling's contract takes the latter
     calls = []
-    for cls in (Copula, SurvivalCopula):
-        def counted(self, axes, _grid=cls.cdf_grid):
+    for cls, name in itertools.product((Copula, SurvivalCopula), ("cdf_grid", "cdf_grids")):
+        def counted(self, axes, _grid=getattr(cls, name)):
             calls.append(len(axes))
             return _grid(self, axes)
 
-        monkeypatch.setattr(cls, "cdf_grid", counted)
+        monkeypatch.setattr(cls, name, counted)
     s = signed_portfolio(np.random.default_rng(5))
     s = s.with_losses(s.losses + shift)
     cop = clayton(2.0) if choice == "clayton" else empirical_copula(s)
     gamma_signed_2d(s, JointRiskSpec(survival_copula(cop), (cvar_ramp(0.8), power(2.0))))
-    assert calls == [2]
+    # an empirical coupling sums per scenario, with no grid
+    assert calls == ([] if choice == "empirical" else [2])
