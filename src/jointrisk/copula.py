@@ -206,8 +206,13 @@ class Copula:
         """
         levels = [np.asarray(v, dtype=float) for v in levels]
         weights = [np.asarray(w, dtype=float) for w in weights]
-        if [w.shape for w in weights] != [v.shape for v in levels]:
-            raise DimensionError(f"weights of shapes {[w.shape for w in weights]} for levels of {[v.shape for v in levels]}")
+        shapes = [v.shape for v in levels]
+        batches = {sh[0] if len(sh) == 2 else None for sh in shapes}
+        if len(shapes) != self.dim or [w.shape for w in weights] != shapes or len(batches) != 1 or None in batches:
+            raise DimensionError(
+                f"contract needs {self.dim} level and weight arrays of one shape (P, n_j) per axis, "
+                f"got levels {shapes} and weights {[w.shape for w in weights]}"
+            )
         mixture = _mixture(self)
         if mixture is None:  # cdf_grids checks the levels of each chunk
             return _grid_sums(self, levels, weights)

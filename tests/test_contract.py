@@ -13,11 +13,14 @@ two (``test_oracle.py`` judges the factored values against exact sums).
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointrisk import (
+    DimensionError,
     JointRiskSpec,
+    clayton,
     comonotone,
     countermonotone_2d,
     cvar_ramp,
@@ -189,3 +192,18 @@ def test_factored_d_uc_matches_the_pointwise_diagonal(cop, grid_n):
     want = _on_grids(frechet_distances, cop, grid_n)
     assert d_ul == want[0]
     assert abs(d_uc - want[1]) <= 1e-13
+
+
+@pytest.mark.parametrize("cop", [clayton(2.0), independence(2), SurvivalCopula(comonotone(2))])
+@pytest.mark.parametrize(
+    "levels, weights",
+    [
+        ([np.full((1, 2), 0.5)], [np.ones((1, 2))]),  # one axis of two
+        ([np.full(2, 0.5)] * 2, [np.ones(2)] * 2),  # vectors, not (P, n) arrays
+        ([np.full((1, 2), 0.5)] * 2, [np.ones((1, 3))] * 2),  # weights of another shape
+        ([np.full((1, 2), 0.5), np.full((2, 2), 0.5)], [np.ones((1, 2)), np.ones((2, 2))]),  # batch sizes differ
+    ],
+)
+def test_contract_rejects_mismatched_arrays(cop, levels, weights):
+    with pytest.raises(DimensionError, match="contract needs 2 level and weight arrays"):
+        cop.contract(levels, weights)
