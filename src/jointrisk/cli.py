@@ -7,7 +7,7 @@ Commands
 Input is a CSV of loss scenarios (header row of asset names, optional final
 ``weight`` column).  Output is a versioned JSON report on stdout or ``--out``.
 ``signed2d`` takes losses of either sign in any number of columns: one
-signed-weight contraction of the coupling grid, under a name kept for
+signed-weight contraction of the coupling copula, under a name kept for
 compatibility.  Its values under the empirical coupling with a continuous
 distortion differ from the earlier two-dimensional form's, which was wrong
 there.
