@@ -6,11 +6,12 @@ Commands
 
 Input is a CSV of loss scenarios (header row of asset names, optional final
 ``weight`` column).  Output is a versioned JSON report on stdout or ``--out``.
-``signed2d`` takes losses of either sign in any number of columns: one
-signed-weight contraction of the coupling copula, under a name kept for
-compatibility.  Its values under the empirical coupling with a continuous
-distortion differ from the earlier two-dimensional form's, which was wrong
-there.
+``scalar`` takes losses of either sign in any number of columns and reports
+both forms.  Its ``formulation_gap`` is relative to the larger of |gamma|,
+|gamma_ls| and 1e-12, so on signed data it reads large where gamma cancels
+to near 0 while the two forms still agree to rounding.  ``signed2d``
+reports the survival form alone as ``gamma_signed``, under a name kept for
+compatibility.
 Exit codes: 0 success, 2 validation error, 3 match-assertion failure,
 4 degenerate tail.
 """
@@ -370,8 +371,6 @@ def run(config: RunConfig) -> dict:
         gs = build_distortions(kinds or "identity", level, s.dim)
         spec = JointRiskSpec(survival_copula(cop), gs)
     if measure == "scalar":
-        if not s.nonnegative:
-            raise DataError("scalar: data has negative losses; use the signed2d command")
         # both forms from one coupling grid
         value, value_ls = gamma_forms(s, spec)
         gap = abs(value - value_ls) / max(abs(value), abs(value_ls), 1e-12)

@@ -1,4 +1,4 @@
-"""Scalar joint risk of a nonnegative portfolio under a copula-and-distortion spec.
+"""Scalar joint risk of a portfolio under a copula-and-distortion spec.
 
 The measure assigns ``integral of C*(g_1(S_1(t_1)), ..., g_d(S_d(t_d))) dt`` to
 a portfolio: marginal tail probabilities are reweighted by per-component
@@ -7,9 +7,13 @@ the integrand is piecewise constant on the tensor grid of marginal
 breakpoints, so every formulation below is an exact finite sum, not a
 quadrature approximation.
 
+A single portfolio's losses may have either sign (:func:`gamma_forms`); the
+batched survival form, behind the dyadic forms and the axiom suite, takes
+nonnegative losses only.
+
 The coupling enters every form through its ``contract``: the survival form
 contracts it on each axis' runs of equal distorted levels with the runs'
-summed widths.  The empirical, independence, comonotone and countermonotone
+summed weights.  The empirical, independence, comonotone and countermonotone
 couplings, under any survival wraps, factor into one sum per axis and
 mixture component, so neither form makes a grid for them, and their ls form
 is the atom-measure sum itself (``copula.atom_sums``).  Clayton, Gumbel and
@@ -58,15 +62,17 @@ class JointRiskSpec:
 
 def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> np.ndarray:
     """Every dimension first, then one nonnegativity scan; returns the losses concatenated (P >= 1)."""
+    # spec.dim walks the coupling's survival wraps: read it once
+    dim = spec.dim
     for s in portfolios:
-        if s.dim != spec.dim:
-            raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
+        if s.dim != dim:
+            raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {dim}")
     losses = np.concatenate([s.losses for s in portfolios])
     # written so that a NaN fails the test
     if not losses.min() >= 0.0:
         raise DataError(
-            "negative losses are outside the nonnegative evaluator; "
-            "use the signed form, gamma_signed_2d"
+            "negative losses are outside the batched nonnegative evaluator; "
+            "gamma_forms takes losses of either sign"
         )
     return losses
 
@@ -174,9 +180,9 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
     The induced measure on the loss grid is recovered through the alternating
     2^d-term increment of the distorted joint survival function over each
-    atom's enclosing cell.  Agrees with :func:`gamma_survival_form` up to
-    floating-point accumulation.  This is the second value of
-    :func:`gamma_forms`, which evaluates the coupling copula once.
+    atom's enclosing cell.  Losses may have either sign.  Agrees with the
+    survival form up to floating-point accumulation.  This is the second
+    value of :func:`gamma_forms`, which evaluates the coupling copula once.
     """
     return gamma_forms(s, spec)[1]
 
@@ -188,8 +194,8 @@ class _StepLevels(NamedTuple):
     run: list  # each entry's run of neighbours at one level (:func:`_run_starts`)
     run_levels: list  # the level of each run
     values: list  # the sorted distinct values
-    cut: list  # the entries of the c cells covering [0, max): n - c to n
-    widths: list  # those cells' widths
+    span: list  # the entries where the axis' signed weight is nonzero
+    weights: list  # the signed weights over them
 
 
 def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
@@ -197,8 +203,14 @@ def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
 
     Entry j + 1 is the level at value j, entry j the level below it.  Axis
     i's c cells covering [0, max) are its last c steps, at the levels of
-    entries n - c to n.
+    entries n - c to n, and each weighs its width there.  On its k cells
+    covering [min, 0) the integral subtracts the integrand at level g(1) =
+    1, the coupling's own margin: each weighs its width at its entry, 1 to
+    k, and minus it at entry 0.  With no negative loss the weights are the
+    c widths themselves.
     """
+    if s.dim != spec.dim:
+        raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
     out = _StepLevels([], [], [], [], [], [])
     for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
         levels = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
@@ -207,35 +219,48 @@ def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
         out.run.append(np.cumsum(start) - 1)
         out.run_levels.append(levels[start])
         out.values.append(v)
-        out.cut.append(slice(len(v) - len(w), len(v)))
-        out.widths.append(w)
+        n, k = len(v), int(np.searchsorted(v, 0.0))
+        span = slice(n - len(w), n)
+        if k:
+            w_neg = np.diff(np.concatenate((v[:k], [0.0])))
+            omega = np.zeros(n + 1)
+            omega[span] = w
+            omega[1 : k + 1] += w_neg
+            omega[0] -= w_neg.sum()
+            # every width is positive, so the nonzero weights run from entry 0
+            # to the last cell: entry n - 1 or, with no positive loss, entry k
+            span = slice(0, max(n, k + 1))
+            w = omega[span]
+        out.span.append(span)
+        out.weights.append(w)
     return out
 
 
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
-    """``(gamma_survival_form(s, spec), gamma_ls_form(s, spec))`` from one evaluation of the coupling.
+    """``(survival form, ls form)`` of a portfolio with losses of either sign, from one evaluation of the coupling.
 
     Both forms read :func:`_step_levels`.  The survival form
-    (:func:`_step_survival_form`) contracts the coupling with the runs and
-    summed widths of :func:`gamma_survival_forms`, and equals
-    :func:`gamma_survival_form` bit for bit when the distortions are
-    monotone (under an empirical coupling the extra levels g(1) and g(0)
-    then bin no scenario).  It is 0 when some marginal has no positive loss.
+    (:func:`_step_survival_form`) contracts the coupling with each axis'
+    signed weights summed per run.  On nonnegative losses those are the
+    cell widths, and it equals :func:`gamma_survival_form` bit for bit when
+    the distortions are monotone (under an empirical coupling the extra
+    levels g(1) and g(0) then bin no scenario).  It is 0 when some marginal
+    has no nonzero loss.
 
     For the ls form, the levels at each step are the last n entries of an
-    axis' level vector and the levels just below it the first n.  A
-    coupling that ``contract`` factors takes it from ``atom_sums``: per
-    mixture component, the increment is a product of per-axis differences,
-    each one atom's coordinate on non-increasing levels.  Any other coupling
-    is evaluated once on the run levels; every term of the increment is then
-    a sub-grid of the step grid, the run grid repeated over each run's
+    axis' level vector and the levels just below it the first n, and the
+    coordinates are the values of either sign.  A coupling that
+    ``contract`` factors takes it from ``atom_sums``: per mixture
+    component, the increment is a product of per-axis differences, each one
+    atom's coordinate on non-increasing levels.  Any other coupling is
+    evaluated once on the run levels; every term of the increment is then a
+    sub-grid of the step grid, the run grid repeated over each run's
     entries, and the survival form contracts a slice of the same run grid.
     """
-    _check_inputs([s], spec)
     st = _step_levels(s, spec)
     ls = atom_sums(spec.cstar, [e[None] for e in st.levels], [v[None] for v in st.values])
     if ls is not None:
-        return _step_survival_form(spec.cstar, st, st.cut, st.widths), float(ls[0])
+        return _step_survival_form(spec.cstar, st), float(ls[0])
     run_grid = spec.cstar.cdf_grid(st.run_levels)
     # the step grid: each axis' run values repeated over the run's entries
     grid = run_grid
@@ -249,27 +274,26 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    return _step_survival_form(spec.cstar, st, st.cut, st.widths, run_grid), total
+    return _step_survival_form(spec.cstar, st, run_grid), total
 
 
-def _step_survival_form(cstar: CopulaLike, st: _StepLevels, cut: list[slice], widths: list, run_grid=None) -> float:
+def _step_survival_form(cstar: CopulaLike, st: _StepLevels, run_grid=None) -> float:
     """The survival form on a :func:`_step_levels`' runs, contracted run by run.
 
-    An axis' ``cut`` covers a contiguous range of its runs, whose levels go
-    to the coupling's ``contract`` with the weights ``widths`` (the cut's
-    cell widths, or the signed form's weights) summed per run in entry
-    order by one ``bincount`` (a one-entry run keeps its weight bit for
-    bit); given the coupling's ``run_grid`` on every run, its slice is
-    contracted instead.  0 when some axis has no weight.
+    An axis' ``span`` covers a contiguous range of its runs, whose levels go
+    to the coupling's ``contract`` with the axis' signed weights summed per
+    run in entry order by one ``bincount`` (a one-entry run keeps its weight
+    bit for bit); given the coupling's ``run_grid`` on every run, its slice
+    is contracted instead.  0 when some axis has no weight.
     """
-    if not all(w.size for w in widths):
+    if not all(w.size for w in st.weights):
         return 0.0
-    ids = [r[c] for r, c in zip(st.run, cut)]
-    spans = tuple(slice(i[0], i[-1] + 1) for i in ids)
-    weights = [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, widths)]
+    ids = [r[span] for r, span in zip(st.run, st.span)]
+    runs = tuple(slice(i[0], i[-1] + 1) for i in ids)
+    weights = [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, st.weights)]
     if run_grid is not None:
-        return float(_contract(run_grid[spans][None], weights)[0])
-    return float(cstar.contract([lv[None, span] for lv, span in zip(st.run_levels, spans)], weights)[0])
+        return float(_contract(run_grid[runs][None], weights)[0])
+    return float(cstar.contract([lv[None, r] for lv, r in zip(st.run_levels, runs)], weights)[0])
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:

@@ -576,7 +576,8 @@ class TestMainExitCodes:
             ("plain", ["vector", "--copula", "bogus"], "--copula: unknown choice 'bogus'"),
             ("plain", ["mtce", "--q", "1.5"], "--q: must lie in (0, 1), got 1.5"),
             ("plain", ["vector", "--grid-n", "1"], "--grid-n: must be >= 2, got 1"),
-            ("negative", ["scalar"], "scalar: data has negative losses; use the signed2d command"),
+            # scalar takes losses of either sign; the vector measures do not
+            ("negative", ["vector"], "vector measures require nonnegative losses"),
             # a parameter-free family given a parameter used to run without it
             *(
                 ("plain", ["scalar", "--copula", choice], f"--copula: unknown choice '{choice}'")
@@ -718,6 +719,24 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["results"]["signed2d"]["gamma_signed"] == -2.0
+
+    def test_scalar_command_takes_losses_of_either_sign(self, tmp_path, capsys):
+        # both forms of the five-row signed case under the empirical coupling
+        path = write(tmp_path, "signed.csv", "a,b\n-1,2\n1,-1\n2,1\n-2,-2\n3,0.5\n")
+        assert main(["scalar", "--input", path, "--distortion", "power:2"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]["scalar"]
+        assert results["gamma"] == pytest.approx(0.5, abs=1e-12)
+        assert results["gamma_ls"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("copula", ["empirical", "clayton:2.0", "frank:-3.0"])
+    def test_scalar_gamma_is_signed2d_gamma_signed_on_signed_data(self, tmp_path, capsys, copula):
+        path = write(tmp_path, "signed.csv", "a,b\n-1,2\n2,-1.5\n3,4\n-0.5,-2\n1,0\n")
+        got = {}
+        for measure in ("scalar", "signed2d"):
+            assert main([measure, "--input", path, "--copula", copula, "--distortion", "cvar", "--band", "0.5,0.9"]) == 0
+            got[measure] = json.loads(capsys.readouterr().out)["results"][measure]
+        # bit for bit, sign of zero included
+        assert got["scalar"]["gamma"].hex() == got["signed2d"]["gamma_signed"].hex()
 
     @pytest.mark.parametrize("copula", ["empirical", "clayton:2.0"])
     def test_signed2d_command_takes_three_columns(self, tmp_path, capsys, copula):

@@ -1,14 +1,16 @@
 """Exact rational sums of the survival and ls forms, against the factored float path.
 
-Losses are multiples of 1/256 below 256 and the weights are integers
-summing to a power of two, so every survival level, mid-rank, distorted
-level and survival flip the float path reads is exact (the distortions are
-``identity``, ``var`` and ``cvar`` at alpha 1/2 or 3/4, and ``power:2``),
-while products and sums of them need more than 53 bits.  The float path's
+Losses are multiples of 1/256 of either sign, below 256 in magnitude, and
+the weights are integers summing to a power of two, so every survival
+level, mid-rank, distorted level and survival flip the float path reads is
+exact (the distortions are ``identity``, ``var`` and ``cvar`` at alpha 1/2
+or 3/4, and ``power:2``), while products and sums of them need more than
+53 bits.  The float path's
 only error is then the rounding of its sums and products, which must stay
 within a few eps of the sum of the terms' magnitudes.  The reference sums are made with
-``fractions.Fraction``: the survival form over every cell, the ls form over
-every atom with its 2^d-term increment, each coupling from its definition.
+``fractions.Fraction``: the survival form over every tuple of step-level
+entries with each axis' signed cell weights, the ls form over every atom
+with its 2^d-term increment, each coupling from its definition.
 """
 
 import functools
@@ -101,12 +103,15 @@ def _distortion(kind, alpha):
 def oracle_case(draw):
     """Dyadic losses and power-of-two weight totals, a factored coupling under 0-2 wraps, exact distortions.
 
-    The losses (in 256ths) come from a few values per case, so columns tie,
-    and 0 is one of them in some cases.
+    The losses (in 256ths) come from a few values per case, so columns tie;
+    in half the cases some may be negative, and 0 is one of them in some
+    cases.
     """
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, {1: 8, 2: 6, 3: 4}[d]))
-    pool = draw(st.lists(st.integers(1, 1 << 16), min_size=1, max_size=4)) + draw(st.sampled_from(([], [0])))
+    low = draw(st.sampled_from((1, -(1 << 16))))
+    pool = draw(st.lists(st.integers(low, 1 << 16).filter(bool), min_size=1, max_size=4))
+    pool += draw(st.sampled_from(([], [0])))
     losses = draw(st.lists(st.lists(st.sampled_from(pool), min_size=d, max_size=d), min_size=m, max_size=m))
     weights = draw(st.lists(st.integers(1, 1000), min_size=m, max_size=m))
     weights[-1] += (1 << max(sum(weights) - 1, 1).bit_length()) - sum(weights)
@@ -122,8 +127,12 @@ def oracle_case(draw):
     return d, losses, weights, choice, rows, rank_weights, wraps, kinds, alpha
 
 
+def _product(xs):
+    return functools.reduce(lambda a, b: a * b, xs, Fraction(1))
+
+
 def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
-    """(survival form, ls form), each the exact sum of its nonnegative terms."""
+    """((survival form, its sum of |terms|), (ls form, its sum of |terms|)), each summed exactly."""
     columns, _ = _fractions(losses, weights)
     cstar = _base(choice, d, rows, rank_weights)
     # a survival wrap applied twice gives the copula back (radial involution)
@@ -131,22 +140,29 @@ def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
         cstar = _survival(cstar, d)
     cstar = functools.lru_cache(maxsize=None)(cstar)
 
-    # survival form: a cell per positive value, its survival the tail of the value below
-    cells = []
+    # survival form: entry 0 of an axis is level 1, entry j + 1 the tail of
+    # value j; a cell of [0, max) weighs its width at the entry of its level,
+    # a cell of [min, 0) its width there and minus its width at entry 0
+    axes = []
     for values, tails in columns:
-        axis = []
+        omega = {}
         for j, v in enumerate(values):
             if v > 0:
-                left = values[j - 1] if j and values[j - 1] > 0 else 0
-                axis.append((Fraction(v - left, 256), tails[j - 1] if j else Fraction(1)))
-        cells.append(axis)
-    survival = Fraction(0)
-    for cell in itertools.product(*cells):
-        width = functools.reduce(lambda a, b: a * b, (c[0] for c in cell), Fraction(1))
-        survival += width * cstar(tuple(g(c[1]) for g, c in zip(gs, cell)))
+                left = max(values[j - 1], 0) if j else 0
+                omega[j] = omega.get(j, 0) + Fraction(v - left, 256)
+            elif v < 0:
+                right = min(values[j + 1], 0) if j + 1 < len(values) else 0
+                omega[j + 1] = omega.get(j + 1, 0) + Fraction(right - v, 256)
+                omega[0] = omega.get(0, 0) - Fraction(right - v, 256)
+        axes.append([(w, tails[e - 1] if e else Fraction(1)) for e, w in omega.items()])
+    terms = [
+        _product(w for w, _ in entry) * cstar(tuple(g(lv) for g, (_, lv) in zip(gs, entry)))
+        for entry in itertools.product(*axes)
+    ]
+    survival = (sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0)))
 
     # ls form: an atom per tuple of values, its mass the increment over the levels below and at it
-    ls = Fraction(0)
+    terms = []
     for atom in itertools.product(*(range(len(values)) for values, _ in columns)):
         coords = [Fraction(columns[i][0][j], 256) for i, j in enumerate(atom)]
         below = [gs[i](columns[i][1][j - 1] if j else Fraction(1)) for i, j in enumerate(atom)]
@@ -155,7 +171,8 @@ def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
             (-1) ** sum(mask) * cstar(tuple(a if m else b for a, b, m in zip(at, below, mask)))
             for mask in itertools.product((False, True), repeat=d)
         )
-        ls += functools.reduce(lambda a, b: a * b, coords, Fraction(1)) * mass
+        terms.append(_product(coords) * mass)
+    ls = (sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0)))
     return survival, ls
 
 
@@ -173,7 +190,6 @@ def test_factored_forms_are_within_a_few_eps_of_the_exact_sums(case):
     s = scenario_set(np.array(losses, float) / 256.0, np.array(weights, float))
     got = gamma_forms(s, JointRiskSpec(cop, float_gs))
     want = _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, exact_gs)
-    # every term of both exact sums is nonnegative: each sum is its own sum of |terms|
-    for g, w in zip(got, want):
-        assert w >= 0
-        assert abs(Fraction(g) - w) <= 4 * EPS * w
+    # the terms can have either sign: the bound is on the sum of their magnitudes
+    for g, (w, magnitude) in zip(got, want):
+        assert abs(Fraction(g) - w) <= 4 * EPS * magnitude

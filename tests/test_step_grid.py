@@ -1,9 +1,9 @@
 """The step grid evaluates the coupling once per run of equal distorted levels.
 
 ``gamma_forms`` and ``gamma_signed_2d`` must give the same floats as one
-coupling grid over every entry of every axis' step levels, with the survival
-form's runs (or the signed form's weights) picked out of it; the signed form
-must equal the atom-measure form on losses of either sign; and on merged
+coupling grid over every entry of every axis' step levels, on losses of
+either sign, with the survival form's runs and signed weights picked out of
+it; the survival form must equal the atom-measure form; and on merged
 levels the coupling must be asked for one level per run only.  A coupling
 that ``contract`` factors makes no grid: its values are the grid's within
 1e-13 of the terms' magnitudes, the grid's own rounding.
@@ -168,7 +168,7 @@ def step_case(draw, signed=False):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=step_case())
+@given(case=st.booleans().flatmap(lambda signed: step_case(signed=signed)))
 # axis 0's levels 1, 0.1, 0.4, 0.7, 0.9, 1, 1, 0.9, 0.8, 0.6, 0.3: the two
 # 0.9s and the 1s apart from the neighbouring pair are runs of their own
 @example(case=(
@@ -181,10 +181,14 @@ def step_case(draw, signed=False):
     JointRiskSpec(survival_copula(_TIED_WEIGHTED), (cvar_ramp(0.6), var_step(0.5), identity())),
 ))
 def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
+    # losses of either sign: the survival form takes the signed weights,
+    # which on nonnegative losses are the cut's widths
     s, spec = case
-    got, want = gamma_forms(s, spec), _forms_reference(s, spec)
-    _, _, values, _, widths = _full_step_grid(s, spec)
-    assert _matches(spec.cstar, got[0], want[0], widths) and _matches(spec.cstar, got[1], want[1], values)
+    got = gamma_forms(s, spec)
+    _, _, values, cut, widths = _full_step_grid(s, spec)
+    weights = _signed_weights(values, cut, widths)[1]
+    assert _matches(spec.cstar, got[0], _signed_reference(s, spec), weights)
+    assert _matches(spec.cstar, got[1], _forms_reference(s, spec)[1], values)
 
 
 @settings(max_examples=300, deadline=None)
