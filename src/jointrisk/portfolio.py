@@ -64,12 +64,14 @@ class ScenarioSet:
         return steps(self.losses.T.ravel(), np.full(d, m), np.tile(self.weights, d), flat)
 
     def with_losses(self, losses: np.ndarray) -> "ScenarioSet":
-        """Same names/weights, a read-only copy of a new loss matrix of identical shape."""
+        """Same names/weights, a read-only copy of a new loss matrix of identical shape; must be finite."""
         losses = np.array(losses, dtype=float, order="C")
         if losses.shape != self.losses.shape:
             raise DimensionError(
                 f"replacement losses have shape {losses.shape}, expected {self.losses.shape}"
             )
+        if not np.all(np.isfinite(losses)):
+            raise DataError("losses must be finite")
         # a copy the caller cannot write into keeps the cached steps valid
         losses.setflags(write=False)
         return ScenarioSet(self.names, losses, self.weights)
@@ -158,25 +160,28 @@ class Steps:
         return _split((self.values, self.tail), self.counts)
 
     def cells(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`."""
-        *flat, counts = self._flat_cells()
+        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`, covering [0, max)."""
+        *flat, counts = self._flat_cells(signed=False)
         return _split(flat, counts)
 
     def cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cells of every column as zero-padded (K, n) tables.
+        """The survival form's cells of every column as zero-padded (K, n) tables.
 
-        Returns ``(survival, widths, counts)``: row k holds column k's cell
-        survival values and widths in its first ``counts[k]`` entries, and 0
-        in every entry after them.
+        A column's cells cover [min(0, lowest), max), each at the survival
+        value of its left edge.  A column whose lowest value is negative
+        also has one cell at survival value 1, placed first, whose width is
+        that lowest value: below 0 the integral subtracts the integrand at
+        level 1.  Returns ``(survival, widths, counts)``: row k holds column
+        k's cells in its first ``counts[k]`` entries, and 0 after them.
         """
-        _, survival, widths, counts = self._flat_cells()
+        _, survival, widths, counts = self._flat_cells(signed=True)
         survival_table, in_row = _padded(counts)
         widths_table = np.zeros_like(survival_table)
         survival_table[in_row] = survival
         widths_table[in_row] = widths
         return survival_table, widths_table, counts
 
-    def _flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _flat_cells(self, signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(left, survival, widths, counts)``: every column's cells, concatenated, ``counts[k]`` of column k."""
         # each positive value is the right edge of one cell; the cell's left
         # edge is the value below it, or 0 when that is not positive or absent,
@@ -187,7 +192,16 @@ class Steps:
         tail_below = np.concatenate(([1.0], self.tail[:-1]))
         tail_below[first] = 1.0
         cell = self.values > 0.0
-        left = np.where(below > 0.0, below, 0.0)[cell]
+        if signed:
+            # in a column whose lowest value is negative every value ends a
+            # cell, from the value below it of either sign; the lowest ends
+            # the level-1 cell, from 0
+            negative = self.values[first] < 0.0
+            if negative.any():
+                cell |= np.repeat(negative, self.counts)
+            left = below[cell]
+        else:
+            left = np.where(below > 0.0, below, 0.0)[cell]
         return left, tail_below[cell], self.values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
 
 

@@ -7,13 +7,11 @@ the integrand is piecewise constant on the tensor grid of marginal
 breakpoints, so every formulation below is an exact finite sum, not a
 quadrature approximation.
 
-A single portfolio's losses may have either sign (:func:`gamma_forms`); the
-batched survival form, behind the dyadic forms and the axiom suite, takes
-nonnegative losses only.
-
-The coupling enters every form through its ``contract``: the survival form
-contracts it on each axis' runs of equal distorted levels with the runs'
-summed weights.  The empirical, independence, comonotone and countermonotone
+Losses may have either sign, except in the dyadic forms, which take
+nonnegative losses only.  One evaluator makes the survival form of one or
+many portfolios: the cells of every column come from ``Steps.cell_table``,
+and the coupling's ``contract`` takes each axis' runs of equal distorted
+levels with the runs' summed widths.  The empirical, independence, comonotone and countermonotone
 couplings, under any survival wraps, factor into one sum per axis and
 mixture component, so neither form makes a grid for them, and their ls form
 is the atom-measure sum itself (``copula.atom_sums``).  Clayton, Gumbel and
@@ -31,7 +29,7 @@ import numpy as np
 from .copula import CopulaLike, _contract, atom_sums, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
-from .portfolio import ScenarioSet, scenario_set, steps
+from .portfolio import ScenarioSet, Steps, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
@@ -60,25 +58,16 @@ class JointRiskSpec:
         return self.cstar.dim
 
 
-def _check_inputs(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> np.ndarray:
-    """Every dimension first, then one nonnegativity scan; returns the losses concatenated (P >= 1)."""
+def _check_dims(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> None:
     # spec.dim walks the coupling's survival wraps: read it once
     dim = spec.dim
     for s in portfolios:
         if s.dim != dim:
             raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {dim}")
-    losses = np.concatenate([s.losses for s in portfolios])
-    # written so that a NaN fails the test
-    if not losses.min() >= 0.0:
-        raise DataError(
-            "negative losses are outside the batched nonnegative evaluator; "
-            "gamma_forms takes losses of either sign"
-        )
-    return losses
 
 
 def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
-    """Exact cell sum of the distorted joint tail integrand over the breakpoint grid.
+    """Exact cell sum of the distorted joint tail integrand over the breakpoint grid, for losses of either sign.
 
     The integrand is evaluated at each cell's lower-left corner (consistent
     with right-continuous step survival functions), making the value exact.
@@ -93,10 +82,13 @@ def gamma_survival_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
 
 
 def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec) -> list[float]:
-    """:func:`gamma_survival_form` of every portfolio: the checked portfolios stacked for :func:`_survival_forms`."""
+    """:func:`gamma_survival_form` of every portfolio: one reads its cached ``steps``, more are stacked."""
     if not portfolios:
         return []
-    losses = _check_inputs(portfolios, spec)
+    _check_dims(portfolios, spec)
+    if len(portfolios) == 1:
+        return _cell_sums(portfolios[0].steps, 1, spec).tolist()
+    losses = np.concatenate([s.losses for s in portfolios])
     weights = np.concatenate([s.weights for s in portfolios])
     return _survival_forms(losses, weights, np.array([s.m for s in portfolios]), spec).tolist()
 
@@ -104,22 +96,30 @@ def gamma_survival_forms(portfolios: Sequence[ScenarioSet], spec: JointRiskSpec)
 def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray, spec: JointRiskSpec) -> np.ndarray:
     """The survival forms of P portfolios stacked row-wise: portfolio p is the next ``lengths[p]`` rows.
 
-    ``losses`` (shape (sum of lengths, d)) must be nonnegative and
-    ``weights`` hold each row's weight.  One ``steps(...).cell_table()``
-    covers every column of every portfolio, and each distortion is called
-    once, on its axis' zero-padded survival levels, which its output
-    overwrites.  Portfolios with no positive loss in some marginal get 0.
-    The others' cells are merged into runs of one distorted level
-    (:func:`_run_starts`, :func:`_level_runs`): the integrand depends on t
-    only through the levels, so a run needs one copula value, times the sum
-    of its widths.  One ``contract`` of the coupling copula takes every
-    portfolio's run levels and widths (zero-padded, past a row's own runs,
-    with its last level and width 0), and its rows equal the values
-    computed alone bit for bit.
+    ``weights`` holds each row's weight; one ``steps`` covers every column
+    of every portfolio (:func:`_cell_sums`).
     """
-    # one cell table over every column; [i, p] of each reshaped table is column i of portfolio p
-    n_port, dim = len(lengths), spec.dim
-    levels, widths, counts = steps(losses.T.ravel(), np.tile(lengths, dim), np.tile(weights, dim)).cell_table()
+    table = steps(losses.T.ravel(), np.tile(lengths, spec.dim), np.tile(weights, spec.dim))
+    return _cell_sums(table, len(lengths), spec)
+
+
+def _cell_sums(table: Steps, n_port: int, spec: JointRiskSpec) -> np.ndarray:
+    """The survival forms of P portfolios from the steps of their columns, column i of portfolio p at i P + p.
+
+    Each distortion is called once, on its axis' zero-padded survival
+    levels of ``table.cell_table()``, which its output overwrites.
+    Portfolios with no cell on some axis get 0.  The others' cells are
+    merged into runs of one distorted level (:func:`_run_starts`,
+    :func:`_level_runs`): the integrand depends on t only through the
+    levels, so a run needs one copula value, times the sum of its widths.
+    One ``contract`` of the coupling copula takes every portfolio's run
+    levels and widths (zero-padded, past a row's own runs, with its last
+    level and width 0), and its rows equal the values computed alone bit
+    for bit.
+    """
+    # [i, p] of each reshaped table is column i of portfolio p
+    dim = spec.dim
+    levels, widths, counts = table.cell_table()
     counts = counts.reshape(dim, n_port)
     out = np.zeros(n_port)
     live = np.flatnonzero(counts.all(axis=0))
@@ -194,73 +194,45 @@ class _StepLevels(NamedTuple):
     run: list  # each entry's run of neighbours at one level (:func:`_run_starts`)
     run_levels: list  # the level of each run
     values: list  # the sorted distinct values
-    span: list  # the entries where the axis' signed weight is nonzero
-    weights: list  # the signed weights over them
 
 
 def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
     """Axis i's level entries ``g_i([1, tail_0, ..., tail_{n-1}])`` over its n sorted distinct values.
 
-    Entry j + 1 is the level at value j, entry j the level below it.  Axis
-    i's c cells covering [0, max) are its last c steps, at the levels of
-    entries n - c to n, and each weighs its width there.  On its k cells
-    covering [min, 0) the integral subtracts the integrand at level g(1) =
-    1, the coupling's own margin: each weighs its width at its entry, 1 to
-    k, and minus it at entry 0.  With no negative loss the weights are the
-    c widths themselves.
+    Entry j + 1 is the level at value j, entry j the level below it.
     """
-    if s.dim != spec.dim:
-        raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
-    out = _StepLevels([], [], [], [], [], [])
-    for g, (v, tail), (_, _, w) in zip(spec.distortions, s.steps.columns(), s.steps.cells()):
+    _check_dims([s], spec)
+    out = _StepLevels([], [], [], [])
+    for g, (v, tail) in zip(spec.distortions, s.steps.columns()):
         levels = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
         start = _run_starts(levels, np.asarray(levels.size))
         out.levels.append(levels)
         out.run.append(np.cumsum(start) - 1)
         out.run_levels.append(levels[start])
         out.values.append(v)
-        n, k = len(v), int(np.searchsorted(v, 0.0))
-        span = slice(n - len(w), n)
-        if k:
-            w_neg = np.diff(np.concatenate((v[:k], [0.0])))
-            omega = np.zeros(n + 1)
-            omega[span] = w
-            omega[1 : k + 1] += w_neg
-            omega[0] -= w_neg.sum()
-            # every width is positive, so the nonzero weights run from entry 0
-            # to the last cell: entry n - 1 or, with no positive loss, entry k
-            span = slice(0, max(n, k + 1))
-            w = omega[span]
-        out.span.append(span)
-        out.weights.append(w)
     return out
 
 
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     """``(survival form, ls form)`` of a portfolio with losses of either sign, from one evaluation of the coupling.
 
-    Both forms read :func:`_step_levels`.  The survival form
-    (:func:`_step_survival_form`) contracts the coupling with each axis'
-    signed weights summed per run.  On nonnegative losses those are the
-    cell widths, and it equals :func:`gamma_survival_form` bit for bit when
-    the distortions are monotone (under an empirical coupling the extra
-    levels g(1) and g(0) then bin no scenario).  It is 0 when some marginal
-    has no nonzero loss.
-
-    For the ls form, the levels at each step are the last n entries of an
-    axis' level vector and the levels just below it the first n, and the
+    The survival form is :func:`gamma_survival_form` bit for bit.  For the
+    ls form, the levels at each step are the last n entries of an axis'
+    :func:`_step_levels` and the levels just below it the first n, and the
     coordinates are the values of either sign.  A coupling that
     ``contract`` factors takes it from ``atom_sums``: per mixture
     component, the increment is a product of per-axis differences, each one
     atom's coordinate on non-increasing levels.  Any other coupling is
     evaluated once on the run levels; every term of the increment is then a
     sub-grid of the step grid, the run grid repeated over each run's
-    entries, and the survival form contracts a slice of the same run grid.
+    entries.  The survival form contracts a slice of the same run grid:
+    an axis' c cells are the c entries before its last (the level g(0)),
+    which cover a contiguous range of its runs.
     """
     st = _step_levels(s, spec)
     ls = atom_sums(spec.cstar, [e[None] for e in st.levels], [v[None] for v in st.values])
     if ls is not None:
-        return _step_survival_form(spec.cstar, st), float(ls[0])
+        return float(_cell_sums(s.steps, 1, spec)[0]), float(ls[0])
     run_grid = spec.cstar.cdf_grid(st.run_levels)
     # the step grid: each axis' run values repeated over the run's entries
     grid = run_grid
@@ -274,26 +246,16 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    return _step_survival_form(spec.cstar, st, run_grid), total
-
-
-def _step_survival_form(cstar: CopulaLike, st: _StepLevels, run_grid=None) -> float:
-    """The survival form on a :func:`_step_levels`' runs, contracted run by run.
-
-    An axis' ``span`` covers a contiguous range of its runs, whose levels go
-    to the coupling's ``contract`` with the axis' signed weights summed per
-    run in entry order by one ``bincount`` (a one-entry run keeps its weight
-    bit for bit); given the coupling's ``run_grid`` on every run, its slice
-    is contracted instead.  0 when some axis has no weight.
-    """
-    if not all(w.size for w in st.weights):
-        return 0.0
-    ids = [r[span] for r, span in zip(st.run, st.span)]
+    # axis i's c cells are its level entries [n - c, n), a contiguous range
+    # of its runs; their widths summed per run in cell order are the runs'
+    # widths of the batched form
+    _, widths, counts = s.steps.cell_table()
+    if not counts.all():
+        return 0.0, total
+    ids = [r[r.size - 1 - c : -1] for r, c in zip(st.run, counts)]
+    weights = [np.bincount(i - i[0], weights=w[:c])[None] for i, w, c in zip(ids, widths, counts)]
     runs = tuple(slice(i[0], i[-1] + 1) for i in ids)
-    weights = [np.bincount(i - i[0], weights=w)[None] for i, w in zip(ids, st.weights)]
-    if run_grid is not None:
-        return float(_contract(run_grid[runs][None], weights)[0])
-    return float(cstar.contract([lv[None, r] for lv, r in zip(st.run_levels, runs)], weights)[0])
+    return float(_contract(run_grid[runs][None], weights)[0]), total
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
@@ -305,8 +267,10 @@ def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> None:
-    """The inputs, then ``n`` an integer >= 1, then ``n`` at or above every loss."""
-    _check_inputs([s], spec)
+    """The dimensions, then nonnegative losses, then ``n`` an integer >= 1, then ``n`` at or above every loss."""
+    _check_dims([s], spec)
+    if not s.nonnegative:
+        raise DataError("the dyadic forms take nonnegative losses only")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
     max_loss = float(s.losses.max(initial=0.0))

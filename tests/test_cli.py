@@ -458,6 +458,25 @@ class TestRun:
         assert results["formulation_gap"] <= 1e-12
         assert 0.0 < report["copula"]["d_uc"] < report["copula"]["d_ul"]
 
+    def test_default_scalar_report_on_a_thousand_signed_rows_stays_under_eight_megabytes(self, tmp_path, capsys):
+        # the same file less each column's median: about half of every
+        # column's cells lie below 0, and scalar's gamma is signed2d's
+        losses = np.loadtxt(DATA / "empirical_d3_m1000.csv", delimiter=",", skiprows=1)
+        path = tmp_path / "signed_d3_m1000.csv"
+        np.savetxt(path, losses - np.median(losses, axis=0), fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        tracemalloc.start()
+        try:
+            assert main(["scalar", "--input", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        scalar = json.loads(capsys.readouterr().out)["results"]["scalar"]
+        assert main(["signed2d", "--input", str(path)]) == 0
+        signed = json.loads(capsys.readouterr().out)["results"]["signed2d"]
+        assert scalar["gamma"].hex() == signed["gamma_signed"].hex()
+        assert 0.0 not in (scalar["gamma"], scalar["gamma_ls"])
+
     @pytest.mark.parametrize(
         "argv",
         [

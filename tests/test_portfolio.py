@@ -5,10 +5,16 @@ from jointrisk import (
     DataError,
     DimensionError,
     DomainError,
+    JointRiskSpec,
     comonotone_transform,
     cvar,
     empirical_copula,
+    gamma_forms,
+    gamma_signed_2d,
+    gamma_survival_form,
     gof_distance,
+    identity,
+    independence,
     joint_survival,
     marginal_survival,
     pi_comonotone_split,
@@ -65,6 +71,27 @@ class TestConstruction:
         assert marginal_steps(t, 0)[1].tolist() == tail.tolist()
         assert t.nonnegative
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s: gamma_signed_2d(s, JointRiskSpec(independence(2), (identity(),) * 2)),
+            lambda s: gamma_forms(s, JointRiskSpec(independence(2), (identity(),) * 2)),
+            lambda s: gamma_survival_form(s, JointRiskSpec(independence(2), (identity(),) * 2)),
+            lambda s: var(s, 0, 0.5),
+        ],
+        ids=["gamma_signed_2d", "gamma_forms", "gamma_survival_form", "var"],
+    )
+    def test_replacement_losses_must_be_finite(self, evaluate, bad):
+        # as scenario_set rejects them: a NaN gave a finite survival form
+        # and a NaN ls form, an inf an infinite survival form
+        s = scenario_set([[1.0, 2.0], [3.0, 4.0]])
+        losses = s.losses.copy()
+        losses[1, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            evaluate(s.with_losses(losses))
+        assert evaluate(s.with_losses(s.losses)) == evaluate(s)
+
 
 class TestMarginalSurvival:
     def test_between_atoms(self):
@@ -109,7 +136,7 @@ class TestMarginalSurvival:
     def test_cell_table_columns_match_the_unique_reference(self):
         # columns of different lengths: ties, unequal weights, a constant
         # column, signed columns with -0.0, one with no positive loss (no
-        # cell) and a single scenario
+        # cell of marginal_cells) and a single scenario
         rng = np.random.default_rng(13)
         columns = [
             np.round(rng.gamma(2.0, 1.5, size=60), 0),
@@ -138,9 +165,15 @@ class TestMarginalSurvival:
             ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
             for got, expected in zip(table.cells()[k], ref):
                 assert np.array_equal(got, expected)
+            # the survival form's cells: a column whose lowest value is
+            # negative has one per value, the lowest at survival 1 and of width
+            # that value, the others on the step up from the value below
+            table_ref = ref[1:]
+            if values[0] < 0.0:
+                table_ref = (np.concatenate(([1.0], tail[:-1])), np.concatenate(([values[0]], np.diff(values))))
             n = counts[k]
-            assert n == len(edges) - 1
-            for padded, expected in zip((survival, widths), ref[1:]):
+            assert n == len(table_ref[1])
+            for padded, expected in zip((survival, widths), table_ref):
                 assert np.array_equal(padded[k, :n], expected)
                 assert not np.any(padded[k, n:])
             s = scenario_set(col[:, None], w)

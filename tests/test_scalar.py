@@ -27,6 +27,7 @@ from jointrisk import (
     gamma_dyadic,
     gamma_forms,
     gamma_ls_form,
+    gamma_signed_2d,
     gamma_survival_form,
     gamma_survival_forms,
     gumbel,
@@ -127,9 +128,13 @@ class TestValidation:
             gamma_survival_form(indep_two_by_two(), identity_spec(independence(3)))
 
     def test_negative_losses_rejected(self):
+        # by the dyadic forms only: the survival form takes either sign
         s = scenario_set([[-1.0, 2.0]])
-        with pytest.raises(DataError):
-            gamma_survival_form(s, identity_spec(independence(2)))
+        spec = identity_spec(independence(2))
+        for dyadic in (gamma_dyadic, dyadic_bounds):
+            with pytest.raises(DataError, match="nonnegative"):
+                dyadic(s, spec, 4)
+        assert gamma_survival_form(s, spec) == -2.0
 
     def test_spec_arity_checked(self):
         with pytest.raises(DimensionError):
@@ -386,10 +391,49 @@ def test_survival_kernel_equals_the_full_cell_sum(case):
                 assert _near_grid(a, b, np.prod(s.losses.max(axis=0)))
             else:
                 assert abs(a - b) <= 1e-13 * abs(b)
-    # the step grid's runs are the same runs; its extra levels g(1) and g(0)
-    # bin no scenario of an empirical coupling only when g is monotone
-    if _rise_and_fall not in spec.distortions:
-        assert [gamma_forms(s, spec)[0] for s in portfolios] == got
+
+
+@st.composite
+def signed_runs_case(draw):
+    """A :func:`runs_case` batch in which some portfolios are moved below 0.
+
+    Each portfolio stays as drawn or, with probability 1/2, has each column
+    lowered by 0, 1, 2.5 or 8: a column can then stay nonnegative, cross 0
+    with or without a value at 0, end at 0 or lie wholly below it.
+    """
+    portfolios, spec = draw(runs_case())
+    moved = []
+    for s in portfolios:
+        if draw(st.booleans()):
+            s = s.with_losses(s.losses - np.array([draw(st.sampled_from((0.0, 1.0, 2.5, 8.0))) for _ in range(s.dim)]))
+        moved.append(s)
+    return moved, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_runs_case())
+# axis 0 ends at 0 and var(0.9) puts both its cells at level 1: their widths
+# -2 and 2 cancel, so the value is 0.0 on the grid and factored alike (the
+# batched grid drops the row, gamma_forms contracts a zero weight against
+# axis 1's weighted levels, which sum to -1)
+@example(case=(
+    [scenario_set([[-2.0, -3.0], [0.0, 1.0]]), scenario_set([[1.0, -1.0], [2.5, 3.0]])],
+    JointRiskSpec(survival_copula(clayton(3.0)), (var_step(0.9), identity())),
+))
+@example(case=(
+    [scenario_set([[-2.0, 1.0], [0.0, 2.0]]), scenario_set([[-3.0, -1.0], [-0.5, -3.0]])],
+    JointRiskSpec(survival_copula(comonotone(2)), (var_step(0.9), _rise_and_fall)),
+))
+def test_batched_signed_forms_equal_the_single_evaluators_bit_for_bit(case):
+    # one evaluator for one or many portfolios of either sign: a batch row,
+    # the survival half of gamma_forms and gamma_signed_2d are one float,
+    # sign of zero included
+    portfolios, spec = case
+    singles = [gamma_forms(s, spec)[0].hex() for s in portfolios]
+    assert singles == [gamma_signed_2d(s, spec).hex() for s in portfolios]
+    for budget in (copula._CELL_BUDGET, 1):
+        with mock.patch.object(copula, "_CELL_BUDGET", budget):
+            assert [x.hex() for x in gamma_survival_forms(portfolios, spec)] == singles
 
 
 def _spied_grids(monkeypatch):
@@ -566,28 +610,27 @@ class TestBatchedSurvivalForm:
     def test_every_portfolio_is_validated(self):
         spec = JointRiskSpec(independence(2), (identity(), identity()))
         good = scenario_set([[1.0, 2.0]])
-        with pytest.raises(DataError):
-            gamma_survival_forms([good, scenario_set([[1.0, -2.0]])], spec)
         with pytest.raises(DimensionError):
             gamma_survival_forms([good, scenario_set([[1.0, 2.0, 3.0]])], spec)
+        with pytest.raises(DimensionError):
+            gamma_survival_forms([scenario_set([[1.0, 2.0, 3.0]]), good], spec)
 
-    def test_negative_loss_in_the_last_portfolio_is_a_data_error(self):
+    def test_negative_loss_in_the_last_portfolio_leaves_the_others_unchanged(self):
         spec = identity_spec(clayton(2.0))
         batch = [indep_two_by_two() for _ in range(4)]
         batch.append(batch[0].with_losses([[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, -0.5]]))
-        with pytest.raises(DataError, match="negative losses"):
-            gamma_survival_forms(batch, spec)
+        got = gamma_survival_forms(batch, spec)
+        assert got == [gamma_survival_form(s, spec) for s in batch]
+        assert got[:4] == gamma_survival_forms(batch[:4], spec)
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_nan_loss_is_a_data_error(self, position):
-        # with_losses does not check finiteness, so the batch scan must catch it
-        spec = identity_spec(independence(2))
+        # a non-finite loss cannot enter a scenario set, so no batch holds one
         batch = [indep_two_by_two() for _ in range(3)]
         losses = batch[position].losses.copy()
         losses[1, 1] = np.nan
-        batch[position] = batch[position].with_losses(losses)
-        with pytest.raises(DataError):
-            gamma_survival_forms(batch, spec)
+        with pytest.raises(DataError, match="finite"):
+            batch[position].with_losses(losses)
 
     def test_dimension_mismatch_is_raised_before_any_cell_table(self, monkeypatch):
         built = []
@@ -598,13 +641,14 @@ class TestBatchedSurvivalForm:
 
         monkeypatch.setattr(scalar_risk, "steps", counted)
         spec = identity_spec(independence(2))
-        # a negative set ahead of the mismatched one: dimensions are checked first
+        # a signed set ahead of the mismatched one: dimensions are checked first
         batch = [scenario_set([[1.0, -2.0]]), indep_two_by_two(), scenario_set([[1.0, 2.0, 3.0]])]
         with pytest.raises(DimensionError):
             gamma_survival_forms(batch, spec)
         assert built == []
-        gamma_survival_forms(batch[1:2], spec)
-        assert built == [2]
+        # one portfolio reads its cached steps; two are stacked, 2 columns each
+        gamma_survival_forms(batch[:2], spec)
+        assert built == [4]
 
 
 @st.composite

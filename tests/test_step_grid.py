@@ -2,7 +2,7 @@
 
 ``gamma_forms`` and ``gamma_signed_2d`` must give the same floats as one
 coupling grid over every entry of every axis' step levels, on losses of
-either sign, with the survival form's runs and signed weights picked out of
+either sign, with the survival form's runs and cell widths picked out of
 it; the survival form must equal the atom-measure form; and on merged
 levels the coupling must be asked for one level per run only.  A coupling
 that ``contract`` factors makes no grid: its values are the grid's within
@@ -64,10 +64,15 @@ def _full_step_grid(s, spec):
 
 
 def _survival_over_cut(grid, levels, cut, widths):
-    """The survival form off a full step grid: each run's first cut entry times the run's summed widths."""
+    """The survival form off a full step grid: each run's first cut entry times the run's summed widths.
+
+    An axis with no cell, or whose runs' widths all cancel to 0, makes the value 0.
+    """
     if not all(w.size for w in widths):
         return 0.0
     picks, run_widths = zip(*(_level_runs(lv[c], w) for lv, c, w in zip(levels, cut, widths)))
+    if not all(w.any() for w in run_widths):
+        return 0.0
     cells = grid[np.ix_(*(c.start + p for c, p in zip(cut, picks)))]
     return float(_contract(cells[None], [w[None] for w in run_widths])[0])
 
@@ -83,31 +88,31 @@ def _forms_reference(s, spec):
     return _survival_over_cut(grid, levels, cut, widths), total
 
 
-def _signed_weights(values, cut, widths):
-    """Each axis' entry span where its signed weight is nonzero, and the weights over it.
+def _signed_weights(values):
+    """Each axis' span of level entries holding its survival-form cells, and the cells' widths.
 
-    A positive cell's width at its survival-form entry, a negative cell's
-    width at entries 1..k and minus their sum at entry 0 (level g(1) = 1).
+    A column whose lowest value is negative has a cell at every entry but
+    its last (level g(0)): at entry 0 (level g(1) = 1) of width that lowest
+    value, at entry j of width v_j - v_(j-1).  Any other column has one
+    cell per positive value, the step up to it from the value below it or
+    from 0.
     """
     spans, weights = [], []
-    for v, c, w in zip(values, cut, widths):
-        k = int(np.count_nonzero(v < 0.0))
-        w_neg = np.diff(np.concatenate((v[:k], [0.0])))
-        omega = np.zeros(v.size + 1)
-        omega[c] = w
-        omega[1 : k + 1] += w_neg
-        omega[0] -= w_neg.sum()
-        nonzero = np.flatnonzero(omega)
-        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
-        spans.append(span)
-        weights.append(omega[span])
+    for v in values:
+        if v[0] < 0.0:
+            spans.append(slice(0, len(v)))
+            weights.append(np.concatenate(([v[0]], np.diff(v))))
+        else:
+            edges = np.concatenate(([0.0], v[v > 0.0]))
+            spans.append(slice(len(v) + 1 - len(edges), len(v)))
+            weights.append(np.diff(edges))
     return spans, weights
 
 
 def _signed_reference(s, spec):
-    """The signed weights contracted with the full step grid, run by run."""
-    grid, levels, values, cut, widths = _full_step_grid(s, spec)
-    return _survival_over_cut(grid, levels, *_signed_weights(values, cut, widths))
+    """The survival form's cells of either sign contracted with the full step grid, run by run."""
+    grid, levels, values, _, _ = _full_step_grid(s, spec)
+    return _survival_over_cut(grid, levels, *_signed_weights(values))
 
 
 def _same_float(a, b):
@@ -181,12 +186,12 @@ def step_case(draw, signed=False):
     JointRiskSpec(survival_copula(_TIED_WEIGHTED), (cvar_ramp(0.6), var_step(0.5), identity())),
 ))
 def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
-    # losses of either sign: the survival form takes the signed weights,
-    # which on nonnegative losses are the cut's widths
+    # losses of either sign: the survival form takes the cells of either
+    # sign, which on nonnegative losses are the cut's widths
     s, spec = case
     got = gamma_forms(s, spec)
-    _, _, values, cut, widths = _full_step_grid(s, spec)
-    weights = _signed_weights(values, cut, widths)[1]
+    values = _full_step_grid(s, spec)[2]
+    weights = _signed_weights(values)[1]
     assert _matches(spec.cstar, got[0], _signed_reference(s, spec), weights)
     assert _matches(spec.cstar, got[1], _forms_reference(s, spec)[1], values)
 
@@ -195,8 +200,7 @@ def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
 @given(case=step_case(signed=True))
 def test_gamma_signed_2d_equals_the_full_grid_bit_for_bit(case):
     s, spec = case
-    _, _, values, cut, widths = _full_step_grid(s, spec)
-    weights = _signed_weights(values, cut, widths)[1]
+    weights = _signed_weights(_full_step_grid(s, spec)[2])[1]
     assert _matches(spec.cstar, gamma_signed_2d(s, spec), _signed_reference(s, spec), weights)
 
 
