@@ -20,8 +20,9 @@ Frank couplings stay on the grid of their run levels.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -348,7 +349,7 @@ class AxiomCheck:
     witness: dict | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "witness": copy.deepcopy(self.witness)}
 
 
 @dataclass
@@ -379,9 +380,10 @@ class AxiomReport:
 _DENOM = 16
 _MAX_NUM = 63
 _NUMERATORS = np.arange(1, _MAX_NUM + 1)
-# the pools of axiom_suite's scale factors and rank-preserving bumps
+# the pools of axiom_suite's scale factors, rank-preserving bumps and clamp fractions
 _SCALES = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0])
 _BUMPS = np.array([0.0, 0.25, 0.5, 1.0])
+_FRACS = np.array([0.25, 0.5, 0.75, 1.0])
 
 
 def _random_columns(rng: np.random.Generator, dim: int, max_m: int = 8) -> np.ndarray:
@@ -447,6 +449,59 @@ def _single_cell_squeeze(values: np.ndarray, cell: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trial_batches(draws: list, masks: np.ndarray, n_specs: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The kernel batches of :func:`axiom_suite`, one ``(losses, weights, lengths)`` per spec, and the scales and clamps.
+
+    Every trial is built at once, padded to the largest size m: columns with
+    +inf, which sorts after the tie-free values, bumps with 0, permutations
+    with the identity and losses with 0, which leaves the column maxima.
+    The padded stack and its parts are freed before the kernel runs.
+    """
+    drawn, scales, drawn_bumps, col, cell, clamp_at, drawn_perm = zip(*draws)
+    m = np.array([c.shape[1] for c in drawn])
+    trials, dim, top = len(m), drawn[0].shape[0], m.max()
+    cols, bumps, perm = np.full((trials, dim, top), np.inf), np.zeros((trials, dim, top), dtype=int), np.tile(np.arange(top), (trials, 1))
+    for t, n in enumerate(m.tolist()):
+        cols[t, :, :n], bumps[t, :, :n], perm[t, :n] = drawn[t], drawn_bumps[t], drawn_perm[t]
+    losses = np.where(np.arange(top) < m[:, None, None], cols, 0.0).transpose(0, 2, 1)
+    # each column's sorted values and the rank of every loss among them
+    order = np.argsort(cols, axis=-1)
+    values = np.take_along_axis(cols, order, axis=-1)
+    at = np.argsort(order, axis=-1)
+    rows, col = np.arange(trials), np.array(col)
+    squeezed = values.copy()
+    squeezed[rows, col] = _single_cell_squeeze(values[rows, col], np.array(cell))
+    # m = 2 has no interior value to squeeze: every loss moves up by 1/4
+    squeezed = np.where(m[:, None, None] > 2, np.take_along_axis(squeezed, at, axis=-1).transpose(0, 2, 1), losses + 0.25)
+    bigger = np.take_along_axis(_rank_preserving_increase(values, _BUMPS[bumps]), at, axis=-1).transpose(0, 2, 1)
+    scales = _SCALES[np.array(scales)]
+    clamps = np.take_along_axis(values, np.array(clamp_at)[..., None], axis=-1)[..., 0]
+    y = np.minimum(losses, clamps[:, None, :])  # y, losses - y: pi_comonotone_split's split at these clamps
+
+    # a trial's evaluated portfolios in axiom_suite's order, one per place of a
+    # (trials, places, m + 1, d) stack; the last, the relabeled set, is permuted
+    # and its first scenario, split in two halves, goes first and last
+    n = len(masks)
+    lengths = np.full((trials, 2 * n + 6), m[:, None])
+    lengths[:, -1] += 1
+    stack = np.empty((*lengths.shape, top + 1, dim))
+    stack[:, :4, :top] = np.stack([losses, losses * scales[:, None, :], bigger, squeezed], axis=1)
+    stack[:, 4 : n + 2, :top] = np.where(masks[1:-1], bigger[:, None], losses[:, None])  # less the two copies
+    stack[:, n + 2 : 2 * n + 2, :top] = np.where(masks, y[:, None], (losses - y)[:, None])
+    stack[:, -4:-1, :top] = np.minimum(losses[:, None], _FRACS[:-1, None, None] * losses.max(axis=1)[:, None, None])
+    stack[:, -1, :top] = losses[rows[:, None], perm]
+    stack[rows, -1, m] = stack[:, -1, 0]
+    # every row on the base weights 1/m (as scenario_set weighs m scenarios)
+    # except the two halves of the relabeled set's first scenario
+    weights = np.broadcast_to((1.0 / m)[:, None, None], stack.shape[:3]).copy()
+    weights[:, -1, 0] /= 2.0
+    weights[rows, -1, m] /= 2.0
+    # a spec's rows, in trial order, are the first `lengths` of each place
+    keep = np.arange(top + 1) < lengths[..., None]
+    parts = [slice(ci, None, n_specs) for ci in range(min(n_specs, trials))]
+    return [(stack[ts][keep[ts]], weights[ts][keep[ts]], lengths[ts].ravel()) for ts in parts], scales, clamps
+
+
 def axiom_suite(
     spec_factory: Callable[[CopulaLike], JointRiskSpec],
     copulas: Sequence[CopulaLike],
@@ -461,14 +516,13 @@ def axiom_suite(
     every check it enters.  Deterministic given ``seed``; the seed is
     recorded in the report.
 
-    Every trial is drawn first; the portfolios are then built as arrays over
-    all trials of one size, and each spec evaluates the 2^(d+1) + 6 distinct
-    portfolios of each of its trials in one kernel call.
+    Every trial is drawn first; the portfolios of all trials are then built
+    as one padded array stack, and each spec evaluates the 2^(d+1) + 6
+    distinct portfolios of each of its trials in one kernel call.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ParameterError(f"axiom_suite needs an integer trials >= 1, got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"axiom_suite needs an integer seed >= 0, got {seed!r}")
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ParameterError(f"axiom_suite needs an integer {name} >= {low}, got {value!r}")
     if not copulas:
         raise DataError("axiom_suite needs at least one copula")
     dim = copulas[0].dim
@@ -484,88 +538,39 @@ def axiom_suite(
     # every draw of every trial comes first, in the suite's fixed rng order
     # (no draw depends on a measure): the loss columns, the scale indices,
     # each column's bump indices, the squeezed column and cell, each
-    # column's clamp index and the relabeling permutation; they are kept
-    # by portfolio size m, in trial order (a (d, m) or (d,) draw gives the
-    # values and generator state of d draws, one per column)
-    ms, draws = [], {}
-    for t in range(trials):
+    # column's clamp index and the relabeling permutation (a (d, m) or (d,)
+    # draw gives the values and generator state of d draws, one per column)
+    draws = []
+    for _ in range(trials):
         cols = _random_columns(rng, dim)
         m = cols.shape[1]
         scales = rng.integers(0, len(_SCALES), size=dim)
         bumps = rng.integers(0, len(_BUMPS), size=(dim, m))
         col = rng.integers(0, dim)
         cell = rng.integers(1, m - 1) if m > 2 else 0
-        clamp_at = rng.integers(0, m, size=dim)
-        ms.append(m)
-        draws.setdefault(m, []).append((t, cols, scales, bumps, col, cell, clamp_at, rng.permutation(m)))
+        draws.append((cols, scales, bumps, col, cell, rng.integers(0, m, size=dim), rng.permutation(m)))
 
     # the 2^d ways to pick each column from a first or a second portfolio, a
-    # (2^d, 1, 1, d) stack for np.where, and the sign of each pick in A5's increment
-    masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, None, :]
-    signs = np.where((dim - masks.sum(axis=(1, 2, 3))) % 2, -1.0, 1.0)
-    fracs = np.array([0.25, 0.5, 0.75, 1.0])
+    # (2^d, 1, d) stack for np.where, and the sign of each pick in A5's increment
+    masks = np.array(list(itertools.product((False, True), repeat=dim)))[:, None, :]
+    signs = np.where((dim - masks.sum(axis=(1, 2))) % 2, -1.0, 1.0)
     # a trial's value-table row: base, scaled, bigger, squeezed, the
     # increment mixes, the split mixes, the clamps, the relabeled set.  Three
     # columns copy another and are not evaluated: the first increment mix
     # (all False) is the base portfolio, the last (all True) the bigger
     # portfolio, and the last clamp, at the column maxima, the base portfolio
-    sizes = [1, 1, 2, len(masks), len(masks), len(fracs), 1]
+    sizes = [1, 1, 2, len(masks), len(masks), len(_FRACS), 1]
     width = sum(sizes)
     copies = {4: 0, 3 + len(masks): 2, width - 2: 0}
     sent = [k for k in range(width) if k not in copies]
 
-    # the arithmetic runs on the T trials of one size m at once, on (T, d, m)
-    # columns and (T, m, d) losses; a trial's block is the loss rows of its
-    # evaluated portfolios, all on the base weights 1/m (as scenario_set
-    # weighs m scenarios) except the relabeled set
-    blocks, weights, lengths = [None] * trials, {}, {}
-    scale_of, clamps_of = np.empty((trials, dim)), np.empty((trials, dim))
-    for m, group in draws.items():
-        ts, cols, scales, bumps, col, cell, clamp_at, perm = (np.array(a) for a in zip(*group))
-        losses = cols.transpose(0, 2, 1)
-        # each column's sorted values (columns are tie-free) and the flat
-        # position, in a (T, d, m) array, of every loss's rank among them
-        order = np.argsort(cols, axis=-1)
-        offsets = m * np.arange(cols.size // m).reshape(len(ts), dim, 1)
-        values = cols.reshape(-1)[order + offsets]
-        at = np.argsort(order, axis=-1) + offsets
-
-        bigger = _rank_preserving_increase(values, _BUMPS[bumps]).reshape(-1)[at].transpose(0, 2, 1)
-        rows = np.arange(len(ts))
-        if m > 2:
-            squeezed = values.copy()
-            squeezed[rows, col] = _single_cell_squeeze(values[rows, col], cell)
-            squeezed = squeezed.reshape(-1)[at].transpose(0, 2, 1)
-        else:
-            squeezed = losses + 0.25
-        scales, clamps = _SCALES[scales], values.reshape(-1)[clamp_at + offsets[..., 0]]
-        scale_of[ts], clamps_of[ts] = scales, clamps
-        y = np.minimum(losses, clamps[:, None, :])  # y, z: pi_comonotone_split's split at these clamps
-        z = losses - y
-        same = np.concatenate([
-            np.stack([losses, losses * scales[:, None, :], bigger, squeezed]),
-            np.where(masks[1:-1], bigger, losses),  # less the two copies
-            np.where(masks, y, z),
-            np.minimum(losses, fracs[:-1, None, None, None] * losses.max(axis=1, keepdims=True)),  # less the copy
-        ])
-        # the relabeled set: permuted, its first scenario split in two halves
-        relabeled = losses[rows[:, None], perm]
-        batch = np.concatenate([same.swapaxes(0, 1).reshape(len(ts), -1, dim), relabeled, relabeled[:, :1]], axis=1)
-        for t, block in zip(ts.tolist(), batch):
-            blocks[t] = block
-        w = np.full(m, 1.0 / m)
-        weights[m] = np.concatenate([np.tile(w, len(same)), [w[0] / 2.0], w[1:], [w[0] / 2.0]])
-        lengths[m] = np.array([m] * len(same) + [m + 1])
-
     # one (trials, width) value table: row t holds trial t's values, its
     # evaluated portfolios scored by its spec together with every other
-    # trial of that spec
+    # trial of that spec, in one kernel call
+    batches, scales, clamps = _trial_batches(draws, masks, len(specs))
     table = np.empty((trials, width))
-    for ci, spec in enumerate(specs[:trials]):
-        ts = range(ci, trials, len(specs))
-        batch = [np.concatenate([part[ms[t]] for t in ts]) for part in (weights, lengths)]
-        gammas = _survival_forms(np.concatenate([blocks[t] for t in ts]), *batch, spec)
-        table[ci :: len(specs), sent] = gammas.reshape(-1, len(sent))
+    for ci, (spec, batch) in enumerate(zip(specs, batches)):
+        table[ci :: len(specs), sent] = _survival_forms(*batch, spec).reshape(-1, len(sent))
     table[:, list(copies)] = table[:, list(copies.values())]
     # high: the bigger and the squeezed portfolio; A2 checks both (the targeted
     # squeeze widens its reach to locally non-monotone specs), A5 the bigger one
@@ -577,7 +582,7 @@ def axiom_suite(
     for sign, mix, split in zip(signs, mixes.T, splits.T):
         increment += sign * mix
         total += split
-    rhs = np.prod(scale_of, axis=1) * base
+    rhs = np.prod(scales, axis=1) * base
     mono = np.maximum(0.0, (seq[:, :-1] - seq[:, 1:]) / np.maximum(abs(seq[:, 1:]), ABS_FLOOR)).max(axis=1)
     violations = {
         "A1": _rel_gap(scaled, rhs),
@@ -590,15 +595,15 @@ def axiom_suite(
 
     def witness(axiom: str, k: int) -> dict:
         t, j = divmod(k, 2) if axiom == "A2" else (k, 0)
-        info = {"trial": t, "copula_index": t % len(specs), "m": ms[t]}
+        info = {"trial": t, "copula_index": t % len(specs), "m": draws[t][0].shape[1]}
         gamma = float(base[t])
         if axiom == "A1":
-            return {**info, "scales": scale_of[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}
+            return {**info, "scales": scales[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}
         if axiom == "A2":
             info.update(gamma_low=gamma, gamma_high=float(high[t, j]))
             return {**info, "perturbation": "cell_squeeze"} if j else info
         if axiom == "A3":
-            return {**info, "clamps": clamps_of[t].tolist(), "sum": float(total[t]), "gamma": gamma}
+            return {**info, "clamps": clamps[t].tolist(), "sum": float(total[t]), "gamma": gamma}
         if axiom == "A4":
             return {**info, "sequence": seq[t].tolist(), "gamma": gamma}
         if axiom == "A5":
@@ -611,4 +616,4 @@ def axiom_suite(
         worst = 0.0 if v[k] <= 0.0 else float(v[k])  # -0.0 reads 0.0, NaN stays
         passed = worst <= REL_TOL
         checks.append(AxiomCheck(a, AXIOM_DESCRIPTIONS[a], passed, worst, None if passed else witness(a, k)))
-    return AxiomReport(seed=seed, trials=trials, checks=tuple(checks))
+    return AxiomReport(seed=int(seed), trials=int(trials), checks=tuple(checks))

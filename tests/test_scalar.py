@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import tracemalloc
 from unittest import mock
 
@@ -873,6 +874,24 @@ def _low_level_factory(c):
     return JointRiskSpec(survival_copula(c), (cvar_ramp(0.3),) * c.dim)
 
 
+def _less_the_copies(losses, weights, lengths, d):
+    """One reference trial's kernel input without the three portfolios that copy another."""
+    copies = [4, 3 + 2**d, 2 ** (d + 1) + 7]
+    ends = np.cumsum(lengths)
+    rows = np.concatenate([np.arange(e - n, e) for k, (e, n) in enumerate(zip(ends, lengths)) if k not in copies])
+    return losses[rows], weights[rows], np.delete(lengths, copies)
+
+
+def _skewed(kernel):
+    """``kernel`` plus a per-portfolio term, which fails A1, A3, A4 and A6 (and so gives them witnesses)."""
+
+    def skewed(losses, weights, lengths, spec):
+        largest = np.maximum.reduceat(losses.max(axis=1), np.cumsum(lengths) - lengths)
+        return kernel(losses, weights, lengths, spec) + lengths - largest**2
+
+    return skewed
+
+
 class TestAxiomSuite:
     @pytest.mark.parametrize("budget", [copula._CELL_BUDGET, 1])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -891,23 +910,93 @@ class TestAxiomSuite:
                     assert axiom_suite(factory, cops, trials=trials, seed=seed).as_dict() == want
             # a per-portfolio term in every value fails A1, A3, A4 and A6 too,
             # so that their witnesses are compared as well
-            kernel = scalar_risk._survival_forms
-
-            def skewed(losses, weights, lengths, spec):
-                largest = np.maximum.reduceat(losses.max(axis=1), np.cumsum(lengths) - lengths)
-                return kernel(losses, weights, lengths, spec) + lengths - largest**2
-
-            with mock.patch.object(scalar_risk, "_survival_forms", skewed):
+            with mock.patch.object(scalar_risk, "_survival_forms", _skewed(scalar_risk._survival_forms)):
                 want = _scenario_set_axiom_suite(_low_level_factory, copulas, 9, 1)
                 assert {c["axiom"] for c in want["checks"] if c["witness"]} >= {"A1", "A3", "A4", "A6"}
                 assert axiom_suite(_low_level_factory, copulas, trials=9, seed=1).as_dict() == want
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        trials=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    )
+    # seven trials of sizes 8, 3, 2, 4, 5, 6 and 7: every m from 2 to 8
+    @example(d=3, trials=7, seed=215, picks=[0, 1])
+    # three trials of size 2: no interior value to squeeze, nothing padded
+    @example(d=2, trials=3, seed=871, picks=[3])
+    def test_padded_pass_equals_the_scenario_set_construction_at_every_size(self, d, trials, seed, picks):
+        rng = np.random.default_rng(d)
+        pool = [independence(d), empirical_copula(scenario_set(np.round(rng.gamma(2.0, 1.5, size=(30, d)), 1)))]
+        pool += [clayton(2.0, d), gumbel(1.5, d)] if d > 1 else [comonotone(1), independence(1)]
+        copulas = [pool[k] for k in picks]
+        calls, kernel = [], scalar_risk._survival_forms
+
+        def spy(losses, weights, lengths, spec):
+            calls.append((losses, weights, lengths))
+            return kernel(losses, weights, lengths, spec)
+
+        with mock.patch.object(scalar_risk, "_survival_forms", spy):
+            got = axiom_suite(_low_level_factory, copulas, trials=trials, seed=seed).as_dict()
+            suite = calls[:]
+            want = _scenario_set_axiom_suite(_low_level_factory, copulas, trials, seed)
+        assert got == want
+        # the kernel sees the reference's rows, weights and lengths in trial
+        # order, less each trial's three copied portfolios
+        reference = calls[len(suite) :]
+        assert len(suite) == min(trials, len(copulas)) and len(reference) == trials
+        for ci, batch in enumerate(suite):
+            parts = zip(*(_less_the_copies(*reference[t], d) for t in range(ci, trials, len(copulas))))
+            assert all(np.array_equal(got, np.concatenate(part)) for got, part in zip(batch, parts))
+        # the skewed kernel fails A1, A3, A4 and A6 as well, so their witnesses are compared too
+        with mock.patch.object(scalar_risk, "_survival_forms", _skewed(scalar_risk._survival_forms)):
+            want = _scenario_set_axiom_suite(_low_level_factory, copulas, trials, seed)
+            assert axiom_suite(_low_level_factory, copulas, trials=trials, seed=seed).as_dict() == want
+
+    @pytest.mark.parametrize("d, trials, seed", [(1, 9, 4), (3, 7, 215), (2, 2, 5), (4, 5, 871)])
+    def test_each_spec_sends_its_trials_in_one_call_in_trial_order(self, d, trials, seed):
+        calls, ms = [], []
+        kernel, columns = scalar_risk._survival_forms, scalar_risk._random_columns
+
+        def spy(losses, weights, lengths, spec):
+            calls.append((losses.shape, weights.copy(), lengths.copy(), spec))
+            return kernel(losses, weights, lengths, spec)
+
+        def sizes(rng, dim, max_m=8):
+            cols = columns(rng, dim, max_m)
+            ms.append(cols.shape[1])
+            return cols
+
+        copulas = [independence(d), comonotone(d), independence(d)]
+        specs = []
+
+        def factory(c):
+            specs.append(_low_level_factory(c))
+            return specs[-1]
+
+        with mock.patch.object(scalar_risk, "_survival_forms", spy), mock.patch.object(scalar_risk, "_random_columns", sizes):
+            axiom_suite(factory, copulas, trials=trials, seed=seed)
+        if (d, trials, seed) == (3, 7, 215):
+            assert sorted(ms) == list(range(2, 9))
+        # one call per spec that has a trial, in spec order
+        assert len(calls) == min(trials, len(copulas)) and [c[3] for c in calls] == specs[:trials]
+        for ci, (shape, weights, lengths, _) in enumerate(calls):
+            # per trial: m rows for each of 2^(d+1) + 5 portfolios, then the
+            # relabeled set's m + 1, in trial order
+            own = ms[ci :: len(copulas)]
+            assert lengths.tolist() == [n + (k == 2 ** (d + 1) + 5) for n in own for k in range(2 ** (d + 1) + 6)]
+            assert shape == (lengths.sum(), d)
+            # weights 1/m, but 1/(2m) on the relabeled set's first and last rows
+            want = np.concatenate([np.r_[np.full((2 ** (d + 1) + 5) * n, 1 / n), 0.5 / n, np.full(n - 1, 1 / n), 0.5 / n] for n in own])
+            assert np.array_equal(weights, want)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False, np.True_])
     def test_negative_or_non_integer_seed_is_a_parameter_error(self, seed):
         with pytest.raises(ParameterError, match="seed"):
             axiom_suite(_low_level_factory, [independence(2)], trials=2, seed=seed)
 
-    @pytest.mark.parametrize("trials", [0, 2.0, 1.5])
+    @pytest.mark.parametrize("trials", [0, 2.0, 1.5, True, False, np.True_])
     def test_non_positive_or_non_integer_trials_is_a_parameter_error(self, trials):
         with pytest.raises(ParameterError, match="trials"):
             axiom_suite(_low_level_factory, [independence(2)], trials=trials, seed=0)
@@ -977,6 +1066,35 @@ class TestAxiomSuite:
     def test_numpy_integer_seed_and_trials_are_accepted(self):
         want = axiom_suite(_low_level_factory, [independence(2)], trials=3, seed=4).as_dict()
         assert axiom_suite(_low_level_factory, [independence(2)], trials=np.int64(3), seed=np.int64(4)).as_dict() == want
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+    def test_numpy_integer_seed_and_trials_give_a_json_ready_report(self, kind):
+        report = axiom_suite(_broken_factory, [independence(2)], trials=kind(40), seed=kind(1))
+        assert type(report.seed) is int and type(report.trials) is int
+        text = json.dumps(report.as_dict())
+        assert json.loads(text) == axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict()
+
+    def test_report_dicts_are_fresh_containers(self):
+        report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1)
+        first = report.as_dict()
+        first["checks"][1]["witness"]["gamma_low"] = None
+        first["checks"][0]["axiom"] = None
+        assert report.as_dict() == axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict()
+        assert report.check("A2").witness["gamma_low"] is not None
+
+    def test_memory_of_a_thousand_three_column_trials(self):
+        factory = varcvar_spec_factory(BAND, "cvar")
+        copulas = [clayton(2.0, 3), independence(3)]
+        axiom_suite(factory, copulas, trials=5, seed=1)
+        tracemalloc.start()
+        try:
+            axiom_suite(factory, copulas, trials=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 17 MB: the kernel's cell table and run tables of one spec's
+        # 500 trials (22 portfolios each), beside both specs' loss batches
+        assert peak < 20 * 2**20
 
     def test_example_family_passes(self):
         factory = varcvar_spec_factory(BAND, "cvar", grid_n=60)
