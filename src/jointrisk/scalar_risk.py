@@ -11,11 +11,13 @@ Losses may have either sign, except in the dyadic forms, which take
 nonnegative losses only.  One evaluator makes the survival form of one or
 many portfolios: the cells of every column come from ``Steps.cell_table``,
 and the coupling's ``contract`` takes each axis' runs of equal distorted
-levels with the runs' summed widths.  The empirical, independence, comonotone and countermonotone
-couplings, under any survival wraps, factor into one sum per axis and
-mixture component, so neither form makes a grid for them, and their ls form
-is the atom-measure sum itself (``copula.atom_sums``).  Clayton, Gumbel and
-Frank couplings stay on the grid of their run levels.
+levels with the runs' summed widths.  ``gamma_forms`` gives both forms of
+one portfolio from one distortion call per axis and one merge of its level
+entries into runs.  The empirical, independence, comonotone and
+countermonotone couplings, under any survival wraps, factor into one sum
+per axis and mixture component, so neither form makes a grid for them, and
+their ls form is the atom-measure sum itself (``copula.atom_sums``).
+Clayton, Gumbel and Frank couplings stay on the grid of their run levels.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -188,75 +190,60 @@ def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
     return gamma_forms(s, spec)[1]
 
 
-class _StepLevels(NamedTuple):
-    """The distorted level entries of each axis of a portfolio's step grid (:func:`_step_levels`)."""
-
-    levels: list  # g_i([1, tail_0, ..., tail_{n-1}]) over the n sorted distinct values
-    run: list  # each entry's run of neighbours at one level (:func:`_run_starts`)
-    run_levels: list  # the level of each run
-    values: list  # the sorted distinct values
-
-
-def _step_levels(s: ScenarioSet, spec: JointRiskSpec) -> _StepLevels:
-    """Axis i's level entries ``g_i([1, tail_0, ..., tail_{n-1}])`` over its n sorted distinct values.
-
-    Entry j + 1 is the level at value j, entry j the level below it.
-    """
-    _check_dims([s], spec)
-    out = _StepLevels([], [], [], [])
-    for g, (v, tail) in zip(spec.distortions, s.steps.columns()):
-        levels = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
-        start = _run_starts(levels, np.asarray(levels.size))
-        out.levels.append(levels)
-        out.run.append(np.cumsum(start) - 1)
-        out.run_levels.append(levels[start])
-        out.values.append(v)
-    return out
-
-
 def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     """``(survival form, ls form)`` of a portfolio with losses of either sign, from one evaluation of the coupling.
 
-    The survival form is :func:`gamma_survival_form` bit for bit.  For the
-    ls form, the levels at each step are the last n entries of an axis'
-    :func:`_step_levels` and the levels just below it the first n, and the
-    coordinates are the values of either sign.  A coupling that
-    ``contract`` factors takes it from ``atom_sums``: per mixture
-    component, the increment is a product of per-axis differences, each one
-    atom's coordinate on non-increasing levels.  Any other coupling is
-    evaluated once on the run levels; every term of the increment is then a
-    sub-grid of the step grid, the run grid repeated over each run's
-    entries.  The survival form contracts a slice of the same run grid:
-    an axis' c cells are the c entries before its last (the level g(0)),
-    which cover a contiguous range of its runs.
+    Axis i's n sorted distinct values give n + 1 level entries
+    ``g_i([1, tail_0, ..., tail_{n-1}])``, from one distortion call: entry
+    j + 1 is the level at value j, entry j the level below it.  The entries
+    are merged once into runs of neighbouring equal levels, which both forms
+    read.  The survival form is :func:`gamma_survival_form` bit for bit: the
+    axis' c cells are the entries [n - c, n), a contiguous range of its
+    runs, and their widths summed per run in cell order are the runs' widths
+    of the batched form.  For the ls form the levels at each step are the
+    last n entries and the levels just below it the first n, and the
+    coordinates are the values of either sign.  A coupling that ``contract``
+    factors takes it from ``atom_sums``: per mixture component, the
+    increment is a product of per-axis differences, each one atom's
+    coordinate on non-increasing levels.  Any other coupling is evaluated
+    once on the run levels; every term of the increment is then a sub-grid
+    of the step grid, the run grid repeated over each run's entries, and the
+    survival form contracts the run grid's slice over the cells.  An axis
+    with no cell (every loss 0) makes both forms 0.0.
     """
-    st = _step_levels(s, spec)
-    ls = atom_sums(spec.cstar, [e[None] for e in st.levels], [v[None] for v in st.values])
+    _check_dims([s], spec)
+    _, widths, counts = s.steps.cell_table()
+    if not counts.all():
+        return 0.0, 0.0
+    entries, coords, runs, run_levels, run_widths, cells = [], [], [], [], [], []
+    for g, (v, tail), w, c in zip(spec.distortions, s.steps.columns(), widths, counts):
+        e = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
+        start = _run_starts(e, np.asarray(e.size))
+        run = np.cumsum(start) - 1
+        ids = run[v.size - c : v.size]  # the runs of the cells
+        entries.append(e[None])
+        coords.append(v[None])
+        runs.append(run)
+        run_levels.append(e[start])
+        run_widths.append(np.bincount(ids - ids[0], weights=w[:c])[None])
+        cells.append(slice(ids[0], ids[-1] + 1))
+    ls = atom_sums(spec.cstar, entries, coords)
     if ls is not None:
-        return float(_cell_sums(s.steps, 1, spec)[0]), float(ls[0])
-    run_grid = spec.cstar.cdf_grid(st.run_levels)
+        survival = spec.cstar.contract([r[cell][None] for r, cell in zip(run_levels, cells)], run_widths)
+        return float(survival[0]), float(ls[0])
+    run_grid = spec.cstar.cdf_grid(run_levels)
     # the step grid: each axis' run values repeated over the run's entries
     grid = run_grid
-    for i, r in enumerate(st.run):
+    for i, r in enumerate(runs):
         if r[-1] + 1 < r.size:
             grid = np.repeat(grid, np.bincount(r), axis=i)
-    coords = [v[None] for v in st.values]
     at, below = slice(1, None), slice(0, -1)
     total = 0.0
     for mask in itertools.product((False, True), repeat=s.dim):
         sign = -1.0 if sum(mask) % 2 else 1.0
         term = grid[tuple(at if m else below for m in mask)]
         total += sign * float(_contract(term[None], coords)[0])
-    # axis i's c cells are its level entries [n - c, n), a contiguous range
-    # of its runs; their widths summed per run in cell order are the runs'
-    # widths of the batched form
-    _, widths, counts = s.steps.cell_table()
-    if not counts.all():
-        return 0.0, total
-    ids = [r[r.size - 1 - c : -1] for r, c in zip(st.run, counts)]
-    weights = [np.bincount(i - i[0], weights=w[:c])[None] for i, w, c in zip(ids, widths, counts)]
-    runs = tuple(slice(i[0], i[-1] + 1) for i in ids)
-    return float(_contract(run_grid[runs][None], weights)[0]), total
+    return float(_contract(run_grid[tuple(cells)][None], run_widths)[0]), total
 
 
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
@@ -272,7 +259,7 @@ def _check_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> None:
     _check_dims([s], spec)
     if not s.nonnegative:
         raise DataError("the dyadic forms take nonnegative losses only")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
     max_loss = float(s.losses.max(initial=0.0))
     if n < max_loss:
@@ -399,9 +386,9 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
     power-of-two denominator ``_DENOM``, so halving and quartering stay exact and ties
     only appear when a transform deliberately introduces them.  2 <= ``max_m`` <= ``_MAX_NUM``.
     """
-    if dim < 1:
+    if isinstance(dim, bool) or dim < 1:
         raise DimensionError(f"random_portfolio needs dim >= 1, got {dim}")
-    if not 2 <= max_m <= _MAX_NUM:
+    if isinstance(max_m, bool) or not 2 <= max_m <= _MAX_NUM:
         raise ParameterError(f"random_portfolio needs 2 <= max_m <= {_MAX_NUM}, got {max_m}")
     return scenario_set(_random_columns(rng, dim, max_m).T)
 

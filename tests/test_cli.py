@@ -477,6 +477,14 @@ class TestRun:
         assert scalar["gamma"].hex() == signed["gamma_signed"].hex()
         assert 0.0 not in (scalar["gamma"], scalar["gamma_ls"])
 
+    def test_scalar_report_on_an_all_zero_column_reads_positive_zeros(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("a,b\n-0.0,1\n0,2\n")
+        assert main(["scalar", "--input", str(path), "--copula", "independence"]) == 0
+        scalar = json.loads(capsys.readouterr().out)["results"]["scalar"]
+        assert not np.signbit([scalar["gamma"], scalar["gamma_ls"]]).any()
+        assert scalar["gamma"] == scalar["gamma_ls"] == 0.0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -563,6 +563,62 @@ def test_ls_form_evaluates_the_coupling_once(monkeypatch, d, choice):
     assert calls == ([] if choice == "empirical" else [d])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("choice", ["clayton", "empirical"])
+def test_forms_call_each_distortion_once(d, choice):
+    # both forms read one level vector per axis
+    calls = [0] * d
+
+    def counted(i, g):
+        def call(u):
+            calls[i] += 1
+            return g(u)
+
+        return call
+
+    s = scenario_set(_dependent_losses(4, 30, d))
+    cop = clayton(2.0, d) if choice == "clayton" else empirical_copula(s)
+    spec = JointRiskSpec(survival_copula(cop), tuple(counted(i, cvar_ramp(0.8)) for i in range(d)))
+    gamma_forms(s, spec)
+    assert calls == [1] * d
+
+
+ZERO_COLUMN_FAMILIES = {
+    "independence": independence(2),
+    "comonotone": comonotone(2),
+    "clayton": clayton(2.0),
+    "gumbel": gumbel(1.5),
+    "frank": frank(3.0),
+    "countermonotone": countermonotone_2d(),
+    "empirical": empirical_copula(scenario_set([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])),
+}
+
+
+@pytest.mark.parametrize(
+    "losses, g",
+    [([[-0.0, 1.0], [0.0, 2.0]], identity()), ([[0.0, -1.0], [0.0, 2.0]], power(2.0))],
+    ids=["negative-zero", "signed"],
+)
+@pytest.mark.parametrize("wraps", [0, 1, 2])
+@pytest.mark.parametrize("family", ZERO_COLUMN_FAMILIES)
+def test_an_all_zero_column_gives_positive_zeros_with_no_evaluation(monkeypatch, losses, g, wraps, family):
+    # the first column has no cell: both forms are +0.0, with no grid or contraction
+    calls = []
+    for cls in (Copula, SurvivalCopula):
+        for name in ("cdf_grid", "contract"):
+            def spied(self, *args, _name=name, _method=getattr(cls, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(cls, name, spied)
+    cop = ZERO_COLUMN_FAMILIES[family]
+    for _ in range(wraps):
+        cop = survival_copula(cop)
+    got = gamma_forms(scenario_set(losses), JointRiskSpec(cop, (g, g)))
+    assert got == (0.0, 0.0) and not np.signbit(got).any()
+    assert calls == []
+
+
 @st.composite
 def forms_case(draw):
     """An :func:`ls_case` whose columns may be made to start at 0.
@@ -709,7 +765,7 @@ class TestDyadic:
         with pytest.raises(TruncationError):
             dyadic_bounds(s, identity_spec(independence(2)), 4)
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, np.float64(4.0)])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, np.float64(4.0), True])
     @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
     def test_resolution_must_be_a_positive_integer(self, measure, n):
         # checked before the truncation level: 2.5 covers these losses
@@ -1016,7 +1072,7 @@ class TestAxiomSuite:
         with pytest.raises(DimensionError, match="mismatched dimension"):
             axiom_suite(factory, [independence(2)], trials=2)
 
-    @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100])
+    @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100, True, False])
     def test_random_portfolio_size_bound_outside_its_range_is_a_parameter_error(self, max_m):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError, match="max_m"):
@@ -1024,7 +1080,7 @@ class TestAxiomSuite:
         # raised before any draw: the generator's stream is untouched
         assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
 
-    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("dim", [0, -1, True, False])
     def test_random_portfolio_without_columns_is_a_dimension_error(self, dim):
         rng = np.random.default_rng(0)
         with pytest.raises(DimensionError, match="dim"):
