@@ -269,6 +269,8 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
 # (row, scenario) pairs or grid cells per chunk of batch rows, in an empirical
 # histogram and a survival copula's base grid: a few MB per chunk of rows
 _PAIR_BUDGET = 1 << 16
+# output cells per block of a survival copula's sum: the size of its one scratch array
+_SUM_BLOCK = 1 << 14
 
 
 def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
@@ -332,22 +334,45 @@ class SurvivalCopula:
     cdf, cdf_grid, cdf_grids, contract = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids, Copula.contract
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        # per chunk of batch rows, the 2^d inclusion-exclusion terms from one
-        # base evaluation on the flipped axes with 1 appended: each term is the
-        # sub-grid holding the flipped levels on its selected axes, the 1 on the others
-        shape = tuple(a.shape[1] for a in axes)
-        step = max(1, _PAIR_BUDGET // math.prod(n + 1 for n in shape))
-        pinned, flipped = slice(-1, None), slice(0, -1)
-        parts = []
-        for rows in ([a[lo : lo + step] for a in axes] for lo in range(0, max(len(axes[0]), 1), step)):
-            base = self.base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in rows])
-            total = np.zeros((len(base),) + shape)
-            for mask in itertools.product((pinned, flipped), repeat=self.dim):
-                # in place: a - b is a + (-b) bit for bit, with no temporary
-                signed = np.subtract if mask.count(flipped) % 2 else np.add
-                signed(total, base[(slice(None), *mask)], out=total)
-            parts.append(np.clip(total, 0.0, 1.0, out=total))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        step = max(1, _PAIR_BUDGET // math.prod(a.shape[1] + 1 for a in axes))
+        if step >= len(axes[0]):
+            return _survival_sum(self.base, axes)
+        # chunks are copied out one by one, so that no chunk's base grid outlives its turn
+        out = np.empty((len(axes[0]),) + tuple(a.shape[1] for a in axes))
+        for lo in range(0, len(out), step):
+            out[lo : lo + step] = _survival_sum(self.base, [a[lo : lo + step] for a in axes])
+        return out
+
+
+def _survival_sum(base: CopulaLike, axes: list[np.ndarray]) -> np.ndarray:
+    """The survival grid of ``base`` on ``axes``, summed over the buffer of its one base evaluation.
+
+    Each of the 2^d terms is the base grid on the flipped axes with 1 appended, at the flipped
+    levels on its selected axes and the 1 on the others; a cell adds them to 0 in mask order.
+    Output cell k reads base cells at flat index k or later only, so blocks in C order are each
+    summed in one scratch array, then written to the buffer's front, which is returned C-contiguous.
+    """
+    shape = tuple(a.shape[1] for a in axes)
+    grid = base._grid([np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
+    flat = grid.reshape(-1)  # a copy, were the base grid strided: the blocks still read the grid
+    n_rows, cells = len(grid), math.prod(shape)
+    slab = cells // max(shape[0], 1)  # the cells of one axis-0 slice
+    # a block holds whole grids, or else axis-0 slices of one grid
+    rows, slices = max(1, _SUM_BLOCK // max(cells, 1)), max(1, _SUM_BLOCK // max(slab, 1))
+    scratch = np.empty(min(rows, n_rows) * min(slices, shape[0]) * slab)
+    pinned, flipped = slice(-1, None), slice(0, -1)
+    for p, i in itertools.product(range(0, n_rows, rows), range(0, shape[0], slices)):
+        batch, first = slice(p, p + rows), slice(i, min(i + slices, shape[0]))
+        block = (min(rows, n_rows - p), first.stop - i) + shape[1:]
+        acc = scratch[: math.prod(block)].reshape(block)
+        acc.fill(0.0)
+        for mask in itertools.product((pinned, flipped), repeat=len(shape)):
+            # in place: a - b is a + (-b) bit for bit, with no temporary
+            signed = np.subtract if mask.count(flipped) % 2 else np.add
+            signed(acc, grid[(batch, first if mask[0] is flipped else pinned, *mask[1:])], out=acc)
+        # every read of the block is done: its clipped sum goes straight to the buffer's front
+        np.clip(acc, 0.0, 1.0, out=flat[p * cells + i * slab :][: acc.size].reshape(block))
+    return flat[: n_rows * cells].reshape((n_rows,) + shape)
 
 
 CopulaLike = Copula | SurvivalCopula
@@ -403,9 +428,11 @@ def _contract(vals: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     grid g alone bit for bit.
     """
     batch, n0 = weights[0].shape
-    # a contiguous copy of a sub-grid: a strided one can take numpy's own
-    # matmul loop instead of BLAS, which rounds differently
-    vals = np.ascontiguousarray(vals).reshape(batch, n0, -1)
+    vals = vals.reshape(batch, n0, -1)
+    # numpy hands BLAS a matrix of contiguous rows that do not overlap (any d = 2 sub-grid) as it
+    # lies, and BLAS rounds as on a copy; other strides take numpy's own loop, which rounds otherwise
+    if vals.strides[2] != vals.itemsize or vals.strides[1] < vals.itemsize * vals.shape[2]:
+        vals = np.ascontiguousarray(vals)
     # weights of the trailing axes in the grid's row-major order
     if len(weights) > 1:
         tail_w = _broadcast(np.multiply, weights[1:]).reshape(batch, -1)
@@ -609,6 +636,8 @@ def _unit_grid(dim: int, grid_n: int | None) -> np.ndarray:
     """The closed unit grid's axis 0, 1/grid_n, ..., 1; ``grid_n`` None takes :func:`default_grid_n`."""
     if grid_n is None:
         grid_n = default_grid_n(dim)
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
+        raise DomainError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n}")
     return np.linspace(0.0, 1.0, grid_n + 1)

@@ -192,32 +192,46 @@ class TestSurvival:
 
 
     def test_in_place_inclusion_exclusion_equals_the_signed_sum(self):
-        # reference: each term times its sign, added to the running total
+        # reference: one zero-filled running sum over the whole base grid, each
+        # term added or subtracted in mask order, with no blocks
         def signed_sum(c, axes):
             if not isinstance(c, SurvivalCopula):
                 return c._grid(axes)
             base = signed_sum(c.base, [np.concatenate((1.0 - a, np.ones((len(a), 1))), axis=1) for a in axes])
+            pinned, flipped = slice(-1, None), slice(0, -1)
             total = np.zeros((len(base),) + tuple(a.shape[1] for a in axes))
-            for mask in itertools.product((True, False), repeat=c.dim):
-                sign = -1.0 if mask.count(False) % 2 else 1.0
-                total += sign * base[(slice(None), *(slice(-1, None) if m else slice(0, -1) for m in mask))]
-            return np.clip(total, 0.0, 1.0)
+            for mask in itertools.product((pinned, flipped), repeat=c.dim):
+                signed = np.subtract if mask.count(flipped) % 2 else np.add
+                signed(total, base[(slice(None), *mask)], out=total)
+            return np.clip(total, 0.0, 1.0, out=total)
 
         rng = np.random.default_rng(29)
-        for case in range(400):
-            d = case % 4 + 1
-            families = [independence, comonotone, functools.partial(clayton, 2.0), functools.partial(gumbel, 1.5),
-                        functools.partial(frank, 5.0), _tied_empirical]
-            cop = families[case // 4 % len(families)](d)
-            for _ in range(case // 24 % 2 + 1):
-                cop = SurvivalCopula(cop)
-            pool = np.array([0.0, 0.25, 0.5, 1.0])
-            axes = [
-                np.where(rng.random((3, n)) < 0.3, rng.choice(pool, (3, n)), rng.random((3, n)))
-                for n in rng.integers(1, 5, size=d)
-            ]
-            got, want = cop.cdf_grids(axes), signed_sum(cop, axes)
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        families = [independence, comonotone, functools.partial(clayton, 2.0), functools.partial(gumbel, 1.5),
+                    functools.partial(frank, 5.0), _tied_empirical, lambda d: countermonotone_2d()]
+        pool = np.array([0.0, 0.25, 0.5, 1.0])
+        # blocks of whole grids, of axis-0 slices and of one cell each; chunks of a few rows
+        for block, pairs in [(copula._SUM_BLOCK, copula._PAIR_BUDGET), (40, 64), (7, 20), (1, 1)]:
+            with mock.patch.object(copula, "_SUM_BLOCK", block), mock.patch.object(copula, "_PAIR_BUDGET", pairs):
+                for case in range(280):
+                    d = 2 if case % 35 >= 30 else case % 4 + 1  # the countermonotone copula is d = 2 only
+                    cop = families[case // 5 % len(families)](d)
+                    for _ in range(case % 3):
+                        cop = SurvivalCopula(cop)
+                    rows = rng.integers(1, 6)
+                    axes = [
+                        np.where(rng.random((rows, n)) < 0.3, rng.choice(pool, (rows, n)), rng.random((rows, n)))
+                        for n in rng.integers(0 if case % 9 == 0 else 1, 7, size=d)
+                    ]
+                    got, want = cop.cdf_grids(axes), signed_sum(cop, axes)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        # at the default sizes: d = 2 grids of several blocks, and a batch of several chunks
+        for cop, shape in [(frank(-3.0), (1, 300, 200)), (clayton(2.0, 3), (3, 30, 20, 40)), (gumbel(1.5), (700, 9, 11))]:
+            for wraps in (1, 2):
+                c = _survival_wraps(cop, wraps)
+                axes = [rng.random((shape[0], n)) for n in shape[1:]]
+                got, want = c.cdf_grids(axes), signed_sum(c, axes)
+                assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 class TestBoxIncrement:
@@ -1141,8 +1155,34 @@ def test_cdf_grids_rows_are_cdf_grids(case):
     cop, axes = case
     grids = cop.cdf_grids(axes)
     assert grids.shape == (len(axes[0]),) + tuple(a.shape[1] for a in axes)
+    # C-contiguous, as a caller's reshape into rows must give BLAS contiguous rows
+    assert grids.flags.c_contiguous
     for p, grid in enumerate(grids):
-        assert np.array_equal(grid, cop.cdf_grid([a[p] for a in axes]))
+        row = cop.cdf_grid([a[p] for a in axes])
+        assert row.flags.c_contiguous and np.array_equal(grid, row)
+
+
+@st.composite
+def mask_view_case(draw):
+    """A random (P, n_0 + 1, ...) grid and one weight array (P, n_j) per axis; axes of length 1 are common."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 5))
+    shape = [draw(st.one_of(st.just(1), st.integers(1, 40 if d <= 2 else 6))) for _ in range(d)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.random((rows,) + tuple(n + 1 for n in shape))
+    return grid, [rng.standard_normal((rows, n)) for n in shape]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mask_view_case())
+def test_contract_of_every_mask_view_equals_its_contiguous_copy_bit_for_bit(case):
+    # a d = 2 view goes to BLAS as it lies; any other is copied first, such
+    # as one with its last axis reversed, which numpy's own loop would round otherwise
+    grid, weights = case
+    for mask in itertools.product((slice(1, None), slice(0, -1)), repeat=len(weights)):
+        for view in (grid[(slice(None), *mask)], grid[(slice(None), *mask)][..., ::-1]):
+            got, want = copula._contract(view, weights), copula._contract(np.ascontiguousarray(view), weights)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCdfGrid:
@@ -1353,3 +1393,30 @@ def test_validation_raises_its_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+_BAND = jointrisk.ConfidenceBand(0.9, 0.99)
+# every caller of the unit grid, each returning what grid_n decides
+_GRID_N_CALLS = {
+    "frechet_distances": lambda n: frechet_distances(clayton(2.0), n),
+    "gof_distance": lambda n: gof_distance(independence(2), clayton(2.0), n),
+    "blend_diagnostics": lambda n: jointrisk.blend_diagnostics(clayton(2.0), _BAND, n),
+    "varcvar_spec_factory": lambda n: jointrisk.varcvar_spec_factory(_BAND, "var", n)(clayton(2.0)).distortions[0].alpha,
+    "mixture_var_cvar": lambda n: jointrisk.mixture_var_cvar(
+        scenario_set([[1.0, 2.0], [2.0, 1.0]]), clayton(2.0), _BAND, "var", n
+    ).components,
+}
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 10.0, np.float64(10.0), "5", True])
+@pytest.mark.parametrize("call", _GRID_N_CALLS.values(), ids=_GRID_N_CALLS)
+def test_grid_n_must_be_an_integer(call, grid_n):
+    # a float reached np.linspace, a string the comparison with 2, and True read as 1
+    with pytest.raises(DomainError) as info:
+        call(grid_n)
+    assert str(info.value) == f"grid_n must be an integer, got {grid_n!r}"
+
+
+@pytest.mark.parametrize("call", _GRID_N_CALLS.values(), ids=_GRID_N_CALLS)
+def test_numpy_integer_grid_n_is_accepted(call):
+    assert call(np.int64(10)) == call(10)

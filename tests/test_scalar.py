@@ -660,6 +660,41 @@ def test_both_forms_from_one_grid_equal_the_separate_forms_bit_for_bit(case):
         assert ls == _ls_form_per_mask(s, spec)
 
 
+def _wide_portfolio(seed, signed):
+    """400 scenarios of two columns with 341 distinct cent values each: grids of 341 x 341 runs under power distortions."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (-3000, 7000) if signed else (1, 10001)
+    columns = []
+    for _ in range(2):
+        values = rng.choice(np.arange(lo, hi), size=341, replace=False) / 100.0
+        columns.append(rng.permutation(np.concatenate((values, rng.choice(values, 400 - 341)))))
+    return scenario_set(np.column_stack(columns))
+
+
+@pytest.mark.parametrize(
+    "measure, signed, spec, bound",
+    [
+        # a survival grid of 341 x 341 runs (0.94 MB): the base grid held it
+        # and a zero-filled total beside it, 1.98 MB in all
+        (gamma_signed_2d, True, JointRiskSpec(survival_copula(frank(-3.0)), (power(0.5), power(0.5))), 1.3e6),
+        # 2 x 2 runs repeated to a 341 x 341 step grid, whose four ls-form
+        # terms were each copied to contiguous memory: 1.90 MB
+        (gamma_forms, False, varcvar_spec_factory(BAND, "var")(clayton(2.0)), 1.1e6),
+    ],
+    ids=["signed-frank", "forms-clayton-var"],
+)
+def test_a_d2_parametric_measure_holds_one_grid(measure, signed, spec, bound):
+    s = _wide_portfolio(7, signed)
+    measure(s, spec)
+    tracemalloc.start()
+    try:
+        measure(s, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 class TestBatchedSurvivalForm:
     def test_empty_batch(self):
         assert gamma_survival_forms([], JointRiskSpec(independence(2), (identity(), identity()))) == []
