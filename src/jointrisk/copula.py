@@ -174,7 +174,8 @@ class Copula:
     def cdf(self, u):
         """Evaluate the copula at ``u`` ((d,) or (n, d)), as n one-cell grids; returns float or (n,)."""
         pts, single = _as_points(u, self.dim)
-        out = self._grid([pts[:, [j]] for j in range(self.dim)]).reshape(len(pts))
+        # copied, so that no caller holds the grid's buffer (a survival grid's is its whole base grid)
+        out = self._grid([pts[:, [j]] for j in range(self.dim)]).reshape(len(pts)).copy()
         return float(out[0]) if single else out
 
     def cdf_grid(self, axes):
@@ -632,15 +633,20 @@ def default_grid_n(dim: int) -> int:
     return 20
 
 
-def _unit_grid(dim: int, grid_n: int | None) -> np.ndarray:
-    """The closed unit grid's axis 0, 1/grid_n, ..., 1; ``grid_n`` None takes :func:`default_grid_n`."""
+def _checked_grid_n(dim: int, grid_n: int | None) -> int:
+    """``grid_n``, or :func:`default_grid_n` when None; anything but an integer >= 2 raises DomainError."""
     if grid_n is None:
-        grid_n = default_grid_n(dim)
+        return default_grid_n(dim)
     if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
         raise DomainError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n}")
-    return np.linspace(0.0, 1.0, grid_n + 1)
+    return grid_n
+
+
+def _unit_grid(dim: int, grid_n: int | None) -> np.ndarray:
+    """The closed unit grid's axis 0, 1/grid_n, ..., 1; ``grid_n`` None takes :func:`default_grid_n`."""
+    return np.linspace(0.0, 1.0, _checked_grid_n(dim, grid_n) + 1)
 
 
 def frechet_distances(c: CopulaLike, grid_n: int | None = None) -> tuple[float, float]:
@@ -683,7 +689,8 @@ def _diagonal(c: CopulaLike, u: np.ndarray) -> np.ndarray:
     """
     mixture = _mixture(c)
     if mixture is None or mixture[0].family != EMPIRICAL:
-        return c.cdf(np.repeat(u[:, None], c.dim, axis=1))
+        # the n one-cell grids of cdf, whose level checks and per-axis copies a unit grid axis does not need
+        return c._grid([u[:, None]] * c.dim).reshape(len(u))
     base, wraps = mixture
     for _ in range(wraps):
         u = 1.0 - u

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .copula import CopulaLike, _unit_levels, frechet_distances
+from .copula import CopulaLike, _checked_grid_n, _unit_levels, frechet_distances
 from .errors import ParameterError
 
 IDENTITY = "identity"
@@ -171,6 +171,7 @@ def blend_diagnostics(
     denominator share the discretization.
     """
     if c.dim == 1:
+        _checked_grid_n(1, grid_n)  # as at d >= 2, though no grid is built
         d_ul, d_uc, theta = float("nan"), float("nan"), 0.0
     else:
         d_ul, d_uc = frechet_distances(c, grid_n)

@@ -211,14 +211,19 @@ def steps(values: np.ndarray, lengths: np.ndarray, weights: np.ndarray, order: n
     ``values`` holds the K columns concatenated, column k's ``lengths[k]``
     (at least 1) entries after those of the columns before it, and
     ``weights`` the weight of each entry.  ``order`` lists the positions of
-    ``values`` column by column, each column's in stable ascending order (a
-    lexsort when omitted).  That order is unique, so each column's group
-    weights and prefix sums add the same floats as a sort of it alone.
+    ``values`` column by column, each column's in stable ascending order
+    (when omitted, a stable sort of each column as one row of a padded
+    table).  That order is unique, so each column's group weights and prefix
+    sums add the same floats as a sort of it alone.
     """
     ends = np.cumsum(lengths)
     if order is None:
-        # stable in the values within each column: the order of a stable sort of the column
-        order = np.lexsort((values, np.repeat(np.arange(len(ends)), lengths)))
+        # +inf padding sorts after a row's finite values, which keep the order of a stable sort of their column
+        table, in_row = _padded(np.asarray(lengths))
+        table.fill(np.inf)
+        table[in_row] = values
+        order = table.argsort(axis=1, kind="stable")[in_row] + np.repeat(ends - lengths, lengths)
+        del table  # as large as the prefix-sum table below
     sx = values[order]
     new = np.empty(len(sx), dtype=bool)
     new[0] = True

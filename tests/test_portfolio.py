@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointrisk import (
     DataError,
@@ -21,7 +23,7 @@ from jointrisk import (
     scenario_set,
     var,
 )
-from jointrisk.portfolio import marginal_cells, marginal_steps, steps
+from jointrisk.portfolio import column_order, marginal_cells, marginal_steps, steps
 
 
 def two_point():
@@ -194,6 +196,36 @@ class TestMarginalSurvival:
     def test_index_error(self):
         with pytest.raises(DimensionError):
             marginal_survival(two_point(), 3, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=50),
+    pool=st.integers(1, 8),
+    as_list=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[3, 1, 4], pool=1, as_list=True, seed=0)
+@example(lengths=[60] * 50, pool=8, as_list=False, seed=1)
+def test_batched_steps_equal_the_lexsort_and_each_column_alone_bit_for_bit(lengths, pool, as_list, seed):
+    # ties from a few rounded values, -0.0 beside 0.0, negative losses and
+    # unequal weights, each column's weights summing to 1
+    rng = np.random.default_rng(seed)
+    lens = np.array(lengths)
+    firsts = np.cumsum(lens) - lens
+    values = rng.choice(np.concatenate(([-0.0, 0.0], rng.normal(0.0, 4.0, size=pool).round(1))), size=lens.sum())
+    weights = rng.uniform(0.1, 3.0, size=lens.sum())
+    weights /= np.repeat(np.add.reduceat(weights, firsts), lens)
+    batched = steps(values, lengths if as_list else lens, weights)
+    lexsorted = steps(values, lens, weights, np.lexsort((values, np.repeat(np.arange(len(lens)), lens))))
+    # bytes, so that a -0.0 is told from a 0.0
+    for field in ("values", "tail", "counts"):
+        assert getattr(batched, field).tobytes() == getattr(lexsorted, field).tobytes()
+    for k, (col, w) in enumerate(zip(np.split(values, firsts[1:]), np.split(weights, firsts[1:]))):
+        alone = steps(col, [len(col)], w, column_order(col))
+        assert batched.counts[k] == alone.counts[0]
+        for got, expected in zip(batched.columns()[k], alone.columns()[0]):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestJointSurvival:
