@@ -6,10 +6,11 @@ Commands
 
 Input is a CSV of loss scenarios (header row of asset names, optional final
 ``weight`` column).  Output is a versioned JSON report on stdout or ``--out``.
-``scalar`` takes losses of either sign in any number of columns and reports
-both forms.  Its ``formulation_gap`` is relative to the larger of |gamma|,
-|gamma_ls| and 1e-12, so on signed data it reads large where gamma cancels
-to near 0 while the two forms still agree to rounding.  ``signed2d``
+Every command takes losses of either sign except ``mtdrm`` (exit 2).
+``scalar`` takes any number of columns and reports both forms.  Its
+``formulation_gap`` is relative to the larger of |gamma|, |gamma_ls| and
+1e-12, so on signed data it reads large where gamma cancels to near 0 while
+the two forms still agree to rounding.  ``signed2d``
 reports the survival form alone as ``gamma_signed``, under a name kept for
 compatibility.
 Exit codes: 0 success, 2 validation error, 3 match-assertion failure,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, FitError, ParameterError
-from .portfolio import ScenarioSet, _dense_ranks, column_order
+from .portfolio import ScenarioSet, _dense_ranks, _is_integer, column_order
 
 INDEPENDENCE = "independence"
 COMONOTONE = "comonotone"
@@ -637,7 +637,7 @@ def _checked_grid_n(dim: int, grid_n: int | None) -> int:
     """``grid_n``, or :func:`default_grid_n` when None; anything but an integer >= 2 raises DomainError."""
     if grid_n is None:
         return default_grid_n(dim)
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
+    if not _is_integer(grid_n):
         raise DomainError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 2:
         raise DomainError(f"grid_n must be >= 2, got {grid_n}")

@@ -131,9 +131,14 @@ def scenario_set(
     return ScenarioSet(names, a, w)
 
 
+def _is_integer(value) -> bool:
+    """An ``int`` or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_index(s: ScenarioSet, i: int) -> None:
-    if not 0 <= i < s.dim:
-        raise DimensionError(f"marginal index {i} out of range for dimension {s.dim}")
+    if not _is_integer(i) or not 0 <= i < s.dim:
+        raise DimensionError(f"marginal index must be an integer in [0, {s.dim}), got {i!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +165,8 @@ class Steps:
         return _split((self.values, self.tail), self.counts)
 
     def cells(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`, covering [0, max)."""
-        *flat, counts = self._flat_cells(signed=False)
+        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`, the cells of :meth:`cell_table`."""
+        *flat, counts = self._flat_cells()
         return _split(flat, counts)
 
     def cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,34 +179,30 @@ class Steps:
         level 1.  Returns ``(survival, widths, counts)``: row k holds column
         k's cells in its first ``counts[k]`` entries, and 0 after them.
         """
-        _, survival, widths, counts = self._flat_cells(signed=True)
+        _, survival, widths, counts = self._flat_cells()
         survival_table, in_row = _padded(counts)
         widths_table = np.zeros_like(survival_table)
         survival_table[in_row] = survival
         widths_table[in_row] = widths
         return survival_table, widths_table, counts
 
-    def _flat_cells(self, signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(left, survival, widths, counts)``: every column's cells, concatenated, ``counts[k]`` of column k."""
-        # each positive value is the right edge of one cell; the cell's left
-        # edge is the value below it, or 0 when that is not positive or absent,
-        # and its survival is the tail of the value below it, or 1
+        # each positive value is the right edge of one cell, from the value
+        # below it or, at a column's lowest value, from 0; the cell's survival
+        # is the tail of the value below it, or 1.  In a column whose lowest
+        # value is negative every value ends a cell: the lowest ends the
+        # level-1 cell, from 0
         first = self.counts.cumsum() - self.counts
         below = np.concatenate(([0.0], self.values[:-1]))
         below[first] = 0.0
         tail_below = np.concatenate(([1.0], self.tail[:-1]))
         tail_below[first] = 1.0
         cell = self.values > 0.0
-        if signed:
-            # in a column whose lowest value is negative every value ends a
-            # cell, from the value below it of either sign; the lowest ends
-            # the level-1 cell, from 0
-            negative = self.values[first] < 0.0
-            if negative.any():
-                cell |= np.repeat(negative, self.counts)
-            left = below[cell]
-        else:
-            left = np.where(below > 0.0, below, 0.0)[cell]
+        negative = self.values[first] < 0.0
+        if negative.any():
+            cell |= np.repeat(negative, self.counts)
+        left = below[cell]
         return left, tail_below[cell], self.values[cell] - left, np.add.reduceat(cell, first, dtype=np.intp)
 
 
@@ -288,12 +289,13 @@ def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integration cells of marginal ``i`` covering ``[0, max)``.
+    """Integration cells of marginal ``i``: its row of :meth:`Steps.cell_table`, with left edges.
 
     Returns ``(left, survival, widths)``: each cell's left edge, the survival
-    value on the cell (taken at the left edge) and its width.  The edges are
-    0 and the distinct positive losses; all three are empty when the marginal
-    has no positive loss.
+    value on the cell (taken at the left edge) and its width, covering
+    [min(0, lowest), max).  A negative lowest loss gives a first cell at
+    survival 1 with left edge 0 and that loss as its width.  All three are
+    empty when every loss is 0.
     """
     _check_index(s, i)
     return s.steps.cells()[i]
@@ -302,7 +304,10 @@ def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.n
 def marginal_survival(s: ScenarioSet, i: int, t) -> float | np.ndarray:
     """P(X_i > t), exact weighted tail probability; vectorized over ``t``."""
     values, tail = marginal_steps(s, i)
-    idx = np.searchsorted(values, np.asarray(t, dtype=float), side="right") - 1
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise DomainError(f"threshold must not be NaN, got {t.tolist()}")
+    idx = np.searchsorted(values, t, side="right") - 1
     out = np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
     return float(out) if np.ndim(t) == 0 else out
 
@@ -312,6 +317,8 @@ def joint_survival(s: ScenarioSet, t) -> float:
     t_arr = np.asarray(t, dtype=float)
     if t_arr.shape != (s.dim,):
         raise DimensionError(f"threshold must have shape ({s.dim},), got {t_arr.shape}")
+    if np.isnan(t_arr).any():
+        raise DomainError(f"threshold must not be NaN, got {t_arr.tolist()}")
     hit = np.all(s.losses > t_arr[None, :], axis=1)
     return float(s.weights[hit].sum())
 

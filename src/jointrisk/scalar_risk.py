@@ -32,7 +32,7 @@ import numpy as np
 from .copula import CopulaLike, _contract, atom_sums, survival_copula
 from .distortion import ConfidenceBand, alpha_c, build_distortions
 from .errors import DataError, DimensionError, DomainError, ParameterError, TruncationError
-from .portfolio import ScenarioSet, Steps, scenario_set, steps
+from .portfolio import ScenarioSet, Steps, _is_integer, scenario_set, steps
 
 DistortionLike = Callable[[np.ndarray], np.ndarray]
 
@@ -259,7 +259,7 @@ def _check_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> None:
     _check_dims([s], spec)
     if not s.nonnegative:
         raise DataError("the dyadic forms take nonnegative losses only")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
     max_loss = float(s.losses.max(initial=0.0))
     if n < max_loss:
@@ -386,10 +386,10 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
     power-of-two denominator ``_DENOM``, so halving and quartering stay exact and ties
     only appear when a transform deliberately introduces them.  2 <= ``max_m`` <= ``_MAX_NUM``.
     """
-    if isinstance(dim, bool) or dim < 1:
-        raise DimensionError(f"random_portfolio needs dim >= 1, got {dim}")
-    if isinstance(max_m, bool) or not 2 <= max_m <= _MAX_NUM:
-        raise ParameterError(f"random_portfolio needs 2 <= max_m <= {_MAX_NUM}, got {max_m}")
+    if not _is_integer(dim) or dim < 1:
+        raise DimensionError(f"random_portfolio needs an integer dim >= 1, got {dim!r}")
+    if not _is_integer(max_m) or not 2 <= max_m <= _MAX_NUM:
+        raise ParameterError(f"random_portfolio needs an integer 2 <= max_m <= {_MAX_NUM}, got {max_m!r}")
     return scenario_set(_random_columns(rng, dim, max_m).T)
 
 
@@ -508,7 +508,7 @@ def axiom_suite(
     distinct portfolios of each of its trials in one kernel call.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        if not _is_integer(value) or value < low:
             raise ParameterError(f"axiom_suite needs an integer {name} >= {low}, got {value!r}")
     if not copulas:
         raise DataError("axiom_suite needs at least one copula")

@@ -4,7 +4,8 @@ Each component embeds its marginal into the unit portfolio (all other
 positions held at one unit of loss) and evaluates the scalar measure there,
 which collapses to an exact one-dimensional step integral of the distorted
 marginal survival function.  The tail specializations (conditional tail means
-and tail distortion measures) are evaluated the same way.
+and tail distortion measures) are evaluated the same way.  Every measure
+takes losses of either sign except :func:`mtdrm`.
 """
 
 from __future__ import annotations
@@ -36,16 +37,16 @@ class VectorRiskResult:
         }
 
 
-def _require_nonnegative(s: ScenarioSet) -> None:
-    if not s.nonnegative:
-        raise DataError("vector measures require nonnegative losses")
+def _integrals(s: ScenarioSet, integrand) -> tuple[float, ...]:
+    """Each column's exact integral of ``integrand(i, left, survival)`` over its :func:`marginal_cells`.
 
-
-def _step_integral(transform, survival: np.ndarray, widths: np.ndarray) -> float:
-    """Exact integral over [0, max) of transform(S(t)) for a step survival S given by its cells."""
-    if len(widths) == 0:
-        return 0.0
-    return float(np.asarray(transform(survival), dtype=float) @ widths)
+    For a distortion g of the survival that is the Choquet integral, of
+    g(S(t)) over [0, max) less that of 1 - g(S(t)) over [min, 0).
+    """
+    return tuple(
+        float(np.asarray(integrand(i, left, sv), dtype=float) @ widths) if len(widths) else 0.0
+        for i, (left, sv, widths) in enumerate(s.steps.cells())
+    )
 
 
 def h_vector(s: ScenarioSet, spec: JointRiskSpec) -> VectorRiskResult:
@@ -57,12 +58,7 @@ def h_vector(s: ScenarioSet, spec: JointRiskSpec) -> VectorRiskResult:
     """
     if s.dim != spec.dim:
         raise DimensionError(f"portfolio dimension {s.dim} != spec dimension {spec.dim}")
-    _require_nonnegative(s)
-    comps = tuple(
-        _step_integral(g, sv, widths)
-        for g, (_, sv, widths) in zip(spec.distortions, s.steps.cells())
-    )
-    return VectorRiskResult(comps, "h_vector")
+    return VectorRiskResult(_integrals(s, lambda i, _, sv: spec.distortions[i](sv)), "h_vector")
 
 
 def mixture_var_cvar(
@@ -81,13 +77,12 @@ def mixture_var_cvar(
     A caller that already holds ``blend_diagnostics(c, band, grid_n)`` passes
     it as ``blend`` and saves a second Frechet grid.
     """
-    _require_nonnegative(s)
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
     if blend is None:
         blend = blend_diagnostics(c, band, grid_n)
     gs = build_distortions(kinds, blend["alpha_c"], s.dim, tail_only=True)
-    comps = tuple(_step_integral(g, sv, widths) for g, (_, sv, widths) in zip(gs, s.steps.cells()))
+    comps = _integrals(s, lambda i, _, sv: gs[i](sv))
     return VectorRiskResult(comps, "mixture_var_cvar", {**blend, "kinds": [g.kind for g in gs]})
 
 
@@ -100,7 +95,6 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
     Degenerate joint tails, whose mass is within inclusion-exclusion
     rounding of zero, raise rather than return a silent zero or noise.
     """
-    _require_nonnegative(s)
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
     _check_level(q, "q")
@@ -115,16 +109,12 @@ def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
             f"(survival copula value {p:.3g} is within rounding of 0)"
         )
 
-    def component(i: int, sv: np.ndarray, widths: np.ndarray) -> float:
-        def transform(sv: np.ndarray) -> np.ndarray:
-            axes = [np.array([alpha])] * s.dim
-            axes[i] = np.minimum(sv, alpha)
-            return chat.cdf_grid(axes).ravel() / p
+    def capped(i: int, _, sv: np.ndarray) -> np.ndarray:
+        axes = [np.array([alpha])] * s.dim
+        axes[i] = np.minimum(sv, alpha)
+        return chat.cdf_grid(axes).ravel() / p
 
-        return _step_integral(transform, sv, widths)
-
-    comps = tuple(component(i, sv, widths) for i, (_, sv, widths) in enumerate(s.steps.cells()))
-    return VectorRiskResult(comps, "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
+    return VectorRiskResult(_integrals(s, capped), "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
 
 
 def mtdrm(
@@ -145,7 +135,10 @@ def mtdrm(
     cumulative sum of the tail weights in loss order: O(m log m) time and
     O(m) memory.
     """
-    _require_nonnegative(s)
+    # a column below 0 starts with the level-1 cell, whose conditioned
+    # survival is not read off its left edge
+    if not s.nonnegative:
+        raise DataError("mtdrm requires nonnegative losses")
     if len(distortions) != s.dim:
         raise DimensionError(f"expected {s.dim} distortions, got {len(distortions)}")
 
@@ -171,10 +164,7 @@ def mtdrm(
         above = np.append(np.cumsum(tail_w[order][::-1])[::-1], 0.0)
         return above[np.searchsorted(col[order], left, side="right")]
 
-    comps = tuple(
-        _step_integral(g, joint(i, left), widths) / p_tail
-        for i, (g, (left, _, widths)) in enumerate(zip(distortions, s.steps.cells()))
-    )
+    comps = tuple(c / p_tail for c in _integrals(s, lambda i, left, _: distortions[i](joint(i, left))))
     diag = {"region": "whole_space", "tail_probability": p_tail}
     if q is not None:
         diag.update(region="joint_exceedance", q=q)

@@ -603,8 +603,8 @@ class TestMainExitCodes:
             ("plain", ["vector", "--copula", "bogus"], "--copula: unknown choice 'bogus'"),
             ("plain", ["mtce", "--q", "1.5"], "--q: must lie in (0, 1), got 1.5"),
             ("plain", ["vector", "--grid-n", "1"], "--grid-n: must be >= 2, got 1"),
-            # scalar takes losses of either sign; the vector measures do not
-            ("negative", ["vector"], "vector measures require nonnegative losses"),
+            # every measure takes losses of either sign but mtdrm
+            ("negative", ["mtdrm"], "mtdrm requires nonnegative losses"),
             # a parameter-free family given a parameter used to run without it
             *(
                 ("plain", ["scalar", "--copula", choice], f"--copula: unknown choice '{choice}'")
@@ -685,11 +685,13 @@ class TestMainExitCodes:
         assert main([measure, "--input", plain_csv, "--distortion", "bogus"]) == 2
         assert "unknown distortion kind 'bogus'" in capsys.readouterr().err
 
-    def test_negative_losses_with_mtce_is_validation_error(self, tmp_path, capsys):
+    def test_negative_losses_with_mtce_is_zero(self, tmp_path, capsys):
+        # under independence each component is its column's mean above its
+        # 0.5-quantile: 3 above -1, and 4 above 2
         path = write(tmp_path, "neg.csv", "a,b\n-1,2\n3,4\n")
         code = main(["mtce", "--input", path, "--copula", "independence", "--q", "0.5"])
-        assert code == 2
-        assert "nonnegative" in capsys.readouterr().err
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["mtce"]["components"] == [3.0, 4.0]
 
     def test_match_assert_is_three(self, comonotone_csv, capsys):
         code = main(

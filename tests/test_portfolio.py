@@ -105,6 +105,14 @@ class TestMarginalSurvival:
     def test_at_maximum_is_zero(self):
         assert marginal_survival(two_point(), 0, 3.0) == 0.0
 
+    def test_infinite_thresholds_and_numpy_indices_are_valid(self):
+        s = two_point()
+        assert marginal_survival(s, np.int64(0), -np.inf) == 1.0
+        assert marginal_survival(s, np.intp(0), [np.inf, 2.0]).tolist() == [0.0, 0.5]
+        assert joint_survival(s, [-np.inf] * s.dim) == 1.0
+        assert joint_survival(s, [np.inf] * s.dim) == 0.0
+        assert var(s, np.int32(0), 0.5) == var(s, 0, 0.5)
+
     def test_integral_recovers_mean(self):
         # independent exact step-sum oracle: sum of S at left edges times widths
         rng = np.random.default_rng(8)
@@ -137,8 +145,8 @@ class TestMarginalSurvival:
 
     def test_cell_table_columns_match_the_unique_reference(self):
         # columns of different lengths: ties, unequal weights, a constant
-        # column, signed columns with -0.0, one with no positive loss (no
-        # cell of marginal_cells) and a single scenario
+        # column, signed columns with -0.0, one with no positive loss, a
+        # single scenario and one of zeros only (no cell)
         rng = np.random.default_rng(13)
         columns = [
             np.round(rng.gamma(2.0, 1.5, size=60), 0),
@@ -147,6 +155,7 @@ class TestMarginalSurvival:
             np.array([-2.0, -0.0, 0.0, -2.0]),
             np.array([5.5]),
             rng.choice([-3.0, -1.0, 0.5, 0.75], size=25),
+            np.array([-0.0, 0.0, 0.0]),
         ]
         weights = [rng.integers(1, 5, size=len(c)).astype(float) for c in columns]
         weights = [w / w.sum() for w in weights]
@@ -162,20 +171,26 @@ class TestMarginalSurvival:
             tail[-1] = 0.0
             for got, expected in zip(table.columns()[k], (values, tail)):
                 assert np.array_equal(got, expected)
-            edges = np.concatenate(([0.0], values[values > 0.0]))
-            idx = np.searchsorted(values, edges[:-1], side="right") - 1
-            ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
+            # the cells of either sign: a column whose lowest value is
+            # negative has one per value, the lowest from 0 at survival 1 and
+            # of width that value, the others on the step up from the value
+            # below; any other column one per positive value, from 0 or the
+            # value below
+            if values[0] < 0.0:
+                ref = (
+                    np.concatenate(([0.0], values[:-1])),
+                    np.concatenate(([1.0], tail[:-1])),
+                    np.concatenate(([values[0]], np.diff(values))),
+                )
+            else:
+                edges = np.concatenate(([0.0], values[values > 0.0]))
+                idx = np.searchsorted(values, edges[:-1], side="right") - 1
+                ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
             for got, expected in zip(table.cells()[k], ref):
                 assert np.array_equal(got, expected)
-            # the survival form's cells: a column whose lowest value is
-            # negative has one per value, the lowest at survival 1 and of width
-            # that value, the others on the step up from the value below
-            table_ref = ref[1:]
-            if values[0] < 0.0:
-                table_ref = (np.concatenate(([1.0], tail[:-1])), np.concatenate(([values[0]], np.diff(values))))
             n = counts[k]
-            assert n == len(table_ref[1])
-            for padded, expected in zip((survival, widths), table_ref):
+            assert n == len(ref[2])
+            for padded, expected in zip((survival, widths), ref[1:]):
                 assert np.array_equal(padded[k, :n], expected)
                 assert not np.any(padded[k, n:])
             s = scenario_set(col[:, None], w)
@@ -384,6 +399,30 @@ _PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
         pytest.param(
             lambda: joint_survival(_PAIR, [1.0]),
             DimensionError, "threshold must have shape (2,), got (1,)", id="threshold",
+        ),
+        # a NaN threshold used to read as probability 0
+        pytest.param(
+            lambda: joint_survival(_PAIR, [np.nan, 0.0]),
+            DomainError, "threshold must not be NaN, got [nan, 0.0]", id="joint-threshold-nan",
+        ),
+        pytest.param(
+            lambda: marginal_survival(_PAIR, 0, [1.0, np.nan]),
+            DomainError, "threshold must not be NaN, got [1.0, nan]", id="marginal-threshold-nan",
+        ),
+        # a bool read a column, a float or string index raised a raw TypeError
+        *(
+            pytest.param(
+                lambda f=f, i=i: f(_PAIR, i),
+                DimensionError, f"marginal index must be an integer in [0, 2), got {i!r}", id=f"{name}-index-{i!r}",
+            )
+            for name, f in (
+                ("marginal_steps", marginal_steps),
+                ("marginal_cells", marginal_cells),
+                ("marginal_survival", lambda s, i: marginal_survival(s, i, 1.0)),
+                ("var", lambda s, i: var(s, i, 0.9)),
+                ("cvar", lambda s, i: cvar(s, i, 0.9)),
+            )
+            for i in (True, False, 1.0, 0.5, "0", -1, 2)
         ),
         *(
             pytest.param(

@@ -1126,7 +1126,7 @@ class TestAxiomSuite:
         with pytest.raises(DimensionError, match="mismatched dimension"):
             axiom_suite(factory, [independence(2)], trials=2)
 
-    @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100, True, False])
+    @pytest.mark.parametrize("max_m", [-3, 0, 1, 64, 100, True, False, 2.5, "2"])
     def test_random_portfolio_size_bound_outside_its_range_is_a_parameter_error(self, max_m):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError, match="max_m"):
@@ -1134,7 +1134,7 @@ class TestAxiomSuite:
         # raised before any draw: the generator's stream is untouched
         assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
 
-    @pytest.mark.parametrize("dim", [0, -1, True, False])
+    @pytest.mark.parametrize("dim", [0, -1, True, False, 2.5, "2"])
     def test_random_portfolio_without_columns_is_a_dimension_error(self, dim):
         rng = np.random.default_rng(0)
         with pytest.raises(DimensionError, match="dim"):

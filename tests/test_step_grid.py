@@ -190,8 +190,11 @@ def test_gamma_forms_equal_the_full_grid_bit_for_bit(case):
     # sign, which on nonnegative losses are the cut's widths
     s, spec = case
     got = gamma_forms(s, spec)
-    values = _full_step_grid(s, spec)[2]
-    weights = _signed_weights(values)[1]
+    _, _, values, cut, widths = _full_step_grid(s, spec)
+    spans, weights = _signed_weights(values)
+    # marginal_cells gives the cells of either sign, bit for bit
+    assert cut == spans
+    assert [w.tobytes() for w in widths] == [w.tobytes() for w in weights]
     assert _matches(spec.cstar, got[0], _signed_reference(s, spec), weights)
     assert _matches(spec.cstar, got[1], _forms_reference(s, spec)[1], values)
 

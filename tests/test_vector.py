@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jointrisk import (
     ConfidenceBand,
+    DataError,
     DegenerateTailError,
     DimensionError,
     JointRiskSpec,
@@ -62,11 +63,15 @@ class TestHVector:
         assert h_vector(s, spec).components == pytest.approx(tuple(means), rel=1e-12)
 
     def test_var_step_matches_quantile(self):
-        s = decile_pair()
         spec = JointRiskSpec(survival_copula(gumbel(2.0)), (var_step(0.85), var_step(0.85)))
-        res = h_vector(s, spec)
-        assert res.components == (9.0, 9.0)
-        assert res.components[0] == var(s, 0, 0.85)
+        s = decile_pair()
+        assert h_vector(s, spec).components == (9.0, 9.0)
+        # losses of either sign, some weights unequal: the quantile bit for bit
+        shifted = s.with_losses(s.losses - 5.5)
+        mixed = scenario_set([[-2.25, 1.5], [-0.5, -3.0], [0.75, 0.0], [3.0, -0.0]], [1.0, 3.0, 1.0, 2.0])
+        assert h_vector(shifted, spec).components == (3.5, 3.5)
+        for x in (s, shifted, mixed):
+            assert h_vector(x, spec).components == (var(x, 0, 0.85), var(x, 1, 0.85))
 
     def test_matches_embedded_scalar_portfolio(self):
         rng = np.random.default_rng(2)
@@ -99,12 +104,13 @@ class TestMixture:
 
     def test_independence_cvar_matches_direct_cvar(self):
         m = np.arange(1.0, 1001.0) / 10.0
-        s = scenario_set(np.column_stack([m, m]))
-        res = mixture_var_cvar(s, independence(2), BAND, "cvar", grid_n=200)
-        level = res.diagnostics["alpha_c"]
-        assert level == pytest.approx(0.945, abs=1e-12)
-        for i in range(2):
-            assert res.components[i] == pytest.approx(cvar(s, i, level), rel=1e-9)
+        # nonnegative, and shifted to either sign
+        for s in (scenario_set(np.column_stack([m, m])), scenario_set(np.column_stack([m - 99.0, 50.0 - m]))):
+            res = mixture_var_cvar(s, independence(2), BAND, "cvar", grid_n=200)
+            level = res.diagnostics["alpha_c"]
+            assert level == pytest.approx(0.945, abs=1e-12)
+            for i in range(2):
+                assert res.components[i] == pytest.approx(cvar(s, i, level), rel=1e-9)
 
     def test_band_collapse_reproduces_plain_var_cvar(self):
         rng = np.random.default_rng(3)
@@ -276,10 +282,14 @@ DISTORTIONS = (identity(), var_step(0.6180339887), cvar_ramp(0.8137), power(2.0)
 
 
 @st.composite
-def vector_case(draw):
-    """A portfolio with ties and zero losses, d = 1-4 and m = 1-40, optionally with unequal weights."""
+def vector_case(draw, signed=False):
+    """A portfolio with ties and zero losses, d = 1-4 and m = 1-40, optionally with unequal weights.
+
+    With ``signed`` the losses have either sign, and -0.0 ties with 0.0.
+    """
     d, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
-    loss = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25]), st.floats(0.0, 100.0))
+    pool = [0.0, 0.5, 1.0, 2.0, 3.25] + ([-0.0, -1.0, -3.25] if signed else [])
+    loss = st.one_of(st.sampled_from(pool), st.floats(-100.0 if signed else 0.0, 100.0))
     losses = np.array(draw(st.lists(loss, min_size=m * d, max_size=m * d))).reshape(m, d)
     weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 5), min_size=m, max_size=m)))
     return scenario_set(losses, weights)
@@ -300,7 +310,7 @@ class TestOneCellPass:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(vector_case(), st.data())
+    @given(st.booleans().flatmap(lambda signed: vector_case(signed)), st.data())
     def test_vector_measures_equal_a_cell_pass_per_column(self, s, data):
         # the cells of every marginal come from one pass; each component is
         # the same float as a pass over its column alone
@@ -327,6 +337,18 @@ class TestOneCellPass:
             return capped
 
         assert res.components == tuple(_reference_integral(s, i, transform(i)) for i in range(d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_case(signed=True), st.data())
+    def test_h_vector_components_are_the_one_column_scalar_measure(self, s, data):
+        # on losses of either sign each component is the Choquet integral of
+        # its column: the scalar measure of that column alone
+        gs = tuple(data.draw(st.sampled_from(DISTORTIONS)) for _ in range(s.dim))
+        got = h_vector(s, JointRiskSpec(survival_copula(independence(s.dim)), gs)).components
+        for i, g in enumerate(gs):
+            column = scenario_set(s.losses[:, [i]], s.weights)
+            want = gamma_survival_form(column, JointRiskSpec(independence(1), (g,)))
+            assert abs(got[i] - want) <= 1e-14 * np.abs(column.losses).max()
 
     def test_joint_exceedance_at_100k_scenarios_peaks_under_16_megabytes(self):
         # an indicator matrix of cells by scenarios would hold 10^10 entries
@@ -371,6 +393,15 @@ _PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
             )
             for q in (0.0, 1.0, 1.5, float("nan"))
         ),
+        # a column below 0 starts with the level-1 cell, which mtdrm's
+        # conditioned survival does not read yet
+        *(
+            pytest.param(
+                lambda q=q: mtdrm(scenario_set([[-1.0, 2.0], [3.0, 4.0]]), (identity(), identity()), q),
+                DataError, "mtdrm requires nonnegative losses", id=f"mtdrm-negative-q={q}",
+            )
+            for q in (None, 0.5)
+        ),
     ],
 )
 def test_validation_raises_its_typed_error(call, error, message):
@@ -395,15 +426,24 @@ class TestVectorTheorems:
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_translation_invariance(self):
+        # dyadic shifts, exact on the sixteenths; -2.5 and -10 push columns below 0
         rng = np.random.default_rng(8)
         spec = self.spec_for(gumbel(2.0), 2)
+        measures = (
+            lambda s: h_vector(s, spec),
+            lambda s: mixture_var_cvar(s, gumbel(2.0), BAND, "var", grid_n=20),
+            lambda s: mixture_var_cvar(s, gumbel(2.0), BAND, "cvar", grid_n=20),
+            lambda s: mtce(s, gumbel(2.0), 0.5),
+        )
         for _ in range(20):
             s = random_portfolio(rng, 2)
-            shift = rng.choice([0.25, 1.0, 2.5], size=2)
+            shift = rng.choice([0.25, 1.0, 2.5, -2.5, -10.0], size=2)
             moved = s.with_losses(s.losses + shift[None, :])
-            got = np.array(h_vector(moved, spec).components)
-            want = np.array(h_vector(s, spec).components) + shift
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+            scale = max(np.abs(s.losses).max(), np.abs(moved.losses).max())
+            for measure in measures:
+                got = np.array(measure(moved).components)
+                want = np.array(measure(s).components) + shift
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
     def test_componentwise_monotonicity(self):
         rng = np.random.default_rng(9)
