@@ -23,11 +23,12 @@ import argparse
 import csv
 import io
 import itertools
-import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class RunConfig:
     out_path: str | None = None
 
     def echo(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         d["band"] = None if self.band is None else [self.band.alpha1, self.band.alpha2]
         d["distortion_kinds"] = list(self.distortion_kinds)
         return d
@@ -104,6 +105,7 @@ _PLAIN_TEXT = re.compile(r"[\t\n !#-~]*")
 def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """The asset names, the loss table and the raw weights (None without a weight column).
 
+    A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is dropped.
     A plain file goes through numpy's C reader (``_loadtxt_table``): printable
     ASCII with no quote character, LF or CRLF line ends and a non-blank first
     line.  Every other file, and every file that reader declines, goes through
@@ -111,7 +113,7 @@ def _read_rows(path: str) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     each cell with the routine behind ``float()``, so they give the same floats.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"--input: cannot read {path}: {exc}") from exc
@@ -414,23 +416,59 @@ def run(config: RunConfig) -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+def render_report(report: dict) -> str:
+    """The report as JSON text, written in one walk.
+
+    The bytes are those of ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline,
+    once numpy scalars are read as Python numbers and non-finite floats as null: keys are
+    turned to strings and sorted as strings, strings are escaped to ASCII, and lists and
+    tuples are arrays.  Any other type raises ``TypeError``.
+    """
+    parts: list[str] = []
+    _render(report, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(value, newline: str, write) -> None:
+    """Write ``value`` as JSON through ``write``; ``newline`` starts a line at its own depth."""
+    # the most frequent types first; bools before integers, since True is an int
     if isinstance(value, (float, np.floating)):
         f = float(value)
-        return f if np.isfinite(f) else None
-    return value
-
-
-def render_report(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        write(float.__repr__(f) if math.isfinite(f) else "null")
+    elif isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # through a dict, so that keys equal as strings keep the last value
+        for key, item in sorted({str(k): v for k, v in value.items()}.items()):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _render(item, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _render(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif value is None:
+        write("null")
+    elif isinstance(value, (bool, np.bool_)):
+        write("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        write(int.__repr__(int(value)))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -350,6 +350,9 @@ def _survival_sum(base: CopulaLike, axes: list[np.ndarray]) -> np.ndarray:
 
     Each of the 2^d terms is the base grid on the flipped axes with 1 appended, at the flipped
     levels on its selected axes and the 1 on the others; a cell adds them to 0 in mask order.
+    The first half of that order pins axis 0, so its running sum is taken once per call, one
+    axis-0 slice per batch row; each block starts from it with its first flipped term and adds
+    the rest, every cell through the same operations in the same order as one sum from 0.
     Output cell k reads base cells at flat index k or later only, so blocks in C order are each
     summed in one scratch array, then written to the buffer's front, which is returned C-contiguous.
     """
@@ -358,22 +361,34 @@ def _survival_sum(base: CopulaLike, axes: list[np.ndarray]) -> np.ndarray:
     flat = grid.reshape(-1)  # a copy, were the base grid strided: the blocks still read the grid
     n_rows, cells = len(grid), math.prod(shape)
     slab = cells // max(shape[0], 1)  # the cells of one axis-0 slice
+    masks = _signed_masks(len(shape))
+    half = len(masks) // 2
+    part = np.zeros((n_rows, 1) + shape[1:])
+    for mask, signed in masks[:half]:
+        signed(part, grid[(slice(None), *mask)], out=part)
     # a block holds whole grids, or else axis-0 slices of one grid
     rows, slices = max(1, _SUM_BLOCK // max(cells, 1)), max(1, _SUM_BLOCK // max(slab, 1))
     scratch = np.empty(min(rows, n_rows) * min(slices, shape[0]) * slab)
-    pinned, flipped = slice(-1, None), slice(0, -1)
     for p, i in itertools.product(range(0, n_rows, rows), range(0, shape[0], slices)):
         batch, first = slice(p, p + rows), slice(i, min(i + slices, shape[0]))
         block = (min(rows, n_rows - p), first.stop - i) + shape[1:]
         acc = scratch[: math.prod(block)].reshape(block)
-        acc.fill(0.0)
-        for mask in itertools.product((pinned, flipped), repeat=len(shape)):
-            # in place: a - b is a + (-b) bit for bit, with no temporary
-            signed = np.subtract if mask.count(flipped) % 2 else np.add
-            signed(acc, grid[(batch, first if mask[0] is flipped else pinned, *mask[1:])], out=acc)
+        src = part[batch]  # the first flipped term starts the block from the pinned half
+        for mask, signed in masks[half:]:
+            signed(src, grid[(batch, first, *mask[1:])], out=acc)
+            src = acc
         # every read of the block is done: its clipped sum goes straight to the buffer's front
         np.clip(acc, 0.0, 1.0, out=flat[p * cells + i * slab :][: acc.size].reshape(block))
     return flat[: n_rows * cells].reshape((n_rows,) + shape)
+
+
+@functools.cache
+def _signed_masks(d: int) -> tuple:
+    """The 2^d survival terms in mask order: per axis the appended 1 or the flipped levels, and the sign's ufunc."""
+    pinned, flipped = slice(-1, None), slice(0, -1)
+    # in place: a - b is a + (-b) bit for bit, with no temporary
+    return tuple((mask, np.subtract if mask.count(flipped) % 2 else np.add)
+                 for mask in itertools.product((pinned, flipped), repeat=d))
 
 
 CopulaLike = Copula | SurvivalCopula

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -91,10 +92,34 @@ class TestIngest:
         with pytest.raises(DataError, match="empty"):
             ingest_csv(path)
 
+    # Excel's "CSV UTF-8" files start with a byte-order mark, U+FEFF
+    def test_a_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        marked = write(tmp_path, "marked.csv", "\ufeffa,b\n1,2\n2,1\n3,4\n")
+        assert cli._read_rows(marked)[0] == ["a", "b"]
+        assert main(["vector", "--input", marked, "--copula", "independence"]) == 0
+        assert json.loads(capsys.readouterr().out)["scenarios"]["names"] == ["a", "b"]
+
+    def test_a_marked_plain_file_takes_numpys_reader(self, tmp_path, monkeypatch):
+        plain = cli._read_rows(write(tmp_path, "plain.csv", " a,b,weight\n1e3,-0.0,2\n4,5,1\n"))
+
+        def refused(path, text):
+            raise AssertionError("csv.reader read a plain file")
+
+        monkeypatch.setattr(cli, "_csv_table", refused)
+        names, table, weights = cli._read_rows(write(tmp_path, "marked.csv", "\ufeff a,b,weight\n1e3,-0.0,2\n4,5,1\n"))
+        assert names == plain[0] == ["a", "b"]
+        assert table.tobytes() == plain[1].tobytes() and weights.tobytes() == plain[2].tobytes()
+
+    def test_a_file_holding_only_a_byte_order_mark_is_empty(self, tmp_path):
+        path = write(tmp_path, "mark_only.csv", "\ufeff")
+        with pytest.raises(DataError) as got:
+            ingest_csv(path)
+        assert str(got.value) == f"--input: {path} is empty"
+
 
 def _reference_read_rows(path):
     """The CSV reader that parses and checks one cell at a time, in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -184,6 +209,8 @@ def csv_text(draw):
     end = st.sampled_from(LINE_ENDS[:2] if plain else LINE_ENDS)
     ends = [draw(end)] * len(lines) if draw(st.booleans()) else [draw(end) for _ in lines]
     text = "".join(line + e for line, e in zip(lines, ends))
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text  # a byte-order mark, as Excel writes
     return text if draw(st.integers(0, 3)) else text[: -len(ends[-1])]
 
 
@@ -562,6 +589,73 @@ class TestRun:
         assert blobs[0] == blobs[1]
         parsed = json.loads(blobs[0])
         assert parsed["results"]["axioms"]["all_passed"] is True
+
+    def test_echo_copies_the_config_and_leaves_it_as_it_was(self, plain_csv):
+        band = ConfidenceBand(0.9, 0.99)
+        cfg = RunConfig("axioms", plain_csv, band=band, distortion_kinds=("cvar",), seed=3)
+        echo = cfg.echo()
+        assert echo == {**dataclasses.asdict(cfg), "band": [0.9, 0.99], "distortion_kinds": ["cvar"]}
+        echo["seed"] = 4
+        assert cfg.band is band and cfg.distortion_kinds == ("cvar",) and cfg.seed == 3
+
+
+def _reference_jsonable(value):
+    """The report with numpy scalars as Python numbers, non-finite floats as None and keys as strings."""
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        return f if np.isfinite(f) else None
+    return value
+
+
+# quotes, backslashes, control characters, non-ASCII text and a lone surrogate
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\xe9\ud800\U0001f600')), max_size=8)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), np.float64("nan"), np.float32("nan"), float("inf"), np.float64("-inf"),
+                     np.float32("inf"), -0.0, np.float64(-0.0), np.float32(-0.0), 5e-324, np.float64(5e-324)]),
+    _TEXT,
+)
+# int keys beside string keys: 10 sorts before 9 as a string, and 9 meets "9"
+_KEYS = st.one_of(_TEXT, st.integers(), st.sampled_from([9, 10, "9", "10", True]))
+_REPORTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORTS)
+@example({})
+@example({9: [], 10: {}, "9": ((),), "x": [np.float32(0.1), np.float64(-0.0), 5e-324, np.int64(-7), np.bool_(True)]})
+def test_render_report_writes_the_bytes_of_json_dumps(report):
+    want = json.dumps(_reference_jsonable(report), indent=2, sort_keys=True) + "\n"
+    assert render_report(report) == want
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), {1, 2}, b"bytes", object()])
+def test_render_report_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(_reference_jsonable({"a": [value]}))
+    with pytest.raises(TypeError):
+        render_report({"a": [value]})
 
 
 class TestMainExitCodes:

@@ -225,6 +225,23 @@ class TestSurvival:
                     got, want = cop.cdf_grids(axes), signed_sum(cop, axes)
                     assert got.flags.c_contiguous
                     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+                # (d, rows, levels per axis): d = 5; one level per axis in batches of up to 300 rows, as
+                # the axiom suite sends; one level on axis 0 only
+                shapes = [(5, rng.integers(1, 4), rng.integers(0 if k % 5 == 0 else 1, 4, size=5)) for k in range(14)]
+                shapes += [(d, rng.integers(1, 300), [1] * d) for d in (1, 2, 3, 4) * 7]
+                shapes += [(d, rng.integers(1, 6), [1, *rng.integers(0 if d % 2 else 1, 5, size=d - 1)]) for d in (1, 2, 3, 4) * 7]
+                for case, (d, rows, sizes) in enumerate(shapes):
+                    fams = families if d == 2 else families[:-1]
+                    cop = fams[case % len(fams)](d)
+                    for _ in range(case % 3):
+                        cop = SurvivalCopula(cop)
+                    axes = [
+                        np.where(rng.random((rows, n)) < 0.3, rng.choice(pool, (rows, n)), rng.random((rows, n)))
+                        for n in sizes
+                    ]
+                    got, want = cop.cdf_grids(axes), signed_sum(cop, axes)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         # at the default sizes: d = 2 grids of several blocks, and a batch of several chunks
         for cop, shape in [(frank(-3.0), (1, 300, 200)), (clayton(2.0, 3), (3, 30, 20, 40)), (gumbel(1.5), (700, 9, 11))]:
             for wraps in (1, 2):
@@ -232,6 +249,24 @@ class TestSurvival:
                 axes = [rng.random((shape[0], n)) for n in shape[1:]]
                 got, want = c.cdf_grids(axes), signed_sum(c, axes)
                 assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    def test_one_level_on_axis_0_peaks_at_most_one_slab_above_the_zero_filled_sum(self):
+        # the pinned half's running sum holds one axis-0 slab per batch row, at
+        # n_0 = 1 as large as the output.  Summing each block from 0 instead
+        # peaked at 419 768 bytes on this grid (tracemalloc); the sum from the
+        # pinned half reads 535 160, the 120 x 120 x 8 = 115 200 byte slab and
+        # one array header more.  The bound allows 1 KB for headers.
+        cop = survival_copula(clayton(2.0, 3))
+        rng = np.random.default_rng(5)
+        axes = [[0.7], np.sort(rng.random(120)), np.sort(rng.random(120))]
+        cop.cdf_grid(axes)
+        tracemalloc.start()
+        try:
+            cop.cdf_grid(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 419_768 + 120 * 120 * 8 + 1024
 
 
 class TestBoxIncrement:
