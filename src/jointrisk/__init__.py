@@ -3,7 +3,6 @@
 from .copula import (
     Copula,
     SurvivalCopula,
-    box_increment,
     clayton,
     comonotone,
     countermonotone_2d,
@@ -11,7 +10,6 @@ from .copula import (
     empirical_copula,
     fit_archimedean,
     frank,
-    frechet_bounds,
     frechet_distances,
     gof_distance,
     gumbel,
@@ -28,7 +26,6 @@ from .distortion import (
     distortion_eval,
     identity,
     power,
-    right_cont_inverse,
     var_step,
 )
 from .errors import (
@@ -44,11 +41,7 @@ from .errors import (
 )
 from .portfolio import (
     ScenarioSet,
-    comonotone_transform,
     cvar,
-    joint_survival,
-    marginal_survival,
-    pi_comonotone_split,
     scenario_set,
     var,
 )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +127,15 @@ class Copula:
     rank_weights: np.ndarray | None = None
 
     def __post_init__(self):
+        # ahead of the comparisons below, which a float or a bool passes and a string breaks
+        if not _is_integer(self.dim):
+            raise DimensionError(f"dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {self.dim}")
         if self.family == COUNTERMONOTONE_2D and self.dim != 2:
             raise DimensionError("the lower Frechet bound is a copula only for dimension 2")
+        if self.theta is not None and (isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real)):
+            raise ParameterError(f"theta must be a real number, got {self.theta!r}")
         # ahead of the range tests, which an infinite theta passes (and a NaN passes Frank's)
         if self.family in ARCHIMEDEAN_FAMILIES and self.theta is not None and not math.isfinite(self.theta):
             raise ParameterError(f"{self.family.capitalize()} requires a finite theta, got {self.theta}")
@@ -603,40 +609,6 @@ def atom_sums(c: CopulaLike, levels, coords) -> np.ndarray | None:
         return None
     levels = _as_axes(levels, c.dim, batched=True)
     return _mixture_sums(*mixture, levels, [np.asarray(x, dtype=float) for x in coords], atoms=True)
-
-
-def box_increment(c: CopulaLike, a, b) -> float:
-    """Mass the copula assigns to the box (a, b]: the alternating sum of one cdf batch of its corners."""
-    a_pts, _ = _as_points(np.asarray(a, dtype=float), c.dim)
-    b_pts, _ = _as_points(np.asarray(b, dtype=float), c.dim)
-    lo, hi = a_pts[0], b_pts[0]
-    if np.any(lo > hi):
-        raise DomainError("box corners must satisfy a <= b componentwise")
-    masks = np.array(list(itertools.product((False, True), repeat=c.dim)))
-    total = 0.0
-    for sel, value in zip(masks, c.cdf(np.where(masks, lo, hi)).tolist()):
-        total += -value if sel.sum() % 2 else value
-    return max(total, 0.0) if total > -1e-12 else total
-
-
-def frechet_lower(u: np.ndarray) -> np.ndarray:
-    """Pointwise lower Frechet-Hoeffding bound max(sum(u) - d + 1, 0)."""
-    a = np.asarray(u, dtype=float)
-    return np.maximum(a.sum(axis=-1) - (a.shape[-1] - 1), 0.0)
-
-
-def frechet_upper(u: np.ndarray) -> np.ndarray:
-    """Pointwise upper Frechet-Hoeffding bound min(u)."""
-    return np.min(np.asarray(u, dtype=float), axis=-1)
-
-
-def frechet_bounds(u) -> tuple[float, float]:
-    """Lower and upper Frechet-Hoeffding bounds at one point."""
-    a = np.asarray(u, dtype=float)
-    if a.ndim != 1:
-        raise DimensionError("frechet_bounds takes a single point")
-    pts, _ = _as_points(a, a.shape[0])
-    return float(frechet_lower(pts[0])), float(frechet_upper(pts[0]))
 
 
 def default_grid_n(dim: int) -> int:

@@ -1,4 +1,4 @@
-"""Distortion functions, their right-continuous inverses, and dependence-blended levels."""
+"""Distortion functions and dependence-blended confidence levels."""
 
 from __future__ import annotations
 
@@ -124,25 +124,6 @@ def distortion_eval(g: Distortion, u):
     else:
         out = a**g.k
     return float(out) if np.ndim(u) == 0 else out
-
-
-def right_cont_inverse(g: Distortion, v):
-    """The right-continuous generalized inverse inf{x : g(x) > v}.
-
-    Endpoints are pinned: the inverse is 0 at v = 0 and 1 at v = 1.
-    """
-    a = np.atleast_1d(_unit_levels(v, "distortion")).astype(float)
-    if g.kind == IDENTITY:
-        out = a.copy()
-    elif g.kind == VAR_STEP:
-        out = np.full_like(a, 1.0 - g.alpha)
-    elif g.kind == CVAR_RAMP:
-        out = a * (1.0 - g.alpha)
-    else:
-        out = a ** (1.0 / g.k)
-    out[a == 0.0] = 0.0
-    out[a == 1.0] = 1.0
-    return float(out[0]) if np.ndim(v) == 0 else out
 
 
 @dataclass(frozen=True)

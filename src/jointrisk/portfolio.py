@@ -1,4 +1,4 @@
-"""Discrete weighted scenario portfolios and their marginal/joint tail queries.
+"""Discrete weighted scenario portfolios, their marginal step functions, quantiles and tail averages.
 
 A portfolio is a finite list of joint loss scenarios with positive weights
 summing to one.  All distributional queries (survival functions, quantiles,
@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -301,28 +301,6 @@ def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.n
     return s.steps.cells()[i]
 
 
-def marginal_survival(s: ScenarioSet, i: int, t) -> float | np.ndarray:
-    """P(X_i > t), exact weighted tail probability; vectorized over ``t``."""
-    values, tail = marginal_steps(s, i)
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise DomainError(f"threshold must not be NaN, got {t.tolist()}")
-    idx = np.searchsorted(values, t, side="right") - 1
-    out = np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def joint_survival(s: ScenarioSet, t) -> float:
-    """P(X_1 > t_1, ..., X_d > t_d) on the scenario atoms (strict in every coordinate)."""
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.shape != (s.dim,):
-        raise DimensionError(f"threshold must have shape ({s.dim},), got {t_arr.shape}")
-    if np.isnan(t_arr).any():
-        raise DomainError(f"threshold must not be NaN, got {t_arr.tolist()}")
-    hit = np.all(s.losses > t_arr[None, :], axis=1)
-    return float(s.weights[hit].sum())
-
-
 def _check_level(level: float, name: str) -> None:
     # written so that a NaN fails the test
     if not 0.0 < level < 1.0:
@@ -358,56 +336,3 @@ def _cvar_at(values: np.ndarray, tail: np.ndarray, alpha: float) -> float:
     left = np.concatenate(([0.0], cum[:-1]))
     seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(left, alpha), 0.0)
     return float(seg @ values / (1.0 - alpha))
-
-
-def comonotone_transform(
-    s: ScenarioSet,
-    maps: Sequence[Callable[[np.ndarray], np.ndarray]],
-    preserve_copula: bool = True,
-) -> ScenarioSet:
-    """Apply one non-decreasing map per marginal, keeping weights.
-
-    Monotonicity is checked on each marginal's breakpoints.  With
-    ``preserve_copula=True`` (default) a map that merges previously distinct
-    values is rejected, because merged ties change the empirical copula; pass
-    ``False`` for deliberately lossy transforms such as clamps.
-    """
-    if len(maps) != s.dim:
-        raise DimensionError(f"expected {s.dim} maps, got {len(maps)}")
-    new_cols = []
-    for i, h in enumerate(maps):
-        values = np.unique(s.losses[:, i])
-        hv = np.asarray(h(values), dtype=float)
-        if hv.shape != values.shape:
-            raise DataError(f"map {i} must be a pointwise transform of the breakpoints")
-        if np.any(np.diff(hv) < -1e-12):
-            raise DataError(f"map {i} is not non-decreasing on the breakpoints of marginal {i}")
-        if preserve_copula and len(np.unique(hv)) < len(values):
-            raise DataError(
-                f"map {i} merges distinct values of marginal {i}; "
-                "this changes the empirical copula (pass preserve_copula=False to allow)"
-            )
-        new_cols.append(np.asarray(h(s.losses[:, i]), dtype=float))
-    return s.with_losses(np.column_stack(new_cols))
-
-
-def pi_comonotone_split(
-    s: ScenarioSet,
-    clamps: Sequence[float] | None = None,
-) -> tuple[ScenarioSet, ScenarioSet]:
-    """Split each marginal into two comonotone non-decreasing parts summing to it.
-
-    By default each loss is halved (``h1(u) = u/2``), which preserves ranks
-    exactly.  Passing per-marginal ``clamps`` uses ``h1(u) = min(u, c_i)`` with
-    the excess in the second part.  The two parts reassemble to ``s``
-    scenario-wise with no rounding (IEEE halving and clamping are exact).
-    """
-    if clamps is None:
-        first = s.losses * 0.5
-    else:
-        c = np.asarray(clamps, dtype=float)
-        if c.shape != (s.dim,):
-            raise DimensionError(f"expected {s.dim} clamp levels, got shape {c.shape}")
-        first = np.minimum(s.losses, c[None, :])
-    second = s.losses - first
-    return s.with_losses(first), s.with_losses(second)

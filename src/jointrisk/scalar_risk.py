@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -246,6 +247,10 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     return float(_contract(run_grid[tuple(cells)][None], run_widths)[0]), total
 
 
+# the finest dyadic resolution: the top count n * 2^n of _dyadic_round must be a finite float
+_DYADIC_MAX_N = next(n for n in range(sys.float_info.max_exp, 0, -1) if n * 2**n <= sys.float_info.max)
+
+
 def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
     """Largest grid multiple j/2^n strictly below each loss, capped at n - 2^-n."""
     scale = 2.0**n
@@ -255,12 +260,12 @@ def _dyadic_round(losses: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_dyadic(s: ScenarioSet, spec: JointRiskSpec, n: int) -> None:
-    """The dimensions, then nonnegative losses, then ``n`` an integer >= 1, then ``n`` at or above every loss."""
+    """The dimensions, then nonnegative losses, then ``n`` an integer in [1, _DYADIC_MAX_N], then ``n`` at or above every loss."""
     _check_dims([s], spec)
     if not s.nonnegative:
         raise DataError("the dyadic forms take nonnegative losses only")
-    if not _is_integer(n) or n < 1:
-        raise DomainError(f"dyadic resolution must be a positive integer, got {n}")
+    if not _is_integer(n) or not 1 <= n <= _DYADIC_MAX_N:
+        raise DomainError(f"dyadic resolution must be a positive integer at most {_DYADIC_MAX_N}, got {n}")
     max_loss = float(s.losses.max(initial=0.0))
     if n < max_loss:
         raise TruncationError(
@@ -463,7 +468,7 @@ def _trial_batches(draws: list, masks: np.ndarray, n_specs: int) -> tuple[list, 
     bigger = np.take_along_axis(_rank_preserving_increase(values, _BUMPS[bumps]), at, axis=-1).transpose(0, 2, 1)
     scales = _SCALES[np.array(scales)]
     clamps = np.take_along_axis(values, np.array(clamp_at)[..., None], axis=-1)[..., 0]
-    y = np.minimum(losses, clamps[:, None, :])  # y, losses - y: pi_comonotone_split's split at these clamps
+    y = np.minimum(losses, clamps[:, None, :])  # y, losses - y: the comonotone split of each loss at its clamp
 
     # a trial's evaluated portfolios in axiom_suite's order, one per place of a
     # (trials, places, m + 1, d) stack; the last, the relabeled set, is permuted

@@ -23,7 +23,6 @@ from jointrisk import (
     independence,
     mtce,
     mtdrm,
-    pi_comonotone_split,
     power,
     random_portfolio,
     scenario_set,
@@ -33,9 +32,9 @@ from jointrisk import (
     varcvar_spec_factory,
 )
 from jointrisk.cli import main, render_report, run, RunConfig
-from jointrisk.copula import _contract, _mixture
-from jointrisk.portfolio import marginal_cells
+from jointrisk.copula import _mixture
 from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
+from reference import cell_grid_survival, clamp_split
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -199,7 +198,7 @@ def test_criterion_6_vector_theorems():
             float(np.max((base - bigger) / np.maximum(np.abs(base), 1e-12))),
         )
 
-        y, z = pi_comonotone_split(s, clamps=np.median(s.losses, axis=0))
+        y, z = clamp_split(s, np.median(s.losses, axis=0))
         total = np.array(h_vector(y, spec).components) + np.array(h_vector(z, spec).components)
         worst["additivity"] = max(
             worst["additivity"], float(np.max(np.abs(total - base) / np.maximum(np.abs(base), 1e-12)))
@@ -254,22 +253,6 @@ def test_criterion_8_mtdrm_reduction():
     report_line(8, ok, f"identity==means exactly: {means_exact}; step==quantile exactly: {var_exact}")
 
 
-def _cell_grid_survival(s, spec):
-    """The survival form of a nonnegative portfolio off one ``cdf_grid`` over its marginal cells.
-
-    Each run of equal distorted levels is one grid entry, weighed by its
-    cells' widths summed in cell order.
-    """
-    levels, widths = [], []
-    for i, g in enumerate(spec.distortions):
-        _, sv, w = marginal_cells(s, i)
-        lv = np.asarray(g(sv), dtype=float)
-        starts = np.flatnonzero(np.concatenate(([True], lv[1:] != lv[:-1])))
-        levels.append(lv[starts])
-        widths.append(np.array([np.cumsum(run)[-1] for run in np.split(w, starts[1:])]))
-    return float(_contract(spec.cstar.cdf_grid(levels)[None], [w[None] for w in widths])[0])
-
-
 def test_criterion_9_signed_consistency():
     # on nonnegative losses the signed evaluator is the cell sum: bit for bit
     # where the coupling makes a grid, and within the grid's own rounding
@@ -279,7 +262,7 @@ def test_criterion_9_signed_consistency():
     for k in range(100):
         s = random_portfolio(rng, 2, max_m=15)
         spec = mixed_specs(2)[k % 4]
-        got, want = gamma_signed_2d(s, spec), _cell_grid_survival(s, spec)
+        got, want = gamma_signed_2d(s, spec), cell_grid_survival(s, spec)
         if _mixture(spec.cstar) is None:
             exact &= got == want
         else:

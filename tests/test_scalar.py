@@ -34,7 +34,6 @@ from jointrisk import (
     gumbel,
     identity,
     independence,
-    pi_comonotone_split,
     power,
     random_portfolio,
     scenario_set,
@@ -46,6 +45,7 @@ from jointrisk import copula, scalar_risk
 from jointrisk.copula import Copula, SurvivalCopula
 from jointrisk.portfolio import marginal_cells, marginal_steps
 from jointrisk.scalar_risk import _contract
+from reference import clamp_split, level_runs, rise_and_fall
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -229,12 +229,6 @@ def portfolio_batch(draw):
     return portfolios, JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
 
 
-def _level_runs(levels, widths):
-    """Each run of equal neighbouring levels: its first cell and its widths summed in cell order."""
-    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
-    return starts, np.array([np.cumsum(w)[-1] for w in np.split(widths, starts[1:])])
-
-
 def _survival_form_per_axis(s, spec, merge=True):
     """The survival form unbatched: marginal_cells and a distortion call per axis, one cdf_grid.
 
@@ -249,7 +243,7 @@ def _survival_form_per_axis(s, spec, merge=True):
             return 0.0
         g = np.asarray(spec.distortions[i](sv), dtype=float)
         if merge:
-            starts, w = _level_runs(g, w)
+            starts, w = level_runs(g, w)
             g = g[starts]
         levels.append(g)
         widths.append(w)
@@ -323,11 +317,6 @@ def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
             assert batched == singles
 
 
-def _rise_and_fall(u):
-    """A non-monotone distortion with plateaus: equal levels need not be neighbours."""
-    return np.round(np.sin(3.0 * np.asarray(u, dtype=float)), 1)
-
-
 @st.composite
 def runs_case(draw):
     """1-4 portfolios of dimension 1-4 and a spec whose distortions make runs of equal levels.
@@ -336,7 +325,7 @@ def runs_case(draw):
     or start at zero.  The coupling is any family (Frank with theta < 0 and
     countermonotone at d = 2 only), bare or survival-wrapped once or twice.
     The distortions are the built-in kinds at a few levels and
-    :func:`_rise_and_fall`.
+    :func:`~reference.rise_and_fall`.
     """
     d = draw(st.integers(1, 4))
     pool = draw(st.sampled_from(([0.0, 1.0, 2.5], [0.5, 1.0, 1.5, 2.0, 3.0, 4.25], [0.125, 0.25, 0.5, 7.0])))
@@ -365,7 +354,7 @@ def runs_case(draw):
         cop = {"clayton": clayton, "gumbel": gumbel, "frank": frank}[choice](draw(st.sampled_from(thetas[choice])), d)
     for _ in range(draw(st.integers(0, 2))):
         cop = survival_copula(cop)
-    kinds = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), _rise_and_fall)
+    kinds = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), rise_and_fall)
     return portfolios, JointRiskSpec(cop, tuple(draw(st.sampled_from(kinds)) for _ in range(d)))
 
 
@@ -375,7 +364,7 @@ def runs_case(draw):
 # merge, the two 0.9s are runs of their own; axis 1 merges its two 1s
 @example(case=(
     [scenario_set(np.column_stack([np.arange(1.0, 11.0), np.tile([1.0, 2.0], 5)]))],
-    JointRiskSpec(survival_copula(clayton(3.0)), (_rise_and_fall, cvar_ramp(0.6))),
+    JointRiskSpec(survival_copula(clayton(3.0)), (rise_and_fall, cvar_ramp(0.6))),
 ))
 def test_survival_kernel_equals_the_full_cell_sum(case):
     # merging a run of equal levels reassociates the cell sum; nothing else
@@ -423,7 +412,7 @@ def signed_runs_case(draw):
 ))
 @example(case=(
     [scenario_set([[-2.0, 1.0], [0.0, 2.0]]), scenario_set([[-3.0, -1.0], [-0.5, -3.0]])],
-    JointRiskSpec(survival_copula(comonotone(2)), (var_step(0.9), _rise_and_fall)),
+    JointRiskSpec(survival_copula(comonotone(2)), (var_step(0.9), rise_and_fall)),
 ))
 def test_batched_signed_forms_equal_the_single_evaluators_bit_for_bit(case):
     # one evaluator for one or many portfolios of either sign: a batch row,
@@ -819,13 +808,20 @@ class TestDyadic:
         with pytest.raises(TruncationError):
             dyadic_bounds(s, identity_spec(independence(2)), 4)
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, np.float64(4.0), True])
+    # from 1015 on, n * 2^n is no float: a raw OverflowError or an overflow warning
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, np.float64(4.0), True, 1015, np.int64(1015), 10**9])
     @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
     def test_resolution_must_be_a_positive_integer(self, measure, n):
         # checked before the truncation level: 2.5 covers these losses
         s = scenario_set([[1.0, 2.0], [2.0, 0.5]])
         with pytest.raises(DomainError, match="positive integer"):
             measure(s, identity_spec(independence(2)), n)
+
+    @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
+    def test_finest_resolution_1014_is_exact(self, measure):
+        s = scenario_set([[1.0, 2.0], [2.0, 0.5]])
+        spec = identity_spec(independence(2))
+        assert np.all(np.asarray(measure(s, spec, 1014)) == gamma_survival_form(s, spec))
 
     @pytest.mark.parametrize("measure", [gamma_dyadic, dyadic_bounds])
     def test_numpy_integer_resolution_is_accepted(self, measure):
@@ -879,7 +875,7 @@ def _scenario_set_axiom_suite(spec_factory, copulas, trials, seed):
     independent reference for both the random stream and the arithmetic:
     each trial draws with ``rng.choice`` and builds its transforms in place,
     one column and one loop at a time, through ``with_losses``,
-    ``pi_comonotone_split`` and a mask generator; each trial's whole batch,
+    the clamp split and a mask generator; each trial's whole batch,
     copies included, is one ``gamma_survival_forms`` call.
     """
     dim = copulas[0].dim
@@ -925,7 +921,7 @@ def _scenario_set_axiom_suite(spec_factory, copulas, trials, seed):
         bigger = rank_preserving_increase(s, uniques)
         squeezed = single_cell_squeeze(s, uniques)
         clamps = [float(v[rng.integers(0, len(v))] if len(v) > 1 else v[0] * 0.5) for v in uniques]
-        y, z = pi_comonotone_split(s, clamps=clamps)
+        y, z = clamp_split(s, clamps)
         perm = rng.permutation(s.m)
         w = s.weights[perm]
         relabeled = scenario_set(

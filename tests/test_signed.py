@@ -20,8 +20,8 @@ from jointrisk import (
     cvar_ramp,
     power,
 )
-from jointrisk.copula import Copula, SurvivalCopula, _contract
-from jointrisk.portfolio import marginal_cells
+from jointrisk.copula import Copula, SurvivalCopula
+from reference import cell_grid_survival
 
 IDENTITY_SPECS = [
     JointRiskSpec(independence(2), (identity(), identity())),
@@ -64,22 +64,6 @@ class TestConstants:
         assert gamma_signed_2d(s, spec) == pytest.approx(-2.0, abs=1e-12)
 
 
-def _cell_grid_survival(s, spec):
-    """The survival form of a nonnegative portfolio off one ``cdf_grid`` over its marginal cells.
-
-    Each run of equal distorted levels is one grid entry, weighed by its
-    cells' widths summed in cell order.
-    """
-    levels, widths = [], []
-    for i, g in enumerate(spec.distortions):
-        _, sv, w = marginal_cells(s, i)
-        lv = np.asarray(g(sv), dtype=float)
-        starts = np.flatnonzero(np.concatenate(([True], lv[1:] != lv[:-1])))
-        levels.append(lv[starts])
-        widths.append(np.array([np.cumsum(run)[-1] for run in np.split(w, starts[1:])]))
-    return float(_contract(spec.cstar.cdf_grid(levels)[None], [w[None] for w in widths])[0])
-
-
 class TestNonnegativeAgreement:
     def test_bitwise_equality_on_nonnegative_instances(self):
         # the couplings that make a grid: the signed evaluator is the cell
@@ -91,7 +75,7 @@ class TestNonnegativeAgreement:
         for k in range(40):
             s = random_portfolio(rng, 2, max_m=15)
             spec = specs[k % len(specs)]
-            assert gamma_signed_2d(s, spec) == _cell_grid_survival(s, spec)
+            assert gamma_signed_2d(s, spec) == cell_grid_survival(s, spec)
 
     def test_four_point_independent_case(self):
         s = scenario_set([[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]])

@@ -37,17 +37,7 @@ from jointrisk import (
 from jointrisk.copula import Copula, SurvivalCopula, _mixture
 from jointrisk.portfolio import marginal_cells, marginal_steps
 from jointrisk.scalar_risk import _contract
-
-
-def _rise_and_fall(u):
-    """A non-monotone distortion with plateaus: equal levels need not be neighbours."""
-    return np.round(np.sin(3.0 * np.asarray(u, dtype=float)), 1)
-
-
-def _level_runs(levels, widths):
-    """Each run of equal neighbouring levels: its first cell and its widths summed in cell order."""
-    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
-    return starts, np.array([np.cumsum(w)[-1] for w in np.split(widths, starts[1:])])
+from reference import level_runs, rise_and_fall
 
 
 def _full_step_grid(s, spec):
@@ -70,7 +60,7 @@ def _survival_over_cut(grid, levels, cut, widths):
     """
     if not all(w.size for w in widths):
         return 0.0
-    picks, run_widths = zip(*(_level_runs(lv[c], w) for lv, c, w in zip(levels, cut, widths)))
+    picks, run_widths = zip(*(level_runs(lv[c], w) for lv, c, w in zip(levels, cut, widths)))
     if not all(w.any() for w in run_widths):
         return 0.0
     cells = grid[np.ix_(*(c.start + p for c, p in zip(cut, picks)))]
@@ -127,7 +117,7 @@ def _matches(cop, got, want, weights):
 
 
 _TIED_WEIGHTED = empirical_copula(scenario_set([[0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]], [1.0, 3.0, 2.0, 1.0]))
-KINDS = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), _rise_and_fall)
+KINDS = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5), rise_and_fall)
 
 
 @st.composite
@@ -178,7 +168,7 @@ def step_case(draw, signed=False):
 # 0.9s and the 1s apart from the neighbouring pair are runs of their own
 @example(case=(
     scenario_set(np.column_stack([np.arange(1.0, 11.0), np.tile([1.0, 2.0], 5)])),
-    JointRiskSpec(survival_copula(clayton(3.0)), (_rise_and_fall, cvar_ramp(0.6))),
+    JointRiskSpec(survival_copula(clayton(3.0)), (rise_and_fall, cvar_ramp(0.6))),
 ))
 # ramp, step and identity axes over a tied, weighted empirical coupling
 @example(case=(

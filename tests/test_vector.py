@@ -29,7 +29,6 @@ from jointrisk import (
     mixture_var_cvar,
     mtce,
     mtdrm,
-    pi_comonotone_split,
     power,
     random_portfolio,
     scenario_set,
@@ -40,6 +39,7 @@ from jointrisk import (
 from jointrisk.distortion import build_distortions
 from jointrisk.portfolio import _var_at, marginal_cells
 from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
+from reference import clamp_split
 
 BAND = ConfidenceBand(0.90, 0.99)
 
@@ -468,7 +468,7 @@ class TestVectorTheorems:
         for _ in range(20):
             s = random_portfolio(rng, 2)
             clamps = np.median(s.losses, axis=0)
-            y, z = pi_comonotone_split(s, clamps=clamps)
+            y, z = clamp_split(s, clamps)
             total = np.array(h_vector(y, spec).components) + np.array(h_vector(z, spec).components)
             np.testing.assert_allclose(
                 np.array(h_vector(s, spec).components), total, rtol=1e-9, atol=1e-12
