@@ -901,6 +901,42 @@ class TestGof:
             gof_distance(empirical_copula(s), independence(3))
 
 
+def _tied_weighted_empirical(rng, m, d, weighted):
+    losses = rng.integers(0, max(2, m // 2), size=(m, d)).astype(float)  # about two scenarios per value: ties
+    return empirical_copula(scenario_set(losses, rng.integers(1, 5, size=m).astype(float) if weighted else None))
+
+
+@st.composite
+def gof_case(draw):
+    """An empirical copula (d = 1-4, ties, maybe weighted), a copula of every family under 0-2
+    survival wraps, a grid_n, and the scenarios of both.  On its interior grid a gof evaluation
+    takes the scenario products below m = 16 d ((n + 1) / n)^d, the histogram above: m is drawn
+    on both sides."""
+    d = draw(st.integers(1, 4))
+    grid_n = draw(st.integers(*{1: (2, 40), 2: (2, 12), 3: (2, 6), 4: (3, 4)}[d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.one_of(st.integers(2, 12), st.integers(330, 400)))
+    e = _tied_weighted_empirical(rng, m, d, draw(st.booleans()))
+    other = _tied_weighted_empirical(rng, draw(st.integers(2, 40)), d, draw(st.booleans()))
+    c = draw(st.sampled_from(family_zoo(d) + [clayton(0.4, d), other] + ([frank(-3.0)] if d == 2 else [])))
+    return e, _survival_wraps(c, draw(st.sampled_from((0, 1, 2)))), grid_n, m + len(other.rank_weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gof_case())
+def test_gof_distance_is_the_closed_grid_mean_of_pointwise_values(case):
+    e, c, grid_n, m = case
+    pts = unit_grid(e.dim, grid_n)
+    want = float(np.mean((e.cdf(pts) - c.cdf(pts)) ** 2))
+    # a grid cell and its pointwise value add the same weights in other orders, and a survival
+    # wrap sums 2^d such values: each difference is off by at most delta, which moves the mean
+    # of squares by at most 2 sqrt(want) delta + delta^2.  That term carries d = 1, where every
+    # parametric copula is u itself and the statistic can be as small as the rounding
+    delta = 4.0**e.dim * (m + 2) * np.finfo(float).eps
+    assert abs(gof_distance(e, c, grid_n) - want) <= 1e-13 * want + 2 * np.sqrt(want) * delta + delta**2
+    assert gof_distance(e, e, grid_n) == 0.0
+
+
 @st.composite
 def unit_points(draw, dim):
     return np.array([draw(st.floats(0, 1, allow_nan=False)) for _ in range(dim)])
@@ -1122,8 +1158,28 @@ def test_batched_empirical_grid_is_the_row_histogram_bit_for_bit(case):
         want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in levels])
         # a budget of 1 pair makes every row a chunk; 2m + 1 puts chunk edges inside the batch
         for budget in (copula._PAIR_BUDGET, 1, 2 * len(e.rank_weights) + 1):
-            with mock.patch.object(copula, "_PAIR_BUDGET", budget):
+            # a selection constant of 0 takes the histogram for every shape
+            with mock.patch.object(copula, "_PAIR_BUDGET", budget), mock.patch.object(copula, "_PRODUCTS_PER_SUM", 0):
                 assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(levels), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=empirical_batch_case())
+def test_batched_scenario_products_are_their_rows_bit_for_bit_and_the_row_histogram_up_to_rounding(case):
+    e, wraps, axes = case
+    m, d, eps = len(e.rank_weights), e.dim, np.finfo(float).eps
+    cop = _survival_wraps(e, wraps)
+    want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in axes])
+    # each cell adds a subset of the same m weights as the histogram, in another order; a
+    # survival wrap's inclusion-exclusion sums 2^d such cells, each rounded anew
+    tol = m * eps * want + (0.0 if wraps == 0 else 4.0**d * (m + 2) * eps)
+    # an infinite selection constant takes the products for every shape
+    for budget in (copula._PAIR_BUDGET, 1, 2 * m + 1):
+        with mock.patch.object(copula, "_PAIR_BUDGET", budget), mock.patch.object(copula, "_PRODUCTS_PER_SUM", np.inf):
+            got = cop.cdf_grids(axes)
+            rows = [cop.cdf_grids([a[p : p + 1] for a in axes]) for p in range(len(got))]
+        assert np.array_equal(got, np.concatenate(rows) if rows else got[:0])
+        assert (np.abs(got - want) <= tol).all()
 
 
 @pytest.mark.parametrize(
@@ -1139,12 +1195,19 @@ def test_batched_empirical_grid_is_the_row_histogram_bit_for_bit(case):
         (np.full((2, 3), 0.5), [0.5, np.nan], DataError),
         (np.full((2, 3), 0.5), [0.5, np.inf], DataError),
         (np.full((2, 3), 0.5), [1.5, -0.5], DataError),
+        (np.array([[0.0, 0.5, 0.5], [1.0, 1.0, 1.0]]), [0.5, 0.5], DataError),
+        (np.array([[-0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]), [0.5, 0.5], DataError),
+        (np.array([[0.5, 0.5, 1.5], [1.0, 1.0, 1.0]]), [0.5, 0.5], DataError),
+        (np.array([[0.5, np.nan, 0.5], [1.0, 1.0, 1.0]]), [0.5, 0.5], DataError),
+        (np.array([[0.5, 0.5, 0.5], [1.0, np.inf, 1.0]]), [0.5, 0.5], DataError),
     ],
     ids=["two-columns", "four-columns", "one-dimensional", "three-dimensional", "three-weights",
-         "one-weight", "weights-2d", "nan-weight", "infinite-weight", "negative-weight"],
+         "one-weight", "weights-2d", "nan-weight", "infinite-weight", "negative-weight",
+         "zero-rank", "negative-rank", "rank-above-1", "nan-rank", "infinite-rank"],
 )
 def test_malformed_rank_data_is_rejected_when_built(ranks, weights, error):
-    # two columns for dimension 3 used to build, and fail at the first cdf with an IndexError
+    # two columns for dimension 3 used to build, and fail at the first cdf with an IndexError;
+    # a rank of 0 gave C(0, ...) > 0, and a NaN or 1.5 rank C(1, ..., 1) < 1
     with pytest.raises(error):
         Copula("empirical", 3, ranks=ranks, rank_weights=np.array(weights))
 
@@ -1408,6 +1471,14 @@ class TestCdfGrid:
         pytest.param(lambda: clayton("2"), ParameterError, "theta must be a real number, got '2'", id="theta-str"),
         pytest.param(lambda: gumbel(True), ParameterError, "theta must be a real number, got True", id="theta-bool"),
         pytest.param(lambda: Copula("empirical", 2), DataError, "empirical copula requires rank data", id="empirical-ranks"),
+        # a theta on a parameter-free family built, and was ignored
+        *(
+            pytest.param(
+                lambda family=family, dim=dim: Copula(family, dim, theta=5.0),
+                ParameterError, f"the {family} copula takes no theta, got 5.0", id=f"{family}-theta",
+            )
+            for family, dim in (("independence", 2), ("comonotone", 3), ("countermonotone", 2))
+        ),
         pytest.param(lambda: Copula("bogus", 2).cdf([0.5, 0.5]), ParameterError, "unknown copula family 'bogus'", id="family"),
         pytest.param(lambda: frechet_distances(independence(2), grid_n=1), DomainError, "grid_n must be >= 2, got 1", id="grid_n"),
         pytest.param(
@@ -1453,6 +1524,9 @@ def test_python_and_numpy_numbers_are_valid_dimensions_and_thetas():
         assert clayton(2.0, dim).dim == 3
     for theta in (2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)):
         assert clayton(theta).cdf([0.5, 0.5]) == clayton(2.0).cdf([0.5, 0.5])
+    # a parameter-free family takes an explicit theta=None
+    for family in ("independence", "comonotone", "countermonotone"):
+        assert Copula(family, 2, theta=None).cdf([0.5, 0.5]) == Copula(family, 2).cdf([0.5, 0.5])
 
 
 _BAND = jointrisk.ConfidenceBand(0.9, 0.99)
