@@ -243,7 +243,7 @@ def _parse_match(raw: str) -> tuple[str, float]:
         if not 0.0 < thr < np.inf:
             raise ParameterError(f"--match: threshold must be a positive number, got {raw!r}")
         return "assert", thr
-    raise ParameterError(f"--match: expected 'warn' or 'assert:<threshold>', got {raw!r}")
+    raise ParameterError(f"--match: expected 'warn', 'assert' or 'assert:<threshold>', got {raw!r}")
 
 
 def _resolve_copula(config: RunConfig, s: ScenarioSet) -> tuple[CopulaLike, dict]:
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="var|cvar|identity|power:<k>; repeat per component")
         p.add_argument("--grid-n", type=int, default=None, help="unit-grid resolution for copula maxima")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--match", default="warn", help="warn (default) or assert:<threshold>")
+        p.add_argument("--match", default="warn", help="warn (default), assert or assert:<threshold>")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
     return parser
 

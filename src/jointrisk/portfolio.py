@@ -165,26 +165,16 @@ class Steps:
         return _split((self.values, self.tail), self.counts)
 
     def cells(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`, the cells of :meth:`cell_table`."""
-        *flat, counts = self._flat_cells()
-        return _split(flat, counts)
-
-    def cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The survival form's cells of every column as zero-padded (K, n) tables.
+        """``(left, survival, widths)`` of each column: its :func:`marginal_cells`, the survival form's cells.
 
         A column's cells cover [min(0, lowest), max), each at the survival
         value of its left edge.  A column whose lowest value is negative
         also has one cell at survival value 1, placed first, whose width is
         that lowest value: below 0 the integral subtracts the integrand at
-        level 1.  Returns ``(survival, widths, counts)``: row k holds column
-        k's cells in its first ``counts[k]`` entries, and 0 after them.
+        level 1.
         """
-        _, survival, widths, counts = self._flat_cells()
-        survival_table, in_row = _padded(counts)
-        widths_table = np.zeros_like(survival_table)
-        survival_table[in_row] = survival
-        widths_table[in_row] = widths
-        return survival_table, widths_table, counts
+        *flat, counts = self._flat_cells()
+        return _split(flat, counts)
 
     def _flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(left, survival, widths, counts)``: every column's cells, concatenated, ``counts[k]`` of column k."""
@@ -289,7 +279,7 @@ def marginal_steps(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def marginal_cells(s: ScenarioSet, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integration cells of marginal ``i``: its row of :meth:`Steps.cell_table`, with left edges.
+    """Integration cells of marginal ``i``: its entry of :meth:`Steps.cells`.
 
     Returns ``(left, survival, widths)``: each cell's left edge, the survival
     value on the cell (taken at the left edge) and its width, covering

@@ -9,7 +9,7 @@ quadrature approximation.
 
 Losses may have either sign, except in the dyadic forms, which take
 nonnegative losses only.  One evaluator makes the survival form of one or
-many portfolios: the cells of every column come from ``Steps.cell_table``,
+many portfolios: the cells of every column are one flat list (``Steps``),
 and the coupling's ``contract`` takes each axis' runs of equal distorted
 levels with the runs' summed widths.  ``gamma_forms`` gives both forms of
 one portfolio from one distortion call per axis and one merge of its level
@@ -43,7 +43,8 @@ class JointRiskSpec:
     """A concrete measure: the coupling copula ``cstar`` plus one distortion per marginal.
 
     Distortions act elementwise on arrays of any shape: the batched survival
-    form calls each one once on a (P, n) table of levels, zero-padded.
+    form calls each one once, on the 1-D levels of its axis' cells in every
+    portfolio.
     """
 
     cstar: CopulaLike
@@ -110,73 +111,41 @@ def _survival_forms(losses: np.ndarray, weights: np.ndarray, lengths: np.ndarray
 def _cell_sums(table: Steps, n_port: int, spec: JointRiskSpec) -> np.ndarray:
     """The survival forms of P portfolios from the steps of their columns, column i of portfolio p at i P + p.
 
-    Each distortion is called once, on its axis' zero-padded survival
-    levels of ``table.cell_table()``, which its output overwrites.
-    Portfolios with no cell on some axis get 0.  The others' cells are
-    merged into runs of one distorted level (:func:`_run_starts`,
-    :func:`_level_runs`): the integrand depends on t only through the
-    levels, so a run needs one copula value, times the sum of its widths.
-    One ``contract`` of the coupling copula takes every portfolio's run
-    levels and widths (zero-padded, past a row's own runs, with its last
-    level and width 0), and its rows equal the values computed alone bit
-    for bit.
+    Each axis' cells of every portfolio are then one stretch of
+    ``table._flat_cells()``, and each distortion is called once, on that
+    stretch of survival levels, which its output overwrites.  Portfolios
+    with no cell on some axis get 0.  The others' cells are merged into runs
+    of one distorted level, each started by a column's first cell or a
+    change of level: the integrand depends on t only through the levels, so
+    a run needs one copula value, times its widths summed in cell order by
+    one ``bincount``.  One ``contract`` of the coupling copula takes the run
+    levels and widths as (P, r) tables per axis (past a row's own runs, its
+    last level at width 0), and its rows equal the values computed alone
+    bit for bit.
     """
-    # [i, p] of each reshaped table is column i of portfolio p
     dim = spec.dim
-    levels, widths, counts = table.cell_table()
-    counts = counts.reshape(dim, n_port)
+    levels, widths, counts = table._flat_cells()[1:]
+    first = counts.cumsum() - counts
+    # axis i's cells run from column i P's first cell to column (i + 1) P's
+    bounds = [*first[::n_port], levels.size]
+    for g, a, b in zip(spec.distortions, bounds[:-1], bounds[1:]):
+        levels[a:b] = g(levels[a:b])
     out = np.zeros(n_port)
-    live = np.flatnonzero(counts.all(axis=0))
+    live = np.flatnonzero(counts.reshape(dim, n_port).all(axis=0))
     if not live.size:
         return out
-    levels, widths = levels.reshape(dim, n_port, -1), widths.reshape(dim, n_port, -1)
-    # each axis' survival levels distorted in place, one call per axis
-    for i, g in enumerate(spec.distortions):
-        levels[i] = g(levels[i])
-    if live.size < n_port:
-        levels, widths, counts = levels[:, live], widths[:, live], counts[:, live]
-    first, run_widths = _level_runs(_run_starts(levels, counts), widths)
-    out[live] = spec.cstar.contract(list(np.take_along_axis(levels, first, axis=2)), list(run_widths))
+    start = np.concatenate(([True], levels[1:] != levels[:-1]))
+    start[first[counts > 0]] = True
+    prefix = np.concatenate(([0], np.cumsum(start)))  # the runs started before each cell
+    run_widths = np.bincount(prefix[1:] - 1, weights=widths)
+    # [i, p, j]: run j of column i of live portfolio p, its last run past its runs
+    low = prefix[first].reshape(dim, n_port)[:, live, None]
+    n_runs = prefix[first + counts].reshape(dim, n_port)[:, live, None] - low
+    j = np.arange(int(n_runs.max()))
+    at = low + np.minimum(j, n_runs - 1)
+    levels, widths = levels[start][at], np.where(j < n_runs, run_widths[at], 0.0)
+    out[live] = spec.cstar.contract(list(levels), list(widths))
     return out
-
-
-def _run_starts(levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Where each row's runs of consecutive cells at one distorted level start.
-
-    ``levels`` (..., n), n >= 1, holds a row's cells in its first
-    ``counts[...]`` entries.  True at a row's first cell and at each of its
-    own cells whose level differs from the one before; padding never starts
-    a run, so it joins the row's last run.
-    """
-    start = np.empty(levels.shape, dtype=bool)
-    start[..., 0] = True
-    np.not_equal(levels[..., 1:], levels[..., :-1], out=start[..., 1:])
-    start[..., 1:] &= np.arange(1, levels.shape[-1]) < counts[..., None]
-    return start
-
-
-def _level_runs(start: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, widths)`` of each row's runs, from its :func:`_run_starts` ``start``.
-
-    ``widths`` has the shape (..., n) of ``start`` and is 0 past a row's
-    cells.  With r the most runs of any row, ``first`` (..., r) holds the
-    cell that starts each run, repeating the row's last run start past its
-    runs, and ``widths`` (..., r) each run's summed widths, added in cell
-    order by one ``bincount`` (so a run of one cell keeps its width bit for
-    bit), zero past the row's runs.
-    """
-    shape, n = start.shape[:-1], start.shape[-1]
-    start = start.reshape(-1, n)
-    run = np.cumsum(start, axis=1)
-    run -= 1
-    n_rows, r = len(run), int(run[:, -1].max()) + 1
-    flat = (run + r * np.arange(n_rows)[:, None]).ravel()
-    run_widths = np.bincount(flat, weights=widths.ravel(), minlength=n_rows * r)
-    first = np.zeros((n_rows, r), dtype=np.intp)
-    rows, cols = np.nonzero(start)
-    first[rows, run[rows, cols]] = cols
-    np.maximum.accumulate(first, axis=1, out=first)
-    return first.reshape(*shape, r), run_widths.reshape(*shape, r)
 
 
 def gamma_ls_form(s: ScenarioSet, spec: JointRiskSpec) -> float:
@@ -213,20 +182,20 @@ def gamma_forms(s: ScenarioSet, spec: JointRiskSpec) -> tuple[float, float]:
     with no cell (every loss 0) makes both forms 0.0.
     """
     _check_dims([s], spec)
-    _, widths, counts = s.steps.cell_table()
-    if not counts.all():
+    widths = [w for *_, w in s.steps.cells()]
+    if not all(w.size for w in widths):
         return 0.0, 0.0
     entries, coords, runs, run_levels, run_widths, cells = [], [], [], [], [], []
-    for g, (v, tail), w, c in zip(spec.distortions, s.steps.columns(), widths, counts):
+    for g, (v, tail), w in zip(spec.distortions, s.steps.columns(), widths):
         e = np.asarray(g(np.concatenate(([1.0], tail))), dtype=float)
-        start = _run_starts(e, np.asarray(e.size))
+        start = np.concatenate(([True], e[1:] != e[:-1]))
         run = np.cumsum(start) - 1
-        ids = run[v.size - c : v.size]  # the runs of the cells
+        ids = run[v.size - w.size : v.size]  # the runs of the cells
         entries.append(e[None])
         coords.append(v[None])
         runs.append(run)
         run_levels.append(e[start])
-        run_widths.append(np.bincount(ids - ids[0], weights=w[:c])[None])
+        run_widths.append(np.bincount(ids - ids[0], weights=w)[None])
         cells.append(slice(ids[0], ids[-1] + 1))
     ls = atom_sums(spec.cstar, entries, coords)
     if ls is not None:

@@ -692,7 +692,7 @@ class TestMainExitCodes:
                  f"--match: threshold must be a positive number, got 'assert:{thr}'")
                 for thr in ("nan", "inf", "-inf")
             ),
-            ("plain", ["vector", "--match", "bogus"], "--match: expected 'warn' or 'assert:<threshold>', got 'bogus'"),
+            ("plain", ["vector", "--match", "bogus"], "--match: expected 'warn', 'assert' or 'assert:<threshold>', got 'bogus'"),
             ("three", ["vector", "--copula", "countermonotone"], "--copula: countermonotone requires two-column data"),
             ("plain", ["vector", "--copula", "bogus"], "--copula: unknown choice 'bogus'"),
             ("plain", ["mtce", "--q", "1.5"], "--q: must lie in (0, 1), got 1.5"),

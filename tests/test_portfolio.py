@@ -138,7 +138,7 @@ class TestMarginalSurvival:
             assert np.array_equal(values, ref_values)
             assert np.array_equal(tail, ref_tail)
 
-    def test_cell_table_columns_match_the_unique_reference(self):
+    def test_flat_cells_match_the_unique_reference(self):
         # columns of different lengths: ties, unequal weights, a constant
         # column, signed columns with -0.0, one with no positive loss, a
         # single scenario and one of zeros only (no cell)
@@ -155,9 +155,12 @@ class TestMarginalSurvival:
         weights = [rng.integers(1, 5, size=len(c)).astype(float) for c in columns]
         weights = [w / w.sum() for w in weights]
         table = steps(np.concatenate(columns), [len(c) for c in columns], np.concatenate(weights))
-        survival, widths, counts = table.cell_table()
-        assert survival.shape == widths.shape == (len(columns), max(counts))
-        assert len(table.columns()) == len(table.cells()) == len(columns)
+        # the flat cells are every column's cells, concatenated column by column
+        *flat, counts = table._flat_cells()
+        assert len(table.columns()) == len(table.cells()) == len(counts) == len(columns)
+        assert counts.tolist() == [len(w) for *_, w in table.cells()]
+        for got, per_column in zip(flat, zip(*table.cells())):
+            assert np.array_equal(got, np.concatenate(per_column))
         for k, (col, w) in enumerate(zip(columns, weights)):
             order = np.argsort(col, kind="stable")
             values, start = np.unique(col[order], return_index=True)
@@ -183,11 +186,7 @@ class TestMarginalSurvival:
                 ref = (edges[:-1], np.where(idx >= 0, tail[np.maximum(idx, 0)], 1.0), np.diff(edges))
             for got, expected in zip(table.cells()[k], ref):
                 assert np.array_equal(got, expected)
-            n = counts[k]
-            assert n == len(ref[2])
-            for padded, expected in zip((survival, widths), ref[1:]):
-                assert np.array_equal(padded[k, :n], expected)
-                assert not np.any(padded[k, n:])
+            assert counts[k] == len(ref[2])
             s = scenario_set(col[:, None], w)
             for got, expected in zip(marginal_cells(s, 0), ref):
                 assert np.array_equal(got, expected)

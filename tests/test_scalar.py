@@ -732,7 +732,7 @@ class TestBatchedSurvivalForm:
         with pytest.raises(DataError, match="finite"):
             batch[position].with_losses(losses)
 
-    def test_dimension_mismatch_is_raised_before_any_cell_table(self, monkeypatch):
+    def test_dimension_mismatch_is_raised_before_any_steps(self, monkeypatch):
         built = []
 
         def counted(*args, _steps=scalar_risk.steps):
@@ -749,6 +749,36 @@ class TestBatchedSurvivalForm:
         # one portfolio reads its cached steps; two are stacked, 2 columns each
         gamma_survival_forms(batch[:2], spec)
         assert built == [4]
+
+    @pytest.mark.parametrize("cstar", [independence(2), survival_copula(clayton(2.0))], ids=["independence", "clayton"])
+    def test_each_distortion_is_called_once_on_its_axis_cells_unpadded(self, cstar):
+        # a ragged batch, m = 1, 5 and 9, one portfolio with an all-zero column
+        rng = np.random.default_rng(5)
+        batch = [
+            scenario_set([[2.0, 0.5]]),
+            scenario_set(np.round(rng.uniform(-1.0, 4.0, size=(5, 2)), 1)),
+            scenario_set(np.column_stack([rng.integers(1, 6, size=9), np.zeros(9)])),
+        ]
+        calls = []
+
+        def spy(g, axis):
+            def distort(u):
+                calls.append((axis, np.shape(u)))
+                return g(u)
+
+            return distort
+
+        spec = JointRiskSpec(cstar, (spy(cvar_ramp(0.6), 0), spy(power(0.5), 1)))
+        cells = [sum(len(marginal_cells(s, i)[2]) for s in batch) for i in range(2)]
+        singles = []
+        for s in batch:
+            calls.clear()
+            singles.append(gamma_survival_form(s, spec))
+            assert calls == [(i, (len(marginal_cells(s, i)[2]),)) for i in range(2)]
+        assert singles[2] == 0.0
+        calls.clear()
+        assert gamma_survival_forms(batch, spec) == singles
+        assert calls == [(0, (cells[0],)), (1, (cells[1],))]
 
 
 @st.composite
