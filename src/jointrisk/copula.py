@@ -281,15 +281,24 @@ def _family_grid_raw(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     raise ParameterError(f"unknown copula family {fam!r}")
 
 
-# (row, scenario) pairs or grid cells per chunk of batch rows, in an empirical
-# histogram and a survival copula's base grid: a few MB per chunk of rows
-_PAIR_BUDGET = 1 << 16
+# elements per chunk of batch rows in every batched evaluation (:func:`_row_chunks`): a few MB
+_CHUNK = 1 << 16
 # output cells per block of a survival copula's sum: the size of its one scratch array
 _SUM_BLOCK = 1 << 14
 # an empirical grid is a matrix product (m multiply-adds per cell) while that costs less than
 # the rank histogram's d running sums over prod(n_j + 1) bins: a multiply-add costs about 1/16
 # of a running-sum step (measured on one core: d = 1-5, 1-200 levels, 1-2000 rows, m = 5-640)
 _PRODUCTS_PER_SUM = 16
+
+
+def _row_chunks(n_rows: int, per_row: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` batch rows, each of at most ``_CHUNK`` elements at ``per_row`` a row.
+
+    ``per_row`` counts the elements of every per-row array the evaluator
+    holds at once; a row larger than ``_CHUNK`` is a chunk of its own.
+    """
+    step = max(1, _CHUNK // max(per_row, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def _empirical_grid(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
@@ -307,7 +316,7 @@ def _scenario_products(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     O(m prod(n_j)) exact multiply-adds per row, so a cell differs from the histogram's only in
     the order its weights are added.  Scenarios lie last, along numpy's inner loops.  numpy hands
     BLAS one row at a time at one shape, so a batch equals its rows evaluated alone bit for bit.
-    Rows go in chunks of at most ``_PAIR_BUDGET`` (row, scenario, level) triples.
+    A row holds its (cells, m) matrices of either half: m sum(halves) elements (:func:`_row_chunks`).
     """
     m, d = len(c.rank_weights), len(axes)
     shape = tuple(a.shape[1] for a in axes)
@@ -321,9 +330,7 @@ def _scenario_products(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
         return [_on_axis(axes[j][rows], i, len(js) + 1) >= ranks[j] for i, j in enumerate(js)]
 
     weights = np.reshape(c.rank_weights, (1,) * (lead + 1) + (m,))
-    step = max(1, _PAIR_BUDGET // max(1, m * sum(halves)))
-    for lo in range(0, len(out), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_chunks(len(out), m * sum(halves)):
         left = functools.reduce(np.multiply, indicators(rows, range(lead)), weights)
         right = functools.reduce(np.logical_and, indicators(rows, range(lead, d))).astype(float)
         left, right = left.reshape(len(left), halves[0], m), right.reshape(len(right), halves[1], m)
@@ -340,8 +347,9 @@ def _rank_histogram(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     most t ranks are <= it, so one ``searchsorted`` of the sorted levels into
     the sorted ranks bins every scenario by its position in the rank order.
     Each cell adds its scenarios' weights in scenario order, as one row's
-    ``bincount`` would.  Rows go in chunks of at most ``_PAIR_BUDGET`` (row,
-    scenario) pairs and as many cells; cost is O(P m d + P prod(n_j + 1)).
+    ``bincount`` would.  A row holds about four arrays of m + 1 (its pairs'
+    cell indices and weights, an axis' bin counts) and its prod(n_j + 1)
+    bins (:func:`_row_chunks`); cost is O(P m d + P prod(n_j + 1)).
     """
     ascending, pos = c._rank_index
     m, d = len(c.rank_weights), len(axes)
@@ -352,12 +360,11 @@ def _rank_histogram(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
     order = None if all((a[:, 1:] >= a[:, :-1]).all() for a in axes) else [a.argsort(axis=1) for a in axes]
     levels = axes if order is None else [np.take_along_axis(a, o, axis=1) for a, o in zip(axes, order)]
     out = np.empty(axes[0].shape[:1] + shape)
-    step = max(1, _PAIR_BUDGET // max(m + 1, n_cells))
-    for lo in range(0, len(out), step):
-        row_ids = np.arange(len(out[lo : lo + step]))[:, None]
+    for chunk in _row_chunks(len(out), 4 * (m + 1) + n_cells):
+        row_ids = np.arange(len(out[chunk]))[:, None]
         flat = np.repeat(row_ids, m, axis=1)  # each pair's flat cell index, built up in Horner form
         for j, v in enumerate(levels):
-            below = np.searchsorted(ascending[j], v[lo : lo + step], side="right") + (m + 1) * row_ids
+            below = np.searchsorted(ascending[j], v[chunk], side="right") + (m + 1) * row_ids
             # a scenario's bin: how many of its row's levels lie below the t-th smallest rank, t its position
             flat *= bins[j]
             flat += np.bincount(below.ravel(), minlength=len(flat) * (m + 1)).reshape(-1, m + 1).cumsum(1)[:, pos[j]]
@@ -367,10 +374,10 @@ def _rank_histogram(c: Copula, axes: list[np.ndarray]) -> np.ndarray:
         for j in range(d):
             hist.cumsum(axis=j + 1, out=hist)
         if order is None:
-            out[lo : lo + step] = hist
+            out[chunk] = hist
         else:  # back from sorted levels to the callers' level order
-            rows = (lo + row_ids).reshape((-1,) + (1,) * d)
-            out[(rows, *(_on_axis(o[lo : lo + step], j, d) for j, o in enumerate(order)))] = hist
+            rows = (chunk.start + row_ids).reshape((-1,) + (1,) * d)
+            out[(rows, *(_on_axis(o[chunk], j, d) for j, o in enumerate(order)))] = hist
     return out
 
 
@@ -392,13 +399,15 @@ class SurvivalCopula:
     cdf, cdf_grid, cdf_grids, contract = Copula.cdf, Copula.cdf_grid, Copula.cdf_grids, Copula.contract
 
     def _grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        step = max(1, _PAIR_BUDGET // math.prod(a.shape[1] + 1 for a in axes))
-        if step >= len(axes[0]):
+        shape = tuple(a.shape[1] for a in axes)
+        # a row holds its base grid and the pinned half's axis-0 slice
+        chunks = _row_chunks(len(axes[0]), math.prod(n + 1 for n in shape) + math.prod(shape[1:]))
+        if len(chunks) <= 1:
             return _survival_sum(self.base, axes)
         # chunks are copied out one by one, so that no chunk's base grid outlives its turn
-        out = np.empty((len(axes[0]),) + tuple(a.shape[1] for a in axes))
-        for lo in range(0, len(out), step):
-            out[lo : lo + step] = _survival_sum(self.base, [a[lo : lo + step] for a in axes])
+        out = np.empty((len(axes[0]),) + shape)
+        for rows in chunks:
+            out[rows] = _survival_sum(self.base, [a[rows] for a in axes])
         return out
 
 
@@ -458,18 +467,14 @@ def survival_copula(c: CopulaLike) -> CopulaLike:
     return SurvivalCopula(c)
 
 
-# grid cells of one chunk of batch rows in the default contract, so that its
-# grids do not grow with the number of rows
-_CELL_BUDGET = 1 << 14
-
-
 def _grid_sums(c: CopulaLike, levels: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
     """The default :meth:`Copula.contract`: the coupling on the grid of each row, contracted.
 
     A row's extent on an axis ends at its last nonzero weight; a row with no
-    weight on some axis is 0.  Rows sorted by extent go in chunks whose
-    padded grids hold at most ``_CELL_BUDGET`` cells (one grid, if larger),
-    and each stretch of one extent is contracted on its own cells only
+    weight on some axis is 0.  Rows sorted by extent go in chunks
+    (:func:`_row_chunks`), a row holding its padded grid (on a survival
+    coupling, a base grid of n_j + 1 levels per axis) and a contiguous copy
+    of it, and each stretch of one extent is contracted on its own cells only
     (:func:`_contract`), so a row equals the row contracted alone bit for bit.
     """
     sizes = np.array([np.where(w != 0.0, np.arange(1, w.shape[1] + 1), 0).max(axis=1, initial=0) for w in weights])
@@ -479,9 +484,8 @@ def _grid_sums(c: CopulaLike, levels: list[np.ndarray], weights: list[np.ndarray
         return out
     # rows of one extent are neighbours, so a chunk pads little past its own cells
     order = live[np.lexsort(sizes[::-1, live])]
-    step = max(1, _CELL_BUDGET // int(np.prod(sizes[:, live].max(axis=1))))
-    for start in range(0, len(order), step):
-        rows = order[start : start + step]
+    for chunk in _row_chunks(len(order), 2 * int(np.prod(sizes[:, live].max(axis=1) + 1))):
+        rows = order[chunk]
         extents = sizes[:, rows]
         grids = c.cdf_grids([v[rows, :k] for v, k in zip(levels, extents.max(axis=1))])
         bounds = [0, *(np.flatnonzero((extents[:, 1:] != extents[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
@@ -548,8 +552,8 @@ def _mixture_sums(
       mu_l its length, and a histogram over the sorted positions gives A_j.
 
     Histogram bins add in input order and running sums left to right, so
-    zero-weight padding leaves a row unchanged bit for bit, and rows go in
-    chunks of ``_BIN_BUDGET`` bins.  With ``atoms``,
+    zero-weight padding leaves a row unchanged bit for bit.  A row holds
+    about ten arrays of its bins (:func:`_row_chunks`).  With ``atoms``,
     axis j holds n_j + 1 levels e_i and n_j coordinates c_i, and A_j(l) =
     sum_i c_i (F(e_i | l) - F(e_{i+1} | l)): per component the 2^d-term
     increment is the product of these, so the sum is the atom-measure sum.
@@ -569,6 +573,7 @@ def _mixture_sums(
     if base.family == EMPIRICAL:
         ascending, position = base._rank_index
         m = len(base.rank_weights)
+        per_row = m + 1 + max(t.shape[1] for t in levels)
 
         def chunk(rows):
             prod = base.rank_weights
@@ -580,28 +585,31 @@ def _mixture_sums(
             # rows strided, which numpy would add up in another order
             return np.ascontiguousarray(prod).sum(axis=1)
 
-        return _by_rows(len(levels[0]), m + 1 + max(t.shape[1] for t in levels), chunk)
-    # comonotone or countermonotone: on axis j the factor is on below its
-    # threshold (low) or above it
-    flipped = [base.family == COUNTERMONOTONE_2D and j == 1 for j in range(base.dim)]
-    cuts = [1.0 - t if f else t for t, f in zip(levels, flipped)]
-    n_bins = sum(t.shape[1] for t in cuts) + 2
+    else:
+        # comonotone or countermonotone: on axis j the factor is on below its
+        # threshold (low) or above it
+        flipped = [base.family == COUNTERMONOTONE_2D and j == 1 for j in range(base.dim)]
+        cuts = [1.0 - t if f else t for t, f in zip(levels, flipped)]
+        per_row = n_bins = sum(t.shape[1] for t in cuts) + 2
 
-    def chunk(rows):
-        zeros = np.zeros((len(cuts[0][rows]), 1))
-        every = np.concatenate([zeros, *(t[rows] for t in cuts), zeros + 1.0], axis=1)
-        order = np.argsort(every, axis=1, kind="stable")
-        at = np.empty_like(order)
-        at[np.arange(len(order))[:, None], order] = np.arange(n_bins)
-        prod = np.diff(np.take_along_axis(every, order, axis=1), axis=1)
-        start = 1
-        for j, t in enumerate(cuts):
-            n = t.shape[1]
-            prod *= axis_sums(at[:, start : start + n], j, rows, n_bins, even != flipped[j])
-            start += n
-        return _row_sums(prod)
+        def chunk(rows):
+            zeros = np.zeros((len(cuts[0][rows]), 1))
+            every = np.concatenate([zeros, *(t[rows] for t in cuts), zeros + 1.0], axis=1)
+            order = np.argsort(every, axis=1, kind="stable")
+            at = np.empty_like(order)
+            at[np.arange(len(order))[:, None], order] = np.arange(n_bins)
+            prod = np.diff(np.take_along_axis(every, order, axis=1), axis=1)
+            start = 1
+            for j, t in enumerate(cuts):
+                n = t.shape[1]
+                prod *= axis_sums(at[:, start : start + n], j, rows, n_bins, even != flipped[j])
+                start += n
+            return _row_sums(prod)
 
-    return _by_rows(len(levels[0]), n_bins, chunk)
+    out = np.empty(len(levels[0]))
+    for rows in _row_chunks(len(out), 10 * per_row):
+        out[rows] = chunk(rows)
+    return out
 
 
 def _axis_sums(bins: np.ndarray, w: np.ndarray, n_bins: int, low: bool) -> np.ndarray:
@@ -617,35 +625,19 @@ def _axis_atoms(bins: np.ndarray, coords: np.ndarray, n_bins: int, low: bool, mo
 
     On non-increasing levels F is on for a prefix of the entries, so the sum
     is the coordinate where it turns off, picked with no cancellation; other
-    levels test every entry, O(n_bins n) per row.
+    levels take it by parts, sum_i F_i (c_i - c_{i-1}) with c_{-1} = c_n = 0.
     """
-    if monotone:
-        on = _axis_sums(bins, np.ones(bins.shape), n_bins, low).astype(np.intp)
-        picks = np.zeros((len(coords), coords.shape[1] + 2))
-        picks[:, 1:-1] = coords
-        return np.take_along_axis(picks, on, axis=1)
-    q = np.arange(n_bins - 1)[:, None]
-    on = (q < bins[:, None, :]) if low else (q >= bins[:, None, :])
-    return (coords[:, None, :] * (on[..., :-1].astype(float) - on[..., 1:])).sum(axis=2)
+    if not monotone:
+        return _axis_sums(bins, np.diff(coords, prepend=0.0, append=0.0), n_bins, low)
+    on = _axis_sums(bins, np.ones(bins.shape), n_bins, low).astype(np.intp)
+    picks = np.zeros((len(coords), coords.shape[1] + 2))
+    picks[:, 1:-1] = coords
+    return np.take_along_axis(picks, on, axis=1)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right, so that zeros anywhere leave it unchanged bit for bit."""
     return x.cumsum(axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
-
-
-# (row, bin) pairs per chunk of a factored sum, which holds about ten arrays
-# of that size: under 1 MB per chunk
-_BIN_BUDGET = 1 << 13
-
-
-def _by_rows(n_rows: int, per_row: int, chunk) -> np.ndarray:
-    """``chunk(rows)`` over consecutive slices of rows holding at most ``_BIN_BUDGET`` of ``per_row`` each."""
-    out = np.empty(n_rows)
-    step = max(1, _BIN_BUDGET // per_row)
-    for lo in range(0, n_rows, step):
-        out[lo : lo + step] = chunk(slice(lo, lo + step))
-    return out
 
 
 def atom_sums(c: CopulaLike, levels, coords) -> np.ndarray | None:

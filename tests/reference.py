@@ -5,9 +5,11 @@ the tests call them on inputs they built themselves.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
+from jointrisk import copula
 from jointrisk.copula import _contract
 from jointrisk.portfolio import marginal_cells, marginal_steps
 
@@ -74,3 +76,14 @@ def cell_grid_survival(s, spec):
         levels.append(lv[starts])
         widths.append(np.array([np.cumsum(run)[-1] for run in np.split(w, starts[1:])]))
     return float(_contract(spec.cstar.cdf_grid(levels)[None], [w[None] for w in widths])[0])
+
+
+def two_row_chunk(f) -> int:
+    """A ``copula._CHUNK`` that cuts ``f()``'s batches into chunks of two rows: twice the largest per-row count it asks for.
+
+    A batch of three rows or more then has a chunk edge inside it; calls that
+    ask for fewer elements per row take more rows per chunk.
+    """
+    with mock.patch.object(copula, "_row_chunks", wraps=copula._row_chunks) as spy:
+        f()
+    return 2 * max((call.args[1] for call in spy.call_args_list), default=1)

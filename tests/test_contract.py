@@ -10,6 +10,7 @@ residues of a few eps in every cell, so the grid is the less accurate of the
 two (``test_oracle.py`` judges the factored values against exact sums).
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from jointrisk import (
 from jointrisk import copula
 from jointrisk.copula import SurvivalCopula
 from jointrisk.portfolio import marginal_steps
+from reference import rise_and_fall, two_row_chunk
 
 KINDS = (identity(), var_step(0.5), var_step(0.9), cvar_ramp(0.6), cvar_ramp(0.95), power(2.0), power(0.5))
 # levels that tie, sit on mid-ranks of the couplings below, or at 0 and 1
@@ -130,6 +132,68 @@ def test_contract_rows_equal_rows_alone_bit_for_bit(case, pad):
 
 
 @st.composite
+def chunk_case(draw):
+    """A factored coupling of dimension 1-3 and a batch of 0-6 rows: per axis 0-5 levels and weights, and the
+    n + 1 atom levels of ``atom_sums``, non-increasing as the ls form's are or in their drawn order."""
+    d = draw(st.integers(1, 3))
+    cop = draw(factored_copula(d))
+    rows = draw(st.integers(0, 6))
+
+    def table(pool, n):
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+
+    levels, weights, edges = [], [], []
+    for _ in range(d):
+        n = draw(st.integers(0, 5))
+        levels.append(table(LEVELS, n))
+        weights.append(table((-1.5, -0.25, 0.0, 0.1, 0.5, 1.0, 3.0), n))
+        e = table(LEVELS, n + 1)
+        edges.append(-np.sort(-e, axis=1) if draw(st.booleans()) else e)
+    return cop, levels, weights, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=chunk_case())
+def test_factored_sums_are_the_same_bits_in_any_chunks(case):
+    # every row a chunk, two rows a chunk (an edge inside a batch of three or more), and the default
+    cop, levels, weights, edges = case
+    rows = len(levels[0])
+    for f in (lambda: cop.contract(levels, weights), lambda: copula.atom_sums(cop, edges, weights)):
+        want = f()
+        assert want.shape == (rows,)
+        if not all(w.shape[1] for w in weights):  # an axis with no entries
+            assert want.tolist() == [0.0] * rows
+        for chunk in (1, two_row_chunk(f)):
+            with mock.patch.object(copula, "_CHUNK", chunk):
+                assert f().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wraps", [0, 1, 2])
+@pytest.mark.parametrize(
+    "cop",
+    [independence(2), comonotone(2), countermonotone_2d(), clayton(2.0), copula.gumbel(1.5), copula.frank(-3.0),
+     empirical_copula(scenario_set([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]))],
+    ids=lambda c: c.family,
+)
+def test_empty_batches_and_axes_sum_to_nothing(cop, wraps):
+    # no rows gives no values; an axis with no entries gives 0.0 in every row
+    cop = _wrapped(cop, wraps)
+    factors = copula._mixture(cop) is not None
+    none = [np.empty((0, 2)), np.empty((0, 3))]
+    assert cop.contract(none, none).shape == (0,)
+    if factors:
+        assert copula.atom_sums(cop, [np.empty((0, 3)), np.empty((0, 4))], none).shape == (0,)
+    levels = [np.full((2, 3), 0.5), np.empty((2, 0))]
+    weights = [np.ones((2, 3)), np.empty((2, 0))]
+    assert cop.contract(levels, weights).tolist() == [0.0, 0.0]
+    if factors:
+        edges = [np.full((2, 4), 0.5), np.ones((2, 1))]
+        assert copula.atom_sums(cop, edges, weights).tolist() == [0.0, 0.0]
+    else:
+        assert copula.atom_sums(cop, [np.ones((2, 1))] * 2, [np.empty((2, 0))] * 2) is None
+
+
+@st.composite
 def measure_case(draw, signed=False):
     """A portfolio of dimension 1-5, a factored coupling and built-in distortions.
 
@@ -174,6 +238,22 @@ def test_factored_forms_match_the_grid(case):
         assert abs(got - want) <= 1e-13 * scale
     batched, on_grids = gamma_survival_forms([s, s], spec), _on_grids(gamma_survival_forms, [s, s], spec)
     assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(batched, on_grids))
+
+
+def test_a_non_monotone_distortion_sums_the_ls_form_by_parts_in_small_memory():
+    # per axis sum_i F_i (c_i - c_{i-1}) in one histogram: testing every entry at
+    # every bin held (rows, m, n + 1) tables, 68 MB on this portfolio
+    rng = np.random.default_rng(7)
+    s = scenario_set(rng.integers(1, 10**6, size=(2000, 2)) / 100.0)
+    spec = JointRiskSpec(empirical_copula(s), (rise_and_fall, rise_and_fall))
+    tracemalloc.start()
+    try:
+        survival, ls = gamma_forms(s, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert abs(ls - survival) <= 1e-13 * _loss_scale(s)
 
 
 @settings(max_examples=300, deadline=None)

@@ -43,7 +43,7 @@ from jointrisk import (
 from jointrisk import copula, portfolio
 from jointrisk.copula import Copula, SurvivalCopula, _frank_tau, default_grid_n
 from jointrisk.portfolio import marginal_cells
-from reference import box_increment, frechet_lower, frechet_upper
+from reference import box_increment, frechet_lower, frechet_upper, two_row_chunk
 
 
 def unit_grid(dim: int, grid_n: int) -> np.ndarray:
@@ -209,8 +209,8 @@ class TestSurvival:
                     functools.partial(frank, 5.0), _tied_empirical, lambda d: countermonotone_2d()]
         pool = np.array([0.0, 0.25, 0.5, 1.0])
         # blocks of whole grids, of axis-0 slices and of one cell each; chunks of a few rows
-        for block, pairs in [(copula._SUM_BLOCK, copula._PAIR_BUDGET), (40, 64), (7, 20), (1, 1)]:
-            with mock.patch.object(copula, "_SUM_BLOCK", block), mock.patch.object(copula, "_PAIR_BUDGET", pairs):
+        for block, pairs in [(copula._SUM_BLOCK, copula._CHUNK), (40, 64), (7, 20), (1, 1)]:
+            with mock.patch.object(copula, "_SUM_BLOCK", block), mock.patch.object(copula, "_CHUNK", pairs):
                 for case in range(280):
                     d = 2 if case % 35 >= 30 else case % 4 + 1  # the countermonotone copula is d = 2 only
                     cop = families[case // 5 % len(families)](d)
@@ -1156,11 +1156,13 @@ def test_batched_empirical_grid_is_the_row_histogram_bit_for_bit(case):
     # levels as drawn, then each row ascending, which is neither sorted nor scattered back
     for levels in (axes, [np.sort(a, axis=1) for a in axes]):
         want = _survival_wraps(_RowByRow(e), wraps)._grid([a.clip(0.0, 1.0) for a in levels])
-        # a budget of 1 pair makes every row a chunk; 2m + 1 puts chunk edges inside the batch
-        for budget in (copula._PAIR_BUDGET, 1, 2 * len(e.rank_weights) + 1):
-            # a selection constant of 0 takes the histogram for every shape
-            with mock.patch.object(copula, "_PAIR_BUDGET", budget), mock.patch.object(copula, "_PRODUCTS_PER_SUM", 0):
-                assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(levels), want)
+        # a selection constant of 0 takes the histogram for every shape
+        with mock.patch.object(copula, "_PRODUCTS_PER_SUM", 0):
+            # a chunk of 1 element makes every row a chunk; two rows a chunk puts edges inside the batch
+            two_rows = two_row_chunk(lambda: _survival_wraps(e, wraps).cdf_grids(levels))
+            for budget in (copula._CHUNK, 1, two_rows):
+                with mock.patch.object(copula, "_CHUNK", budget):
+                    assert np.array_equal(_survival_wraps(e, wraps).cdf_grids(levels), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1174,8 +1176,10 @@ def test_batched_scenario_products_are_their_rows_bit_for_bit_and_the_row_histog
     # survival wrap's inclusion-exclusion sums 2^d such cells, each rounded anew
     tol = m * eps * want + (0.0 if wraps == 0 else 4.0**d * (m + 2) * eps)
     # an infinite selection constant takes the products for every shape
-    for budget in (copula._PAIR_BUDGET, 1, 2 * m + 1):
-        with mock.patch.object(copula, "_PAIR_BUDGET", budget), mock.patch.object(copula, "_PRODUCTS_PER_SUM", np.inf):
+    with mock.patch.object(copula, "_PRODUCTS_PER_SUM", np.inf):
+        two_rows = two_row_chunk(lambda: cop.cdf_grids(axes))
+    for budget in (copula._CHUNK, 1, two_rows):
+        with mock.patch.object(copula, "_CHUNK", budget), mock.patch.object(copula, "_PRODUCTS_PER_SUM", np.inf):
             got = cop.cdf_grids(axes)
             rows = [cop.cdf_grids([a[p : p + 1] for a in axes]) for p in range(len(got))]
         assert np.array_equal(got, np.concatenate(rows) if rows else got[:0])

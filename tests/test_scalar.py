@@ -306,8 +306,8 @@ def test_batched_survival_forms_equal_single_ones_bit_for_bit(case):
         per_cell = _survival_form_per_axis(s, spec, merge=False)
         assert abs(value - per_cell) <= 1e-13 * abs(per_cell)
     # the default budget, one portfolio per chunk, and a few per chunk
-    for budget in (copula._CELL_BUDGET, 1, 40):
-        with mock.patch.object(copula, "_CELL_BUDGET", budget):
+    for budget in (copula._CHUNK, 1, 40):
+        with mock.patch.object(copula, "_CHUNK", budget):
             batched = gamma_survival_forms(portfolios, spec)
             assert batched == [gamma_survival_form(s, spec) for s in portfolios]
         if _factors(spec.cstar):
@@ -373,8 +373,8 @@ def test_survival_kernel_equals_the_full_cell_sum(case):
     # survival grid leaves a residue)
     portfolios, spec = case
     want = [_survival_form_per_axis(s, spec, merge=False) for s in portfolios]
-    for budget in (copula._CELL_BUDGET, 1):
-        with mock.patch.object(copula, "_CELL_BUDGET", budget):
+    for budget in (copula._CHUNK, 1):
+        with mock.patch.object(copula, "_CHUNK", budget):
             got = gamma_survival_forms(portfolios, spec)
         for s, a, b in zip(portfolios, got, want):
             if _factors(spec.cstar):
@@ -421,8 +421,8 @@ def test_batched_signed_forms_equal_the_single_evaluators_bit_for_bit(case):
     portfolios, spec = case
     singles = [gamma_forms(s, spec)[0].hex() for s in portfolios]
     assert singles == [gamma_signed_2d(s, spec).hex() for s in portfolios]
-    for budget in (copula._CELL_BUDGET, 1):
-        with mock.patch.object(copula, "_CELL_BUDGET", budget):
+    for budget in (copula._CHUNK, 1):
+        with mock.patch.object(copula, "_CHUNK", budget):
             assert [x.hex() for x in gamma_survival_forms(portfolios, spec)] == singles
 
 
@@ -453,7 +453,7 @@ def test_identity_grids_are_the_cell_counts(monkeypatch):
     rng = np.random.default_rng(11)
     portfolios = [random_portfolio(rng, 3, max_m=8) for _ in range(6)]
     shapes = _spied_grids(monkeypatch)
-    with mock.patch.object(copula, "_CELL_BUDGET", 1):
+    with mock.patch.object(copula, "_CHUNK", 1):
         gamma_survival_forms(portfolios, identity_spec(survival_copula(clayton(2.0, 3))))
     counts = [tuple(len(marginal_cells(s, i)[2]) for i in range(3)) for s in portfolios]
     assert sorted(shapes) == sorted((1, *c) for c in counts)
@@ -1029,7 +1029,7 @@ def _skewed(kernel):
 
 
 class TestAxiomSuite:
-    @pytest.mark.parametrize("budget", [copula._CELL_BUDGET, 1])
+    @pytest.mark.parametrize("budget", [copula._CHUNK, 1])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_flat_batches_equal_the_scenario_set_construction_bit_for_bit(self, d, budget):
         rng = np.random.default_rng(d)
@@ -1039,7 +1039,7 @@ class TestAxiomSuite:
         cases = [(_low_level_factory, copulas, 9), (varcvar_spec_factory(BAND, "cvar", grid_n=20), copulas, 5)]
         if d == 2:
             cases.append((_broken_factory, [independence(2)], 40))
-        with mock.patch.object(copula, "_CELL_BUDGET", budget):
+        with mock.patch.object(copula, "_CHUNK", budget):
             for factory, cops, trials in cases:
                 for seed in (1, 8):
                     want = _scenario_set_axiom_suite(factory, cops, trials, seed)
@@ -1250,13 +1250,13 @@ class TestAxiomSuite:
         factory = varcvar_spec_factory(BAND, "cvar", grid_n=40)
         copulas = [clayton(2.0, d), gumbel(1.5, d)]
         report = axiom_suite(factory, copulas, trials=12, seed=3).as_dict()
-        with mock.patch.object(copula, "_CELL_BUDGET", 1):
+        with mock.patch.object(copula, "_CHUNK", 1):
             assert axiom_suite(factory, copulas, trials=12, seed=3).as_dict() == report
 
     def test_broken_distortion_witness_does_not_depend_on_the_cell_budget(self):
         report = axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict()
         assert report["checks"][1]["witness"] is not None
-        with mock.patch.object(copula, "_CELL_BUDGET", 1):
+        with mock.patch.object(copula, "_CHUNK", 1):
             assert axiom_suite(_broken_factory, [independence(2)], trials=40, seed=1).as_dict() == report
 
     def test_rank_preserving_increase_equals_the_gap_loop(self):
