@@ -347,12 +347,6 @@ _BUMPS = np.array([0.0, 0.25, 0.5, 1.0])
 _FRACS = np.array([0.25, 0.5, 0.75, 1.0])
 
 
-def _random_columns(rng: np.random.Generator, dim: int, max_m: int = 8) -> np.ndarray:
-    """The loss columns of :func:`random_portfolio`, shape (dim, m), drawn in its order."""
-    m = int(rng.integers(2, max_m + 1))
-    return np.array([rng.choice(_NUMERATORS, size=m, replace=False) for _ in range(dim)]) / _DENOM
-
-
 def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> ScenarioSet:
     """Random nonnegative portfolio with tie-free exact-rational losses.
 
@@ -364,7 +358,29 @@ def random_portfolio(rng: np.random.Generator, dim: int, max_m: int = 8) -> Scen
         raise DimensionError(f"random_portfolio needs an integer dim >= 1, got {dim!r}")
     if not _is_integer(max_m) or not 2 <= max_m <= _MAX_NUM:
         raise ParameterError(f"random_portfolio needs an integer 2 <= max_m <= {_MAX_NUM}, got {max_m!r}")
-    return scenario_set(_random_columns(rng, dim, max_m).T)
+    m = int(rng.integers(2, max_m + 1))
+    return scenario_set(np.column_stack([rng.choice(_NUMERATORS, size=m, replace=False) for _ in range(dim)]) / _DENOM)
+
+
+def _draw_trials(rng: np.random.Generator, trials: int, dim: int) -> tuple:
+    """Every random draw of :func:`axiom_suite`'s trials, one generator call per quantity.
+
+    The sizes m in [2, 8], then, padded to the largest m: the loss columns (+inf
+    past m), scale indices, bump indices (0 past m), squeezed column and cell,
+    clamp indices and relabeling permutations (the identity past m).
+    """
+    m = rng.integers(2, 9, size=trials)
+    past = np.arange(m.max()) >= m[:, None]
+    # each column keeps the first m of its own shuffle of every numerator
+    cols = rng.permuted(np.broadcast_to(_NUMERATORS, (trials, dim, _MAX_NUM)), axis=-1)[..., : m.max()] / _DENOM
+    scales = rng.integers(0, len(_SCALES), size=(trials, dim))
+    bumps = rng.integers(0, len(_BUMPS), size=cols.shape)
+    col = rng.integers(0, dim, size=trials)
+    cell = np.where(m > 2, rng.integers(1, np.maximum(m - 1, 2)), 0)  # in [1, m - 2]; m = 2 has no interior cell
+    clamp_at = rng.integers(0, m[:, None], size=(trials, dim))
+    # uniform keys before m, increasing keys above 1 past it: a uniform permutation of range(m), then the identity
+    perm = np.argsort(np.where(past, np.arange(m.max()) + 1.0, rng.random(past.shape)), axis=-1, kind="stable")
+    return m, np.where(past[:, None], np.inf, cols), scales, np.where(past[:, None], 0, bumps), col, cell, clamp_at, perm
 
 
 def _magnitude(a, b):
@@ -410,33 +426,29 @@ def _single_cell_squeeze(values: np.ndarray, cell: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trial_batches(draws: list, masks: np.ndarray, n_specs: int) -> tuple[list, np.ndarray, np.ndarray]:
+def _trial_batches(draws: tuple, masks: np.ndarray, n_specs: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The kernel batches of :func:`axiom_suite`, one ``(losses, weights, lengths)`` per spec, and the scales and clamps.
 
-    Every trial is built at once, padded to the largest size m: columns with
-    +inf, which sorts after the tie-free values, bumps with 0, permutations
-    with the identity and losses with 0, which leaves the column maxima.
-    The padded stack and its parts are freed before the kernel runs.
+    ``draws`` is :func:`_draw_trials`' output, already padded to the largest
+    size M; every trial is built from it at once, with the losses padded
+    with 0, which leaves the column maxima.  The padded stack and its parts
+    are freed before the kernel runs.
     """
-    drawn, scales, drawn_bumps, col, cell, clamp_at, drawn_perm = zip(*draws)
-    m = np.array([c.shape[1] for c in drawn])
-    trials, dim, top = len(m), drawn[0].shape[0], m.max()
-    cols, bumps, perm = np.full((trials, dim, top), np.inf), np.zeros((trials, dim, top), dtype=int), np.tile(np.arange(top), (trials, 1))
-    for t, n in enumerate(m.tolist()):
-        cols[t, :, :n], bumps[t, :, :n], perm[t, :n] = drawn[t], drawn_bumps[t], drawn_perm[t]
+    m, cols, scales, bumps, col, cell, clamp_at, perm = draws
+    trials, dim, top = cols.shape
     losses = np.where(np.arange(top) < m[:, None, None], cols, 0.0).transpose(0, 2, 1)
     # each column's sorted values and the rank of every loss among them
     order = np.argsort(cols, axis=-1)
     values = np.take_along_axis(cols, order, axis=-1)
     at = np.argsort(order, axis=-1)
-    rows, col = np.arange(trials), np.array(col)
+    rows = np.arange(trials)
     squeezed = values.copy()
-    squeezed[rows, col] = _single_cell_squeeze(values[rows, col], np.array(cell))
+    squeezed[rows, col] = _single_cell_squeeze(values[rows, col], cell)
     # m = 2 has no interior value to squeeze: every loss moves up by 1/4
     squeezed = np.where(m[:, None, None] > 2, np.take_along_axis(squeezed, at, axis=-1).transpose(0, 2, 1), losses + 0.25)
     bigger = np.take_along_axis(_rank_preserving_increase(values, _BUMPS[bumps]), at, axis=-1).transpose(0, 2, 1)
-    scales = _SCALES[np.array(scales)]
-    clamps = np.take_along_axis(values, np.array(clamp_at)[..., None], axis=-1)[..., 0]
+    scales = _SCALES[scales]
+    clamps = np.take_along_axis(values, clamp_at[..., None], axis=-1)[..., 0]
     y = np.minimum(losses, clamps[:, None, :])  # y, losses - y: the comonotone split of each loss at its clamp
 
     # a trial's evaluated portfolios in axiom_suite's order, one per place of a
@@ -477,9 +489,10 @@ def axiom_suite(
     every check it enters.  Deterministic given ``seed``; the seed is
     recorded in the report.
 
-    Every trial is drawn first; the portfolios of all trials are then built
-    as one padded array stack, and each spec evaluates the 2^(d+1) + 6
-    distinct portfolios of each of its trials in one kernel call.
+    Every trial is drawn first, each random quantity of all trials in one
+    generator call (:func:`_draw_trials`); the portfolios of all trials are
+    then built as one padded array stack, and each spec evaluates the
+    2^(d+1) + 6 distinct portfolios of each of its trials in one kernel call.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
         if not _is_integer(value) or value < low:
@@ -490,26 +503,12 @@ def axiom_suite(
     for c in copulas:
         if c.dim != dim:
             raise DimensionError("all copulas passed to axiom_suite must share one dimension")
-    rng = np.random.default_rng(seed)
     specs = [spec_factory(c) for c in copulas]
     for sp in specs:
         if sp.dim != dim:
             raise DimensionError("spec_factory produced a spec of mismatched dimension")
 
-    # every draw of every trial comes first, in the suite's fixed rng order
-    # (no draw depends on a measure): the loss columns, the scale indices,
-    # each column's bump indices, the squeezed column and cell, each
-    # column's clamp index and the relabeling permutation (a (d, m) or (d,)
-    # draw gives the values and generator state of d draws, one per column)
-    draws = []
-    for _ in range(trials):
-        cols = _random_columns(rng, dim)
-        m = cols.shape[1]
-        scales = rng.integers(0, len(_SCALES), size=dim)
-        bumps = rng.integers(0, len(_BUMPS), size=(dim, m))
-        col = rng.integers(0, dim)
-        cell = rng.integers(1, m - 1) if m > 2 else 0
-        draws.append((cols, scales, bumps, col, cell, rng.integers(0, m, size=dim), rng.permutation(m)))
+    draws = _draw_trials(np.random.default_rng(seed), trials, dim)  # no draw depends on a measure
 
     # the 2^d ways to pick each column from a first or a second portfolio, a
     # (2^d, 1, d) stack for np.where, and the sign of each pick in A5's increment
@@ -556,7 +555,7 @@ def axiom_suite(
 
     def witness(axiom: str, k: int) -> dict:
         t, j = divmod(k, 2) if axiom == "A2" else (k, 0)
-        info = {"trial": t, "copula_index": t % len(specs), "m": draws[t][0].shape[1]}
+        info = {"trial": t, "copula_index": t % len(specs), "m": int(draws[0][t])}
         gamma = float(base[t])
         if axiom == "A1":
             return {**info, "scales": scales[t].tolist(), "lhs": float(scaled[t]), "rhs": float(rhs[t])}

@@ -268,18 +268,28 @@ def test_criterion_9_signed_consistency():
         else:
             worst_factored = max(worst_factored, abs(got - want) / np.prod(s.losses.max(axis=0)))
 
-    worst_shift = 0.0
+    def shift_gap(col1, col2, spec):
+        s = scenario_set(np.column_stack([col1, col2]))
+        shifted = s.with_losses(np.column_stack([col1 + 4.0, col2]))
+        embedded = s.with_losses(np.column_stack([np.full(len(col1), 4.0), col2]))
+        want = gamma_survival_form(shifted, spec) - gamma_survival_form(embedded, spec)
+        got = gamma_signed_2d(s, spec)
+        # relative, less a few ulps of the loss box: a want that cancels to
+        # 0.0 leaves got with the rounding of the two terms it cancels
+        box = np.prod(np.ptp(s.losses, axis=0))
+        return (abs(got - want) - 4 * np.spacing(box)) / max(abs(want), 1e-12)
+
+    # want = 7.0 - 7.0 = 0.0 exactly, and got reads about 4e-16
+    worst_shift = shift_gap(
+        np.array([-0.9375, 0.125, 1.75, 1.5625, -1.9375, -0.5625]),
+        np.array([0.625, 1.3125, 1.125, 2.75, 1.4375, 3.25]),
+        mixed_specs(2)[0],
+    )
     for k in range(100):
-        spec = mixed_specs(2)[k % 4]
         m = int(rng.integers(2, 12))
         col1 = (rng.choice(np.arange(1, 64), size=m, replace=False) - 32) / 16.0
         col2 = rng.choice(np.arange(1, 64), size=m, replace=False) / 16.0
-        s = scenario_set(np.column_stack([col1, col2]))
-        shifted = s.with_losses(np.column_stack([col1 + 4.0, col2]))
-        embedded = s.with_losses(np.column_stack([np.full(m, 4.0), col2]))
-        want = gamma_survival_form(shifted, spec) - gamma_survival_form(embedded, spec)
-        got = gamma_signed_2d(s, spec)
-        worst_shift = max(worst_shift, abs(got - want) / max(abs(want), 1e-12))
+        worst_shift = max(worst_shift, shift_gap(col1, col2, mixed_specs(2)[k % 4]))
     ok = exact and worst_factored <= 1e-13 and worst_shift <= 1e-9
     report_line(
         9,
