@@ -14,13 +14,14 @@ or rank histogram, a survival copula's inclusion-exclusion over one base
 evaluation.  A pointwise ``cdf`` evaluates n points as a batch of n one-cell
 grids.
 
-``contract(levels, weights)`` is what the measures need of a coupling: per
-batch row, the sum over the grid of C times the product of per-axis weights.
-The empirical, independence, comonotone and countermonotone copulas, under
-any survival wraps, are mixtures of product copulas, so that sum factors into
-one weighted sum per axis and mixture component: O(d (m + n)) per row for m
-scenarios and n levels per axis, not prod(n_j) grid cells.  Clayton, Gumbel
-and Frank are summed on their grids.
+``contract(levels, weights)`` is what the measures need of a coupling (the
+vector measures need nothing else): per batch row, the sum over the grid of
+C times the product of per-axis weights.  The empirical, independence,
+comonotone and countermonotone copulas, under any survival wraps, are
+mixtures of product copulas, so that sum factors into one weighted sum per
+axis and mixture component: O(d (m + n)) per row for m scenarios and n
+levels per axis, not prod(n_j) grid cells.  Clayton, Gumbel and Frank are
+summed on each row's own grid.
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ class Copula:
         ``levels`` and ``weights`` hold d arrays of one shape (P, n_j) per
         axis; returns shape (P,).  A row equals that row contracted alone bit
         for bit, and zero weights appended at a row's last level (a batch's
-        padding) leave it as it is.  Mixtures of product copulas make no grid
-        (:func:`_mixture_sums`); the others are contracted on their grids
-        (:func:`_grid_sums`).
+        padding) leave it as it is (padding at another level can move a
+        factored row's last bits).  Mixtures of product copulas make no grid
+        (:func:`_mixture_sums`); the others are contracted on each row's own
+        grid, never padded to another's (:func:`_grid_sums`).
         """
         levels = [np.asarray(v, dtype=float) for v in levels]
         weights = [np.asarray(w, dtype=float) for w in weights]
@@ -471,28 +473,24 @@ def _grid_sums(c: CopulaLike, levels: list[np.ndarray], weights: list[np.ndarray
     """The default :meth:`Copula.contract`: the coupling on the grid of each row, contracted.
 
     A row's extent on an axis ends at its last nonzero weight; a row with no
-    weight on some axis is 0.  Rows sorted by extent go in chunks
-    (:func:`_row_chunks`), a row holding its padded grid (on a survival
-    coupling, a base grid of n_j + 1 levels per axis) and a contiguous copy
-    of it, and each stretch of one extent is contracted on its own cells only
-    (:func:`_contract`), so a row equals the row contracted alone bit for bit.
+    weight on some axis is 0.  Rows sorted by extent split into stretches of
+    one extent, each in chunks (:func:`_row_chunks`), a row holding its grid
+    at exactly its extent (on a survival coupling, a base grid of n_j + 1
+    levels per axis), which is contracted whole (:func:`_contract`), so a
+    row equals the row contracted alone bit for bit.
     """
     sizes = np.array([np.where(w != 0.0, np.arange(1, w.shape[1] + 1), 0).max(axis=1, initial=0) for w in weights])
     out = np.zeros(len(levels[0]))
     live = np.flatnonzero(sizes.all(axis=0))
-    if not live.size:
-        return out
-    # rows of one extent are neighbours, so a chunk pads little past its own cells
     order = live[np.lexsort(sizes[::-1, live])]
-    for chunk in _row_chunks(len(order), 2 * int(np.prod(sizes[:, live].max(axis=1) + 1))):
-        rows = order[chunk]
-        extents = sizes[:, rows]
-        grids = c.cdf_grids([v[rows, :k] for v, k in zip(levels, extents.max(axis=1))])
-        bounds = [0, *(np.flatnonzero((extents[:, 1:] != extents[:, :-1]).any(axis=0)) + 1).tolist(), len(rows)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            k = extents[:, a].tolist()
-            cells = grids[(slice(a, b), *(slice(0, j) for j in k))]
-            out[rows[a:b]] = _contract(cells, [w[rows[a:b], :j] for w, j in zip(weights, k)])
+    extents = sizes[:, order]
+    starts = np.flatnonzero(np.diff(extents, axis=1, prepend=-1).any(axis=0)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(order)]):
+        k = extents[:, a].tolist()
+        for chunk in _row_chunks(b - a, math.prod(j + 1 for j in k)):
+            rows = order[a:b][chunk]
+            grids = c.cdf_grids([v[rows, :j] for v, j in zip(levels, k)])
+            out[rows] = _contract(grids, [w[rows, :j] for w, j in zip(weights, k)])
     return out
 
 

@@ -89,32 +89,34 @@ def mixture_var_cvar(
 def mtce(s: ScenarioSet, c: CopulaLike, q: float) -> VectorRiskResult:
     """Tail conditional expectations given joint exceedance of the q-quantiles.
 
-    Component i integrates the survival copula evaluated at the tail weight
-    alpha = 1 - q in every slot except i, where the (capped) marginal survival
-    enters; normalization is the survival copula at (alpha, ..., alpha).
-    Degenerate joint tails, whose mass is within inclusion-exclusion
-    rounding of zero, raise rather than return a silent zero or noise.
+    Component i integrates the survival copula at alpha = 1 - q in every
+    slot except i, where the marginal survival capped at alpha enters, over
+    the tail mass p, the survival copula at (alpha, ..., alpha).  One
+    ``contract`` has a row of each column's cells below alpha and a row of p;
+    a cell at or above alpha has integrand 1.  Degenerate joint tails, whose
+    mass is within a grid coupling's inclusion-exclusion rounding of zero,
+    raise rather than return a silent zero or noise.
     """
     if c.dim != s.dim:
         raise DimensionError(f"copula dimension {c.dim} != portfolio dimension {s.dim}")
     _check_level(q, "q")
-    alpha = 1.0 - q
-    chat = survival_copula(c)
-    p = chat.cdf([alpha] * s.dim)
-    # the 2^d-term inclusion-exclusion of a survival copula leaves a rounding
-    # residue of a few ulps where the joint tail is empty
-    if p <= 2**s.dim * np.finfo(float).eps:
+    d, alpha = s.dim, 1.0 - q
+    cells = s.steps.cells()
+    tails = [sv < alpha for _, sv, _ in cells]
+    # row i < d: column i's tail cells on axis i; elsewhere alpha at weight 1, then padding at weight 0
+    levels = [np.full((d + 1, max(t.sum(), 1)), alpha) for t in tails]
+    weights = [np.zeros_like(v) for v in levels]
+    for i, ((_, sv, widths), t) in enumerate(zip(cells, tails)):
+        weights[i][:, 0] = np.arange(d + 1) != i
+        levels[i][i, : t.sum()], weights[i][i, : t.sum()] = sv[t], widths[t]
+    *sums, p = survival_copula(c).contract(levels, weights).tolist()
+    if p <= 2**d * np.finfo(float).eps:
         raise DegenerateTailError(
             f"joint tail has no copula mass at level q={q} "
             f"(survival copula value {p:.3g} is within rounding of 0)"
         )
-
-    def capped(i: int, _, sv: np.ndarray) -> np.ndarray:
-        axes = [np.array([alpha])] * s.dim
-        axes[i] = np.minimum(sv, alpha)
-        return chat.cdf_grid(axes).ravel() / p
-
-    return VectorRiskResult(_integrals(s, capped), "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
+    comps = tuple(x / p + float(w[~t].sum()) for x, (_, _, w), t in zip(sums, cells, tails))
+    return VectorRiskResult(comps, "mtce", {"q": q, "alpha": alpha, "tail_copula_mass": p})
 
 
 def mtdrm(

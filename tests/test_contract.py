@@ -193,6 +193,35 @@ def test_empty_batches_and_axes_sum_to_nothing(cop, wraps):
         assert copula.atom_sums(cop, [np.ones((2, 1))] * 2, [np.empty((2, 0))] * 2) is None
 
 
+@pytest.mark.parametrize("wraps", [0, 1])
+@pytest.mark.parametrize("cop", [clayton(2.0), copula.gumbel(1.5), copula.frank(-3.0)], ids=lambda c: c.family)
+def test_grid_sums_evaluate_each_row_at_its_own_extent(cop, wraps):
+    # rows of extents (5, 1), (1, 5) and (1, 1) in one batch: no row's grid is
+    # padded to the 5 x 5 that the batch spans, and every row is the same float
+    # as the row contracted alone, and as its cells of the padded grid
+    cop = _wrapped(cop, wraps)
+    n = 5
+    fill = np.full(n - 1, 0.5)
+    levels = [
+        np.array([[0.9, 0.7, 0.5, 1 / 3, 0.1], [0.6, *fill], [0.4, *fill]]),
+        np.array([[0.8, *fill], [0.95, 0.75, 0.55, 0.35, 0.15], [0.2, *fill]]),
+    ]
+    lone = np.zeros(n - 1)
+    weights = [
+        np.array([[1.0, -0.5, 2.0, 0.25, 3.0], [1.0, *lone], [1.5, *lone]]),
+        np.array([[0.5, *lone], [1.0, 2.0, -1.0, 0.5, 0.1], [2.0, *lone]]),
+    ]
+    with mock.patch.object(type(cop), "cdf_grids", autospec=True, side_effect=type(cop).cdf_grids) as spy:
+        got = cop.contract(levels, weights)
+    asked = sorted(tuple(a.shape for a in call.args[1]) for call in spy.call_args_list)
+    assert asked == [((1, 1), (1, 1)), ((1, 1), (1, n)), ((1, n), (1, 1))]
+    padded = cop.cdf_grids(levels)
+    for p, (k0, k1) in enumerate([(n, 1), (1, n), (1, 1)]):
+        alone = cop.contract([v[p : p + 1] for v in levels], [w[p : p + 1] for w in weights])
+        cells = np.ascontiguousarray(padded[p : p + 1, :k0, :k1])
+        assert got[p] == alone[0] == copula._contract(cells, [weights[0][p : p + 1, :k0], weights[1][p : p + 1, :k1]])[0]
+
+
 @st.composite
 def measure_case(draw, signed=False):
     """A portfolio of dimension 1-5, a factored coupling and built-in distortions.

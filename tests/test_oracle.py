@@ -1,4 +1,4 @@
-"""Exact rational sums of the survival and ls forms, against the factored float path.
+"""Exact rational sums of the survival and ls forms and of mtce, against the factored float path.
 
 Losses are multiples of 1/256 of either sign, below 256 in magnitude, and
 the weights are integers summing to a power of two, so every survival
@@ -10,7 +10,8 @@ only error is then the rounding of its sums and products, which must stay
 within a few eps of the sum of the terms' magnitudes.  The reference sums are made with
 ``fractions.Fraction``: the survival form over every tuple of step-level
 entries with each axis' signed cell weights, the ls form over every atom
-with its 2^d-term increment, each coupling from its definition.
+with its 2^d-term increment, each mtce component over every cell of its
+column, each coupling from its definition.
 """
 
 import functools
@@ -18,10 +19,12 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointrisk import (
+    DegenerateTailError,
     JointRiskSpec,
     comonotone,
     countermonotone_2d,
@@ -30,6 +33,7 @@ from jointrisk import (
     gamma_forms,
     identity,
     independence,
+    mtce,
     power,
     scenario_set,
     var_step,
@@ -131,6 +135,25 @@ def _product(xs):
     return functools.reduce(lambda a, b: a * b, xs, Fraction(1))
 
 
+def _cells(values, tails):
+    """A column's (signed width, survival level) entries, whose sum of width times integrand is its integral.
+
+    Entry 0 is level 1, entry j + 1 the tail of value j; a cell of [0, max)
+    weighs its width at the entry of its level, a cell of [min, 0) its width
+    there and minus its width at entry 0.
+    """
+    omega = {}
+    for j, v in enumerate(values):
+        if v > 0:
+            left = max(values[j - 1], 0) if j else 0
+            omega[j] = omega.get(j, 0) + Fraction(v - left, 256)
+        elif v < 0:
+            right = min(values[j + 1], 0) if j + 1 < len(values) else 0
+            omega[j + 1] = omega.get(j + 1, 0) + Fraction(right - v, 256)
+            omega[0] = omega.get(0, 0) - Fraction(right - v, 256)
+    return [(w, tails[e - 1] if e else Fraction(1)) for e, w in omega.items()]
+
+
 def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
     """((survival form, its sum of |terms|), (ls form, its sum of |terms|)), each summed exactly."""
     columns, _ = _fractions(losses, weights)
@@ -140,21 +163,7 @@ def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
         cstar = _survival(cstar, d)
     cstar = functools.lru_cache(maxsize=None)(cstar)
 
-    # survival form: entry 0 of an axis is level 1, entry j + 1 the tail of
-    # value j; a cell of [0, max) weighs its width at the entry of its level,
-    # a cell of [min, 0) its width there and minus its width at entry 0
-    axes = []
-    for values, tails in columns:
-        omega = {}
-        for j, v in enumerate(values):
-            if v > 0:
-                left = max(values[j - 1], 0) if j else 0
-                omega[j] = omega.get(j, 0) + Fraction(v - left, 256)
-            elif v < 0:
-                right = min(values[j + 1], 0) if j + 1 < len(values) else 0
-                omega[j + 1] = omega.get(j + 1, 0) + Fraction(right - v, 256)
-                omega[0] = omega.get(0, 0) - Fraction(right - v, 256)
-        axes.append([(w, tails[e - 1] if e else Fraction(1)) for e, w in omega.items()])
+    axes = [_cells(values, tails) for values, tails in columns]
     terms = [
         _product(w for w, _ in entry) * cstar(tuple(g(lv) for g, (_, lv) in zip(gs, entry)))
         for entry in itertools.product(*axes)
@@ -176,20 +185,67 @@ def _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, gs):
     return survival, ls
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=oracle_case())
-def test_factored_forms_are_within_a_few_eps_of_the_exact_sums(case):
-    d, losses, weights, choice, rows, rank_weights, wraps, kinds, alpha = case
-    float_gs, exact_gs = zip(*(_distortion(k, alpha) for k in kinds))
+def _float_copula(choice, d, rows, rank_weights, wraps):
+    """The package's copula of ``choice`` under ``wraps`` survival wraps."""
     if choice == "empirical":
         cop = empirical_copula(scenario_set(np.array(rows, float), np.array(rank_weights, float)))
     else:
         cop = {"independence": independence, "comonotone": comonotone}.get(choice, lambda d: countermonotone_2d())(d)
     for _ in range(wraps):
         cop = SurvivalCopula(cop)
+    return cop
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_case())
+def test_factored_forms_are_within_a_few_eps_of_the_exact_sums(case):
+    d, losses, weights, choice, rows, rank_weights, wraps, kinds, alpha = case
+    float_gs, exact_gs = zip(*(_distortion(k, alpha) for k in kinds))
+    cop = _float_copula(choice, d, rows, rank_weights, wraps)
     s = scenario_set(np.array(losses, float) / 256.0, np.array(weights, float))
     got = gamma_forms(s, JointRiskSpec(cop, float_gs))
     want = _exact_forms(d, losses, weights, choice, rows, rank_weights, wraps, exact_gs)
     # the terms can have either sign: the bound is on the sum of their magnitudes
     for g, (w, magnitude) in zip(got, want):
         assert abs(Fraction(g) - w) <= 4 * EPS * magnitude
+
+
+def _exact_mtce(d, losses, weights, choice, rows, rank_weights, wraps, q):
+    """Each mtce component and its sum of |terms|, summed exactly; None where the joint tail has no mass.
+
+    Component i is the integral of chat(alpha, ..., min(S_i, alpha), ..., alpha) / p over column i's
+    cells, chat the survival copula of the coupling, alpha = 1 - q and p = chat(alpha, ..., alpha).
+    """
+    columns, _ = _fractions(losses, weights)
+    c = _base(choice, d, rows, rank_weights)
+    if wraps % 2:
+        c = _survival(c, d)
+    chat = _survival(c, d)
+    alpha = 1 - q
+    p = chat((alpha,) * d)
+    if p == 0:
+        return None
+    out = []
+    for i, (values, tails) in enumerate(columns):
+        terms = [w * chat(tuple(min(level, alpha) if j == i else alpha for j in range(d))) / p
+                 for w, level in _cells(values, tails)]
+        out.append((sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_case(), q=st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+def test_factored_mtce_is_within_1e_13_of_the_exact_sums(case, q):
+    # an exactly empty joint tail (the countermonotone one at q >= 1/2, or an
+    # empirical one with no scenario in it) raises
+    d, losses, weights, choice, rows, rank_weights, wraps = case[:7]
+    cop = _float_copula(choice, d, rows, rank_weights, wraps)
+    s = scenario_set(np.array(losses, float) / 256.0, np.array(weights, float))
+    want = _exact_mtce(d, losses, weights, choice, rows, rank_weights, wraps, q)
+    if want is None:
+        with pytest.raises(DegenerateTailError):
+            mtce(s, cop, float(q))
+        return
+    got = mtce(s, cop, float(q)).components
+    for g, (w, magnitude) in zip(got, want):
+        assert abs(Fraction(g) - w) <= 1e-13 * magnitude

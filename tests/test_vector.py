@@ -1,4 +1,6 @@
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from jointrisk import (
     var,
     var_step,
 )
+from jointrisk.copula import Copula, SurvivalCopula
 from jointrisk.distortion import build_distortions
 from jointrisk.portfolio import _var_at, marginal_cells
 from jointrisk.scalar_risk import _BUMPS, _rank_preserving_increase
@@ -47,6 +50,20 @@ BAND = ConfidenceBand(0.90, 0.99)
 def decile_pair():
     col = np.arange(1.0, 11.0)
     return scenario_set(np.column_stack([col, col]))
+
+
+@contextlib.contextmanager
+def _one_contract_call(grid=False):
+    """Asserts that the body calls the survival copula's ``contract`` once and neither ``cdf`` nor ``cdf_grid``;
+    unless ``grid``, no copula evaluates a grid (``_grid``, which ``cdf_grids`` calls) either."""
+    spy = mock.patch.object(SurvivalCopula, "contract", autospec=True, side_effect=SurvivalCopula.contract)
+    banned = [] if grid else ["_grid"]
+    with spy as contract, contextlib.ExitStack() as stack:
+        for cls in (Copula, SurvivalCopula):
+            for name in ["cdf", "cdf_grid", *banned]:
+                stack.enter_context(mock.patch.object(cls, name, side_effect=AssertionError(name)))
+        yield
+    assert contract.call_count == 1
 
 
 class TestHVector:
@@ -186,13 +203,25 @@ class TestMtce:
     def test_inclusion_exclusion_residue_is_a_degenerate_tail(self):
         # no scenario has every rank above q = 0.95, but the 16-term survival
         # sum of the empirical copula leaves p = 1.1e-16, which used to be
-        # divided through and returned (13.2, 0, 0, 0)
+        # divided through and returned (13.2, 0, 0, 0); contract sums the
+        # tail per scenario, to exactly 0
         rng = np.random.default_rng(0)
         s = scenario_set(np.round(rng.gamma(2, 1.5, (200, 4)), 1), rng.uniform(1, 3, 200))
         e = empirical_copula(s)
         assert not np.any(np.all(e.ranks > 0.95, axis=1))
-        with pytest.raises(DegenerateTailError):
-            mtce(s, e, 0.95)
+        tail = survival_copula(e).contract([np.full((1, 1), 1.0 - 0.95)] * 4, [np.ones((1, 1))] * 4)
+        assert tail.tolist() == [0.0]
+        with _one_contract_call():
+            with pytest.raises(DegenerateTailError):
+                mtce(s, e, 0.95)
+
+    @pytest.mark.parametrize("cop", [empirical_copula(decile_pair()), comonotone(2), clayton(2.0)], ids=lambda c: c.family)
+    def test_one_contract_call_takes_every_component_and_the_tail_mass(self, cop):
+        with _one_contract_call(grid=cop.family == "clayton"):
+            res = mtce(decile_pair(), cop, 0.5)
+        # the comonotone tail mean of 1..10 above its median
+        if cop.family != "clayton":
+            assert res.components == pytest.approx((8.0, 8.0), rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_constant_component_is_exact_under_empirical_copula(self, seed):
@@ -324,6 +353,10 @@ class TestOneCellPass:
         tail_gs = build_distortions(kinds, res.diagnostics["alpha_c"], d, tail_only=True)
         assert res.components == tuple(_reference_integral(s, i, tail_gs[i]) for i in range(d))
 
+        # mtce sums its tail cells in one contract and adds the others' widths:
+        # the same integral as a cdf_grid pass, within 1e-13 of its summed
+        # |widths| (every integrand lies in [0, 1]; a product below the
+        # normal range rounds in absolute terms)
         cop = data.draw(st.sampled_from([independence(d), comonotone(d)]))
         res = mtce(s, cop, 0.4)
         chat, p = survival_copula(cop), res.diagnostics["tail_copula_mass"]
@@ -336,7 +369,9 @@ class TestOneCellPass:
 
             return capped
 
-        assert res.components == tuple(_reference_integral(s, i, transform(i)) for i in range(d))
+        for i, got in enumerate(res.components):
+            scale = np.abs(marginal_cells(s, i)[2]).sum()
+            assert abs(got - _reference_integral(s, i, transform(i))) <= 1e-13 * scale + np.finfo(float).tiny
 
     @settings(max_examples=300, deadline=None)
     @given(vector_case(signed=True), st.data())
